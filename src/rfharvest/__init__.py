@@ -13,8 +13,6 @@ __version__ = "0.1.0"
 
 from .charge import (
     ChargeCircuit,
-    HarvestCoefficients,
-    harvest_coefficients,
     harvest_sensitivity,
     harvested_energy,
     optimal_residual,
@@ -46,7 +44,6 @@ from .simulator import (
     ExperimentConfig,
     future_impact_probe,
     generate_scenario,
-    link_budget,
     monte_carlo,
     optimal_schedule,
     rate,
@@ -66,8 +63,6 @@ from .strategies import (
 __all__ = [
     "__version__",
     "ChargeCircuit",
-    "HarvestCoefficients",
-    "harvest_coefficients",
     "harvested_energy",
     "optimal_residual",
     "harvest_sensitivity",
@@ -93,7 +88,6 @@ __all__ = [
     "online_step",
     "ChannelLink",
     "ExperimentConfig",
-    "link_budget",
     "rate",
     "replay",
     "optimal_schedule",

@@ -24,8 +24,6 @@ from .exceptions import InfeasibleError
 
 __all__ = [
     "ChargeCircuit",
-    "HarvestCoefficients",
-    "harvest_coefficients",
     "harvested_energy",
     "optimal_residual",
     "harvest_sensitivity",
@@ -73,40 +71,6 @@ class ChargeCircuit:
 
 
 @dataclass(frozen=True)
-class HarvestCoefficients:
-    """Coefficients of the harvested-energy polynomial for one packet length.
-
-    For a packet of charge duration T and circuit time constant tau, with
-    s = exp(-T/tau):
-
-        a1 = s^2 / 2
-        a2 = sqrt(2*e_max) * (1/s - 1)
-        a3 = 2^1.5 * a2
-        a4 = 2 * (1 - 1/s^2)
-
-    and the harvested energy at residual r is a1*(a2^2 + a3*sqrt(r) + a4*r).
-    """
-
-    a1: float
-    a2: float
-    a3: float
-    a4: float
-
-
-def harvest_coefficients(packet_length: float, circuit: ChargeCircuit) -> HarvestCoefficients:
-    """Coefficients of the harvest polynomial for a given charge duration."""
-    if packet_length < 0:
-        raise ValueError(f"packet_length must be >= 0, got {packet_length}")
-    tau = circuit.tau
-    a1 = 0.5 * _exp(-2.0 * packet_length / tau)
-    growth = _exp(packet_length / tau) - 1.0
-    a2 = math.sqrt(2.0 * circuit.e_max) * growth
-    a3 = 2.0 ** 1.5 * a2
-    a4 = 2.0 * (1.0 - _exp(2.0 * packet_length / tau))
-    return HarvestCoefficients(a1=a1, a2=a2, a3=a3, a4=a4)
-
-
-@dataclass(frozen=True)
 class _HarvestCurve:
     """Internal harvest evaluation in the decay parameterization.
 
@@ -114,9 +78,8 @@ class _HarvestCurve:
 
         e_max*(1-s)^2 + 2*sqrt(e_max)*s*(1-s)*sqrt(r) + (s^2 - 1)*r,
 
-    algebraically identical to the a1..a4 form but stable for every T:
-    s underflows to 0 for absurdly long packets, yielding the exact
-    full-charge limit e_max - r, where the coefficient products overflow.
+    which stays finite for every T: s underflows to 0 for absurdly long
+    packets, yielding the exact full-charge limit e_max - r.
     """
 
     decay: float       # exp(-T/tau), in [0, 1]

@@ -218,14 +218,13 @@ def cmd_oracle_check(args) -> int:
     if point.packet_count > grid.epoch_limit:
         raise ConfigError(f"oracle-check needs packet_count <= {grid.epoch_limit}, "
                           f"got {point.packet_count}")
-    solver_tolerance = args.solver_tolerance if args.solver_tolerance else 1e-10
     worst_gap = -np.inf
     worst_run = None
     float_slack = 1e-9
     for run in range(point.runs):
         rng = np.random.default_rng([seed, run])
         scenario, _ = generate_scenario(point, rng)
-        report = optimal_schedule(scenario, config.circuit, tolerance=solver_tolerance)
+        report = optimal_schedule(scenario, config.circuit)
         result = brute_force_optimize(scenario, config.circuit, grid)
         gap = result.throughput - report.throughput
         if gap > worst_gap:
@@ -265,10 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
                              help="run a Monte Carlo figure reproduction")
     p_sweep.add_argument("--figure", required=True,
                          choices=["fig5", "fig6", "fig7", "fig8"])
-    p_oracle = sub.add_parser("oracle-check", parents=[common],
-                              help="validate the solver against brute force")
-    p_oracle.add_argument("--solver-tolerance", type=float, default=None,
-                          help=argparse.SUPPRESS)
+    sub.add_parser("oracle-check", parents=[common],
+                   help="validate the solver against brute force")
     return parser
 
 

@@ -5,22 +5,25 @@ energy packets at known times with known charge durations and must pick
 a piecewise-constant power profile (one level per epoch, an epoch being
 the interval between consecutive arrivals) that maximizes
 
-    sum_i (l_i / 2) * log2(1 + p_i)
+    sum_i (l_i / 2) * log2(1 + g * p_i)
 
 subject to never consuming energy it does not hold and never exceeding
 the battery, where the energy captured from packet i depends on the
 residual energy at its arrival and therefore on all earlier powers.
+The link gain g is the SNR per watt; g = 1 gives normalized SNR units,
+and any other g keeps powers in watts and energies in joules.
 
 The stationarity conditions of the corresponding KKT system collapse to
 a one-variable problem: fixing the residual energy at the first arrival
 determines every later power through the recursion
 
-    p_{m+1} = (1 + p_m) * (X_m + 1) - 1,
+    1/g + p_{m+1} = (1/g + p_m) * (X_m + 1),
 
-with X_m the harvest sensitivity at arrival m.  Candidate optima are the
+with X_m the harvest sensitivity at arrival m.  One array function runs
+it from any number of first residuals at once.  Candidate optima are the
 roots of the terminal-residual function J(r1) = residual at the deadline;
-the solver brackets and refines those roots, filters infeasible
-candidates, and keeps the best.
+the solver brackets them on a grid, refines each bracket, filters
+infeasible candidates, and keeps the best.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ __all__ = [
 # Uniform samples of the terminal-residual function used to bracket roots.
 ROOT_SCAN_POINTS = 2000
 MAX_NEWTON_STEPS = 10
-# Default bound on |terminal residual| for an accepted root, joules.
+# Bound on |terminal residual| for an accepted root, joules.
 DEFAULT_TOLERANCE = 1e-10
 # Powers this far below zero are treated as roundoff on an exact zero.
 POWER_SLACK = 1e-12
@@ -187,7 +190,7 @@ class SolveReport:
 
     schedule: TransmissionSchedule
     trace: HarvestTrace
-    throughput: float                # normalized bits
+    throughput: float                # bits (normalized when gain = 1)
     candidates_examined: int
     terminal_residual_error: float   # |residual at deadline|, joules
     first_residual: float            # the winning root of J
@@ -197,52 +200,81 @@ def _packet_curves(scenario: EnergyScenario, circuit: ChargeCircuit):
     return [_harvest_curve(d, circuit) for d in scenario.packet_lengths]
 
 
-def propagate(first_residual: float, scenario: EnergyScenario, circuit: ChargeCircuit):
+def _shoot(first_residuals, scenario: EnergyScenario, curves, gain: float,
+           history: bool = True):
+    """Run the stationarity recursion from one or many first-arrival residuals.
+
+    Sets p_1 = (initial_energy - r_1) / l_1 and then applies
+    1/g + p_{m+1} = (1/g + p_m)(X_m + 1) across arrivals, carrying the
+    energy balance forward, for every start at once.  A scalar start
+    runs on numpy scalars, an array of starts elementwise.
+
+    Returns (powers, residuals, harvests, depleted): one row per epoch
+    (per arrival for harvests), and per start the first arrival, 1-based,
+    whose residual is not positive (the sensitivity X is singular there),
+    or 0.  A depleted start's rows from that arrival on mean nothing.
+    Without ``history`` only the last rows are kept, so a scan over
+    thousands of starts and arrivals stays small.
+    """
+    r = np.asarray(first_residuals, dtype=float)[()]
+    valid = np.isfinite(r) & (r >= 0)
+    if not np.all(valid):
+        raise ValueError(f"first_residual must be finite and >= 0, got {r[~valid][0]}")
+    lengths = scenario.epoch_lengths
+    inverse = 1.0 / gain
+    p = (scenario.initial_energy - r) / lengths[0]
+    alive, reached = True, 0
+    powers, residuals, harvests = [p], [r], []
+    # Depleted starts run on through square roots of negative residuals
+    # and divisions by zero; their results are discarded.
+    with np.errstate(all="ignore"):
+        for m, curve in enumerate(curves, start=1):
+            alive = alive & (r > 0.0)
+            reached = reached + alive
+            harvest = _harvest_value(curve, r)
+            p = (inverse + p) * (_harvest_slope(curve, r) + 1.0) - inverse
+            r = r + harvest - p * lengths[m]
+            if not history:
+                powers, residuals, harvests = [], [], []
+            powers.append(p)
+            residuals.append(r)
+            harvests.append(harvest)
+    depleted = np.where(alive, 0, reached + 1)
+    return (np.array(powers), np.array(residuals),
+            np.reshape(harvests, (-1,) + np.shape(r)), depleted)
+
+
+def _terminal(first_residuals, scenario: EnergyScenario, curves, gain: float):
+    _, residuals, _, depleted = _shoot(first_residuals, scenario, curves, gain, history=False)
+    return np.where(depleted == 0, residuals[-1], -np.inf)
+
+
+def propagate(first_residual: float, scenario: EnergyScenario, circuit: ChargeCircuit,
+              gain: float = 1.0):
     """Run the stationarity recursion from a fixed first-arrival residual.
 
     Sets p_1 = (initial_energy - first_residual) / l_1 and then applies
-    p_{m+1} = (1 + p_m)(X_m + 1) - 1 across arrivals, carrying the energy
-    balance forward.  Intermediate residuals are allowed to go negative
-    only at the deadline; a non-positive residual at an arrival (where
-    the sensitivity X is singular) marks the propagation infeasible from
-    that epoch instead of raising.
+    1/g + p_{m+1} = (1/g + p_m)(X_m + 1) across arrivals, with g the
+    link gain.  Intermediate residuals are allowed to go negative only
+    at the deadline; a non-positive residual at an arrival (where the
+    sensitivity X is singular) marks the propagation infeasible from
+    that epoch instead of raising, and every later entry is NaN.
 
     Returns:
         (TransmissionSchedule, HarvestTrace)
     """
-    if not np.isfinite(first_residual) or first_residual < 0:
-        raise ValueError(f"first_residual must be finite and >= 0, got {first_residual}")
-    lengths = scenario.epoch_lengths
-    n = scenario.n_packets
-    curves = _packet_curves(scenario, circuit)
-
-    powers = np.full(n + 1, np.nan)
-    residuals = np.full(n + 1, np.nan)
-    harvested = np.full(n, np.nan)
-    infeasible_from = None
-
-    powers[0] = (scenario.initial_energy - first_residual) / lengths[0]
-    residuals[0] = first_residual
-    r = first_residual
-    p = powers[0]
-    for m in range(1, n + 1):
-        if r <= 0.0:
-            infeasible_from = m
-            break
-        gain = _harvest_value(curves[m - 1], r)
-        slope = _harvest_slope(curves[m - 1], r)
-        p = (1.0 + p) * (slope + 1.0) - 1.0
-        r = r + gain - p * lengths[m]
-        harvested[m - 1] = gain
-        powers[m] = p
-        residuals[m] = r
-
-    consumed = powers * lengths
+    powers, residuals, harvests, depleted = _shoot(
+        first_residual, scenario, _packet_curves(scenario, circuit), gain)
+    infeasible_from = int(depleted) or None
+    if infeasible_from:
+        powers[infeasible_from:] = np.nan
+        residuals[infeasible_from:] = np.nan
+        harvests[infeasible_from - 1:] = np.nan
     schedule = TransmissionSchedule(powers=tuple(powers), epoch_bounds=tuple(scenario.epoch_bounds))
     trace = HarvestTrace(
         residuals=tuple(residuals),
-        harvested=tuple(harvested),
-        consumed=tuple(consumed),
+        harvested=tuple(harvests),
+        consumed=tuple(powers * scenario.epoch_lengths),
         infeasible_from=infeasible_from,
     )
     return schedule, trace
@@ -255,30 +287,7 @@ def terminal_residual(first_residual: float, scenario: EnergyScenario,
     This is the scalar function J whose roots are the KKT candidates.
     Infeasible propagations map to -inf, strictly below any root.
     """
-    _, trace = propagate(first_residual, scenario, circuit)
-    if trace.infeasible_from is not None:
-        return -np.inf
-    return trace.terminal_residual
-
-
-def _terminal_residual_batch(first_residuals: np.ndarray, scenario: EnergyScenario,
-                             circuit: ChargeCircuit) -> np.ndarray:
-    """Vectorized twin of :func:`terminal_residual` over many start points."""
-    fr = np.asarray(first_residuals, dtype=float)
-    lengths = scenario.epoch_lengths
-    curves = _packet_curves(scenario, circuit)
-
-    r = fr.copy()
-    p = (scenario.initial_energy - fr) / lengths[0]
-    alive = np.ones(fr.shape, dtype=bool)
-    for m in range(1, scenario.n_packets + 1):
-        alive &= r > 0.0
-        safe_r = np.where(alive, r, 1.0)
-        gain = _harvest_value(curves[m - 1], safe_r)
-        slope = _harvest_slope(curves[m - 1], safe_r)
-        p = (1.0 + p) * (slope + 1.0) - 1.0
-        r = r + gain - p * lengths[m]
-    return np.where(alive, r, -np.inf)
+    return float(_terminal(first_residual, scenario, _packet_curves(scenario, circuit), 1.0))
 
 
 def _scan_upper_bound(scenario: EnergyScenario, circuit: ChargeCircuit) -> float:
@@ -291,41 +300,36 @@ def _scan_upper_bound(scenario: EnergyScenario, circuit: ChargeCircuit) -> float
 
 
 def find_candidates(scenario: EnergyScenario, circuit: ChargeCircuit,
-                    tolerance: float = DEFAULT_TOLERANCE) -> list:
+                    gain: float = 1.0) -> list:
     """All roots of the terminal-residual function J.
 
     Samples J on a uniform grid over [0, initial_energy + max harvest],
     brackets every sign change, and refines each bracket by bisection
     followed by a few Newton polish steps with a finite-difference
-    derivative.  Grid points where |J| is already within tolerance are
-    accepted directly (this catches the boundary root of packet-free
-    scenarios).  Returns distinct roots in increasing order; empty when
-    J never changes sign.
+    derivative.  Grid points where |J| is already within
+    ``DEFAULT_TOLERANCE`` are accepted directly (this catches the
+    boundary root of packet-free scenarios).  Returns distinct roots in
+    increasing order; empty when J never changes sign.
     """
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be > 0, got {tolerance}")
     hi = _scan_upper_bound(scenario, circuit)
     if hi <= 0.0:
         # No energy at all: the only schedule is all-zero power.
         return [0.0]
+    curves = _packet_curves(scenario, circuit)
     grid = np.linspace(0.0, hi, ROOT_SCAN_POINTS)
-    values = _terminal_residual_batch(grid, scenario, circuit)
+    values = _terminal(grid, scenario, curves, gain)
 
     def j(x):
-        return terminal_residual(x, scenario, circuit)
+        return float(_terminal(x, scenario, curves, gain))
 
-    roots = [float(x) for x, v in zip(grid, values) if np.isfinite(v) and abs(v) <= tolerance]
-
-    for k in range(len(grid) - 1):
-        va, vb = values[k], values[k + 1]
-        if np.isnan(va) or np.isnan(vb):
-            continue
-        if va == 0.0 or vb == 0.0:
-            continue  # exact zeros were already collected above
-        if (va < 0) == (vb < 0):
-            continue
+    roots = grid[np.isfinite(values) & (np.abs(values) <= DEFAULT_TOLERANCE)].tolist()
+    # Exact zeros were collected above; NaN ends bracket nothing.
+    va, vb = values[:-1], values[1:]
+    brackets = np.flatnonzero(~np.isnan(va) & ~np.isnan(vb) & (va != 0.0) & (vb != 0.0)
+                              & ((va < 0) != (vb < 0)))
+    for k in brackets:
         a, b = float(grid[k]), float(grid[k + 1])
-        fa = va
+        fa = va[k]
         x, fx = 0.5 * (a + b), np.inf
         # The recursion can be violently unstable (its sensitivity
         # compounds across arrivals), leaving a root band far narrower
@@ -336,7 +340,7 @@ def find_candidates(scenario: EnergyScenario, circuit: ChargeCircuit,
             fm = j(mid)
             if np.isfinite(fm) and abs(fm) < abs(fx):
                 x, fx = mid, fm
-            if abs(fm) <= tolerance:
+            if abs(fm) <= DEFAULT_TOLERANCE:
                 break
             if (fm < 0) == (fa < 0):
                 a, fa = mid, fm
@@ -344,7 +348,7 @@ def find_candidates(scenario: EnergyScenario, circuit: ChargeCircuit,
                 b = mid
         step = max(1e-9 * circuit.e_max, 1e-6 * abs(x))
         for _ in range(MAX_NEWTON_STEPS):
-            if abs(fx) <= tolerance or not np.isfinite(fx):
+            if abs(fx) <= DEFAULT_TOLERANCE or not np.isfinite(fx):
                 break
             derivative = (j(x + step) - j(x - step)) / (2.0 * step)
             if not np.isfinite(derivative) or derivative == 0.0:
@@ -356,7 +360,7 @@ def find_candidates(scenario: EnergyScenario, circuit: ChargeCircuit,
             if not np.isfinite(f_new) or abs(f_new) >= abs(fx):
                 break
             x, fx = x_new, f_new
-        if np.isfinite(fx) and abs(fx) <= tolerance:
+        if np.isfinite(fx) and abs(fx) <= DEFAULT_TOLERANCE:
             roots.append(float(x))
 
     # Deduplicate: sign-change refinement and direct grid hits can land
@@ -393,18 +397,25 @@ def check_feasibility(schedule: TransmissionSchedule, trace: HarvestTrace,
     return FeasibilityReport(ok=True)
 
 
-def throughput(schedule: TransmissionSchedule) -> float:
-    """Objective value sum_i (l_i/2) * log2(1 + p_i) in normalized bits."""
-    powers = np.asarray(schedule.powers)
-    if np.any(powers < -POWER_SLACK) or np.any(~np.isfinite(powers)):
+def throughput(schedule: TransmissionSchedule, gain: float = 1.0) -> float:
+    """Objective value sum_i (l_i/2) * log2(1 + g * p_i) in bits.
+
+    ``gain`` is the SNR per watt; the default 1 gives normalized bits.
+    """
+    snr = gain * np.asarray(schedule.powers)
+    if np.any(snr < -POWER_SLACK) or np.any(~np.isfinite(snr)):
         raise ValueError("schedule powers must be finite and non-negative")
     lengths = schedule.epoch_lengths
-    return float(np.sum(0.5 * lengths * np.log2(1.0 + powers)))
+    return float(np.sum(0.5 * lengths * np.log2(1.0 + snr)))
 
 
 def solve(scenario: EnergyScenario, circuit: ChargeCircuit,
-          tolerance: float = DEFAULT_TOLERANCE) -> SolveReport:
+          gain: float = 1.0) -> SolveReport:
     """Compute the throughput-maximizing schedule.
+
+    ``gain`` is the link's SNR per watt (1 for normalized units); the
+    schedule and trace are in watts and joules and the throughput in
+    bits either way.
 
     Enumerates the roots of the terminal-residual function, always
     appending the two boundary candidates (almost-zero and almost-full
@@ -419,7 +430,7 @@ def solve(scenario: EnergyScenario, circuit: ChargeCircuit,
     """
     if scenario.initial_energy > circuit.e_max:
         raise ValueError("initial_energy exceeds the battery capacity e_max")
-    roots = find_candidates(scenario, circuit, tolerance)
+    roots = find_candidates(scenario, circuit, gain)
     eps = 1e-12 * circuit.e_max
     candidates = list(roots)
     for boundary in (eps, scenario.initial_energy - eps):
@@ -431,18 +442,18 @@ def solve(scenario: EnergyScenario, circuit: ChargeCircuit,
     best_throughput = -np.inf
     rejected = {"infeasible_propagation": 0, "negative_power": 0, "constraints": 0}
     for first_residual in candidates:
-        schedule, trace = propagate(first_residual, scenario, circuit)
+        schedule, trace = propagate(first_residual, scenario, circuit, gain)
         if trace.infeasible_from is not None:
             rejected["infeasible_propagation"] += 1
             continue
-        if min(schedule.powers) < -POWER_SLACK:
+        if min(schedule.powers) * gain < -POWER_SLACK:
             rejected["negative_power"] += 1
             continue
         verdict = check_feasibility(schedule, trace, circuit)
         if not verdict.ok:
             rejected["constraints"] += 1
             continue
-        value = throughput(schedule)
+        value = throughput(schedule, gain)
         # Strictly-better-beyond-roundoff wins; candidates are visited in
         # increasing first_residual order, so ties keep the smallest one.
         tie_width = 1e-12 * max(1.0, abs(value), abs(best_throughput))

@@ -39,7 +39,6 @@ from .strategies import (
 __all__ = [
     "ChannelLink",
     "ExperimentConfig",
-    "link_budget",
     "rate",
     "replay",
     "optimal_schedule",
@@ -94,11 +93,6 @@ class ChannelLink:
         return 10.0 ** ((30.0 - self.path_loss - self.noise_floor) / 10.0)
 
 
-def link_budget(link: ChannelLink):
-    """(path loss dB, noise floor dBm) of a link."""
-    return link.path_loss, link.noise_floor
-
-
 def rate(power_dbm: float, link: ChannelLink) -> float:
     """Spectral efficiency in bits/s/Hz at a given transmit power in dBm."""
     if not math.isfinite(power_dbm):
@@ -107,15 +101,15 @@ def rate(power_dbm: float, link: ChannelLink) -> float:
     return math.log2(1.0 + 10.0 ** (snr_db / 10.0))
 
 
-def _epoch_bits(power: float, length: float, rate_model: str,
-                link: Optional[ChannelLink]) -> float:
+def _snr_gain(rate_model: str, link: Optional[ChannelLink]) -> float:
+    """SNR per watt under a rate model; 1 in normalized units."""
     if rate_model == "normalized":
-        return 0.5 * length * math.log2(1.0 + power)
-    if rate_model == "link-budget":
-        if link is None:
-            raise ValueError("link-budget rate model needs a ChannelLink")
-        return 0.5 * length * math.log2(1.0 + power * link.gain)
-    raise ValueError(f"unknown rate model {rate_model!r}")
+        return 1.0
+    if rate_model != "link-budget":
+        raise ValueError(f"unknown rate model {rate_model!r}")
+    if link is None:
+        raise ValueError("link-budget rate model needs a ChannelLink")
+    return link.gain
 
 
 def replay(policy, scenario: EnergyScenario, circuit: ChargeCircuit,
@@ -142,6 +136,7 @@ def replay(policy, scenario: EnergyScenario, circuit: ChargeCircuit,
     if fixed_powers is not None and len(fixed_powers) != n + 1:
         raise ValueError("schedule has a different number of epochs than the scenario")
 
+    gain = _snr_gain(rate_model, link)
     slack = _clamp_slack(circuit)
     stored = scenario.initial_energy
     history = []
@@ -168,14 +163,14 @@ def replay(policy, scenario: EnergyScenario, circuit: ChargeCircuit,
         residual = stored - spend
         consumed.append(spend)
         residuals.append(residual)
-        bits += _epoch_bits(power, lengths[i], rate_model, link)
+        bits += 0.5 * lengths[i] * math.log2(1.0 + power * gain)
         if i < n:
             # The physical store is non-negative; the recorded residual
             # keeps any roundoff-scale dip for trace fidelity, but the
             # carry is floored so exact bound touches stay exact.
-            gain = harvested_energy(max(residual, 0.0), durations[i], circuit)
-            harvested.append(gain)
-            stored = max(residual, 0.0) + gain
+            harvest = harvested_energy(max(residual, 0.0), durations[i], circuit)
+            harvested.append(harvest)
+            stored = max(residual, 0.0) + harvest
             history.append((bounds[i + 1], durations[i]))
     trace = HarvestTrace(
         residuals=tuple(residuals),
@@ -186,65 +181,16 @@ def replay(policy, scenario: EnergyScenario, circuit: ChargeCircuit,
     return trace, float(bits)
 
 
-def _scaled_problem(scenario: EnergyScenario, circuit: ChargeCircuit, gain: float):
-    """Rescale energies into SNR units; the charge model is covariant.
-
-    Multiplying every energy by the link gain while keeping the time
-    constant fixed (capacitance * gain, resistance / gain) turns the
-    link-budget objective log2(1 + gain * p) into the normalized one in
-    the scaled power variable, so the normalized solver applies as is.
-    """
-    scaled_circuit = ChargeCircuit(
-        resistance=circuit.resistance / gain,
-        capacitance=circuit.capacitance * gain,
-        v_max=circuit.v_max,
-    )
-    scaled_scenario = EnergyScenario(
-        initial_energy=scenario.initial_energy * gain,
-        packets=scenario.packets,
-        deadline=scenario.deadline,
-    )
-    return scaled_scenario, scaled_circuit
-
-
 def optimal_schedule(scenario: EnergyScenario, circuit: ChargeCircuit,
                      rate_model: str = "normalized",
-                     link: Optional[ChannelLink] = None,
-                     tolerance: float = 1e-10) -> SolveReport:
+                     link: Optional[ChannelLink] = None) -> SolveReport:
     """Offline-optimal schedule under the selected rate model.
 
-    For the link-budget model the problem is first mapped into
-    normalized SNR units (see :func:`_scaled_problem`), solved there,
-    and mapped back, so the returned schedule and trace are in physical
-    watts and joules either way.
+    The link-budget model folds the link gain into the solver's
+    objective, so the schedule and trace are in watts and joules either
+    way.
     """
-    if rate_model == "normalized":
-        return solve(scenario, circuit, tolerance)
-    if rate_model != "link-budget":
-        raise ValueError(f"unknown rate model {rate_model!r}")
-    if link is None:
-        raise ValueError("link-budget rate model needs a ChannelLink")
-    gain = link.gain
-    scaled_scenario, scaled_circuit = _scaled_problem(scenario, circuit, gain)
-    report = solve(scaled_scenario, scaled_circuit, tolerance * gain)
-    schedule = TransmissionSchedule(
-        powers=tuple(p / gain for p in report.schedule.powers),
-        epoch_bounds=report.schedule.epoch_bounds,
-    )
-    trace = HarvestTrace(
-        residuals=tuple(r / gain for r in report.trace.residuals),
-        harvested=tuple(h / gain for h in report.trace.harvested),
-        consumed=tuple(c / gain for c in report.trace.consumed),
-        infeasible_from=report.trace.infeasible_from,
-    )
-    return SolveReport(
-        schedule=schedule,
-        trace=trace,
-        throughput=report.throughput,
-        candidates_examined=report.candidates_examined,
-        terminal_residual_error=report.terminal_residual_error / gain,
-        first_residual=report.first_residual / gain,
-    )
+    return solve(scenario, circuit, _snr_gain(rate_model, link))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ from scipy.optimize import minimize_scalar
 from rfharvest import (
     ChargeCircuit,
     InfeasibleError,
-    harvest_coefficients,
     harvest_sensitivity,
     harvested_energy,
     optimal_residual,
@@ -15,6 +14,7 @@ from rfharvest import (
 )
 
 from conftest import random_circuit
+from harvest_reference import harvest_coefficients
 
 # Reference values for the bench circuit at a 15 s charge, evaluated from
 # the closed forms with 40-digit arithmetic.

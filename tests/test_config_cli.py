@@ -4,6 +4,7 @@ import sys
 import pytest
 import yaml
 
+from rfharvest import SolveReport, cli, max_harvest_schedule, replay
 from rfharvest.cli import main
 from rfharvest.config import (
     dump_config,
@@ -234,9 +235,20 @@ class TestOracleCheckCommand:
         path.write_text("seed: 3\nruns: 20\ngenerator: {packet_count: 2}\n")
         assert main(["oracle-check", "--config", str(path)]) == 0
 
-    def test_corrupted_tolerance_fails_with_gap(self, generated_config, capsys):
-        rc = main(["oracle-check", "--config", str(generated_config),
-                   "--solver-tolerance", "1e-3"])
+    def test_corrupted_tolerance_fails_with_gap(self, generated_config, capsys,
+                                                monkeypatch):
+        # a solver that hands back the greedy max-harvest schedule falls
+        # measurably below the oracle, which must fail the check
+        def greedy(scenario, circuit, *args):
+            schedule = max_harvest_schedule(scenario, circuit)
+            trace, bits = replay(schedule, scenario, circuit)
+            return SolveReport(schedule=schedule, trace=trace, throughput=bits,
+                               candidates_examined=0,
+                               terminal_residual_error=abs(trace.terminal_residual),
+                               first_residual=trace.residuals[0])
+
+        monkeypatch.setattr(cli, "optimal_schedule", greedy)
+        rc = main(["oracle-check", "--config", str(generated_config)])
         assert rc == 4
         assert "worst gap" in capsys.readouterr().out
 
@@ -254,3 +266,13 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert result.returncode == 0
         assert "throughput" in result.stdout
+
+    def test_import_leaves_scipy_out(self):
+        # scipy is a test-only dependency; importing it would slow every
+        # start of the package
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, rfharvest; print('scipy' in sys.modules)"],
+            capture_output=True, text=True)
+        assert result.returncode == 0
+        assert result.stdout.strip() == "False"

@@ -12,7 +12,7 @@ from rfharvest import (
     classic_tunnel,
     future_impact_probe,
     generate_scenario,
-    link_budget,
+    harvest_sensitivity,
     monte_carlo,
     optimal_schedule,
     rate,
@@ -36,7 +36,7 @@ def medium_config(circuit, **overrides):
 
 class TestLinkBudget:
     def test_reference_link(self, reference_link):
-        path_loss, noise_floor = link_budget(reference_link)
+        path_loss, noise_floor = reference_link.path_loss, reference_link.noise_floor
         assert path_loss == pytest.approx(REFERENCE_FSPL, abs=1e-10)
         assert abs(path_loss - 49.73) <= 0.01
         assert noise_floor == -104.0
@@ -200,10 +200,8 @@ class TestRateModelDuality:
         gain = reference_link.gain
         normalized = optimal_schedule(s, sim_circuit, "normalized")
         physical = optimal_schedule(s, sim_circuit, "link-budget", reference_link)
-        # the physical problem differs (its SNR per watt is the gain),
-        # but scaling its powers by the gain must satisfy the same
-        # stationarity structure in scaled units; spot-check bits via
-        # replay both ways
+        # the physical problem differs (its SNR per watt is the gain);
+        # spot-check its bits via replay both ways
         trace, bits = replay(physical.schedule, s, sim_circuit,
                              "link-budget", reference_link)
         assert bits == pytest.approx(physical.throughput, rel=1e-9)
@@ -213,6 +211,26 @@ class TestRateModelDuality:
         _, bits_normalized = replay(normalized.schedule, s, sim_circuit,
                                     "link-budget", reference_link)
         assert bits >= bits_normalized - 1e-9
+
+    def test_link_budget_kkt_in_physical_units(self, sim_circuit, reference_link):
+        # with the gain folded into the objective the stationarity
+        # recursion reads (1 + g p_{m+1}) = (1 + g p_m)(1 + X_m) in watts
+        gain = reference_link.gain
+        config = medium_config(sim_circuit, rate_model="link-budget",
+                               link=reference_link)
+        for seed in range(10):
+            scenario, _ = generate_scenario(config, np.random.default_rng([25, seed]))
+            report = optimal_schedule(scenario, sim_circuit, "link-budget",
+                                      reference_link)
+            powers, residuals = report.schedule.powers, report.trace.residuals
+            for m, duration in enumerate(scenario.packet_lengths):
+                x = harvest_sensitivity(residuals[m], duration, sim_circuit)
+                assert 1.0 + gain * powers[m + 1] \
+                    == pytest.approx((1.0 + gain * powers[m]) * (1.0 + x), rel=1e-12)
+            trace, bits = replay(report.schedule, scenario, sim_circuit,
+                                 "link-budget", reference_link)
+            assert not any(trace.clamped)
+            assert bits == pytest.approx(report.throughput, rel=1e-9)
 
     def test_strategy_ranking_preserved(self, sim_circuit, reference_link):
         config = medium_config(sim_circuit, runs=5,
