@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,8 +71,7 @@ class ChargeCircuit:
         return 0.5 * self.capacitance * self.v_max ** 2
 
 
-@dataclass(frozen=True)
-class _HarvestCurve:
+class _HarvestCurve(NamedTuple):
     """Internal harvest evaluation in the decay parameterization.
 
     With s = exp(-T/tau) the harvest polynomial reads
@@ -91,8 +91,8 @@ def _harvest_curve(packet_length: float, circuit: ChargeCircuit) -> _HarvestCurv
     if packet_length < 0:
         raise ValueError(f"packet_length must be >= 0, got {packet_length}")
     decay = _exp(-packet_length / circuit.tau)
-    return _HarvestCurve(decay=decay, e_max=circuit.e_max,
-                         root_e_max=math.sqrt(circuit.e_max))
+    e_max = circuit.e_max
+    return _HarvestCurve(decay=decay, e_max=e_max, root_e_max=math.sqrt(e_max))
 
 
 def _harvest_value(curve: _HarvestCurve, residual):
@@ -106,6 +106,26 @@ def _harvest_value(curve: _HarvestCurve, residual):
     return (curve.e_max * (1.0 - s) ** 2
             + 2.0 * curve.root_e_max * s * (1.0 - s) * np.sqrt(residual)
             + (s * s - 1.0) * residual)
+
+
+def _harvest_step(curve: _HarvestCurve, residual: float) -> float:
+    """Harvest from one packet at one residual, as a Python float.
+
+    The scalar form of :func:`harvested_energy` on a prebuilt curve, for
+    the per-arrival loops of replay and scenario generation: the same
+    domain test (NaN passes), and the operations of
+    :func:`_harvest_value` in the same order, with ``math.sqrt`` in place
+    of ``np.sqrt`` (both are correctly rounded), so the result is the
+    same bit for bit.
+    """
+    residual = float(residual)
+    if residual < 0 or residual > curve.e_max:
+        raise ValueError("residual must lie in [0, e_max]")
+    s = curve.decay
+    value = (curve.e_max * (1.0 - s) ** 2
+             + 2.0 * curve.root_e_max * s * (1.0 - s) * math.sqrt(residual)
+             + (s * s - 1.0) * residual)
+    return max(value, 0.0)
 
 
 def _harvest_slope(curve: _HarvestCurve, residual):

@@ -25,6 +25,7 @@ from .oracle import GridSpec, brute_force_optimize
 from .scheduling import TransmissionSchedule
 from .simulator import (
     STRATEGIES,
+    _snr_gain,
     evaluate_strategy,
     future_impact_probe,
     generate_scenario,
@@ -125,7 +126,7 @@ def cmd_optimize(args) -> int:
                                   terminal_error=report.terminal_residual_error)
     out = Path(args.out) / "schedule.csv"
     _write_csv(out, manifest, header, rows)
-    print(f"throughput {report.throughput!r} bits (normalized), "
+    print(f"throughput {report.throughput!r} bits ({config.rate_model}), "
           f"terminal residual error {report.terminal_residual_error:.3e} J")
     print(f"wrote {out}")
     return EXIT_OK
@@ -218,14 +219,16 @@ def cmd_oracle_check(args) -> int:
     if point.packet_count > grid.epoch_limit:
         raise ConfigError(f"oracle-check needs packet_count <= {grid.epoch_limit}, "
                           f"got {point.packet_count}")
+    gain = _snr_gain(config.rate_model, config.link)
     worst_gap = -np.inf
     worst_run = None
     float_slack = 1e-9
     for run in range(point.runs):
         rng = np.random.default_rng([seed, run])
         scenario, _ = generate_scenario(point, rng)
-        report = optimal_schedule(scenario, config.circuit)
-        result = brute_force_optimize(scenario, config.circuit, grid)
+        report = optimal_schedule(scenario, config.circuit,
+                                  config.rate_model, config.link)
+        result = brute_force_optimize(scenario, config.circuit, grid, gain)
         gap = result.throughput - report.throughput
         if gap > worst_gap:
             worst_gap, worst_run = gap, run

@@ -42,7 +42,7 @@ class GridSpec:
 @dataclass(frozen=True)
 class OracleResult:
     schedule: TransmissionSchedule
-    throughput: float        # normalized bits
+    throughput: float        # bits at the link gain searched with
     error_bound: float       # conservative optimality gap of the grid
     evaluated: int           # tuples enumerated
     feasible: int            # tuples surviving the causality check
@@ -58,14 +58,18 @@ def _auto_power_bound(scenario: EnergyScenario, circuit: ChargeCircuit) -> float
 
 
 def brute_force_optimize(scenario: EnergyScenario, circuit: ChargeCircuit,
-                         grid: GridSpec = GridSpec()) -> OracleResult:
+                         grid: GridSpec = GridSpec(),
+                         gain: float = 1.0) -> OracleResult:
     """Best schedule on the power grid under the feedback harvest model.
 
-    Tuples that would consume energy before it is stored are discarded
-    outright (never clamped).  Ties go to the lexicographically smallest
-    tuple.  The error bound is the largest objective loss that rounding
-    each optimal power down to the grid could cost, from the grid pitch
-    and the slope bound l_i / (2 ln 2) of each epoch's rate term.
+    The objective is sum_i (l_i / 2) * log2(1 + g * p_i) with the link
+    gain g (SNR per watt; 1 in normalized units), as in
+    :func:`~rfharvest.scheduling.solve`.  Tuples that would consume
+    energy before it is stored are discarded outright (never clamped).
+    Ties go to the lexicographically smallest tuple.  The error bound is
+    the largest objective loss that rounding each optimal power down to
+    the grid could cost, from the grid pitch and the slope bound
+    l_i * g / (2 ln 2) of each epoch's rate term.
 
     Raises:
         ValueError: if the scenario has more packets than the grid allows.
@@ -83,7 +87,7 @@ def brute_force_optimize(scenario: EnergyScenario, circuit: ChargeCircuit,
     if n == 0:
         power = scenario.initial_energy / lengths[0]
         schedule = TransmissionSchedule(powers=(power,), epoch_bounds=tuple(bounds_grid))
-        bits = 0.5 * lengths[0] * math.log2(1.0 + power)
+        bits = 0.5 * lengths[0] * math.log2(1.0 + gain * power)
         return OracleResult(schedule=schedule, throughput=bits, error_bound=0.0,
                             evaluated=1, feasible=1)
 
@@ -102,10 +106,10 @@ def brute_force_optimize(scenario: EnergyScenario, circuit: ChargeCircuit,
         spend = powers[:, i] * lengths[i]
         ok &= spend <= stored + 1e-12 * circuit.e_max
         residual = np.clip(stored - spend, 0.0, None)
-        bits += 0.5 * lengths[i] * np.log2(1.0 + powers[:, i])
+        bits += 0.5 * lengths[i] * np.log2(1.0 + gain * powers[:, i])
         stored = residual + _harvest_value(curves[i], residual)
     final_power = stored / lengths[-1]
-    bits += 0.5 * lengths[-1] * np.log2(1.0 + final_power)
+    bits += 0.5 * lengths[-1] * np.log2(1.0 + gain * final_power)
     bits[~ok] = -np.inf
 
     best = int(np.argmax(bits))
@@ -116,7 +120,7 @@ def brute_force_optimize(scenario: EnergyScenario, circuit: ChargeCircuit,
     best_powers = tuple(powers[best]) + (float(final_power[best]),)
     schedule = TransmissionSchedule(powers=best_powers, epoch_bounds=tuple(bounds_grid))
     pitch = p_ub / (grid.resolution - 1)
-    error_bound = pitch * float(np.sum(lengths[:-1])) / (2.0 * math.log(2.0))
+    error_bound = pitch * gain * float(np.sum(lengths[:-1])) / (2.0 * math.log(2.0))
     return OracleResult(
         schedule=schedule,
         throughput=float(bits[best]),

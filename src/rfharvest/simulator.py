@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .charge import ChargeCircuit, harvested_energy, packet_length_for
+from .charge import ChargeCircuit, _harvest_curve, _harvest_step, packet_length_for
 from .exceptions import GenerationError, InfeasibleError
 from .scheduling import (
     EnergyScenario,
@@ -120,32 +120,37 @@ def replay(policy, scenario: EnergyScenario, circuit: ChargeCircuit,
     ``policy`` is either a :class:`TransmissionSchedule` or an object
     with a ``power(now, stored, history, deadline, circuit)`` method that
     is queried once per epoch, at its start, with the packets observed
-    so far.  Consumption that would drive the store negative is clamped
-    to what is available and the epoch is flagged rather than raising:
-    the conventional baseline plans on energies it will not actually
-    receive, and that shortfall is part of what the comparison measures.
+    so far: in epoch i, ``history`` is a read-only (i, 2) float array
+    whose rows are the (arrival, charge duration) pairs of the first i
+    packets, a view into one array built per replay.  Consumption that
+    would drive the store negative is clamped to what is available and
+    the epoch is flagged rather than raising: the conventional baseline
+    plans on energies it will not actually receive, and that shortfall
+    is part of what the comparison measures.
 
     Returns:
         (HarvestTrace, throughput in bits under the active rate model)
     """
     bounds = scenario.epoch_bounds
     lengths = scenario.epoch_lengths
-    durations = scenario.packet_lengths
     n = scenario.n_packets
     fixed_powers = policy.powers if isinstance(policy, TransmissionSchedule) else None
     if fixed_powers is not None and len(fixed_powers) != n + 1:
         raise ValueError("schedule has a different number of epochs than the scenario")
+    if fixed_powers is None:
+        observed = np.array(scenario.packets, dtype=float).reshape(n, 2)
+        observed.flags.writeable = False
 
     gain = _snr_gain(rate_model, link)
     slack = _clamp_slack(circuit)
+    curves = [_harvest_curve(d, circuit) for d in scenario.packet_lengths]
     stored = scenario.initial_energy
-    history = []
     residuals, harvested, consumed, clamped, bits = [], [], [], [], 0.0
     for i in range(n + 1):
         if fixed_powers is not None:
             power = fixed_powers[i]
         else:
-            power = policy.power(bounds[i], stored, tuple(history),
+            power = policy.power(bounds[i], stored, observed[:i],
                                  scenario.deadline, circuit)
         if power < 0:
             raise ValueError(f"policy produced a negative power in epoch {i + 1}")
@@ -168,10 +173,9 @@ def replay(policy, scenario: EnergyScenario, circuit: ChargeCircuit,
             # The physical store is non-negative; the recorded residual
             # keeps any roundoff-scale dip for trace fidelity, but the
             # carry is floored so exact bound touches stay exact.
-            harvest = harvested_energy(max(residual, 0.0), durations[i], circuit)
+            harvest = _harvest_step(curves[i], max(residual, 0.0))
             harvested.append(harvest)
             stored = max(residual, 0.0) + harvest
-            history.append((bounds[i + 1], durations[i]))
     trace = HarvestTrace(
         residuals=tuple(residuals),
         harvested=tuple(harvested),
@@ -264,7 +268,8 @@ def generate_scenario(config: ExperimentConfig, rng: np.random.Generator):
                 residual = max(0.0, stored - schedule.powers[i] * epoch_lengths[i])
                 duration = packet_length_for(residual, harvests[i], config.circuit)
                 durations.append(duration)
-                stored = residual + harvested_energy(residual, duration, config.circuit)
+                curve = _harvest_curve(duration, config.circuit)
+                stored = residual + _harvest_step(curve, residual)
         except (ValueError, InfeasibleError) as exc:
             failures.append(str(exc))
             continue

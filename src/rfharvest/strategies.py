@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .charge import ChargeCircuit, harvested_energy, optimal_residual
+from .charge import ChargeCircuit, _harvest_curve, _harvest_step, optimal_residual
 from .scheduling import EnergyScenario, TransmissionSchedule
 
 __all__ = [
@@ -125,7 +125,8 @@ def max_harvest_schedule(scenario: EnergyScenario,
         target = optimal_residual(durations[i], circuit)
         power = max(0.0, (stored - target) / lengths[i])
         residual = stored - power * lengths[i]
-        stored = residual + harvested_energy(residual, durations[i], circuit)
+        curve = _harvest_curve(durations[i], circuit)
+        stored = residual + _harvest_step(curve, residual)
         powers.append(power)
     powers.append(stored / lengths[-1])
     return TransmissionSchedule(powers=tuple(powers),
@@ -199,29 +200,33 @@ def tight_string_schedule(tunnel: ClassicTunnel) -> TransmissionSchedule:
     return TransmissionSchedule(powers=tuple(powers), epoch_bounds=tuple(xs))
 
 
-def predict_next(history: Sequence, now: float,
+def predict_next(history, now: float,
                  prior_length: float = 0.0,
                  prior_gap: Optional[float] = None) -> PacketPrediction:
     """Predict the next packet from running means of the past ones.
 
-    ``history`` holds (arrival_time, charge_duration) pairs of the
-    packets seen so far.  The predicted charge duration is the mean of
-    past durations; the predicted arrival is ``now`` plus the mean
-    interval between past arrivals, where the stream origin t = 0 counts
-    as the reference for the first interval.  With an empty history the
-    configured priors are used directly.
+    ``history`` holds the (arrival_time, charge_duration) rows of the
+    packets seen so far: a (k, 2) array, such as the read-only view
+    :func:`~rfharvest.simulator.replay` passes, or any sequence of
+    pairs.  The predicted charge duration is the mean of past durations;
+    the predicted arrival is ``now`` plus the mean interval between past
+    arrivals, where the stream origin t = 0 counts as the reference for
+    the first interval.  With an empty history the configured priors are
+    used directly.
     """
     if prior_gap is None or prior_gap <= 0:
         raise ValueError("prior_gap must be a positive number of seconds")
-    if not history:
+    count = len(history)
+    if count == 0:
         return PacketPrediction(predicted_length=prior_length,
                                 predicted_arrival=now + prior_gap)
-    arrivals = np.asarray([t for t, _ in history], dtype=float)
-    durations = np.asarray([d for _, d in history], dtype=float)
-    gaps = np.diff(np.concatenate(([0.0], arrivals)))
+    rows = np.asarray(history, dtype=float)
+    gaps = np.diff(np.concatenate(([0.0], rows[:, 0])))
+    # np.add.reduce(x) / count is what np.mean computes, without its
+    # dispatch overhead
     return PacketPrediction(
-        predicted_length=float(np.mean(durations)),
-        predicted_arrival=now + float(np.mean(gaps)),
+        predicted_length=float(np.add.reduce(rows[:, 1]) / count),
+        predicted_arrival=now + float(np.add.reduce(gaps) / count),
     )
 
 
@@ -248,16 +253,18 @@ class OnlinePredictivePolicy:
     """Re-plans at every arrival using the moving-average predictor.
 
     ``prior_length`` and ``prior_gap`` seed the first prediction before
-    any packet has been observed.  When the predicted arrival falls at
-    or beyond the transmission deadline, no further packet is expected
-    in time, so the policy drains the store by the deadline instead of
-    parking at a residual it would never use.
+    any packet has been observed.  ``history`` in :meth:`power` is the
+    read-only (i, 2) array of (arrival, charge duration) rows that
+    :func:`~rfharvest.simulator.replay` passes in epoch i.  When the
+    predicted arrival falls at or beyond the transmission deadline, no
+    further packet is expected in time, so the policy drains the store
+    by the deadline instead of parking at a residual it would never use.
     """
 
     prior_length: float
     prior_gap: float
 
-    def power(self, now: float, stored: float, history: Sequence,
+    def power(self, now: float, stored: float, history: np.ndarray,
               deadline: float, circuit: ChargeCircuit) -> float:
         prediction = predict_next(history, now,
                                   prior_length=self.prior_length,

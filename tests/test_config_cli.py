@@ -4,7 +4,14 @@ import sys
 import pytest
 import yaml
 
-from rfharvest import SolveReport, cli, max_harvest_schedule, replay
+from rfharvest import (
+    SolveReport,
+    brute_force_optimize,
+    cli,
+    max_harvest_schedule,
+    optimal_schedule,
+    replay,
+)
 from rfharvest.cli import main
 from rfharvest.config import (
     dump_config,
@@ -138,6 +145,24 @@ class TestOptimizeCommand:
         assert float(summary[-2]) == report.throughput
         assert float(summary[-1]) == report.terminal_residual_error
 
+    def test_summary_names_the_rate_model(self, explicit_config, tmp_path,
+                                          capsys):
+        from rfharvest import ChargeCircuit, EnergyScenario, solve
+        from rfharvest.simulator import ChannelLink
+        scenario = EnergyScenario(initial_energy=0.5,
+                                  packets=((10.0, 5.0), (20.0, 5.0)), deadline=30.0)
+        circuit = ChargeCircuit(resistance=750.0, capacitance=0.68, v_max=2.5)
+        link = ChannelLink(frequency=2.4e9, distance=3.048, bandwidth=1.0e7,
+                           noise_density=-174.0)
+        for model, gain in (("normalized", 1.0), ("link-budget", link.gain)):
+            report = solve(scenario, circuit, gain)
+            main(["optimize", "--config", str(explicit_config),
+                  "--rate-model", model, "--out", str(tmp_path / model)])
+            first = capsys.readouterr().out.splitlines()[0]
+            assert first == (f"throughput {report.throughput!r} bits ({model}), "
+                             f"terminal residual error "
+                             f"{report.terminal_residual_error:.3e} J")
+
     def test_generated_config_needs_scenario(self, generated_config, tmp_path):
         rc = main(["optimize", "--config", str(generated_config),
                    "--out", str(tmp_path / "o")])
@@ -249,6 +274,50 @@ class TestOracleCheckCommand:
 
         monkeypatch.setattr(cli, "optimal_schedule", greedy)
         rc = main(["oracle-check", "--config", str(generated_config)])
+        assert rc == 4
+        assert "worst gap" in capsys.readouterr().out
+
+    def test_link_budget_passes(self, generated_config, capsys):
+        rc = main(["oracle-check", "--config", str(generated_config),
+                   "--rate-model", "link-budget"])
+        assert rc == 0
+        assert "ok: solver matches" in capsys.readouterr().out
+
+    def test_link_budget_checks_in_link_units(self, generated_config,
+                                              monkeypatch):
+        # both the solver and the oracle see the link's gain, not the
+        # normalized problem
+        from rfharvest.simulator import _snr_gain
+        seen = []
+
+        def spy_oracle(scenario, circuit, grid, gain=1.0):
+            seen.append(gain)
+            return brute_force_optimize(scenario, circuit, grid, gain)
+
+        def spy_solver(scenario, circuit, *args):
+            seen.append(_snr_gain(*args))
+            return optimal_schedule(scenario, circuit, *args)
+
+        monkeypatch.setattr(cli, "brute_force_optimize", spy_oracle)
+        monkeypatch.setattr(cli, "optimal_schedule", spy_solver)
+        assert main(["oracle-check", "--config", str(generated_config),
+                     "--rate-model", "link-budget"]) == 0
+        link_gain = load_config(generated_config).link.gain
+        assert seen == [link_gain] * 8
+
+    def test_corrupted_solver_fails_under_link_budget(self, generated_config,
+                                                      capsys, monkeypatch):
+        def greedy(scenario, circuit, *args):
+            schedule = max_harvest_schedule(scenario, circuit)
+            trace, bits = replay(schedule, scenario, circuit, *args)
+            return SolveReport(schedule=schedule, trace=trace, throughput=bits,
+                               candidates_examined=0,
+                               terminal_residual_error=abs(trace.terminal_residual),
+                               first_residual=trace.residuals[0])
+
+        monkeypatch.setattr(cli, "optimal_schedule", greedy)
+        rc = main(["oracle-check", "--config", str(generated_config),
+                   "--rate-model", "link-budget"])
         assert rc == 4
         assert "worst gap" in capsys.readouterr().out
 

@@ -9,6 +9,7 @@ from rfharvest import (
     brute_force_optimize,
     generate_scenario,
     solve,
+    throughput,
 )
 
 
@@ -62,6 +63,27 @@ class TestBruteForce:
                 result = brute_force_optimize(scenario, sim_circuit)
                 assert result.throughput <= report.throughput + 1e-9
                 assert report.throughput - result.throughput <= result.error_bound
+
+    def test_link_gain_never_beats_the_solver(self, sim_circuit, reference_link):
+        gain = reference_link.gain
+        for n in (1, 2, 3):
+            rng = np.random.default_rng([46, n])
+            scenario, _ = generate_scenario(medium_config(sim_circuit, n), rng)
+            report = solve(scenario, sim_circuit, gain)
+            result = brute_force_optimize(scenario, sim_circuit, gain=gain)
+            assert result.throughput <= report.throughput + 1e-9
+            assert report.throughput - result.throughput <= result.error_bound
+            assert result.throughput == pytest.approx(
+                throughput(result.schedule, gain), rel=1e-12)
+            unit = brute_force_optimize(scenario, sim_circuit)
+            assert result.error_bound == pytest.approx(gain * unit.error_bound,
+                                                       rel=1e-12)
+
+    def test_unit_gain_is_the_default(self, sim_circuit):
+        scenario, _ = generate_scenario(medium_config(sim_circuit, 2),
+                                        np.random.default_rng([47, 0]))
+        assert (repr(brute_force_optimize(scenario, sim_circuit, gain=1.0))
+                == repr(brute_force_optimize(scenario, sim_circuit)))
 
     def test_refinement_never_worsens_and_gap_shrinks(self, sim_circuit):
         scenario, _ = generate_scenario(medium_config(sim_circuit, 3),
