@@ -1,11 +1,12 @@
 """Offline-optimal schedule for a hand-sized two-packet scenario.
 
-The solver reduces the KKT system to a root search over the residual at
-the first arrival: each candidate root propagates into a full power
-profile through p_{m+1} = (1 + p_m)(X_m + 1) - 1.  This script solves
-one scenario, prints the winning schedule, and verifies the structure
-the optimum must have: stationarity across arrivals, a positive reserve
-until the deadline, and exact depletion at it.
+The solver runs a damped Newton method over the residual energies at
+the arrivals; at its optimum the powers obey the stationarity recursion
+p_{m+1} = (1 + p_m)(X_m + 1) - 1 across every arrival.  This script
+solves one scenario, prints the schedule and the Newton steps it took,
+and verifies the structure the optimum must have: stationarity across
+arrivals, a positive reserve until the deadline, and exact depletion at
+it.
 
 Run: python demos/offline_schedule.py
 """
@@ -13,7 +14,6 @@ Run: python demos/offline_schedule.py
 from rfharvest import (
     ChargeCircuit,
     EnergyScenario,
-    find_candidates,
     harvest_sensitivity,
     solve,
 )
@@ -25,12 +25,9 @@ scenario = EnergyScenario(
     deadline=30.0,
 )
 
-roots = find_candidates(scenario, circuit)
-print(f"terminal-residual roots: {roots}")
-
 report = solve(scenario, circuit)
-print(f"\nthroughput {report.throughput:.6f} bits (normalized), "
-      f"{report.candidates_examined} candidates examined")
+print(f"throughput {report.throughput:.6f} bits (normalized), "
+      f"{report.iterations} Newton steps")
 print(f"terminal residual error: {report.terminal_residual_error:.2e} J\n")
 
 print("epoch   power (W)   E_r at epoch end (J)   harvested (J)")

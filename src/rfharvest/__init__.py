@@ -3,7 +3,7 @@
 The harvested energy of an RF-powered transmitter depends on the energy
 already in its capacitor, so transmission scheduling feeds back into
 harvesting.  This package models that loop, computes offline-optimal
-schedules by reducing the KKT system to a one-variable root search,
+schedules with a Newton method over the residuals at the arrivals,
 implements the classic fixed-tunnel baseline and two greedy/online
 policies, and provides a Monte Carlo harness plus a brute-force oracle
 for validation.
@@ -33,10 +33,7 @@ from .scheduling import (
     SolveReport,
     TransmissionSchedule,
     check_feasibility,
-    find_candidates,
-    propagate,
     solve,
-    terminal_residual,
     throughput,
 )
 from .simulator import (
@@ -72,9 +69,6 @@ __all__ = [
     "HarvestTrace",
     "FeasibilityReport",
     "SolveReport",
-    "propagate",
-    "terminal_residual",
-    "find_candidates",
     "check_feasibility",
     "throughput",
     "solve",

@@ -6,7 +6,8 @@ class InfeasibleError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """The offline scheduler found no feasible candidate schedule."""
+    """The offline scheduler did not converge, or its optimum failed the
+    feasibility check."""
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)

@@ -13,34 +13,31 @@ residual energy at its arrival and therefore on all earlier powers.
 The link gain g is the SNR per watt; g = 1 gives normalized SNR units,
 and any other g keeps powers in watts and energies in joules.
 
-The stationarity conditions of the corresponding KKT system collapse to
-a one-variable problem: fixing the residual energy at the first arrival
-determines every later power through the recursion
+The solver's unknowns are the residuals r_1..r_N at the arrivals.  With
+G_k(r) = (sqrt(e_max) (1 - s_k) + s_k sqrt(r))^2 the store right after
+arrival k (s_k = exp(-T_k / tau)), p_1 = (E0 - r_1) / l_1,
+p_{k+1} = (G_k(r_k) - r_{k+1}) / l_{k+1} and p_{N+1} = G_N(r_N) / l_{N+1}.
+G_k is concave and increasing, so the objective is concave in r with a
+tridiagonal Hessian: damped Newton steps of one O(N) sweep each reach
+the optimum.  An active set keeps p >= 0: an idle epoch ties its
+residual to the store before it, so its power is exactly 0, until its
+multiplier turns negative.  r >= 0 binds only where G_k is flat (s_k
+below about 1e-16).  On the other epochs the optimum satisfies
 
     1/g + p_{m+1} = (1/g + p_m) * (X_m + 1),
 
-with X_m the harvest sensitivity at arrival m.  One array function runs
-it from any number of first residuals at once.  Candidate optima are the
-roots of the terminal-residual function J(r1) = residual at the deadline;
-the solver brackets them on a grid, refines each bracket, filters
-infeasible candidates, and keeps the best.
+with X_m the harvest sensitivity at arrival m.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .charge import (
-    ChargeCircuit,
-    _harvest_curve,
-    _harvest_slope,
-    _harvest_value,
-    harvested_energy,
-    optimal_residual,
-)
+from .charge import ChargeCircuit, _harvest_curve, _harvest_step
 from .exceptions import SolverError
 
 __all__ = [
@@ -49,21 +46,30 @@ __all__ = [
     "HarvestTrace",
     "FeasibilityReport",
     "SolveReport",
-    "propagate",
-    "terminal_residual",
-    "find_candidates",
     "check_feasibility",
     "throughput",
     "solve",
 ]
 
-# Uniform samples of the terminal-residual function used to bracket roots.
-ROOT_SCAN_POINTS = 2000
-MAX_NEWTON_STEPS = 10
-# Bound on |terminal residual| for an accepted root, joules.
-DEFAULT_TOLERANCE = 1e-10
+# Status of an arrival's residual: a Newton unknown, tied to the store
+# before it (the epoch ending there is idle), or 0 (G is flat).
+FREE, IDLE, EMPTY = 0, 1, 2
+
 # Powers this far below zero are treated as roundoff on an exact zero.
 POWER_SLACK = 1e-12
+MAX_ITERATIONS = 200
+# A free residual has converged when it is stationary to this many times
+# the rounding of its epochs' powers, or its Newton step leaves it as is.
+STATIONARITY_TOL = 2e-15
+# An idle epoch is released when its relative multiplier is below -this.
+RELEASE_TOL = 1e-9
+# Armijo fraction of the predicted rise a step must reach, up to this
+# relative rounding of the objective; steps are halved down to MIN_STEP.
+ARMIJO = 1e-4
+OBJECTIVE_ROUNDING = 1e-14
+MIN_STEP = 1e-16
+# A step may shrink a free residual to this fraction of itself at most.
+BOUNDARY_FRACTION = 0.01
 
 
 @dataclass(frozen=True)
@@ -149,8 +155,6 @@ class HarvestTrace:
 
         residuals[i+1] = residuals[i] + harvested[i] - consumed[i+1].
 
-    ``infeasible_from`` marks the 1-based epoch at which a propagation
-    hit the depleted-battery singularity (entries beyond it are NaN);
     ``clamped`` flags epochs where a replay had to cut power to avoid
     consuming energy it did not have.
     """
@@ -158,7 +162,6 @@ class HarvestTrace:
     residuals: tuple
     harvested: tuple
     consumed: tuple
-    infeasible_from: Optional[int] = None
     clamped: tuple = ()
 
     def __post_init__(self):
@@ -191,192 +194,13 @@ class SolveReport:
     schedule: TransmissionSchedule
     trace: HarvestTrace
     throughput: float                # bits (normalized when gain = 1)
-    candidates_examined: int
+    iterations: int                  # Newton steps taken
     terminal_residual_error: float   # |residual at deadline|, joules
-    first_residual: float            # the winning root of J
-
-
-def _packet_curves(scenario: EnergyScenario, circuit: ChargeCircuit):
-    return [_harvest_curve(d, circuit) for d in scenario.packet_lengths]
-
-
-def _shoot(first_residuals, scenario: EnergyScenario, curves, gain: float,
-           history: bool = True):
-    """Run the stationarity recursion from one or many first-arrival residuals.
-
-    Sets p_1 = (initial_energy - r_1) / l_1 and then applies
-    1/g + p_{m+1} = (1/g + p_m)(X_m + 1) across arrivals, carrying the
-    energy balance forward, for every start at once.  A scalar start
-    runs on numpy scalars, an array of starts elementwise.
-
-    Returns (powers, residuals, harvests, depleted): one row per epoch
-    (per arrival for harvests), and per start the first arrival, 1-based,
-    whose residual is not positive (the sensitivity X is singular there),
-    or 0.  A depleted start's rows from that arrival on mean nothing.
-    Without ``history`` only the last rows are kept, so a scan over
-    thousands of starts and arrivals stays small.
-    """
-    r = np.asarray(first_residuals, dtype=float)[()]
-    valid = np.isfinite(r) & (r >= 0)
-    if not np.all(valid):
-        raise ValueError(f"first_residual must be finite and >= 0, got {r[~valid][0]}")
-    lengths = scenario.epoch_lengths
-    inverse = 1.0 / gain
-    p = (scenario.initial_energy - r) / lengths[0]
-    alive, reached = True, 0
-    powers, residuals, harvests = [p], [r], []
-    # Depleted starts run on through square roots of negative residuals
-    # and divisions by zero; their results are discarded.
-    with np.errstate(all="ignore"):
-        for m, curve in enumerate(curves, start=1):
-            alive = alive & (r > 0.0)
-            reached = reached + alive
-            harvest = _harvest_value(curve, r)
-            p = (inverse + p) * (_harvest_slope(curve, r) + 1.0) - inverse
-            r = r + harvest - p * lengths[m]
-            if not history:
-                powers, residuals, harvests = [], [], []
-            powers.append(p)
-            residuals.append(r)
-            harvests.append(harvest)
-    depleted = np.where(alive, 0, reached + 1)
-    return (np.array(powers), np.array(residuals),
-            np.reshape(harvests, (-1,) + np.shape(r)), depleted)
-
-
-def _terminal(first_residuals, scenario: EnergyScenario, curves, gain: float):
-    _, residuals, _, depleted = _shoot(first_residuals, scenario, curves, gain, history=False)
-    return np.where(depleted == 0, residuals[-1], -np.inf)
-
-
-def propagate(first_residual: float, scenario: EnergyScenario, circuit: ChargeCircuit,
-              gain: float = 1.0):
-    """Run the stationarity recursion from a fixed first-arrival residual.
-
-    Sets p_1 = (initial_energy - first_residual) / l_1 and then applies
-    1/g + p_{m+1} = (1/g + p_m)(X_m + 1) across arrivals, with g the
-    link gain.  Intermediate residuals are allowed to go negative only
-    at the deadline; a non-positive residual at an arrival (where the
-    sensitivity X is singular) marks the propagation infeasible from
-    that epoch instead of raising, and every later entry is NaN.
-
-    Returns:
-        (TransmissionSchedule, HarvestTrace)
-    """
-    powers, residuals, harvests, depleted = _shoot(
-        first_residual, scenario, _packet_curves(scenario, circuit), gain)
-    infeasible_from = int(depleted) or None
-    if infeasible_from:
-        powers[infeasible_from:] = np.nan
-        residuals[infeasible_from:] = np.nan
-        harvests[infeasible_from - 1:] = np.nan
-    schedule = TransmissionSchedule(powers=tuple(powers), epoch_bounds=tuple(scenario.epoch_bounds))
-    trace = HarvestTrace(
-        residuals=tuple(residuals),
-        harvested=tuple(harvests),
-        consumed=tuple(powers * scenario.epoch_lengths),
-        infeasible_from=infeasible_from,
-    )
-    return schedule, trace
-
-
-def terminal_residual(first_residual: float, scenario: EnergyScenario,
-                      circuit: ChargeCircuit) -> float:
-    """Residual energy left at the deadline, as a function of the first one.
-
-    This is the scalar function J whose roots are the KKT candidates.
-    Infeasible propagations map to -inf, strictly below any root.
-    """
-    return float(_terminal(first_residual, scenario, _packet_curves(scenario, circuit), 1.0))
-
-
-def _scan_upper_bound(scenario: EnergyScenario, circuit: ChargeCircuit) -> float:
-    """Upper end of the root scan: initial energy plus best-case harvest."""
-    best = sum(
-        harvested_energy(optimal_residual(d, circuit), d, circuit)
-        for d in scenario.packet_lengths
-    )
-    return scenario.initial_energy + best
-
-
-def find_candidates(scenario: EnergyScenario, circuit: ChargeCircuit,
-                    gain: float = 1.0) -> list:
-    """All roots of the terminal-residual function J.
-
-    Samples J on a uniform grid over [0, initial_energy + max harvest],
-    brackets every sign change, and refines each bracket by bisection
-    followed by a few Newton polish steps with a finite-difference
-    derivative.  Grid points where |J| is already within
-    ``DEFAULT_TOLERANCE`` are accepted directly (this catches the
-    boundary root of packet-free scenarios).  Returns distinct roots in
-    increasing order; empty when J never changes sign.
-    """
-    hi = _scan_upper_bound(scenario, circuit)
-    if hi <= 0.0:
-        # No energy at all: the only schedule is all-zero power.
-        return [0.0]
-    curves = _packet_curves(scenario, circuit)
-    grid = np.linspace(0.0, hi, ROOT_SCAN_POINTS)
-    values = _terminal(grid, scenario, curves, gain)
-
-    def j(x):
-        return float(_terminal(x, scenario, curves, gain))
-
-    roots = grid[np.isfinite(values) & (np.abs(values) <= DEFAULT_TOLERANCE)].tolist()
-    # Exact zeros were collected above; NaN ends bracket nothing.
-    va, vb = values[:-1], values[1:]
-    brackets = np.flatnonzero(~np.isnan(va) & ~np.isnan(vb) & (va != 0.0) & (vb != 0.0)
-                              & ((va < 0) != (vb < 0)))
-    for k in brackets:
-        a, b = float(grid[k]), float(grid[k + 1])
-        fa = va[k]
-        x, fx = 0.5 * (a + b), np.inf
-        # The recursion can be violently unstable (its sensitivity
-        # compounds across arrivals), leaving a root band far narrower
-        # than the nominal width target, so keep halving past it down to
-        # machine spacing until the residual tolerance is met.
-        while b - a > 4.0 * np.spacing(max(abs(a), abs(b))):
-            mid = 0.5 * (a + b)
-            fm = j(mid)
-            if np.isfinite(fm) and abs(fm) < abs(fx):
-                x, fx = mid, fm
-            if abs(fm) <= DEFAULT_TOLERANCE:
-                break
-            if (fm < 0) == (fa < 0):
-                a, fa = mid, fm
-            else:
-                b = mid
-        step = max(1e-9 * circuit.e_max, 1e-6 * abs(x))
-        for _ in range(MAX_NEWTON_STEPS):
-            if abs(fx) <= DEFAULT_TOLERANCE or not np.isfinite(fx):
-                break
-            derivative = (j(x + step) - j(x - step)) / (2.0 * step)
-            if not np.isfinite(derivative) or derivative == 0.0:
-                break
-            x_new = x - fx / derivative
-            if not (grid[k] <= x_new <= grid[k + 1]) or not np.isfinite(x_new):
-                break
-            f_new = j(x_new)
-            if not np.isfinite(f_new) or abs(f_new) >= abs(fx):
-                break
-            x, fx = x_new, f_new
-        if np.isfinite(fx) and abs(fx) <= DEFAULT_TOLERANCE:
-            roots.append(float(x))
-
-    # Deduplicate: sign-change refinement and direct grid hits can land
-    # on the same root from both sides.
-    roots.sort()
-    merged = []
-    merge_width = 1e-9 * hi
-    for r in roots:
-        if not merged or r - merged[-1] > merge_width:
-            merged.append(r)
-    return merged
 
 
 def check_feasibility(schedule: TransmissionSchedule, trace: HarvestTrace,
                       circuit: ChargeCircuit) -> FeasibilityReport:
-    """Verify energy causality and battery capacity on a propagated trace.
+    """Verify energy causality and battery capacity on a schedule's trace.
 
     Causality: the stored energy (the residual at each arrival and at
     the deadline) may never be negative.  Capacity: the stored energy
@@ -384,8 +208,6 @@ def check_feasibility(schedule: TransmissionSchedule, trace: HarvestTrace,
     an additive slack of 1e-9 * e_max for roundoff.
     """
     slack = 1e-9 * circuit.e_max
-    if trace.infeasible_from is not None:
-        return FeasibilityReport(ok=False, violated="causality", epoch=trace.infeasible_from)
     residuals = np.asarray(trace.residuals)
     harvested = np.asarray(trace.harvested)
     for i, r in enumerate(residuals, start=1):
@@ -409,6 +231,211 @@ def throughput(schedule: TransmissionSchedule, gain: float = 1.0) -> float:
     return float(np.sum(0.5 * lengths * np.log2(1.0 + snr)))
 
 
+def _forward(residuals, status, initial_energy, lengths, curves):
+    """(residuals, powers, status) of the point the free residuals set.
+
+    An idle arrival takes the store before it, an empty one 0.  A free
+    residual at or above the store before it would leave its epoch no
+    power, so it turns idle (in a new status list).
+    """
+    n = len(status)
+    status = list(status)
+    out, powers = [0.0] * n, [0.0] * (n + 1)
+    stored = initial_energy
+    for i, (a, s) in enumerate(curves):
+        r = residuals[i]
+        if status[i] == FREE and r >= stored:
+            status[i] = IDLE
+        if status[i] == IDLE:
+            r = stored
+        elif status[i] == EMPTY:
+            r = 0.0
+        powers[i] = (stored - r) / lengths[i]
+        root = a + s * math.sqrt(r)
+        stored = root * root
+        out[i] = r
+    powers[n] = stored / lengths[n]
+    return out, powers, status
+
+
+def _objective(powers, lengths, gain):
+    """sum_i l_i ln(1 + g p_i): the throughput in bits times 2 ln 2."""
+    return sum(l * math.log1p(gain * p) for l, p in zip(lengths, powers))
+
+
+def _newton(residuals, powers, status, lengths, curves, gain):
+    """Gradient and Newton step of F = sum_e l_e ln(1 + g p_e) in r.
+
+    With w_e = 1 / (1/g + p_e): a free or idle arrival i feeds the store
+    of the next non-idle epoch e = nxt[i], through G_i and the idle
+    arrivals after it, as T_i(r_i); dF/dr_i = T'_i w_e - w_i, at an idle
+    arrival the multiplier of its p >= 0.  Returns (w, grad, step, free,
+    nxt, slope): ``step`` is 0 off the ``free`` arrivals, slope is T'.
+    """
+    n = len(status)
+    w = [gain / (1.0 + gain * p) for p in powers]
+    slope, bend, nxt = [0.0] * n, [0.0] * n, [0] * n
+    for i in range(n - 1, -1, -1):
+        r, (a, s) = residuals[i], curves[i]
+        c = a * s                        # G'(r) = c / sqrt(r) + s^2
+        if c == 0.0:
+            g1, g2 = s * s, 0.0
+        elif r == 0.0:
+            # only where no free residual feeds the store (it stays 0)
+            g1, g2 = math.inf, -math.inf
+        else:
+            g1 = c / math.sqrt(r)
+            g2 = -0.5 * g1 / r
+            g1 += s * s
+        if i + 1 < n and status[i + 1] == IDLE:
+            bend[i] = bend[i + 1] * g1 * g1 + slope[i + 1] * g2
+            slope[i] = slope[i + 1] * g1
+            nxt[i] = nxt[i + 1]
+        else:
+            slope[i], bend[i], nxt[i] = g1, g2, i + 1
+    grad = [slope[i] * w[nxt[i]] - w[i] for i in range(n)]
+
+    # Over the free residuals -Hessian is tridiagonal: sum_e D_e q_e q_e^T
+    # plus -T''_i w_e on the diagonal, D_e = w_e^2/l_e, q_e the gradient of
+    # epoch e's spend (-1 at its own residual, T' at the one feeding its
+    # store).  The Thomas sweep merges each epoch into the stiffness P
+    # before it like springs in series, D / (1 + D T'^2 / P), so no pivot
+    # cancels however stiff an epoch is (near idle at a large gain), and
+    # carries 1/P, so a curvature that overflows near r = 0 gives a step
+    # of 0, not NaN.
+    free = [i for i in range(n) if status[i] == FREE]
+    shift, pull, merged = [], [], []
+    compliance = 0.0
+    for j, i in enumerate(free):
+        own = w[i] * w[i] / lengths[i]
+        t = slope[free[j - 1]] if j and nxt[free[j - 1]] == i else 0.0
+        link = own * t * compliance if t else 0.0
+        pull.append(link)
+        merged.append(1.0 + link * t)
+        e = nxt[i]
+        curvature = own / merged[-1] - bend[i] * w[e]
+        if e == n or status[e] != FREE:
+            curvature += slope[i] * slope[i] * w[e] * w[e] / lengths[e]
+        force = grad[i] + shift[-1] * own * t / merged[-1] if t else grad[i]
+        compliance = 1.0 / curvature
+        shift.append(force * compliance)
+    pull.append(0.0)
+    merged.append(1.0)
+    step = [0.0] * n
+    following = 0.0
+    for j in range(len(free) - 1, -1, -1):
+        following = (shift[j] + pull[j + 1] * following) / merged[j + 1]
+        step[free[j]] = following
+    return w, grad, step, free, nxt, slope
+
+
+def _schedule(residuals, status, scenario: EnergyScenario, circuit: ChargeCircuit, harvests):
+    """Powers that leave the given arrival residuals, and their trace.
+
+    One pass through the store with replay's arithmetic over each
+    packet's harvest curve in ``harvests``; each power is set from the
+    store this pass carries, (store - residual) / l, so rounding does not
+    build up along the horizon, and an idle epoch's power is exactly 0.
+    The last epoch drains the store.
+    """
+    n = len(harvests)
+    stored = scenario.initial_energy
+    powers, out, harvested, consumed = [], [], [], []
+    for i, length in enumerate(scenario.epoch_lengths.tolist()):
+        if i < n and status[i] == IDLE:
+            power = 0.0
+        else:
+            power = max((stored - (residuals[i] if i < n else 0.0)) / length, 0.0)
+        spend = power * length
+        residual = stored - spend
+        powers.append(power)
+        consumed.append(spend)
+        out.append(residual)
+        if i < n:
+            carried = max(residual, 0.0)
+            harvest = _harvest_step(harvests[i], carried)
+            harvested.append(harvest)
+            stored = min(carried + harvest, circuit.e_max)
+    schedule = TransmissionSchedule(powers=powers, epoch_bounds=tuple(scenario.epoch_bounds))
+    return schedule, HarvestTrace(residuals=out, harvested=harvested, consumed=consumed)
+
+
+def _line_search(residuals, powers, status, value, free, step, slope, nxt, decrement,
+                 initial_energy, lengths, curves, gain):
+    """Damped Newton step: (residuals, powers, status, value), or None.
+
+    Starts from the longest step keeping every free residual positive
+    and, to first order, every free epoch's power non-negative; the
+    epoch that limits it lands on p = 0 and turns idle.  Halves the step
+    until the objective rises by an Armijo fraction of the predicted
+    increase, up to its own rounding; None below ``MIN_STEP``.
+    """
+    t, blocking = 1.0, -1
+    change = [0.0] * len(powers)
+    for i in free:
+        if step[i] < 0.0:
+            t = min(t, (1.0 - BOUNDARY_FRACTION) * residuals[i] / -step[i])
+        change[i] -= step[i] / lengths[i]
+        change[nxt[i]] += slope[i] * step[i] / lengths[nxt[i]]
+    for i in free:
+        if change[i] < 0.0 and powers[i] < -t * change[i]:
+            t, blocking = powers[i] / -change[i], i
+    while t >= MIN_STEP:
+        trial = [r + t * d for r, d in zip(residuals, step)]
+        if blocking >= 0:
+            trial[blocking] = math.inf    # at or above the store: idle
+        trial, trial_powers, trial_status = _forward(trial, status, initial_energy,
+                                                     lengths, curves)
+        trial_value = _objective(trial_powers, lengths, gain)
+        if trial_value >= value + ARMIJO * t * decrement - OBJECTIVE_ROUNDING * value:
+            return trial, trial_powers, trial_status, trial_value
+        t, blocking = 0.5 * t, -1
+    return None
+
+
+def _optimal_residuals(initial_energy, lengths, curves, gain, e_max_root):
+    """The Newton method of :func:`solve`.
+
+    Returns (residuals, status, iterations, last Newton decrement).
+    """
+    # Where G is flat in floating point, whatever is left at the arrival
+    # is lost to the full charge, so the residual there is 0.
+    status = [EMPTY if a + s * e_max_root == a else FREE for a, s in curves]
+    start, stored = [], initial_energy
+    for a, s in curves:                  # spend half the store in every epoch
+        start.append(0.5 * stored)
+        stored = (a + s * math.sqrt(start[-1])) ** 2
+    residuals, powers, status = _forward(start, status, initial_energy, lengths, curves)
+    value = _objective(powers, lengths, gain)
+
+    decrement = math.inf
+    for iteration in range(1, MAX_ITERATIONS + 1):
+        w, grad, step, free, nxt, slope = _newton(residuals, powers, status, lengths,
+                                                  curves, gain)
+        decrement = sum(grad[i] * step[i] for i in free)
+        # relative rounding of each epoch's w: 1 + (store at its start) w / l
+        rounding = [1.0 + (r + p * l) * x / l
+                    for r, p, l, x in zip(residuals + [0.0], powers, lengths, w)]
+        if all(abs(grad[i]) <= STATIONARITY_TOL * w[i] * (rounding[i] + rounding[nxt[i]])
+               or residuals[i] + step[i] == residuals[i] for i in free):
+            worst, i = min(((grad[i] / w[i], i) for i, state in enumerate(status)
+                            if state == IDLE), default=(0.0, -1))
+            if worst >= -RELEASE_TOL:
+                return residuals, status, iteration, decrement
+            status[i] = FREE
+            continue
+
+        moved = _line_search(residuals, powers, status, value, free, step, slope, nxt,
+                             decrement, initial_energy, lengths, curves, gain)
+        if moved is None:
+            break
+        residuals, powers, status, value = moved
+        # Drop this step's vectors before the next one builds its own.
+        del w, grad, step, free, nxt, slope, rounding
+    raise SolverError("Newton method did not converge",
+                      diagnostics={"iterations": iteration, "newton_decrement": decrement})
+
+
 def solve(scenario: EnergyScenario, circuit: ChargeCircuit,
           gain: float = 1.0) -> SolveReport:
     """Compute the throughput-maximizing schedule.
@@ -417,65 +444,37 @@ def solve(scenario: EnergyScenario, circuit: ChargeCircuit,
     schedule and trace are in watts and joules and the throughput in
     bits either way.
 
-    Enumerates the roots of the terminal-residual function, always
-    appending the two boundary candidates (almost-zero and almost-full
-    first residual) in case every interior KKT point is infeasible,
-    propagates each candidate, drops any with negative powers or
-    constraint violations, and returns the feasible candidate with the
-    highest objective.  Ties within 1e-12 relative go to the smallest
-    first residual, keeping the output deterministic.
+    Damped Newton steps over the arrival residuals (module docstring);
+    a step that would take a free epoch's power below 0 stops there and
+    makes the epoch idle.  Once the free residuals are stationary, the
+    idle epoch with the most negative multiplier is released, and with
+    none left the point is optimal.  One pass through the store turns it
+    into powers and a trace, which :func:`check_feasibility` checks.
 
     Raises:
-        SolverError: when no candidate survives filtering.
+        SolverError: after ``MAX_ITERATIONS`` steps or a step cut below
+            ``MIN_STEP`` without convergence, or when the trace fails the
+            check; its diagnostics hold ``iterations`` and the last
+            ``newton_decrement``.
     """
     if scenario.initial_energy > circuit.e_max:
         raise ValueError("initial_energy exceeds the battery capacity e_max")
-    roots = find_candidates(scenario, circuit, gain)
-    eps = 1e-12 * circuit.e_max
-    candidates = list(roots)
-    for boundary in (eps, scenario.initial_energy - eps):
-        if boundary > 0:
-            candidates.append(boundary)
-    candidates = sorted(set(candidates))
-
-    best = None
-    best_throughput = -np.inf
-    rejected = {"infeasible_propagation": 0, "negative_power": 0, "constraints": 0}
-    for first_residual in candidates:
-        schedule, trace = propagate(first_residual, scenario, circuit, gain)
-        if trace.infeasible_from is not None:
-            rejected["infeasible_propagation"] += 1
-            continue
-        if min(schedule.powers) * gain < -POWER_SLACK:
-            rejected["negative_power"] += 1
-            continue
-        verdict = check_feasibility(schedule, trace, circuit)
-        if not verdict.ok:
-            rejected["constraints"] += 1
-            continue
-        value = throughput(schedule, gain)
-        # Strictly-better-beyond-roundoff wins; candidates are visited in
-        # increasing first_residual order, so ties keep the smallest one.
-        tie_width = 1e-12 * max(1.0, abs(value), abs(best_throughput))
-        if value - best_throughput > tie_width or best is None:
-            best = (schedule, trace, value, first_residual)
-            best_throughput = value
-    if best is None:
-        raise SolverError(
-            "no feasible candidate schedule",
-            diagnostics={
-                "roots_found": len(roots),
-                "candidates": len(candidates),
-                "rejected": rejected,
-                "scan_upper_bound": _scan_upper_bound(scenario, circuit),
-            },
-        )
-    schedule, trace, value, first_residual = best
+    e_max_root = math.sqrt(circuit.e_max)
+    harvests = [_harvest_curve(d, circuit) for d in scenario.packet_lengths]
+    # (a, s) of G(r) = (a + s sqrt r)^2
+    curves = [(e_max_root * (1.0 - h.decay), h.decay) for h in harvests]
+    residuals, status, iterations, decrement = _optimal_residuals(
+        scenario.initial_energy, scenario.epoch_lengths.tolist(), curves, gain, e_max_root)
+    schedule, trace = _schedule(residuals, status, scenario, circuit, harvests)
+    verdict = check_feasibility(schedule, trace, circuit)
+    if not verdict.ok:
+        raise SolverError("optimum fails the feasibility check",
+                          diagnostics={"iterations": iterations, "newton_decrement": decrement,
+                                       "violated": verdict.violated, "epoch": verdict.epoch})
     return SolveReport(
         schedule=schedule,
         trace=trace,
-        throughput=value,
-        candidates_examined=len(candidates),
+        throughput=throughput(schedule, gain),
+        iterations=iterations,
         terminal_residual_error=abs(trace.terminal_residual),
-        first_residual=first_residual,
     )

@@ -143,6 +143,7 @@ def replay(policy, scenario: EnergyScenario, circuit: ChargeCircuit,
 
     gain = _snr_gain(rate_model, link)
     slack = _clamp_slack(circuit)
+    e_max = circuit.e_max
     curves = [_harvest_curve(d, circuit) for d in scenario.packet_lengths]
     stored = scenario.initial_energy
     residuals, harvested, consumed, clamped, bits = [], [], [], [], 0.0
@@ -170,12 +171,15 @@ def replay(policy, scenario: EnergyScenario, circuit: ChargeCircuit,
         residuals.append(residual)
         bits += 0.5 * lengths[i] * math.log2(1.0 + power * gain)
         if i < n:
-            # The physical store is non-negative; the recorded residual
+            # The physical store lies in [0, e_max]; the recorded residual
             # keeps any roundoff-scale dip for trace fidelity, but the
-            # carry is floored so exact bound touches stay exact.
+            # carry is floored so exact bound touches stay exact, and
+            # capped so a full store that rounds above e_max stays full.
             harvest = _harvest_step(curves[i], max(residual, 0.0))
             harvested.append(harvest)
             stored = max(residual, 0.0) + harvest
+            if stored > e_max:
+                stored = e_max
     trace = HarvestTrace(
         residuals=tuple(residuals),
         harvested=tuple(harvested),

@@ -18,7 +18,7 @@ from rfharvest.config import (
     load_config,
     parse_config,
 )
-from rfharvest.exceptions import ConfigError
+from rfharvest.exceptions import ConfigError, SolverError
 
 EXPLICIT = """
 circuit: {resistance: 750.0, capacitance: 0.68, v_max: 2.5}
@@ -176,19 +176,18 @@ class TestOptimizeCommand:
         assert rc == 2
         assert not out.exists()
 
-    def test_unsolvable_scenario_exits_3(self, tmp_path):
-        # energies far below the harvest-optimal residual: no interior
-        # stationary point exists, which is a solver failure, not a
-        # config error
-        path = tmp_path / "hard.yaml"
-        path.write_text(
-            "scenario:\n"
-            "  initial_energy: 1.0e-4\n"
-            "  packets: [[20.0, 30.0], [40.0, 30.0]]\n"
-            "  deadline: 60.0\n")
-        rc = main(["optimize", "--config", str(path),
+    def test_unsolvable_scenario_exits_3(self, explicit_config, tmp_path, capsys,
+                                         monkeypatch):
+        # a solver failure is exit 3, not a config error
+        def failing(*args):
+            raise SolverError("Newton method did not converge",
+                              diagnostics={"iterations": 200, "newton_decrement": 1.0})
+
+        monkeypatch.setattr(cli, "optimal_schedule", failing)
+        rc = main(["optimize", "--config", str(explicit_config),
                    "--out", str(tmp_path / "o")])
         assert rc == 3
+        assert "solver failure" in capsys.readouterr().err
 
 
 class TestSimulateCommand:
@@ -268,9 +267,8 @@ class TestOracleCheckCommand:
             schedule = max_harvest_schedule(scenario, circuit)
             trace, bits = replay(schedule, scenario, circuit)
             return SolveReport(schedule=schedule, trace=trace, throughput=bits,
-                               candidates_examined=0,
-                               terminal_residual_error=abs(trace.terminal_residual),
-                               first_residual=trace.residuals[0])
+                               iterations=0,
+                               terminal_residual_error=abs(trace.terminal_residual))
 
         monkeypatch.setattr(cli, "optimal_schedule", greedy)
         rc = main(["oracle-check", "--config", str(generated_config)])
@@ -311,9 +309,8 @@ class TestOracleCheckCommand:
             schedule = max_harvest_schedule(scenario, circuit)
             trace, bits = replay(schedule, scenario, circuit, *args)
             return SolveReport(schedule=schedule, trace=trace, throughput=bits,
-                               candidates_examined=0,
-                               terminal_residual_error=abs(trace.terminal_residual),
-                               first_residual=trace.residuals[0])
+                               iterations=0,
+                               terminal_residual_error=abs(trace.terminal_residual))
 
         monkeypatch.setattr(cli, "optimal_schedule", greedy)
         rc = main(["oracle-check", "--config", str(generated_config),

@@ -2,21 +2,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rfharvest.scheduling as scheduling
 from rfharvest import (
+    ChargeCircuit,
     EnergyScenario,
     ExperimentConfig,
+    OnlinePredictivePolicy,
     SolverError,
     TransmissionSchedule,
+    brute_force_optimize,
     check_feasibility,
-    find_candidates,
     generate_scenario,
     harvest_sensitivity,
     harvested_energy,
+    max_harvest_schedule,
     optimal_residual,
-    propagate,
+    replay,
     solve,
-    terminal_residual,
     throughput,
 )
 
@@ -50,120 +55,44 @@ class TestEnergyScenario:
 
 
 class TestPropagate:
+    """The pass that turns solve's residuals into powers and a trace."""
+
     def test_single_epoch_depletes(self, bench_circuit):
         s = EnergyScenario(initial_energy=1.0, packets=(), deadline=10.0)
-        schedule, trace = propagate(0.0, s, bench_circuit)
-        assert schedule.powers == (0.1,)
-        assert trace.terminal_residual == 0.0
+        report = solve(s, bench_circuit)
+        assert report.schedule.powers == (0.1,)
+        assert report.trace.terminal_residual == 0.0
 
     def test_power_unchanged_at_zero_sensitivity(self, bench_circuit):
-        # Pin the residual at the first arrival exactly on the harvest
-        # maximum: the stationarity update must keep the power level.
+        # Size the initial energy so that holding one power level across
+        # the arrival leaves the residual exactly on the harvest maximum:
+        # X = 0 there, so that is the optimum and the power must not move.
         r_star = optimal_residual(5.0, bench_circuit)
-        s = EnergyScenario(**TWO_PACKET)
-        schedule, trace = propagate(r_star, s, bench_circuit)
-        assert schedule.powers[1] == pytest.approx(schedule.powers[0], rel=1e-12)
+        stored = r_star + harvested_energy(r_star, 5.0, bench_circuit)
+        s = EnergyScenario(initial_energy=r_star + stored, packets=((10.0, 5.0),),
+                           deadline=20.0)
+        report = solve(s, bench_circuit)
+        assert report.schedule.powers[1] == pytest.approx(report.schedule.powers[0], rel=1e-12)
+        assert report.trace.residuals[0] == pytest.approx(r_star, rel=1e-9)
 
     def test_stationarity_update_arithmetic(self):
         assert (1.0 + 1.0) * (0.0319 + 1.0) - 1.0 == pytest.approx(1.0638, rel=1e-12)
 
     def test_energy_conservation_link_by_link(self, bench_circuit):
         s = EnergyScenario(**TWO_PACKET)
-        _, trace = propagate(0.38, s, bench_circuit)
+        trace = solve(s, bench_circuit).trace
         for i in range(s.n_packets):
             expected = (trace.residuals[i] + trace.harvested[i]
                         - trace.consumed[i + 1])
             assert trace.residuals[i + 1] == pytest.approx(expected, abs=1e-15)
 
-    def test_depleted_arrival_marks_infeasible(self, bench_circuit):
-        s = EnergyScenario(**TWO_PACKET)
-        schedule, trace = propagate(1e-300, s, bench_circuit)
-        # the sensitivity blows up at the first arrival and the second
-        # epoch overdraws, so the propagation dies at the second arrival
-        assert trace.infeasible_from == 2
-        assert math.isnan(trace.residuals[-1])
-
-    def test_rejects_negative_start(self, bench_circuit):
-        s = EnergyScenario(**TWO_PACKET)
-        with pytest.raises(ValueError):
-            propagate(-0.01, s, bench_circuit)
-
-
-class TestTerminalResidual:
-    def test_single_epoch_is_identity(self, bench_circuit):
-        s = EnergyScenario(initial_energy=1.0, packets=(), deadline=10.0)
-        for r in (0.0, 0.25, 0.9):
-            assert terminal_residual(r, s, bench_circuit) == r
-
-    def test_zero_power_keeps_initial_energy(self, bench_circuit):
-        s = EnergyScenario(initial_energy=1.0, packets=(), deadline=10.0)
-        assert terminal_residual(1.0, s, bench_circuit) == 1.0
-
-    def test_infeasible_maps_to_minus_infinity(self, bench_circuit):
-        s = EnergyScenario(**TWO_PACKET)
-        assert terminal_residual(1e-300, s, bench_circuit) == -math.inf
-
-    def test_matches_propagate_bit_for_bit(self, bench_circuit, sim_circuit):
-        # the grid starts at 0 and includes near-empty starts, so some
-        # propagations deplete at an arrival and must map to -inf
-        rng = np.random.default_rng([102, 0])
-        generated, _ = generate_scenario(medium_config(sim_circuit, 6, 0), rng)
-        depleted = 0
-        for s, circuit in ((EnergyScenario(**TWO_PACKET), bench_circuit),
-                           (generated, sim_circuit)):
-            grid = np.concatenate(([0.0, 1e-300, 1e-12],
-                                   np.linspace(0.0, 2.0 * s.initial_energy, 101)))
-            for r in grid:
-                _, trace = propagate(r, s, circuit)
-                value = terminal_residual(r, s, circuit)
-                if trace.infeasible_from is not None:
-                    depleted += 1
-                    assert value == -math.inf
-                else:
-                    assert value == trace.terminal_residual
-        assert depleted > 0
-
-    def test_two_packet_scenario_has_a_sign_change(self, bench_circuit):
-        s = EnergyScenario(**TWO_PACKET)
-        grid = np.linspace(1e-6, s.initial_energy, 1000)
-        values = [terminal_residual(r, s, bench_circuit) for r in grid]
-        signs = [v < 0 for v in values if math.isfinite(v)]
-        assert any(a != b for a, b in zip(signs, signs[1:]))
-
-
-class TestFindCandidates:
-    def test_no_packets_roots_at_zero(self, bench_circuit):
-        s = EnergyScenario(initial_energy=1.0, packets=(), deadline=10.0)
-        roots = find_candidates(s, bench_circuit)
-        assert roots == [0.0]
-
-    def test_two_packet_roots_are_roots(self, bench_circuit):
-        # J crosses zero exactly once on this scenario (verified by the
-        # 1000-point scan in TestTerminalResidual), so the bracketing
-        # contract demands exactly one root
-        s = EnergyScenario(**TWO_PACKET)
-        roots = find_candidates(s, bench_circuit)
-        assert len(roots) == 1
-        for r in roots:
-            assert abs(terminal_residual(r, s, bench_circuit)) <= 1e-10
-
-    def test_bracketing_covers_the_oracle_optimum(self, bench_circuit):
-        # the oracle's best first-epoch residual must fall into a bracket
-        # the scan refined into a root
-        from rfharvest import GridSpec, brute_force_optimize
-        s = EnergyScenario(**TWO_PACKET)
-        result = brute_force_optimize(s, bench_circuit, GridSpec())
-        oracle_first_residual = (s.initial_energy
-                                 - result.schedule.powers[0] * 10.0)
-        roots = find_candidates(s, bench_circuit)
-        pitch = 2.0 * (s.initial_energy + 0.1) / 59  # one grid cell, loosely
-        assert min(abs(r - oracle_first_residual) for r in roots) < pitch
-
 
 class TestCheckFeasibility:
     def test_zero_schedule_passes(self, bench_circuit):
         s = EnergyScenario(**TWO_PACKET)
-        schedule, trace = propagate(s.initial_energy, s, bench_circuit)
+        schedule = TransmissionSchedule(powers=(0.0, 0.0, 0.0),
+                                        epoch_bounds=tuple(s.epoch_bounds))
+        trace, _ = replay(schedule, s, bench_circuit)
         verdict = check_feasibility(schedule, trace, bench_circuit)
         assert verdict.ok
 
@@ -235,13 +164,13 @@ class TestSolve:
         a = solve(s, bench_circuit)
         b = solve(s, bench_circuit)
         assert a.schedule.powers == b.schedule.powers
-        assert a.first_residual == b.first_residual
+        assert a.trace == b.trace
 
     def test_report_bookkeeping(self, bench_circuit):
         s = EnergyScenario(**TWO_PACKET)
         report = solve(s, bench_circuit)
         assert report.terminal_residual_error <= 1e-10
-        assert report.candidates_examined >= 3  # roots + two boundary points
+        assert report.iterations >= 1
         assert abs(report.trace.terminal_residual) == report.terminal_residual_error
 
     def test_rejects_overfull_battery(self, bench_circuit):
@@ -250,15 +179,25 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(s, bench_circuit)
 
-    def test_reports_failure_with_diagnostics(self, sim_circuit):
-        # energies far below the harvest-optimal residual leave no
-        # interior stationary point, which the solver reports rather
-        # than silently clamping
+    def test_reports_failure_with_diagnostics(self, bench_circuit, monkeypatch):
+        # a solve cut off before it converges says how far it got
+        monkeypatch.setattr(scheduling, "MAX_ITERATIONS", 1)
+        s = EnergyScenario(**TWO_PACKET)
+        with pytest.raises(SolverError) as excinfo:
+            solve(s, bench_circuit)
+        assert excinfo.value.diagnostics["iterations"] == 1
+        assert excinfo.value.diagnostics["newton_decrement"] > 0.0
+
+    def test_idle_epochs_match_the_oracle(self, sim_circuit):
+        # energies far below the harvest-optimal residual: the optimum
+        # keeps everything for the last epoch, two epochs stay idle
         s = EnergyScenario(initial_energy=1e-4,
                            packets=((20.0, 30.0), (40.0, 30.0)), deadline=60.0)
-        with pytest.raises(SolverError) as excinfo:
-            solve(s, sim_circuit)
-        assert "candidates" in excinfo.value.diagnostics
+        report = solve(s, sim_circuit)
+        assert report.schedule.powers[0] == report.schedule.powers[1] == 0.0
+        oracle = brute_force_optimize(s, sim_circuit)
+        assert oracle.throughput - report.throughput <= 1e-9
+        assert report.throughput >= oracle.throughput - oracle.error_bound
 
 
 class TestKKTStructure:
@@ -308,3 +247,119 @@ class TestKKTStructure:
         for scenario, report in self.winning_reports(sim_circuit, 20, 6, 205):
             for r, h in zip(report.trace.residuals, report.trace.harvested):
                 assert r + h < sim_circuit.e_max
+
+
+def heterogeneous_scenario(rng, circuit, max_packets):
+    """A draw of the benchmark's heterogeneous family: 1..max_packets
+    packets, epochs log-uniform in [1e-3, 10] s, charge durations
+    log-uniform in [1e-4, 3] tau, any initial energy."""
+    n = int(rng.integers(1, max_packets + 1))
+    lengths = np.exp(rng.uniform(math.log(1e-3), math.log(10.0), n + 1))
+    durations = circuit.tau * np.exp(rng.uniform(math.log(1e-4), math.log(3.0), n))
+    bounds = np.cumsum(lengths)
+    return EnergyScenario(initial_energy=float(rng.uniform(0.0, circuit.e_max)),
+                          packets=tuple(zip(bounds[:-1], durations)),
+                          deadline=float(bounds[-1]))
+
+
+class TestHardScenarios:
+    """Long horizons, idle epochs and battery-filling packets."""
+
+    @pytest.mark.parametrize("n_packets", [32, 256])
+    def test_reference_horizons(self, sim_circuit, n_packets):
+        for seed in range(3):
+            rng = np.random.default_rng([n_packets, seed])
+            scenario, _ = generate_scenario(medium_config(sim_circuit, n_packets, seed), rng)
+            report = solve(scenario, sim_circuit)
+            powers, residuals = report.schedule.powers, report.trace.residuals
+            for m in range(n_packets):
+                x = harvest_sensitivity(residuals[m], scenario.packet_lengths[m], sim_circuit)
+                lhs = 1.0 + powers[m + 1]
+                rhs = (1.0 + powers[m]) * (x + 1.0)
+                assert lhs == pytest.approx(rhs, rel=1e-12)
+            trace, bits = replay(report.schedule, scenario, sim_circuit)
+            assert not any(trace.clamped)
+            assert bits == pytest.approx(report.throughput, abs=1e-9)
+
+    def test_heterogeneous_draws_match_the_oracle(self, sim_circuit):
+        rng = np.random.default_rng([42, 3])
+        with_idle_epochs = 0
+        for _ in range(100):
+            scenario = heterogeneous_scenario(rng, sim_circuit, 3)
+            report = solve(scenario, sim_circuit)
+            oracle = brute_force_optimize(scenario, sim_circuit)
+            assert oracle.throughput - report.throughput <= 1e-9
+            assert report.throughput >= oracle.throughput - oracle.error_bound
+            with_idle_epochs += 0.0 in report.schedule.powers
+        assert with_idle_epochs >= 5
+
+    def test_battery_filling_packet_drains_first(self, sim_circuit):
+        # a packet 1e4 time constants long fills the battery whatever is
+        # left at its arrival, so the first epoch spends it all
+        s = EnergyScenario(initial_energy=0.05, deadline=3.0,
+                           packets=((1.0, 1e4 * sim_circuit.tau), (2.0, 1.0)))
+        report = solve(s, sim_circuit)
+        assert report.trace.residuals[0] == 0.0
+        assert report.schedule.powers[0] == 0.05
+        full = EnergyScenario(initial_energy=sim_circuit.e_max, packets=((1.0, 1.0),),
+                              deadline=2.0)
+        rest = solve(full, sim_circuit).schedule.powers
+        assert report.schedule.powers[1:] == pytest.approx(rest, rel=1e-12)
+
+    def test_scipy_slsqp_agrees_at_32_packets(self, sim_circuit):
+        # SLSQP over the arrival residuals, with the harvest written as
+        # the RC charge curve in volts: V -> v_max - (v_max - V) exp(-T/tau)
+        from scipy.optimize import minimize
+        rng = np.random.default_rng([32, 0])
+        scenario, _ = generate_scenario(medium_config(sim_circuit, 32, 0), rng)
+        lengths = scenario.epoch_lengths
+        decay = np.exp(-scenario.packet_lengths / sim_circuit.tau)
+        c, v_max = sim_circuit.capacitance, sim_circuit.v_max
+
+        def powers(residuals):
+            volts = np.sqrt(2.0 * np.clip(residuals, 0.0, None) / c)
+            volts = v_max - (v_max - volts) * decay
+            stores = np.concatenate(([scenario.initial_energy], 0.5 * c * volts ** 2))
+            return (stores - np.append(residuals, 0.0)) / lengths
+
+        def negative_bits(residuals):
+            p = np.clip(powers(residuals), 0.0, None)
+            return -float(np.sum(0.5 * lengths * np.log2(1.0 + p)))
+
+        result = minimize(negative_bits, np.full(32, 0.5 * scenario.initial_energy),
+                          method="SLSQP", bounds=[(0.0, sim_circuit.e_max)] * 32,
+                          constraints=[{"type": "ineq", "fun": powers}],
+                          options={"ftol": 1e-14, "maxiter": 1000})
+        assert result.success
+        assert abs(-result.fun - solve(scenario, sim_circuit).throughput) <= 1e-8
+
+
+SIM = ChargeCircuit(resistance=4000.0, capacitance=0.05, v_max=2.5)
+
+
+@st.composite
+def heterogeneous_scenarios(draw):
+    """The heterogeneous family, drawn by hypothesis (N up to 5)."""
+    n = draw(st.integers(1, 5))
+    log_length = st.floats(math.log(1e-3), math.log(10.0))
+    log_duration = st.floats(math.log(1e-4), math.log(3.0))
+    bounds = np.cumsum([math.exp(draw(log_length)) for _ in range(n + 1)])
+    durations = [SIM.tau * math.exp(draw(log_duration)) for _ in range(n)]
+    initial = draw(st.floats(0.0, 1.0)) * SIM.e_max
+    return EnergyScenario(initial_energy=initial, packets=tuple(zip(bounds[:-1], durations)),
+                          deadline=float(bounds[-1]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(heterogeneous_scenarios())
+def test_optimal_beats_every_policy(scenario):
+    report = solve(scenario, SIM)
+    trace, bits = replay(report.schedule, scenario, SIM)
+    assert not any(trace.clamped)
+    zero = TransmissionSchedule(powers=(0.0,) * (scenario.n_packets + 1),
+                                epoch_bounds=tuple(scenario.epoch_bounds))
+    online = OnlinePredictivePolicy(prior_length=float(np.mean(scenario.packet_lengths)),
+                                    prior_gap=float(np.mean(scenario.epoch_lengths)))
+    for policy in (max_harvest_schedule(scenario, SIM), online, zero):
+        _, other = replay(policy, scenario, SIM)
+        assert bits >= other - 1e-12 * max(1.0, other)
