@@ -167,9 +167,12 @@ def optimal_residual(packet_length: float, circuit: ChargeCircuit) -> float:
     if packet_length < 0:
         raise ValueError(f"packet_length must be >= 0, got {packet_length}")
     g = 1.0 + _exp(packet_length / circuit.tau)
-    if math.isinf(g):
-        return 0.0
-    return circuit.e_max / g ** 2
+    try:
+        return circuit.e_max / g ** 2
+    except OverflowError:
+        # g ** 2 overflows while g is finite (about 355 to 710 tau); the
+        # true value is subnormal or zero.
+        return circuit.e_max / g / g
 
 
 def harvest_sensitivity(residual, packet_length: float, circuit: ChargeCircuit):

@@ -4,9 +4,11 @@ Enumerates per-epoch powers on a uniform grid and replays every tuple
 under the feedback harvest model, keeping the feasible tuple with the
 highest objective.  Only the first N powers are gridded: whatever energy
 is left at the last arrival is drained linearly over the final epoch,
-which is always optimal because the rate grows with power.  The search
-is exhaustive over its grid, shares nothing with the KKT recursion, and
-is intentionally limited to tiny instances.
+which is always optimal because the rate grows with power.  The grid is
+walked one epoch at a time, each epoch evaluated once per distinct power
+prefix; the search stays exhaustive over its grid, ties go to the
+lexicographically smallest tuple, it shares nothing with the KKT
+recursion, and it is intentionally limited to tiny instances.
 """
 
 from __future__ import annotations
@@ -66,7 +68,8 @@ def brute_force_optimize(scenario: EnergyScenario, circuit: ChargeCircuit,
     gain g (SNR per watt; 1 in normalized units), as in
     :func:`~rfharvest.scheduling.solve`.  Tuples that would consume
     energy before it is stored are discarded outright (never clamped).
-    Ties go to the lexicographically smallest tuple.  The error bound is
+    Every grid tuple is scored, each epoch once per power prefix; ties
+    go to the lexicographically smallest tuple.  The error bound is
     the largest objective loss that rounding each optimal power down to
     the grid could cost, from the grid pitch and the slope bound
     l_i * g / (2 ln 2) of each epoch's rate term.
@@ -93,31 +96,28 @@ def brute_force_optimize(scenario: EnergyScenario, circuit: ChargeCircuit,
 
     p_ub = grid.power_bound or _auto_power_bound(scenario, circuit)
     axis = np.linspace(0.0, p_ub, grid.resolution)
-    # 'ij' meshing + C-order flattening enumerates tuples in lexicographic
-    # order, so argmax's first-hit rule breaks ties toward the smallest.
-    mesh = np.meshgrid(*([axis] * n), indexing="ij")
-    powers = np.stack([m.reshape(-1) for m in mesh], axis=1)
 
     curves = [_harvest_curve(d, circuit) for d in scenario.packet_lengths]
-    stored = np.full(count, scenario.initial_energy)
-    ok = np.ones(count, dtype=bool)
-    bits = np.zeros(count)
+    stored, ok, bits = scenario.initial_energy, True, 0.0
     for i in range(n):
-        spend = powers[:, i] * lengths[i]
-        ok &= spend <= stored + 1e-12 * circuit.e_max
+        # Epoch i's power varies along axis i: one state per power prefix.
+        power = axis.reshape((-1,) + (1,) * (n - i - 1))
+        spend = power * lengths[i]
+        ok = ok & (spend <= stored + 1e-12 * circuit.e_max)
         residual = np.clip(stored - spend, 0.0, None)
-        bits += 0.5 * lengths[i] * np.log2(1.0 + gain * powers[:, i])
+        bits = bits + 0.5 * lengths[i] * np.log2(1.0 + gain * power)
         stored = residual + _harvest_value(curves[i], residual)
     final_power = stored / lengths[-1]
-    bits += 0.5 * lengths[-1] * np.log2(1.0 + gain * final_power)
+    bits = bits + 0.5 * lengths[-1] * np.log2(1.0 + gain * final_power)
     bits[~ok] = -np.inf
 
-    best = int(np.argmax(bits))
+    # C-order argmax: ties go to the lexicographically smallest tuple.
+    best = np.unravel_index(int(np.argmax(bits)), bits.shape)
     if not ok[best]:
         # Only possible if every tuple violates causality, which the
         # all-zero tuple never does.
         raise AssertionError("grid search found no feasible tuple")
-    best_powers = tuple(powers[best]) + (float(final_power[best]),)
+    best_powers = tuple(axis[list(best)]) + (float(final_power[best]),)
     schedule = TransmissionSchedule(powers=best_powers, epoch_bounds=tuple(bounds_grid))
     pitch = p_ub / (grid.resolution - 1)
     error_bound = pitch * gain * float(np.sum(lengths[:-1])) / (2.0 * math.log(2.0))

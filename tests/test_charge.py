@@ -181,6 +181,12 @@ class TestOptimalResidual:
         assert optimal_residual(100.0 * bench_circuit.tau, bench_circuit) < 1e-30
         assert optimal_residual(1e9, bench_circuit) == 0.0
 
+    @pytest.mark.parametrize("multiple", [355.0, 400.0, 700.0])
+    def test_overflowing_square_still_returns(self, sim_circuit, multiple):
+        # (1 + exp(T/tau)) ** 2 overflows while 1 + exp(T/tau) is finite
+        value = optimal_residual(multiple * sim_circuit.tau, sim_circuit)
+        assert 0.0 <= value <= 1e-300
+
     def test_golden_section_agreement(self):
         rng = np.random.default_rng(3)
         for _ in range(50):

@@ -8,9 +8,13 @@ from rfharvest import (
     GridSpec,
     brute_force_optimize,
     generate_scenario,
+    max_harvest_schedule,
     solve,
     throughput,
 )
+from rfharvest.oracle import _auto_power_bound
+
+import oracle_reference as ref
 
 
 def medium_config(circuit, n, seed=0):
@@ -121,3 +125,48 @@ class TestBruteForce:
         s = EnergyScenario(initial_energy=0.0, packets=((1.0, 0.0),), deadline=2.0)
         result = brute_force_optimize(s, bench_circuit)
         assert result.schedule.powers[0] == 0.0
+
+    def test_overflowing_optimal_residual_packet(self, sim_circuit):
+        # (1 + exp(T/tau)) ** 2 overflows at 400 tau; the oracle's power
+        # bound and the greedy policy both need the optimal residual
+        s = EnergyScenario(0.05, ((1.0, 400 * sim_circuit.tau),), 2.0)
+        max_harvest_schedule(s, sim_circuit)
+        result = brute_force_optimize(s, sim_circuit)
+        report = solve(s, sim_circuit)
+        assert result.throughput <= report.throughput + 1e-9
+
+
+class TestWholeGridReference:
+    """The staged grid walk scores every tuple exactly as the whole grid did."""
+
+    @pytest.mark.parametrize("resolution, draws", [(2, 40), (7, 40), (60, 2)])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_bit_identical_results(self, sim_circuit, reference_link, n,
+                                   resolution, draws):
+        for seed in range(draws):
+            rng = np.random.default_rng([48, n, seed])
+            scenario, _ = generate_scenario(medium_config(sim_circuit, n), rng)
+            derived = _auto_power_bound(scenario, sim_circuit)
+            # the derived bound leaves most tuples acausal at n = 3; a
+            # tenth of it keeps most of them feasible
+            for bound in (0.0, 0.1 * derived):
+                grid = GridSpec(resolution=resolution, power_bound=bound)
+                for gain in (1.0, reference_link.gain, 1e-300):
+                    result = brute_force_optimize(scenario, sim_circuit, grid, gain)
+                    expected = ref.brute_force_optimize(scenario, sim_circuit, grid, gain)
+                    assert repr(result) == repr(expected)
+                    if gain == 1e-300:
+                        # every feasible tuple scores 0 bits: a tie the
+                        # all-zero tuple must win
+                        assert result.schedule.powers[:-1] == (0.0,) * n
+        if n == 3 and resolution == 60:
+            assert brute_force_optimize(scenario, sim_circuit).feasible < 60 ** 3 / 2
+
+    def test_ties_between_permuted_tuples(self, sim_circuit):
+        # two equal harvest-free epochs: (0, 1/2), (1/2, 0) and (1/2, 1/2)
+        # spend the same three powers, and their bits tie exactly
+        s = EnergyScenario(1.0, ((1.0, 0.0), (2.0, 0.0)), 3.0)
+        grid = GridSpec(resolution=3, power_bound=1.0)
+        result = brute_force_optimize(s, sim_circuit, grid)
+        assert repr(result) == repr(ref.brute_force_optimize(s, sim_circuit, grid))
+        assert result.schedule.powers == (0.0, 0.5, 0.5)

@@ -284,14 +284,14 @@ class TestHardScenarios:
     def test_heterogeneous_draws_match_the_oracle(self, sim_circuit):
         rng = np.random.default_rng([42, 3])
         with_idle_epochs = 0
-        for _ in range(100):
+        for _ in range(300):
             scenario = heterogeneous_scenario(rng, sim_circuit, 3)
             report = solve(scenario, sim_circuit)
             oracle = brute_force_optimize(scenario, sim_circuit)
             assert oracle.throughput - report.throughput <= 1e-9
             assert report.throughput >= oracle.throughput - oracle.error_bound
             with_idle_epochs += 0.0 in report.schedule.powers
-        assert with_idle_epochs >= 5
+        assert with_idle_epochs >= 15
 
     def test_battery_filling_packet_drains_first(self, sim_circuit):
         # a packet 1e4 time constants long fills the battery whatever is
