@@ -108,23 +108,28 @@ def _harvest_value(curve: _HarvestCurve, residual):
             + (s * s - 1.0) * residual)
 
 
-def _harvest_step(curve: _HarvestCurve, residual: float) -> float:
+def _decays(packet_lengths, circuit: ChargeCircuit) -> list:
+    """Each packet's decay, as :func:`_harvest_curve` computes it."""
+    tau = circuit.tau
+    return [_exp(-d / tau) for d in packet_lengths]
+
+
+def _harvest_step(decay: float, e_max: float, root_e_max: float, residual: float) -> float:
     """Harvest from one packet at one residual, as a Python float.
 
-    The scalar form of :func:`harvested_energy` on a prebuilt curve, for
-    the per-arrival loops of replay and scenario generation: the same
-    domain test (NaN passes), and the operations of
-    :func:`_harvest_value` in the same order, with ``math.sqrt`` in place
-    of ``np.sqrt`` (both are correctly rounded), so the result is the
-    same bit for bit.
+    The scalar form of :func:`harvested_energy` on the fields of a
+    :class:`_HarvestCurve`, for every loop that carries a store from one
+    arrival to the next: the same domain test (NaN passes), and the
+    operations of :func:`_harvest_value` in the same order, with
+    ``math.sqrt`` in place of ``np.sqrt`` (both are correctly rounded),
+    so the result is the same bit for bit.
     """
     residual = float(residual)
-    if residual < 0 or residual > curve.e_max:
+    if residual < 0 or residual > e_max:
         raise ValueError("residual must lie in [0, e_max]")
-    s = curve.decay
-    value = (curve.e_max * (1.0 - s) ** 2
-             + 2.0 * curve.root_e_max * s * (1.0 - s) * math.sqrt(residual)
-             + (s * s - 1.0) * residual)
+    value = (e_max * (1.0 - decay) ** 2
+             + 2.0 * root_e_max * decay * (1.0 - decay) * math.sqrt(residual)
+             + (decay * decay - 1.0) * residual)
     return max(value, 0.0)
 
 

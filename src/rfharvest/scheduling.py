@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .charge import ChargeCircuit, _harvest_curve, _harvest_step
+from .charge import ChargeCircuit, _decays, _harvest_step
 from .exceptions import SolverError
 
 __all__ = [
@@ -329,16 +329,17 @@ def _newton(residuals, powers, status, lengths, curves, gain):
     return w, grad, step, free, nxt, slope
 
 
-def _schedule(residuals, status, scenario: EnergyScenario, circuit: ChargeCircuit, harvests):
+def _schedule(residuals, status, scenario: EnergyScenario, circuit: ChargeCircuit, decays):
     """Powers that leave the given arrival residuals, and their trace.
 
     One pass through the store with replay's arithmetic over each
-    packet's harvest curve in ``harvests``; each power is set from the
-    store this pass carries, (store - residual) / l, so rounding does not
-    build up along the horizon, and an idle epoch's power is exactly 0.
-    The last epoch drains the store.
+    packet's decay in ``decays``; each power is set from the store this
+    pass carries, (store - residual) / l, so rounding does not build up
+    along the horizon, and an idle epoch's power is exactly 0.  The last
+    epoch drains the store.
     """
-    n = len(harvests)
+    n = len(decays)
+    e_max, root_e_max = circuit.e_max, math.sqrt(circuit.e_max)
     stored = scenario.initial_energy
     powers, out, harvested, consumed = [], [], [], []
     for i, length in enumerate(scenario.epoch_lengths.tolist()):
@@ -353,9 +354,9 @@ def _schedule(residuals, status, scenario: EnergyScenario, circuit: ChargeCircui
         out.append(residual)
         if i < n:
             carried = max(residual, 0.0)
-            harvest = _harvest_step(harvests[i], carried)
+            harvest = _harvest_step(decays[i], e_max, root_e_max, carried)
             harvested.append(harvest)
-            stored = min(carried + harvest, circuit.e_max)
+            stored = min(carried + harvest, e_max)
     schedule = TransmissionSchedule(powers=powers, epoch_bounds=tuple(scenario.epoch_bounds))
     return schedule, HarvestTrace(residuals=out, harvested=harvested, consumed=consumed)
 
@@ -460,12 +461,12 @@ def solve(scenario: EnergyScenario, circuit: ChargeCircuit,
     if scenario.initial_energy > circuit.e_max:
         raise ValueError("initial_energy exceeds the battery capacity e_max")
     e_max_root = math.sqrt(circuit.e_max)
-    harvests = [_harvest_curve(d, circuit) for d in scenario.packet_lengths]
+    decays = _decays(scenario.packet_lengths.tolist(), circuit)
     # (a, s) of G(r) = (a + s sqrt r)^2
-    curves = [(e_max_root * (1.0 - h.decay), h.decay) for h in harvests]
+    curves = [(e_max_root * (1.0 - s), s) for s in decays]
     residuals, status, iterations, decrement = _optimal_residuals(
         scenario.initial_energy, scenario.epoch_lengths.tolist(), curves, gain, e_max_root)
-    schedule, trace = _schedule(residuals, status, scenario, circuit, harvests)
+    schedule, trace = _schedule(residuals, status, scenario, circuit, decays)
     verdict = check_feasibility(schedule, trace, circuit)
     if not verdict.ok:
         raise SolverError("optimum fails the feasibility check",

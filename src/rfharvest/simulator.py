@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .charge import ChargeCircuit, _harvest_curve, _harvest_step, packet_length_for
-from .exceptions import GenerationError, InfeasibleError
+from .charge import ChargeCircuit, _decays, _exp, _harvest_step, packet_length_for
+from .exceptions import ConfigError, GenerationError, InfeasibleError
 from .scheduling import (
     EnergyScenario,
     HarvestTrace,
@@ -30,6 +30,7 @@ from .scheduling import (
     solve,
 )
 from .strategies import (
+    FULL_BATTERY_FRACTION,
     OnlinePredictivePolicy,
     classic_tunnel,
     max_harvest_schedule,
@@ -131,8 +132,8 @@ def replay(policy, scenario: EnergyScenario, circuit: ChargeCircuit,
     Returns:
         (HarvestTrace, throughput in bits under the active rate model)
     """
-    bounds = scenario.epoch_bounds
-    lengths = scenario.epoch_lengths
+    bounds = scenario.epoch_bounds.tolist()
+    lengths = scenario.epoch_lengths.tolist()
     n = scenario.n_packets
     fixed_powers = policy.powers if isinstance(policy, TransmissionSchedule) else None
     if fixed_powers is not None and len(fixed_powers) != n + 1:
@@ -143,11 +144,11 @@ def replay(policy, scenario: EnergyScenario, circuit: ChargeCircuit,
 
     gain = _snr_gain(rate_model, link)
     slack = _clamp_slack(circuit)
-    e_max = circuit.e_max
-    curves = [_harvest_curve(d, circuit) for d in scenario.packet_lengths]
+    e_max, root_e_max = circuit.e_max, math.sqrt(circuit.e_max)
+    decays = _decays(scenario.packet_lengths.tolist(), circuit)
     stored = scenario.initial_energy
     residuals, harvested, consumed, clamped, bits = [], [], [], [], 0.0
-    for i in range(n + 1):
+    for i, length in enumerate(lengths):
         if fixed_powers is not None:
             power = fixed_powers[i]
         else:
@@ -155,7 +156,7 @@ def replay(policy, scenario: EnergyScenario, circuit: ChargeCircuit,
                                  scenario.deadline, circuit)
         if power < 0:
             raise ValueError(f"policy produced a negative power in epoch {i + 1}")
-        spend = power * lengths[i]
+        spend = power * length
         if spend > stored + slack:
             # Genuinely consuming energy it does not have: cut to the
             # store and flag.  Overshoots inside the slack band are kept
@@ -163,23 +164,22 @@ def replay(policy, scenario: EnergyScenario, circuit: ChargeCircuit,
             # a solver schedule reproduces its trace verbatim.
             clamped.append(True)
             spend = max(stored, 0.0)
-            power = spend / lengths[i]
+            power = spend / length
         else:
             clamped.append(False)
         residual = stored - spend
         consumed.append(spend)
         residuals.append(residual)
-        bits += 0.5 * lengths[i] * math.log2(1.0 + power * gain)
+        bits += 0.5 * length * math.log2(1.0 + power * gain)
         if i < n:
             # The physical store lies in [0, e_max]; the recorded residual
             # keeps any roundoff-scale dip for trace fidelity, but the
             # carry is floored so exact bound touches stay exact, and
             # capped so a full store that rounds above e_max stays full.
-            harvest = _harvest_step(curves[i], max(residual, 0.0))
+            carried = max(residual, 0.0)
+            harvest = _harvest_step(decays[i], e_max, root_e_max, carried)
             harvested.append(harvest)
-            stored = max(residual, 0.0) + harvest
-            if stored > e_max:
-                stored = e_max
+            stored = min(carried + harvest, e_max)
     trace = HarvestTrace(
         residuals=tuple(residuals),
         harvested=tuple(harvested),
@@ -224,8 +224,15 @@ class ExperimentConfig:
             raise ValueError("mean_harvest must be >= 0")
         if self.packet_count < 0:
             raise ValueError("packet_count must be >= 0")
-        if not 0 <= self.initial_energy <= self.circuit.e_max:
-            raise ValueError("initial_energy must lie in [0, e_max]")
+        if not 0 <= self.initial_energy:
+            raise ValueError("initial_energy must be >= 0")
+        # classic_tunnel refuses an increment above the usable capacity,
+        # so either of these fails every generation attempt
+        cap = FULL_BATTERY_FRACTION * self.circuit.e_max
+        if self.initial_energy > cap:
+            raise ConfigError(f"initial_energy exceeds the usable capacity {cap} J")
+        if self.packet_count and self.mean_harvest * (1.0 - UNIFORM_HALFWIDTH) > cap:
+            raise ConfigError(f"every harvest draw exceeds the usable capacity {cap} J")
 
 
 def _uniform_about(rng: np.random.Generator, mean: float, size: int) -> np.ndarray:
@@ -250,6 +257,8 @@ def generate_scenario(config: ExperimentConfig, rng: np.random.Generator):
         (EnergyScenario, tuple of the classic per-packet harvests)
     """
     n = config.packet_count
+    circuit = config.circuit
+    tau, e_max, root_e_max = circuit.tau, circuit.e_max, math.sqrt(circuit.e_max)
     failures = []
     for _ in range(GENERATION_RETRIES):
         lengths = _uniform_about(rng, config.mean_epoch_length, n + 1)
@@ -258,22 +267,22 @@ def generate_scenario(config: ExperimentConfig, rng: np.random.Generator):
         deadline = float(np.sum(lengths))
         try:
             tunnel = classic_tunnel(config.initial_energy, arrivals, harvests,
-                                    deadline, config.circuit)
+                                    deadline, circuit)
             schedule = tight_string_schedule(tunnel)
             # Residuals the taut string leaves at each arrival, computed
             # with exactly the replay's sequential arithmetic: the charge
             # curve's slope is infinite at zero residual, so the bound
             # touches (residual exactly 0) must agree bit for bit or the
             # round trip drifts.
-            epoch_lengths = schedule.epoch_lengths
+            epoch_lengths = schedule.epoch_lengths.tolist()
             durations = []
             stored = config.initial_energy
-            for i in range(n):
+            for i, drawn in enumerate(harvests.tolist()):
                 residual = max(0.0, stored - schedule.powers[i] * epoch_lengths[i])
-                duration = packet_length_for(residual, harvests[i], config.circuit)
+                duration = packet_length_for(residual, drawn, circuit)
                 durations.append(duration)
-                curve = _harvest_curve(duration, config.circuit)
-                stored = residual + _harvest_step(curve, residual)
+                stored = residual + _harvest_step(_exp(-duration / tau), e_max,
+                                                  root_e_max, residual)
         except (ValueError, InfeasibleError) as exc:
             failures.append(str(exc))
             continue

@@ -15,12 +15,13 @@ Three policies besides the offline optimum:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .charge import ChargeCircuit, _harvest_curve, _harvest_step, optimal_residual
+from .charge import ChargeCircuit, _decays, _harvest_step, optimal_residual
 from .scheduling import EnergyScenario, TransmissionSchedule
 
 __all__ = [
@@ -117,16 +118,17 @@ def max_harvest_schedule(scenario: EnergyScenario,
     store is already at or below the target), and drains whatever is
     left in the final epoch.
     """
-    lengths = scenario.epoch_lengths
-    durations = scenario.packet_lengths
+    lengths = scenario.epoch_lengths.tolist()
+    durations = scenario.packet_lengths.tolist()
+    e_max, root_e_max = circuit.e_max, math.sqrt(circuit.e_max)
     stored = scenario.initial_energy
     powers = []
-    for i in range(scenario.n_packets):
-        target = optimal_residual(durations[i], circuit)
-        power = max(0.0, (stored - target) / lengths[i])
-        residual = stored - power * lengths[i]
-        curve = _harvest_curve(durations[i], circuit)
-        stored = residual + _harvest_step(curve, residual)
+    for length, duration, decay in zip(lengths, durations, _decays(durations, circuit)):
+        target = optimal_residual(duration, circuit)
+        power = max(0.0, (stored - target) / length)
+        # a target below one ulp of the store (over ~18 tau) rounds past it
+        residual = max(0.0, stored - power * length)
+        stored = residual + _harvest_step(decay, e_max, root_e_max, residual)
         powers.append(power)
     powers.append(stored / lengths[-1])
     return TransmissionSchedule(powers=tuple(powers),
@@ -211,8 +213,9 @@ def predict_next(history, now: float,
     pairs.  The predicted charge duration is the mean of past durations;
     the predicted arrival is ``now`` plus the mean interval between past
     arrivals, where the stream origin t = 0 counts as the reference for
-    the first interval.  With an empty history the configured priors are
-    used directly.
+    the first interval.  Those k intervals telescope exactly to the last
+    arrival t_k, so the mean is ``t_k / k``, rounded once, at O(1) cost.
+    With an empty history the configured priors are used directly.
     """
     if prior_gap is None or prior_gap <= 0:
         raise ValueError("prior_gap must be a positive number of seconds")
@@ -221,12 +224,11 @@ def predict_next(history, now: float,
         return PacketPrediction(predicted_length=prior_length,
                                 predicted_arrival=now + prior_gap)
     rows = np.asarray(history, dtype=float)
-    gaps = np.diff(np.concatenate(([0.0], rows[:, 0])))
     # np.add.reduce(x) / count is what np.mean computes, without its
     # dispatch overhead
     return PacketPrediction(
         predicted_length=float(np.add.reduce(rows[:, 1]) / count),
-        predicted_arrival=now + float(np.add.reduce(gaps) / count),
+        predicted_arrival=now + float(rows[-1, 0]) / count,
     )
 
 

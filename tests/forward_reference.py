@@ -1,11 +1,19 @@
 """The forward loops in their original per-epoch form, as a reference.
 
-``replay``, ``max_harvest_schedule`` and ``generate_scenario`` used to call
-the public ``harvested_energy`` at every arrival, and ``replay`` handed
-online policies a fresh tuple of (arrival, duration) pairs each epoch;
-``predict_next`` rebuilt that history through list comprehensions.  The
-library now runs the same arithmetic through a scalar harvest step and
-a read-only history array; the tests require identical results.
+Here ``replay``, ``max_harvest_schedule`` and ``generate_scenario`` index
+the scenario's numpy arrays and call the public ``harvested_energy`` at
+every arrival, and ``replay`` hands online policies a fresh tuple of
+(arrival, duration) pairs each epoch, which ``predict_next`` takes apart
+through list comprehensions.  The library reads each scenario once as
+Python floats, takes every packet's decay from one list and runs the
+same arithmetic through one scalar harvest step over a read-only history
+array; the tests require identical results.
+
+The library's deliberate departures are not copied: ``replay`` caps a
+carried store that rounds above e_max, and ``max_harvest_schedule``
+floors a parked residual that rounds below 0; here both raise.  The
+predicted arrival is ``now + t_k / k``, the mean of the k intervals from
+t = 0, which telescope to the last arrival t_k.
 """
 
 import math
@@ -133,12 +141,11 @@ def predict_next(history, now, prior_length=0.0, prior_gap=None):
     if not history:
         return PacketPrediction(predicted_length=prior_length,
                                 predicted_arrival=now + prior_gap)
-    arrivals = np.asarray([t for t, _ in history], dtype=float)
+    arrivals = [t for t, _ in history]
     durations = np.asarray([d for _, d in history], dtype=float)
-    gaps = np.diff(np.concatenate(([0.0], arrivals)))
     return PacketPrediction(
         predicted_length=float(np.mean(durations)),
-        predicted_arrival=now + float(np.mean(gaps)),
+        predicted_arrival=now + float(arrivals[-1]) / len(arrivals),
     )
 
 

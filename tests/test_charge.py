@@ -13,7 +13,7 @@ from rfharvest import (
     packet_length_for,
 )
 
-from rfharvest.charge import _harvest_curve, _harvest_step
+from rfharvest.charge import _decays, _harvest_curve, _harvest_step
 
 from conftest import random_circuit
 from harvest_reference import harvest_coefficients
@@ -140,16 +140,17 @@ class TestHarvestStep:
             durations = [0.0, tau, 1e4 * tau] + list(tau * rng.uniform(0.0, 5.0, 6))
             for duration in durations:
                 curve = _harvest_curve(duration, circuit)
+                assert _decays([duration], circuit) == [curve.decay]
                 for r in residuals:
                     want = harvested_energy(r, duration, circuit)
-                    got = _harvest_step(curve, r)
+                    got = _harvest_step(*curve, r)
                     assert type(got) is float
                     assert got.hex() == want.hex(), (circuit, duration, r)
 
     def test_decay_underflow_is_the_full_charge_limit(self, sim_circuit):
         curve = _harvest_curve(1e4 * sim_circuit.tau, sim_circuit)
         assert curve.decay == 0.0
-        assert _harvest_step(curve, 0.0) == sim_circuit.e_max
+        assert _harvest_step(*curve, 0.0) == sim_circuit.e_max
 
     def test_domain_errors(self, bench_circuit):
         curve = _harvest_curve(15.0, bench_circuit)
@@ -158,12 +159,12 @@ class TestHarvestStep:
             with pytest.raises(ValueError):
                 harvested_energy(bad, 15.0, bench_circuit)
             with pytest.raises(ValueError):
-                _harvest_step(curve, bad)
+                _harvest_step(*curve, bad)
 
     def test_nan_residual_propagates(self, bench_circuit):
         curve = _harvest_curve(15.0, bench_circuit)
         assert math.isnan(harvested_energy(math.nan, 15.0, bench_circuit))
-        assert math.isnan(_harvest_step(curve, math.nan))
+        assert math.isnan(_harvest_step(*curve, math.nan))
 
 
 class TestOptimalResidual:

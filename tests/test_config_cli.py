@@ -209,6 +209,19 @@ class TestSimulateCommand:
         header = [l for l in lines if l.startswith("epoch,")][0]
         assert "clamped" in header.split(",")
 
+    def test_max_harvest_on_a_long_packet(self, tmp_path):
+        # an 800 tau packet, whose target residual is below one ulp of
+        # the store
+        path = tmp_path / "long.yaml"
+        path.write_text("scenario:\n"
+                        "  initial_energy: 0.10722721203542228\n"
+                        "  packets: [[9.057340364983462, 160000.0]]\n"
+                        "  deadline: 10.057340364983462\n")
+        for strategy in ("max_harvest", "optimal"):
+            rc = main(["simulate", "--config", str(path), "--strategy", strategy,
+                       "--out", str(tmp_path / "out")])
+            assert rc == 0, strategy
+
     def test_unknown_strategy(self, generated_config, tmp_path):
         rc = main(["simulate", "--config", str(generated_config),
                    "--strategy", "warp-drive", "--out", str(tmp_path)])
@@ -248,6 +261,20 @@ class TestSweepCommand:
                      "--out", str(b)]) == 0
         assert (a / "sweep_fig6.csv").read_bytes() \
             == (b / "sweep_fig6.csv").read_bytes()
+
+
+    @pytest.mark.parametrize("generator", ["{initial_energy: 0.156}",
+                                           "{initial_energy: 0.2}",
+                                           "{mean_harvest: 0.3}"],
+                             ids=["above_cap", "above_e_max", "lowest_draw_above_cap"])
+    def test_config_that_never_generates_exits_2(self, tmp_path, capsys, generator):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(f"runs: 2\ngenerator: {generator}\n")
+        rc = main(["sweep", "--config", str(path), "--figure", "fig6",
+                   "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestOracleCheckCommand:

@@ -1,10 +1,13 @@
 """The forward path against its original per-epoch form, bit for bit.
 
-``forward_reference`` holds the loops as they were before the scalar
-harvest step and the read-only history array; every trace, bit count
-and generated scenario must come out identical (compared through
-``repr``, which tells apart every distinct double, -0.0 included).
+``forward_reference`` holds the loops in their per-epoch form, before
+the shared scalar harvest step, the once-read scenario arrays and the
+read-only history array; every trace, bit count and generated scenario
+must come out identical (compared through ``repr``, which tells apart
+every distinct double, -0.0 included).
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -62,7 +65,7 @@ def outcome(call, *args):
 
 
 class TestForwardMatchesReference:
-    @pytest.mark.parametrize("packets", [1, 8, 256])
+    @pytest.mark.parametrize("packets", [1, 8, 256, 1024])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_scenarios_and_every_strategy(self, sim_circuit, packets, seed):
         config = forward_config(sim_circuit, packets, seed)
@@ -132,10 +135,14 @@ class TestPredictNextHistory:
             stacked = np.vstack((rows, [[1e9, 1.0]]))
             stacked.flags.writeable = False
             want = ref.predict_next(as_list, 0.0, prior_gap=0.5)
-            untelescoped += want.predicted_arrival != rows[-1, 0] / k
+            # the correctly rounded mean of the exact gaps from t = 0
+            assert want.predicted_arrival == float(Fraction(as_list[-1][0]) / k), k
+            gaps = np.diff(np.concatenate(([0.0], rows[:, 0])))
+            untelescoped += want.predicted_arrival != float(np.mean(gaps))
             for history in (as_list, tuple(as_list), rows, stacked[:k]):
                 got = predict_next(history, 0.0, prior_gap=0.5)
                 assert repr(got) == repr(want), k
+        # the summed gaps' rounding shows, so the two estimates differ
         assert untelescoped >= 5
 
     @pytest.mark.parametrize("empty", [[], (), np.empty((0, 2))])

@@ -20,7 +20,9 @@ from rfharvest import (
     solve,
     tight_string_schedule,
 )
-from rfharvest.simulator import evaluate_strategy
+from rfharvest.exceptions import ConfigError
+from rfharvest.simulator import UNIFORM_HALFWIDTH, evaluate_strategy
+from rfharvest.strategies import FULL_BATTERY_FRACTION
 
 # Free-space path loss of the reference link, from 40-digit evaluation.
 REFERENCE_FSPL = 49.734524087583378
@@ -156,12 +158,26 @@ class TestGenerateScenario:
         assert a == b
 
     def test_impossible_draws_exhaust_retries(self, sim_circuit):
-        # every draw of the harvest exceeds the usable capacity
+        # all but a 1e-9 sliver of the harvest draws exceed the usable
+        # capacity; the config itself could generate
+        cap = FULL_BATTERY_FRACTION * sim_circuit.e_max
         config = medium_config(sim_circuit,
-                               mean_harvest=2.0 * sim_circuit.e_max,
+                               mean_harvest=(1.0 - 1e-9) * cap / (1.0 - UNIFORM_HALFWIDTH),
                                initial_energy=0.0)
         with pytest.raises(GenerationError):
             generate_scenario(config, np.random.default_rng(2))
+
+    def test_configs_that_never_generate_are_refused(self, sim_circuit):
+        # every harvest draw, or the initial charge, exceeds the usable
+        # capacity, so no attempt could succeed
+        cap = FULL_BATTERY_FRACTION * sim_circuit.e_max
+        with pytest.raises(ConfigError, match="every harvest draw"):
+            medium_config(sim_circuit, mean_harvest=2.0 * sim_circuit.e_max,
+                          initial_energy=0.0)
+        with pytest.raises(ConfigError, match="initial_energy"):
+            medium_config(sim_circuit, initial_energy=np.nextafter(cap, 1.0))
+        # no packets, no harvest draws
+        medium_config(sim_circuit, mean_harvest=2.0 * sim_circuit.e_max, packet_count=0)
 
 
 class TestMonteCarlo:

@@ -152,6 +152,18 @@ class TestMaxHarvest:
         trace, _ = replay(schedule, s, sim_circuit)
         assert abs(trace.residuals[-1]) <= 1e-12
 
+    def test_long_packet_parks_at_zero(self, sim_circuit):
+        # an 800 tau packet: the target residual is below one ulp of the
+        # store, so the spend rounds past it
+        s = EnergyScenario(initial_energy=0.10722721203542228,
+                           packets=((9.057340364983462, 800 * sim_circuit.tau),),
+                           deadline=10.057340364983462)
+        schedule = max_harvest_schedule(s, sim_circuit)
+        trace, _ = replay(schedule, s, sim_circuit)
+        assert trace.harvested == (sim_circuit.e_max,)
+        assert not any(trace.clamped)
+        assert abs(trace.residuals[-1]) <= 1e-12
+
     def test_harvests_most_among_the_three_strategies(self, sim_circuit):
         config = ExperimentConfig(circuit=sim_circuit, mean_epoch_length=0.006,
                                   mean_harvest=0.03, packet_count=2,
