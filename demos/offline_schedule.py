@@ -3,10 +3,10 @@
 The solver runs a damped Newton method over the residual energies at
 the arrivals; at its optimum the powers obey the stationarity recursion
 p_{m+1} = (1 + p_m)(X_m + 1) - 1 across every arrival.  This script
-solves one scenario, prints the schedule and the Newton steps it took,
-and verifies the structure the optimum must have: stationarity across
-arrivals, a positive reserve until the deadline, and exact depletion at
-it.
+solves one scenario, prints the schedule, the Newton steps it took and
+the last Newton decrement, and verifies the structure the optimum must
+have: stationarity across arrivals, a positive reserve until the
+deadline, and exact depletion at it.
 
 Run: python demos/offline_schedule.py
 """
@@ -27,7 +27,8 @@ scenario = EnergyScenario(
 
 report = solve(scenario, circuit)
 print(f"throughput {report.throughput:.6f} bits (normalized), "
-      f"{report.iterations} Newton steps")
+      f"{report.iterations} Newton steps, last Newton decrement "
+      f"{report.newton_decrement:.1e}")
 print(f"terminal residual error: {report.terminal_residual_error:.2e} J\n")
 
 print("epoch   power (W)   E_r at epoch end (J)   harvested (J)")

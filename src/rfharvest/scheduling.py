@@ -19,10 +19,14 @@ arrival k (s_k = exp(-T_k / tau)), p_1 = (E0 - r_1) / l_1,
 p_{k+1} = (G_k(r_k) - r_{k+1}) / l_{k+1} and p_{N+1} = G_N(r_N) / l_{N+1}.
 G_k is concave and increasing, so the objective is concave in r with a
 tridiagonal Hessian: damped Newton steps of one O(N) sweep each reach
-the optimum.  An active set keeps p >= 0: an idle epoch ties its
-residual to the store before it, so its power is exactly 0, until its
-multiplier turns negative.  r >= 0 binds only where G_k is flat (s_k
-below about 1e-16).  On the other epochs the optimum satisfies
+the optimum.  Each step is Newton's in root energy u = sqrt(r), where
+G_k is the quadratic (a_k + s_k u)^2, from the better of two starts:
+half the store kept at every arrival, or the store spent evenly over
+the time left (the optimum when the harvest is negligible).  An active
+set keeps p >= 0: an idle epoch ties its residual to the store before
+it, so its power is exactly 0, until its multiplier turns negative.
+r >= 0 binds only where G_k is flat (s_k below about 1e-16).  On the
+other epochs the optimum satisfies
 
     1/g + p_{m+1} = (1/g + p_m) * (X_m + 1),
 
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -195,6 +200,7 @@ class SolveReport:
     trace: HarvestTrace
     throughput: float                # bits (normalized when gain = 1)
     iterations: int                  # Newton steps taken
+    newton_decrement: float          # last step's predicted rise of sum l ln(1 + g p)
     terminal_residual_error: float   # |residual at deadline|, joules
 
 
@@ -236,7 +242,8 @@ def _forward(residuals, status, initial_energy, lengths, curves):
 
     An idle arrival takes the store before it, an empty one 0.  A free
     residual at or above the store before it would leave its epoch no
-    power, so it turns idle (in a new status list).
+    power, so it turns idle (in a new status list); so does one at 0,
+    where the Newton step is undefined.
     """
     n = len(status)
     status = list(status)
@@ -244,7 +251,7 @@ def _forward(residuals, status, initial_energy, lengths, curves):
     stored = initial_energy
     for i, (a, s) in enumerate(curves):
         r = residuals[i]
-        if status[i] == FREE and r >= stored:
+        if status[i] == FREE and not 0.0 < r < stored:
             status[i] = IDLE
         if status[i] == IDLE:
             r = stored
@@ -302,7 +309,9 @@ def _newton(residuals, powers, status, lengths, curves, gain):
     # before it like springs in series, D / (1 + D T'^2 / P), so no pivot
     # cancels however stiff an epoch is (near idle at a large gain), and
     # carries 1/P, so a curvature that overflows near r = 0 gives a step
-    # of 0, not NaN.
+    # of 0, not NaN.  The step is Newton's in u = sqrt(r): the u-curvature
+    # adds -grad_i / (2 r_i), kept where positive, so y = u / u* goes to
+    # 2y - y^2 from below on F = c sqrt(r) - b r (an r step triples r).
     free = [i for i in range(n) if status[i] == FREE]
     shift, pull, merged = [], [], []
     compliance = 0.0
@@ -314,6 +323,8 @@ def _newton(residuals, powers, status, lengths, curves, gain):
         merged.append(1.0 + link * t)
         e = nxt[i]
         curvature = own / merged[-1] - bend[i] * w[e]
+        if grad[i] < 0.0:
+            curvature -= 0.5 * grad[i] / residuals[i]
         if e == n or status[e] != FREE:
             curvature += slope[i] * slope[i] * w[e] * w[e] / lengths[e]
         force = grad[i] + shift[-1] * own * t / merged[-1] if t else grad[i]
@@ -365,24 +376,28 @@ def _line_search(residuals, powers, status, value, free, step, slope, nxt, decre
                  initial_energy, lengths, curves, gain):
     """Damped Newton step: (residuals, powers, status, value), or None.
 
-    Starts from the longest step keeping every free residual positive
-    and, to first order, every free epoch's power non-negative; the
-    epoch that limits it lands on p = 0 and turns idle.  Halves the step
-    until the objective rises by an Armijo fraction of the predicted
-    increase, up to its own rounding; None below ``MIN_STEP``.
+    A step t moves u = sqrt(r) by t z / (2u), r by t z + (t z)^2 / (4r).
+    Starts from the longest step keeping every free residual above
+    ``BOUNDARY_FRACTION`` of itself and, to first order, every free
+    epoch's power non-negative; the epoch that limits it lands on p = 0
+    and turns idle, however short the step.  Halves the step until the
+    objective rises by an Armijo fraction of the predicted increase, up
+    to its own rounding; None below ``MIN_STEP``.
     """
     t, blocking = 1.0, -1
+    reach = 2.0 * (1.0 - math.sqrt(BOUNDARY_FRACTION))    # u to sqrt(fraction) u
     change = [0.0] * len(powers)
     for i in free:
         if step[i] < 0.0:
-            t = min(t, (1.0 - BOUNDARY_FRACTION) * residuals[i] / -step[i])
+            t = min(t, reach * residuals[i] / -step[i])
         change[i] -= step[i] / lengths[i]
         change[nxt[i]] += slope[i] * step[i] / lengths[nxt[i]]
     for i in free:
         if change[i] < 0.0 and powers[i] < -t * change[i]:
             t, blocking = powers[i] / -change[i], i
-    while t >= MIN_STEP:
-        trial = [r + t * d for r, d in zip(residuals, step)]
+    while t >= MIN_STEP or blocking >= 0:
+        trial = [r + t * d + 0.25 * (t * d) ** 2 / r if d else r
+                 for r, d in zip(residuals, step)]
         if blocking >= 0:
             trial[blocking] = math.inf    # at or above the store: idle
         trial, trial_powers, trial_status = _forward(trial, status, initial_energy,
@@ -402,12 +417,18 @@ def _optimal_residuals(initial_energy, lengths, curves, gain, e_max_root):
     # Where G is flat in floating point, whatever is left at the arrival
     # is lost to the full charge, so the residual there is 0.
     status = [EMPTY if a + s * e_max_root == a else FREE for a, s in curves]
-    start, stored = [], initial_energy
-    for a, s in curves:                  # spend half the store in every epoch
-        start.append(0.5 * stored)
-        stored = (a + s * math.sqrt(start[-1])) ** 2
-    residuals, powers, status = _forward(start, status, initial_energy, lengths, curves)
-    value = _objective(powers, lengths, gain)
+    left = list(accumulate(reversed(lengths)))[::-1]    # time left at each epoch's start
+    best = (-math.inf,)
+    for kept in ([0.5] * len(curves), [1.0 - l / rest for l, rest in zip(lengths, left)]):
+        start, stored = [], initial_energy
+        for (a, s), share in zip(curves, kept):
+            start.append(share * stored)
+            stored = (a + s * math.sqrt(start[-1])) ** 2
+        point = _forward(start, status, initial_energy, lengths, curves)
+        value = _objective(point[1], lengths, gain)
+        if value > best[-1]:
+            best = (*point, value)
+    residuals, powers, status, value = best
 
     decrement = math.inf
     for iteration in range(1, MAX_ITERATIONS + 1):
@@ -477,5 +498,6 @@ def solve(scenario: EnergyScenario, circuit: ChargeCircuit,
         trace=trace,
         throughput=throughput(schedule, gain),
         iterations=iterations,
+        newton_decrement=decrement,
         terminal_residual_error=abs(trace.terminal_residual),
     )

@@ -217,15 +217,15 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.runs < 1:
-            raise ValueError("runs must be >= 1")
+            raise ConfigError("runs must be >= 1")
         if self.mean_epoch_length <= 0:
-            raise ValueError("mean_epoch_length must be > 0")
+            raise ConfigError("mean_epoch_length must be > 0")
         if self.mean_harvest < 0:
-            raise ValueError("mean_harvest must be >= 0")
+            raise ConfigError("mean_harvest must be >= 0")
         if self.packet_count < 0:
-            raise ValueError("packet_count must be >= 0")
+            raise ConfigError("packet_count must be >= 0")
         if not 0 <= self.initial_energy:
-            raise ValueError("initial_energy must be >= 0")
+            raise ConfigError("initial_energy must be >= 0")
         # classic_tunnel refuses an increment above the usable capacity,
         # so either of these fails every generation attempt
         cap = FULL_BATTERY_FRACTION * self.circuit.e_max

@@ -265,8 +265,13 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("generator", ["{initial_energy: 0.156}",
                                            "{initial_energy: 0.2}",
-                                           "{mean_harvest: 0.3}"],
-                             ids=["above_cap", "above_e_max", "lowest_draw_above_cap"])
+                                           "{mean_harvest: 0.3}",
+                                           "{mean_epoch_length: 0.0}",
+                                           "{mean_harvest: -0.01}",
+                                           "{packet_count: -1}"],
+                             ids=["above_cap", "above_e_max", "lowest_draw_above_cap",
+                                  "zero_epoch_length", "negative_harvest",
+                                  "negative_packet_count"])
     def test_config_that_never_generates_exits_2(self, tmp_path, capsys, generator):
         path = tmp_path / "cfg.yaml"
         path.write_text(f"runs: 2\ngenerator: {generator}\n")
@@ -294,7 +299,7 @@ class TestOracleCheckCommand:
             schedule = max_harvest_schedule(scenario, circuit)
             trace, bits = replay(schedule, scenario, circuit)
             return SolveReport(schedule=schedule, trace=trace, throughput=bits,
-                               iterations=0,
+                               iterations=0, newton_decrement=0.0,
                                terminal_residual_error=abs(trace.terminal_residual))
 
         monkeypatch.setattr(cli, "optimal_schedule", greedy)
@@ -336,7 +341,7 @@ class TestOracleCheckCommand:
             schedule = max_harvest_schedule(scenario, circuit)
             trace, bits = replay(schedule, scenario, circuit, *args)
             return SolveReport(schedule=schedule, trace=trace, throughput=bits,
-                               iterations=0,
+                               iterations=0, newton_decrement=0.0,
                                terminal_residual_error=abs(trace.terminal_residual))
 
         monkeypatch.setattr(cli, "optimal_schedule", greedy)

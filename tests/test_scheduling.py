@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rfharvest.scheduling as scheduling
+import rfharvest.simulator as simulator
 from rfharvest import (
     ChargeCircuit,
     EnergyScenario,
@@ -19,11 +21,13 @@ from rfharvest import (
     harvest_sensitivity,
     harvested_energy,
     max_harvest_schedule,
+    monte_carlo,
     optimal_residual,
     replay,
     solve,
     throughput,
 )
+from rfharvest.config import experiment_config, load_config
 
 TWO_PACKET = dict(initial_energy=0.5, packets=((10.0, 5.0), (20.0, 5.0)), deadline=30.0)
 
@@ -172,6 +176,8 @@ class TestSolve:
         assert report.terminal_residual_error <= 1e-10
         assert report.iterations >= 1
         assert abs(report.trace.terminal_residual) == report.terminal_residual_error
+        # the last step's predicted rise is rounding on the objective
+        assert 0.0 <= report.newton_decrement <= 1e-15 * report.throughput
 
     def test_rejects_overfull_battery(self, bench_circuit):
         s = EnergyScenario(initial_energy=bench_circuit.e_max * 1.01,
@@ -363,3 +369,114 @@ def test_optimal_beats_every_policy(scenario):
     for policy in (max_harvest_schedule(scenario, SIM), online, zero):
         _, other = replay(policy, scenario, SIM)
         assert bits >= other - 1e-12 * max(1.0, other)
+
+
+def log1p_bits(powers, scenario, gain):
+    """Bits summed with log1p, which keep their relative accuracy where
+    g p is far below 1 (log2(1 + g p) rounds it away)."""
+    lengths = scenario.epoch_lengths.tolist()
+    return sum(0.5 * l * math.log1p(gain * p) for l, p in zip(lengths, powers)) / math.log(2.0)
+
+
+def fuzz_scenario(rng, circuit):
+    """N in 0..6, epochs 10^U(-7, 5) s, charge durations 0 (one in ten) or
+    tau 10^U(-12, 4), initial energies from 0 through the smallest
+    subnormal to e_max, and gains of 1e-3, 1 and 2.7e8 per watt."""
+    n = int(rng.integers(0, 7))
+    bounds = np.cumsum(10.0 ** rng.uniform(-7.0, 5.0, n + 1)).tolist()
+    durations = [0.0 if rng.random() < 0.1 else circuit.tau * 10.0 ** rng.uniform(-12.0, 4.0)
+                 for _ in range(n)]
+    initial = [0.0, 5e-324, 1e-300, 1e-15, float(rng.uniform(0.0, circuit.e_max)),
+               circuit.e_max][int(rng.integers(0, 6))]
+    gain = (1e-3, 1.0, 2.7e8)[int(rng.integers(0, 3))]
+    return EnergyScenario(initial_energy=initial, packets=tuple(zip(bounds[:-1], durations)),
+                          deadline=bounds[-1]), gain
+
+
+def assert_beats_max_harvest(report, scenario, circuit, gain):
+    trace, _ = replay(report.schedule, scenario, circuit)
+    assert not any(trace.clamped)
+    greedy, _ = replay(max_harvest_schedule(scenario, circuit), scenario, circuit)
+    lengths = scenario.epoch_lengths.tolist()
+    other = log1p_bits([c / l for c, l in zip(greedy.consumed, lengths)], scenario, gain)
+    assert log1p_bits(report.schedule.powers, scenario, gain) >= other - 1e-9 * other
+
+
+class TestTinyStores:
+    """Stores and residuals near the bottom of the float range."""
+
+    @pytest.mark.parametrize("gain", [1.0, 2.7e8])
+    @pytest.mark.parametrize("packets", [((1.0, 10.0),), ((1.0, 10.0), (2.0, 10.0))],
+                             ids=["N1", "N2"])
+    def test_smallest_subnormal_initial_energy(self, sim_circuit, packets, gain):
+        # half of 5e-324 rounds to 0, a free residual there has no Newton
+        # step; the optimum keeps the store for the harvest, as from 0
+        s = EnergyScenario(initial_energy=5e-324, packets=packets, deadline=3.0)
+        report = solve(s, sim_circuit, gain)
+        empty = solve(EnergyScenario(initial_energy=0.0, packets=packets, deadline=3.0),
+                      sim_circuit, gain)
+        assert report.schedule.powers[0] == 0.0
+        assert report.schedule.powers == pytest.approx(empty.schedule.powers, rel=1e-12)
+        assert_beats_max_harvest(report, s, sim_circuit, gain)
+        oracle = brute_force_optimize(s, sim_circuit, gain=gain)
+        assert oracle.throughput - report.throughput <= 1e-9
+
+    @pytest.mark.parametrize("initial, packets, deadline, gain", [
+        (1e-15, ((1.5935408672891003e-07, 0.0), (209.15329740229603, 1.5691055310000672e-05)),
+         1483.144064379899, 1e-3),
+        (1e-15, ((0.00011711808475879579, 0.0), (0.000377136929233885, 7.485831369445649e-07),
+                 (0.00037843222813399975, 0.007296894228821013)), 47427.924717028545, 2.7e8),
+        (0.0, ((197.0661974472603, 0.004881225761690939), (197.06619780106675, 0.0),
+               (197.06620215168132, 1.2615849686021867), (9529.65161432533, 120008.40887629334),
+               (9529.651659302272, 0.06458580705506396), (9529.6549355884, 23785.676569136784)),
+         9529.655614328067, 1.0),
+        (5e-324, ((7319.514766364254, 0.04357893993933827),
+                  (12281.275675188039, 0.5553116088868463),
+                  (12281.275868219802, 1.0546848120519882e-09),
+                  (12281.275868702254, 295.6068816335864)), 25151.104624305746, 1e-3),
+    ], ids=["E0=1e-15,g=1e-3", "E0=1e-15,g=2.7e8", "E0=0,g=1", "E0=5e-324,g=1e-3"])
+    def test_nearly_idle_epoch_is_blocked_however_short_the_step(
+            self, sim_circuit, initial, packets, deadline, gain):
+        # a power of 1e-16 to 1e-27 W ahead of a step of 1e-15 to 1e-10 J:
+        # the step that makes its epoch idle is shorter than MIN_STEP
+        s = EnergyScenario(initial_energy=initial, packets=packets, deadline=deadline)
+        report = solve(s, sim_circuit, gain)
+        assert report.schedule.powers[0] == 0.0
+        assert_beats_max_harvest(report, s, sim_circuit, gain)
+
+    @pytest.mark.parametrize("gain", [1.0, 2.7e8])
+    def test_long_packet_residual_falls_fast(self, sim_circuit, gain):
+        # the optimal residual ahead of a 30 tau packet is about 1e-27 J;
+        # a step may take u = sqrt(r) to a tenth of itself, so r falls by
+        # 1e-2 per step, not to a quarter of itself (45 steps)
+        s = EnergyScenario(initial_energy=0.1, packets=((1.0, 30.0 * sim_circuit.tau),),
+                           deadline=2.0)
+        report = solve(s, sim_circuit, gain)
+        assert report.iterations <= 16
+        assert report.schedule.powers[0] == 0.1
+        assert_beats_max_harvest(report, s, sim_circuit, gain)
+
+    def test_fuzz_family(self, sim_circuit):
+        rng = np.random.default_rng([8, 0])
+        for _ in range(1500):
+            scenario, gain = fuzz_scenario(rng, sim_circuit)
+            assert_beats_max_harvest(solve(scenario, sim_circuit, gain), scenario, sim_circuit,
+                                     gain)
+
+
+def test_reference_fig5_solves_in_few_newton_steps(monkeypatch):
+    # root-energy steps from the better start: at most 8 per scenario on
+    # both fig5 axes (11-12 with r steps from half the store)
+    run = load_config(Path(__file__).resolve().parent.parent / "configs" / "reference.yaml")
+    point, steps = experiment_config(run), []
+
+    def counted(*args):
+        report = solve(*args)
+        steps.append(report.iterations)
+        return report
+
+    monkeypatch.setattr(simulator, "solve", counted)
+    monte_carlo(point, ("optimal",), "mean_epoch_length", run.sweep.epoch_lengths)
+    monte_carlo(point, ("optimal",), "capacitance", run.sweep.capacitances)
+    assert len(steps) == 300
+    assert max(steps) <= 8
