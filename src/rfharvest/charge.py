@@ -9,15 +9,29 @@ only on the packet's charge duration but also on how much energy is
 already sitting in the capacitor, which is what couples transmission
 scheduling back into the harvesting process.
 
-Every function is pure and accepts either scalars or numpy arrays for
-the residual-energy argument; broadcasting follows numpy rules.
+A packet of charge duration T maps the root of the stored energy
+affinely: sqrt(stored) = sqrt(e_max) q + s sqrt(r), with the packet's
+charge map (q, s) = (-expm1(-T/tau), exp(-T/tau)) and r the residual at
+its arrival.  Every quantity here comes from that one map, in forms
+that do not subtract nearly equal numbers, so short packets (q far
+below 1) keep full relative precision; with u = sqrt(r):
+
+* harvest:  q (sqrt(e_max) - u) (sqrt(e_max) q + (1 + s) u), at most
+  q (e_max - r);
+* its slope in r:  q (sqrt(e_max) s / u - (1 + s));
+* the residual that maximizes it:  e_max (s / (1 + s))^2;
+* the charge duration that harvests h from r:
+  -tau log1p(-h / ((sqrt(r + h) + u) (sqrt(e_max) - u))).
+
+Every public function is pure and accepts either scalars or numpy
+arrays for the residual-energy argument; broadcasting follows numpy
+rules.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -36,14 +50,6 @@ __all__ = [
 MAX_CHARGE_TIME_CONSTANTS = 50.0
 
 
-def _exp(x: float) -> float:
-    """exp() that saturates to +inf instead of raising OverflowError."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
 @dataclass(frozen=True)
 class ChargeCircuit:
     """Physical parameters of the harvesting RC circuit."""
@@ -53,12 +59,10 @@ class ChargeCircuit:
     v_max: float        # volts; highest chargeable voltage in the ambient field
 
     def __post_init__(self):
-        if self.resistance <= 0:
-            raise ValueError(f"resistance must be > 0, got {self.resistance}")
-        if self.capacitance <= 0:
-            raise ValueError(f"capacitance must be > 0, got {self.capacitance}")
-        if self.v_max <= 0:
-            raise ValueError(f"v_max must be > 0, got {self.v_max}")
+        for name in ("resistance", "capacitance", "v_max"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
     @property
     def tau(self) -> float:
@@ -71,72 +75,54 @@ class ChargeCircuit:
         return 0.5 * self.capacitance * self.v_max ** 2
 
 
-class _HarvestCurve(NamedTuple):
-    """Internal harvest evaluation in the decay parameterization.
-
-    With s = exp(-T/tau) the harvest polynomial reads
-
-        e_max*(1-s)^2 + 2*sqrt(e_max)*s*(1-s)*sqrt(r) + (s^2 - 1)*r,
-
-    which stays finite for every T: s underflows to 0 for absurdly long
-    packets, yielding the exact full-charge limit e_max - r.
-    """
-
-    decay: float       # exp(-T/tau), in [0, 1]
-    e_max: float
-    root_e_max: float
-
-
-def _harvest_curve(packet_length: float, circuit: ChargeCircuit) -> _HarvestCurve:
-    if packet_length < 0:
+def _charge_map(packet_length: float, tau: float) -> tuple:
+    """(q, s) = (-expm1(-T/tau), exp(-T/tau)) of a packet of duration T."""
+    if not packet_length >= 0:
         raise ValueError(f"packet_length must be >= 0, got {packet_length}")
-    decay = _exp(-packet_length / circuit.tau)
-    e_max = circuit.e_max
-    return _HarvestCurve(decay=decay, e_max=e_max, root_e_max=math.sqrt(e_max))
+    x = -packet_length / tau
+    return -math.expm1(x), math.exp(x)
 
 
-def _harvest_value(curve: _HarvestCurve, residual):
-    """Raw harvest polynomial; no domain checks, array friendly.
-
-    Valid as an analytic expression for any residual >= 0; callers that
-    stray outside [0, e_max] (the propagation scan does) interpret the
-    negative values themselves.
-    """
-    s = curve.decay
-    return (curve.e_max * (1.0 - s) ** 2
-            + 2.0 * curve.root_e_max * s * (1.0 - s) * np.sqrt(residual)
-            + (s * s - 1.0) * residual)
-
-
-def _decays(packet_lengths, circuit: ChargeCircuit) -> list:
-    """Each packet's decay, as :func:`_harvest_curve` computes it."""
+def _charge_maps(packet_lengths, circuit: ChargeCircuit) -> list:
+    """Each packet's charge map (q, s), as a list."""
     tau = circuit.tau
-    return [_exp(-d / tau) for d in packet_lengths]
+    return [_charge_map(d, tau) for d in packet_lengths]
 
 
-def _harvest_step(decay: float, e_max: float, root_e_max: float, residual: float) -> float:
+def _harvest_value(charge_map, e_max, root_e_max, residual):
+    """Harvest of a packet's charge map (q, s) at residual; no domain
+    check, array friendly.
+
+    The product is non-negative on [0, e_max].  The store after the
+    packet, (sqrt(e_max) q + s sqrt(r))^2, is at most q e_max + s r by
+    convexity, so the harvest is capped at q (e_max - r): a full charge
+    from empty then gives e_max exactly, not the rounding of
+    root_e_max ** 2, and a zero-length packet (q = 0) gives 0 at any r.
+    """
+    q, s = charge_map
+    u = np.sqrt(residual)
+    return np.minimum(q * (root_e_max - u) * (root_e_max * q + (1.0 + s) * u),
+                      q * (e_max - residual))
+
+
+def _harvest_step(charge_map: tuple, e_max: float, root_e_max: float,
+                  residual: float) -> float:
     """Harvest from one packet at one residual, as a Python float.
 
-    The scalar form of :func:`harvested_energy` on the fields of a
-    :class:`_HarvestCurve`, for every loop that carries a store from one
-    arrival to the next: the same domain test (NaN passes), and the
-    operations of :func:`_harvest_value` in the same order, with
-    ``math.sqrt`` in place of ``np.sqrt`` (both are correctly rounded),
-    so the result is the same bit for bit.
+    The scalar form of :func:`harvested_energy` on a packet's charge map,
+    for every loop that carries a store from one arrival to the next:
+    the same domain test (NaN passes), and the operations of
+    :func:`_harvest_value` in the same order, with ``math.sqrt`` in
+    place of ``np.sqrt`` (both are correctly rounded), so the result is
+    the same bit for bit.
     """
     residual = float(residual)
     if residual < 0 or residual > e_max:
         raise ValueError("residual must lie in [0, e_max]")
-    value = (e_max * (1.0 - decay) ** 2
-             + 2.0 * root_e_max * decay * (1.0 - decay) * math.sqrt(residual)
-             + (decay * decay - 1.0) * residual)
-    return max(value, 0.0)
-
-
-def _harvest_slope(curve: _HarvestCurve, residual):
-    """Raw d(harvest)/d(residual); singular at residual = 0, array friendly."""
-    s = curve.decay
-    return curve.root_e_max * s * (1.0 - s) / np.sqrt(residual) + (s * s - 1.0)
+    q, s = charge_map
+    u = math.sqrt(residual)
+    return min(q * (root_e_max - u) * (root_e_max * q + (1.0 + s) * u),
+               q * (e_max - residual))
 
 
 def harvested_energy(residual, packet_length: float, circuit: ChargeCircuit):
@@ -154,10 +140,9 @@ def harvested_energy(residual, packet_length: float, circuit: ChargeCircuit):
     residual = np.asarray(residual, dtype=float)
     if np.any(residual < 0) or np.any(residual > circuit.e_max):
         raise ValueError("residual must lie in [0, e_max]")
-    curve = _harvest_curve(packet_length, circuit)
-    # Within the domain the true value is non-negative; the polynomial
-    # cancels exactly at residual = e_max, where roundoff may leave -0.
-    value = np.maximum(_harvest_value(curve, residual), 0.0)
+    e_max = circuit.e_max
+    value = _harvest_value(_charge_map(packet_length, circuit.tau), e_max,
+                           math.sqrt(e_max), residual)
     if value.ndim == 0:
         return float(value)
     return value
@@ -166,18 +151,14 @@ def harvested_energy(residual, packet_length: float, circuit: ChargeCircuit):
 def optimal_residual(packet_length: float, circuit: ChargeCircuit) -> float:
     """Residual energy that maximizes the harvest from a packet.
 
-    Equal to e_max / (1 + exp(T/tau))^2; tends to e_max/4 for very short
-    packets and to 0 for packets much longer than the time constant.
+    Equal to e_max (s / (1 + s))^2 with s = exp(-T/tau); tends to
+    e_max/4 for very short packets and to 0 for packets much longer than
+    the time constant.
     """
-    if packet_length < 0:
+    if not packet_length >= 0:
         raise ValueError(f"packet_length must be >= 0, got {packet_length}")
-    g = 1.0 + _exp(packet_length / circuit.tau)
-    try:
-        return circuit.e_max / g ** 2
-    except OverflowError:
-        # g ** 2 overflows while g is finite (about 355 to 710 tau); the
-        # true value is subnormal or zero.
-        return circuit.e_max / g / g
+    s = math.exp(-packet_length / circuit.tau)
+    return circuit.e_max * (s / (1.0 + s)) ** 2
 
 
 def harvest_sensitivity(residual, packet_length: float, circuit: ChargeCircuit):
@@ -190,8 +171,8 @@ def harvest_sensitivity(residual, packet_length: float, circuit: ChargeCircuit):
     residual = np.asarray(residual, dtype=float)
     if np.any(residual <= 0):
         raise ValueError("residual must be > 0 (sensitivity is singular at 0)")
-    curve = _harvest_curve(packet_length, circuit)
-    value = _harvest_slope(curve, residual)
+    q, s = _charge_map(packet_length, circuit.tau)
+    value = q * (math.sqrt(circuit.e_max) * s / np.sqrt(residual) - (1.0 + s))
     if value.ndim == 0:
         return float(value)
     return value
@@ -200,9 +181,9 @@ def harvest_sensitivity(residual, packet_length: float, circuit: ChargeCircuit):
 def packet_length_for(residual_before: float, harvested: float, circuit: ChargeCircuit) -> float:
     """Charge duration needed to harvest a given energy from a given start.
 
-    Inverts the RC charging curve: with start voltage V_r derived from
-    ``residual_before``, the duration is tau * ln((v_max - V_r) /
-    (v_max - V_r - dv)).  Exact round trip with :func:`harvested_energy`.
+    Inverts the charge map: q = h / ((sqrt(r + h) + sqrt(r)) (sqrt(e_max)
+    - sqrt(r))) and T = -tau log1p(-q).  Round trip with
+    :func:`harvested_energy` to rounding.
 
     Raises:
         InfeasibleError: if the target state reaches or exceeds e_max,
@@ -219,9 +200,12 @@ def packet_length_for(residual_before: float, harvested: float, circuit: ChargeC
             f"cannot charge to {target} J: capacity is {circuit.e_max} J "
             "and a full charge takes infinite time"
         )
-    v_start = math.sqrt(2.0 * residual_before / circuit.capacitance)
-    v_end = math.sqrt(2.0 * target / circuit.capacitance)
-    duration = circuit.tau * math.log((circuit.v_max - v_start) / (circuit.v_max - v_end))
+    if harvested == 0:    # the quotient below is 0 / 0 at r = 0
+        return 0.0
+    root = math.sqrt(residual_before)
+    q = harvested / ((math.sqrt(target) + root) * (math.sqrt(circuit.e_max) - root))
+    # q reaches 1 only by rounding, within an ulp of a full charge
+    duration = -circuit.tau * math.log1p(-q) if q < 1.0 else math.inf
     if duration > MAX_CHARGE_TIME_CONSTANTS * circuit.tau:
         raise InfeasibleError(
             f"charge duration {duration:.3g} s exceeds "

@@ -172,7 +172,7 @@ def cmd_sweep(args) -> int:
     config, digest, seed = _load(args)
     point = experiment_config(config)
     sweep = config.sweep
-    if args.figure in ("fig6", "fig7"):
+    if args.figure == "fig6":
         rows = monte_carlo(point, ("optimal", "max_harvest", "tight_string"),
                            sweep_axis="mean_epoch_length",
                            sweep_values=sweep.epoch_lengths)
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", parents=[common],
                              help="run a Monte Carlo figure reproduction")
     p_sweep.add_argument("--figure", required=True,
-                         choices=["fig5", "fig6", "fig7", "fig8"])
+                         choices=["fig5", "fig6", "fig8"])
     sub.add_parser("oracle-check", parents=[common],
                    help="validate the solver against brute force")
     return parser

@@ -18,7 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charge import ChargeCircuit, _harvest_curve, _harvest_value, optimal_residual
+from .charge import (
+    ChargeCircuit,
+    _charge_maps,
+    _harvest_value,
+    harvested_energy,
+    optimal_residual,
+)
 from .exceptions import BudgetError
 from .scheduling import EnergyScenario, TransmissionSchedule
 
@@ -52,7 +58,7 @@ class OracleResult:
 
 def _auto_power_bound(scenario: EnergyScenario, circuit: ChargeCircuit) -> float:
     best_harvest = sum(
-        _harvest_value(_harvest_curve(d, circuit), optimal_residual(d, circuit))
+        harvested_energy(optimal_residual(d, circuit), d, circuit)
         for d in scenario.packet_lengths
     )
     total = scenario.initial_energy + best_harvest
@@ -97,16 +103,17 @@ def brute_force_optimize(scenario: EnergyScenario, circuit: ChargeCircuit,
     p_ub = grid.power_bound or _auto_power_bound(scenario, circuit)
     axis = np.linspace(0.0, p_ub, grid.resolution)
 
-    curves = [_harvest_curve(d, circuit) for d in scenario.packet_lengths]
+    maps = _charge_maps(scenario.packet_lengths, circuit)
+    e_max, root_e_max = circuit.e_max, math.sqrt(circuit.e_max)
     stored, ok, bits = scenario.initial_energy, True, 0.0
     for i in range(n):
         # Epoch i's power varies along axis i: one state per power prefix.
         power = axis.reshape((-1,) + (1,) * (n - i - 1))
         spend = power * lengths[i]
-        ok = ok & (spend <= stored + 1e-12 * circuit.e_max)
+        ok = ok & (spend <= stored + 1e-12 * e_max)
         residual = np.clip(stored - spend, 0.0, None)
         bits = bits + 0.5 * lengths[i] * np.log2(1.0 + gain * power)
-        stored = residual + _harvest_value(curves[i], residual)
+        stored = residual + _harvest_value(maps[i], e_max, root_e_max, residual)
     final_power = stored / lengths[-1]
     bits = bits + 0.5 * lengths[-1] * np.log2(1.0 + gain * final_power)
     bits[~ok] = -np.inf

@@ -14,9 +14,10 @@ The link gain g is the SNR per watt; g = 1 gives normalized SNR units,
 and any other g keeps powers in watts and energies in joules.
 
 The solver's unknowns are the residuals r_1..r_N at the arrivals.  With
-G_k(r) = (sqrt(e_max) (1 - s_k) + s_k sqrt(r))^2 the store right after
-arrival k (s_k = exp(-T_k / tau)), p_1 = (E0 - r_1) / l_1,
-p_{k+1} = (G_k(r_k) - r_{k+1}) / l_{k+1} and p_{N+1} = G_N(r_N) / l_{N+1}.
+G_k(r) = (sqrt(e_max) q_k + s_k sqrt(r))^2 the store right after
+arrival k ((q_k, s_k) the packet's charge map in ``charge``),
+p_1 = (E0 - r_1) / l_1, p_{k+1} = (G_k(r_k) - r_{k+1}) / l_{k+1} and
+p_{N+1} = G_N(r_N) / l_{N+1}.
 G_k is concave and increasing, so the objective is concave in r with a
 tridiagonal Hessian: damped Newton steps of one O(N) sweep each reach
 the optimum.  Each step is Newton's in root energy u = sqrt(r), where
@@ -42,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .charge import ChargeCircuit, _decays, _harvest_step
+from .charge import ChargeCircuit, _charge_maps, _harvest_step
 from .exceptions import SolverError
 
 __all__ = [
@@ -93,16 +94,17 @@ class EnergyScenario:
 
     def __post_init__(self):
         object.__setattr__(self, "packets", tuple((float(t), float(d)) for t, d in self.packets))
-        if self.initial_energy < 0:
-            raise ValueError(f"initial_energy must be >= 0, got {self.initial_energy}")
-        if self.deadline <= 0:
-            raise ValueError(f"deadline must be > 0, got {self.deadline}")
+        if not 0 <= self.initial_energy < math.inf:
+            raise ValueError(f"initial_energy must be finite and >= 0, "
+                             f"got {self.initial_energy}")
+        if not 0 < self.deadline < math.inf:
+            raise ValueError(f"deadline must be finite and > 0, got {self.deadline}")
         prev = 0.0
         for arrival, duration in self.packets:
-            if arrival <= prev:
+            if not arrival > prev:
                 raise ValueError("arrival times must be strictly increasing from 0 "
                                  "(zero-length epochs are not allowed)")
-            if duration < 0:
+            if not duration >= 0:
                 raise ValueError(f"packet charge duration must be >= 0, got {duration}")
             prev = arrival
         if self.packets and self.packets[-1][0] >= self.deadline:
@@ -229,12 +231,14 @@ def throughput(schedule: TransmissionSchedule, gain: float = 1.0) -> float:
     """Objective value sum_i (l_i/2) * log2(1 + g * p_i) in bits.
 
     ``gain`` is the SNR per watt; the default 1 gives normalized bits.
+    Summed as log1p(g p) / ln 2, which keeps its relative precision
+    where g p is far below 1.
     """
     snr = gain * np.asarray(schedule.powers)
     if np.any(snr < -POWER_SLACK) or np.any(~np.isfinite(snr)):
         raise ValueError("schedule powers must be finite and non-negative")
     lengths = schedule.epoch_lengths
-    return float(np.sum(0.5 * lengths * np.log2(1.0 + snr)))
+    return float(np.sum(0.5 * lengths * np.log1p(snr))) / math.log(2.0)
 
 
 def _forward(residuals, status, initial_energy, lengths, curves):
@@ -340,16 +344,16 @@ def _newton(residuals, powers, status, lengths, curves, gain):
     return w, grad, step, free, nxt, slope
 
 
-def _schedule(residuals, status, scenario: EnergyScenario, circuit: ChargeCircuit, decays):
+def _schedule(residuals, status, scenario: EnergyScenario, circuit: ChargeCircuit, maps):
     """Powers that leave the given arrival residuals, and their trace.
 
     One pass through the store with replay's arithmetic over each
-    packet's decay in ``decays``; each power is set from the store this
+    packet's charge map in ``maps``; each power is set from the store this
     pass carries, (store - residual) / l, so rounding does not build up
     along the horizon, and an idle epoch's power is exactly 0.  The last
     epoch drains the store.
     """
-    n = len(decays)
+    n = len(maps)
     e_max, root_e_max = circuit.e_max, math.sqrt(circuit.e_max)
     stored = scenario.initial_energy
     powers, out, harvested, consumed = [], [], [], []
@@ -365,7 +369,7 @@ def _schedule(residuals, status, scenario: EnergyScenario, circuit: ChargeCircui
         out.append(residual)
         if i < n:
             carried = max(residual, 0.0)
-            harvest = _harvest_step(decays[i], e_max, root_e_max, carried)
+            harvest = _harvest_step(maps[i], e_max, root_e_max, carried)
             harvested.append(harvest)
             stored = min(carried + harvest, e_max)
     schedule = TransmissionSchedule(powers=powers, epoch_bounds=tuple(scenario.epoch_bounds))
@@ -482,12 +486,12 @@ def solve(scenario: EnergyScenario, circuit: ChargeCircuit,
     if scenario.initial_energy > circuit.e_max:
         raise ValueError("initial_energy exceeds the battery capacity e_max")
     e_max_root = math.sqrt(circuit.e_max)
-    decays = _decays(scenario.packet_lengths.tolist(), circuit)
+    maps = _charge_maps(scenario.packet_lengths.tolist(), circuit)
     # (a, s) of G(r) = (a + s sqrt r)^2
-    curves = [(e_max_root * (1.0 - s), s) for s in decays]
+    curves = [(e_max_root * q, s) for q, s in maps]
     residuals, status, iterations, decrement = _optimal_residuals(
         scenario.initial_energy, scenario.epoch_lengths.tolist(), curves, gain, e_max_root)
-    schedule, trace = _schedule(residuals, status, scenario, circuit, decays)
+    schedule, trace = _schedule(residuals, status, scenario, circuit, maps)
     verdict = check_feasibility(schedule, trace, circuit)
     if not verdict.ok:
         raise SolverError("optimum fails the feasibility check",

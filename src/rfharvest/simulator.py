@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .charge import ChargeCircuit, _decays, _exp, _harvest_step, packet_length_for
+from .charge import ChargeCircuit, _charge_map, _charge_maps, _harvest_step, packet_length_for
 from .exceptions import ConfigError, GenerationError, InfeasibleError
 from .scheduling import (
     EnergyScenario,
@@ -130,7 +130,9 @@ def replay(policy, scenario: EnergyScenario, circuit: ChargeCircuit,
     is part of what the comparison measures.
 
     Returns:
-        (HarvestTrace, throughput in bits under the active rate model)
+        (HarvestTrace, throughput in bits under the active rate model,
+        summed as log1p(g p) / ln 2 like
+        :func:`~rfharvest.scheduling.throughput`)
     """
     bounds = scenario.epoch_bounds.tolist()
     lengths = scenario.epoch_lengths.tolist()
@@ -145,9 +147,9 @@ def replay(policy, scenario: EnergyScenario, circuit: ChargeCircuit,
     gain = _snr_gain(rate_model, link)
     slack = _clamp_slack(circuit)
     e_max, root_e_max = circuit.e_max, math.sqrt(circuit.e_max)
-    decays = _decays(scenario.packet_lengths.tolist(), circuit)
+    maps = _charge_maps(scenario.packet_lengths.tolist(), circuit)
     stored = scenario.initial_energy
-    residuals, harvested, consumed, clamped, bits = [], [], [], [], 0.0
+    residuals, harvested, consumed, clamped, nats = [], [], [], [], 0.0
     for i, length in enumerate(lengths):
         if fixed_powers is not None:
             power = fixed_powers[i]
@@ -170,14 +172,14 @@ def replay(policy, scenario: EnergyScenario, circuit: ChargeCircuit,
         residual = stored - spend
         consumed.append(spend)
         residuals.append(residual)
-        bits += 0.5 * length * math.log2(1.0 + power * gain)
+        nats += 0.5 * length * math.log1p(power * gain)
         if i < n:
             # The physical store lies in [0, e_max]; the recorded residual
             # keeps any roundoff-scale dip for trace fidelity, but the
             # carry is floored so exact bound touches stay exact, and
             # capped so a full store that rounds above e_max stays full.
             carried = max(residual, 0.0)
-            harvest = _harvest_step(decays[i], e_max, root_e_max, carried)
+            harvest = _harvest_step(maps[i], e_max, root_e_max, carried)
             harvested.append(harvest)
             stored = min(carried + harvest, e_max)
     trace = HarvestTrace(
@@ -186,7 +188,7 @@ def replay(policy, scenario: EnergyScenario, circuit: ChargeCircuit,
         consumed=tuple(consumed),
         clamped=tuple(clamped),
     )
-    return trace, float(bits)
+    return trace, nats / math.log(2.0)
 
 
 def optimal_schedule(scenario: EnergyScenario, circuit: ChargeCircuit,
@@ -281,7 +283,7 @@ def generate_scenario(config: ExperimentConfig, rng: np.random.Generator):
                 residual = max(0.0, stored - schedule.powers[i] * epoch_lengths[i])
                 duration = packet_length_for(residual, drawn, circuit)
                 durations.append(duration)
-                stored = residual + _harvest_step(_exp(-duration / tau), e_max,
+                stored = residual + _harvest_step(_charge_map(duration, tau), e_max,
                                                   root_e_max, residual)
         except (ValueError, InfeasibleError) as exc:
             failures.append(str(exc))

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .charge import ChargeCircuit, _decays, _harvest_step, optimal_residual
+from .charge import ChargeCircuit, _charge_maps, _harvest_step, optimal_residual
 from .scheduling import EnergyScenario, TransmissionSchedule
 
 __all__ = [
@@ -123,12 +123,13 @@ def max_harvest_schedule(scenario: EnergyScenario,
     e_max, root_e_max = circuit.e_max, math.sqrt(circuit.e_max)
     stored = scenario.initial_energy
     powers = []
-    for length, duration, decay in zip(lengths, durations, _decays(durations, circuit)):
+    maps = _charge_maps(durations, circuit)
+    for length, duration, charge_map in zip(lengths, durations, maps):
         target = optimal_residual(duration, circuit)
         power = max(0.0, (stored - target) / length)
         # a target below one ulp of the store (over ~18 tau) rounds past it
         residual = max(0.0, stored - power * length)
-        stored = residual + _harvest_step(decay, e_max, root_e_max, residual)
+        stored = residual + _harvest_step(charge_map, e_max, root_e_max, residual)
         powers.append(power)
     powers.append(stored / lengths[-1])
     return TransmissionSchedule(powers=tuple(powers),

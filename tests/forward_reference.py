@@ -5,9 +5,10 @@ the scenario's numpy arrays and call the public ``harvested_energy`` at
 every arrival, and ``replay`` hands online policies a fresh tuple of
 (arrival, duration) pairs each epoch, which ``predict_next`` takes apart
 through list comprehensions.  The library reads each scenario once as
-Python floats, takes every packet's decay from one list and runs the
-same arithmetic through one scalar harvest step over a read-only history
-array; the tests require identical results.
+Python floats, takes every packet's charge map from one list and runs
+the same arithmetic through one scalar harvest step over a read-only
+history array; the tests require identical results.  Both sum the bits
+as 0.5 l log1p(g p) and divide the total by ln 2 once.
 
 The library's deliberate departures are not copied: ``replay`` caps a
 carried store that rounds above e_max, and ``max_harvest_schedule``
@@ -50,7 +51,7 @@ def replay(policy, scenario, circuit, rate_model="normalized", link=None):
     slack = _clamp_slack(circuit)
     stored = scenario.initial_energy
     history = []
-    residuals, harvested, consumed, clamped, bits = [], [], [], [], 0.0
+    residuals, harvested, consumed, clamped, nats = [], [], [], [], 0.0
     for i in range(n + 1):
         if fixed_powers is not None:
             power = fixed_powers[i]
@@ -69,7 +70,7 @@ def replay(policy, scenario, circuit, rate_model="normalized", link=None):
         residual = stored - spend
         consumed.append(spend)
         residuals.append(residual)
-        bits += 0.5 * lengths[i] * math.log2(1.0 + power * gain)
+        nats += 0.5 * lengths[i] * math.log1p(power * gain)
         if i < n:
             harvest = harvested_energy(max(residual, 0.0), durations[i], circuit)
             harvested.append(harvest)
@@ -81,7 +82,7 @@ def replay(policy, scenario, circuit, rate_model="normalized", link=None):
         consumed=tuple(consumed),
         clamped=tuple(clamped),
     )
-    return trace, float(bits)
+    return trace, float(nats / math.log(2.0))
 
 
 def max_harvest_schedule(scenario, circuit):

@@ -9,8 +9,9 @@ s = exp(-T/tau):
     a4 = 2 * (1 - 1/s^2)
 
 and the harvested energy at residual r is a1*(a2^2 + a3*sqrt(r) + a4*r).
-The library evaluates the same polynomial in the decay parameterization;
-the tests cross-check one against the other.
+The library evaluates the same harvest in factored form from the
+packet's charge map (see ``rfharvest.charge``); the tests cross-check
+one against the other.
 """
 
 import math

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from rfharvest.charge import _harvest_curve, _harvest_value
+from rfharvest.charge import _charge_maps, _harvest_value
 from rfharvest.oracle import GridSpec, OracleResult, _auto_power_bound
 from rfharvest.scheduling import TransmissionSchedule
 
@@ -33,16 +33,17 @@ def brute_force_optimize(scenario, circuit, grid=GridSpec(), gain=1.0):
     mesh = np.meshgrid(*([axis] * n), indexing="ij")
     powers = np.stack([m.reshape(-1) for m in mesh], axis=1)
 
-    curves = [_harvest_curve(d, circuit) for d in scenario.packet_lengths]
+    maps = _charge_maps(scenario.packet_lengths, circuit)
+    e_max, root_e_max = circuit.e_max, math.sqrt(circuit.e_max)
     stored = np.full(count, scenario.initial_energy)
     ok = np.ones(count, dtype=bool)
     bits = np.zeros(count)
     for i in range(n):
         spend = powers[:, i] * lengths[i]
-        ok &= spend <= stored + 1e-12 * circuit.e_max
+        ok &= spend <= stored + 1e-12 * e_max
         residual = np.clip(stored - spend, 0.0, None)
         bits += 0.5 * lengths[i] * np.log2(1.0 + gain * powers[:, i])
-        stored = residual + _harvest_value(curves[i], residual)
+        stored = residual + _harvest_value(maps[i], e_max, root_e_max, residual)
     final_power = stored / lengths[-1]
     bits += 0.5 * lengths[-1] * np.log2(1.0 + gain * final_power)
     bits[~ok] = -np.inf

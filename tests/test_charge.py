@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from rfharvest import (
     packet_length_for,
 )
 
-from rfharvest.charge import _decays, _harvest_curve, _harvest_step
+from rfharvest.charge import _charge_maps, _harvest_step
 
 from conftest import random_circuit
 from harvest_reference import harvest_coefficients
@@ -48,6 +49,9 @@ class TestChargeCircuit:
         dict(resistance=0.0, capacitance=0.68, v_max=2.5),
         dict(resistance=750.0, capacitance=-1.0, v_max=2.5),
         dict(resistance=750.0, capacitance=0.68, v_max=0.0),
+        dict(resistance=math.nan, capacitance=0.68, v_max=2.5),
+        dict(resistance=750.0, capacitance=math.inf, v_max=2.5),
+        dict(resistance=750.0, capacitance=0.68, v_max=math.nan),
     ])
     def test_rejects_nonpositive_parameters(self, kwargs):
         with pytest.raises(ValueError):
@@ -138,33 +142,36 @@ class TestHarvestStep:
             residuals += list(np.linspace(0.0, e_max, 41))
             residuals += list(rng.uniform(0.0, e_max, 40))
             durations = [0.0, tau, 1e4 * tau] + list(tau * rng.uniform(0.0, 5.0, 6))
+            root_e_max = math.sqrt(e_max)
             for duration in durations:
-                curve = _harvest_curve(duration, circuit)
-                assert _decays([duration], circuit) == [curve.decay]
+                charge_map, = _charge_maps([duration], circuit)
                 for r in residuals:
                     want = harvested_energy(r, duration, circuit)
-                    got = _harvest_step(*curve, r)
+                    got = _harvest_step(charge_map, e_max, root_e_max, r)
                     assert type(got) is float
                     assert got.hex() == want.hex(), (circuit, duration, r)
 
     def test_decay_underflow_is_the_full_charge_limit(self, sim_circuit):
-        curve = _harvest_curve(1e4 * sim_circuit.tau, sim_circuit)
-        assert curve.decay == 0.0
-        assert _harvest_step(*curve, 0.0) == sim_circuit.e_max
+        charge_map, = _charge_maps([1e4 * sim_circuit.tau], sim_circuit)
+        assert charge_map == (1.0, 0.0)
+        e_max = sim_circuit.e_max
+        assert _harvest_step(charge_map, e_max, math.sqrt(e_max), 0.0) == e_max
 
     def test_domain_errors(self, bench_circuit):
-        curve = _harvest_curve(15.0, bench_circuit)
+        e_max = bench_circuit.e_max
+        charge_map, = _charge_maps([15.0], bench_circuit)
         above = np.nextafter(bench_circuit.e_max, np.inf)
         for bad in (-5e-324, -0.1, above, bench_circuit.e_max * 1.001, np.inf):
             with pytest.raises(ValueError):
                 harvested_energy(bad, 15.0, bench_circuit)
             with pytest.raises(ValueError):
-                _harvest_step(*curve, bad)
+                _harvest_step(charge_map, e_max, math.sqrt(e_max), bad)
 
     def test_nan_residual_propagates(self, bench_circuit):
-        curve = _harvest_curve(15.0, bench_circuit)
+        e_max = bench_circuit.e_max
+        charge_map, = _charge_maps([15.0], bench_circuit)
         assert math.isnan(harvested_energy(math.nan, 15.0, bench_circuit))
-        assert math.isnan(_harvest_step(*curve, math.nan))
+        assert math.isnan(_harvest_step(charge_map, e_max, math.sqrt(e_max), math.nan))
 
 
 class TestOptimalResidual:
@@ -256,6 +263,11 @@ class TestPacketLengthFor:
         with pytest.raises(InfeasibleError):
             packet_length_for(0.0, target, bench_circuit)
 
+    def test_target_a_rounding_below_full_is_infeasible(self, sim_circuit):
+        # below e_max, yet the quotient q rounds to 1: log1p(-q) is undefined
+        with pytest.raises(InfeasibleError):
+            packet_length_for(6.827999012081817e-09, 0.15624999317200097, sim_circuit)
+
     def test_negative_inputs_rejected(self, bench_circuit):
         with pytest.raises(ValueError):
             packet_length_for(-1e-9, 0.01, bench_circuit)
@@ -317,3 +329,58 @@ class TestChargeModelProperties:
             harvested = harvested_energy(r, duration, circuit)
             recovered = packet_length_for(r, harvested, circuit)
             assert recovered == pytest.approx(duration, rel=1e-9)
+
+
+@pytest.fixture(scope="module")
+def decimal_draws():
+    """(T, r, reference values) on the reference circuit, T/tau log-uniform
+    in [1e-10, 5] and r uniform in [0, 0.99 e_max]; the references come
+    from the RC charge in 50-digit decimal arithmetic,
+    sqrt(stored) = sqrt(e_max) (1 - s) + s sqrt(r) with s = exp(-T/tau)."""
+    circuit = ChargeCircuit(resistance=4000.0, capacitance=0.05, v_max=2.5)
+    rng = np.random.default_rng(20)
+    draws = []
+    with localcontext() as ctx:
+        ctx.prec = 50
+        tau, e_max = Decimal(circuit.tau), Decimal(circuit.e_max)
+        for _ in range(2000):
+            duration = circuit.tau * 10.0 ** float(rng.uniform(-10.0, math.log10(5.0)))
+            residual = float(rng.uniform(0.0, 0.99 * circuit.e_max))
+            s = (-Decimal(duration) / tau).exp()
+            root = e_max.sqrt() * (1 - s) + s * Decimal(residual).sqrt()
+            draws.append((duration, residual, {
+                "q": float(1 - s), "s": float(s),
+                "harvest": float(root * root - Decimal(residual)),
+                "slope": float(root * s / Decimal(residual).sqrt() - 1),
+                "optimal_residual": float(e_max * (s / (1 + s)) ** 2),
+            }))
+    return circuit, draws
+
+
+class TestChargeMapAccuracy:
+    """The charge map's quantities against a 50-digit decimal reference,
+    across short packets, where 1 - exp(-T/tau) cancels, to 5 tau."""
+
+    def test_harvest(self, decimal_draws):
+        circuit, draws = decimal_draws
+        worst = max(abs(harvested_energy(r, d, circuit) / ref["harvest"] - 1.0)
+                    for d, r, ref in draws)
+        assert worst <= 1e-13
+
+    def test_slope(self, decimal_draws):
+        circuit, draws = decimal_draws
+        worst = max(abs(harvest_sensitivity(r, d, circuit) - ref["slope"])
+                    / (ref["q"] * (1.0 + ref["s"])) for d, r, ref in draws)
+        assert worst <= 1e-13
+
+    def test_optimal_residual(self, decimal_draws):
+        circuit, draws = decimal_draws
+        worst = max(abs(optimal_residual(d, circuit) / ref["optimal_residual"] - 1.0)
+                    for d, _, ref in draws)
+        assert worst <= 4e-15
+
+    def test_packet_length_for_inverts_the_exact_harvest(self, decimal_draws):
+        circuit, draws = decimal_draws
+        worst = max(abs(packet_length_for(r, ref["harvest"], circuit) / d - 1.0)
+                    for d, r, ref in draws)
+        assert worst <= 2e-12

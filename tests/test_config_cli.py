@@ -176,6 +176,18 @@ class TestOptimizeCommand:
         assert rc == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit", [("resistance: 750.0", "resistance: .nan"),
+                                      ("initial_energy: 0.5", "initial_energy: .nan"),
+                                      ("deadline: 30.0", "deadline: .inf")],
+                             ids=["nan_resistance", "nan_initial_energy", "inf_deadline"])
+    def test_non_finite_config_exits_2(self, tmp_path, capsys, edit):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(EXPLICIT.replace(*edit))
+        rc = main(["optimize", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unsolvable_scenario_exits_3(self, explicit_config, tmp_path, capsys,
                                          monkeypatch):
         # a solver failure is exit 3, not a config error
@@ -262,6 +274,14 @@ class TestSweepCommand:
         assert (a / "sweep_fig6.csv").read_bytes() \
             == (b / "sweep_fig6.csv").read_bytes()
 
+    def test_fig7_is_refused(self, generated_config, tmp_path, capsys):
+        # fig7's curves are fig6's harvest columns
+        with pytest.raises(SystemExit) as refused:
+            main(["sweep", "--config", str(generated_config), "--figure", "fig7",
+                  "--out", str(tmp_path / "out")])
+        assert refused.value.code == 2
+        assert "invalid choice: 'fig7'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("generator", ["{initial_energy: 0.156}",
                                            "{initial_energy: 0.2}",

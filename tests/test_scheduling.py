@@ -52,6 +52,12 @@ class TestEnergyScenario:
         dict(initial_energy=0.5, packets=((10.0, 1.0),), deadline=10.0),
         dict(initial_energy=0.5, packets=((5.0, -1.0),), deadline=10.0),
         dict(initial_energy=0.5, packets=(), deadline=0.0),
+        dict(initial_energy=math.nan, packets=(), deadline=10.0),
+        dict(initial_energy=math.inf, packets=(), deadline=10.0),
+        dict(initial_energy=0.5, packets=(), deadline=math.nan),
+        dict(initial_energy=0.5, packets=(), deadline=math.inf),
+        dict(initial_energy=0.5, packets=((math.nan, 1.0),), deadline=10.0),
+        dict(initial_energy=0.5, packets=((5.0, math.nan),), deadline=10.0),
     ])
     def test_rejects_degenerate_scenarios(self, kwargs):
         with pytest.raises(ValueError):
@@ -129,6 +135,16 @@ class TestThroughput:
         assert throughput(s) == pytest.approx(5.0, rel=1e-15)
         s = TransmissionSchedule(powers=(3.0,), epoch_bounds=(0.0, 4.0))
         assert throughput(s) == pytest.approx(4.0, rel=1e-15)
+
+    def test_tiny_snr_keeps_relative_precision(self, sim_circuit):
+        # at g p = 1e-12, log2(1 + g p) rounds 1 + g p and is off by 1e-4
+        scenario = EnergyScenario(0.1, ((1.0, 5.0), (3.0, 5.0)), 6.0)
+        schedule = TransmissionSchedule(powers=(1e-12,) * 3,
+                                        epoch_bounds=tuple(scenario.epoch_bounds))
+        want = math.fsum(0.5 * l * math.log1p(1e-12) for l in (1.0, 2.0, 3.0)) / math.log(2.0)
+        _, replayed = replay(schedule, scenario, sim_circuit)
+        for bits in (throughput(schedule), replayed):
+            assert abs(bits / want - 1.0) <= 1e-15
 
     def test_rejects_negative_power(self):
         s = TransmissionSchedule(powers=(-0.5,), epoch_bounds=(0.0, 1.0))
