@@ -81,9 +81,12 @@ def brute_force_optimize(scenario: EnergyScenario, circuit: ChargeCircuit,
     l_i * g / (2 ln 2) of each epoch's rate term.
 
     Raises:
-        ValueError: if the scenario has more packets than the grid allows.
+        ValueError: if the scenario has more packets than the grid allows,
+            or its initial energy exceeds the battery capacity e_max.
         BudgetError: if enumeration would exceed the evaluation budget.
     """
+    if scenario.initial_energy > circuit.e_max:
+        raise ValueError("initial_energy exceeds the battery capacity e_max")
     n = scenario.n_packets
     if n > grid.epoch_limit:
         raise ValueError(f"oracle accepts at most {grid.epoch_limit} packets, got {n}")

@@ -25,18 +25,27 @@ G_k is the quadratic (a_k + s_k u)^2, from the better of two starts:
 half the store kept at every arrival, or the store spent evenly over
 the time left (the optimum when the harvest is negligible).  An active
 set keeps p >= 0: an idle epoch ties its residual to the store before
-it, so its power is exactly 0, until its multiplier turns negative.
+it, so its power is exactly 0.  Once the free residuals are stationary,
+every idle epoch whose multiplier is negative is released at once.
 r >= 0 binds only where G_k is flat (s_k below about 1e-16).  On the
 other epochs the optimum satisfies
 
     1/g + p_{m+1} = (1/g + p_m) * (X_m + 1),
 
 with X_m the harvest sensitivity at arrival m.
+
+The horizon's length picks how a step is computed.  Below
+``ARRAY_MIN_PACKETS`` packets the step kernels loop over Python floats;
+from there on they work on numpy arrays along the horizon, with the
+same arithmetic elementwise.  Only the idle runs and the O(N) sweep
+stay loops there.  Both kernel sets share one Newton loop: the starts,
+the active set, the release rule and the tolerances.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional
@@ -76,6 +85,10 @@ OBJECTIVE_ROUNDING = 1e-14
 MIN_STEP = 1e-16
 # A step may shrink a free residual to this fraction of itself at most.
 BOUNDARY_FRACTION = 0.01
+# Horizons of at least this many packets step with _ArraySteps, shorter
+# ones with _ScalarSteps.  A solve takes about as long with either at 64
+# packets; the array kernels win above, the scalar ones below.
+ARRAY_MIN_PACKETS = 64
 
 
 @dataclass(frozen=True)
@@ -216,13 +229,12 @@ def check_feasibility(schedule: TransmissionSchedule, trace: HarvestTrace,
     an additive slack of 1e-9 * e_max for roundoff.
     """
     slack = 1e-9 * circuit.e_max
-    residuals = np.asarray(trace.residuals)
-    harvested = np.asarray(trace.harvested)
-    for i, r in enumerate(residuals, start=1):
+    for i, r in enumerate(trace.residuals, start=1):
         if r < -slack:
             return FeasibilityReport(ok=False, violated="causality", epoch=i)
-    for i, (r, h) in enumerate(zip(residuals[:-1], harvested), start=1):
-        if r + h > circuit.e_max + slack:
+    limit = circuit.e_max + slack
+    for i, (r, h) in enumerate(zip(trace.residuals[:-1], trace.harvested), start=1):
+        if r + h > limit:
             return FeasibilityReport(ok=False, violated="capacity", epoch=i)
     return FeasibilityReport(ok=True)
 
@@ -241,107 +253,383 @@ def throughput(schedule: TransmissionSchedule, gain: float = 1.0) -> float:
     return float(np.sum(0.5 * lengths * np.log1p(snr))) / math.log(2.0)
 
 
-def _forward(residuals, status, initial_energy, lengths, curves):
-    """(residuals, powers, status) of the point the free residuals set.
+class _ScalarSteps:
+    """Step kernels that walk the horizon one arrival at a time in Python
+    floats: on a short horizon a loop costs less than numpy's calls.
 
-    An idle arrival takes the store before it, an empty one 0.  A free
-    residual at or above the store before it would leave its epoch no
-    power, so it turns idle (in a new status list); so does one at 0,
-    where the Newton step is undefined.
+    Every kernel takes and returns the point in the containers it built:
+    lists here, numpy arrays in :class:`_ArraySteps`.
     """
-    n = len(status)
-    status = list(status)
-    out, powers = [0.0] * n, [0.0] * (n + 1)
-    stored = initial_energy
-    for i, (a, s) in enumerate(curves):
-        r = residuals[i]
-        if status[i] == FREE and not 0.0 < r < stored:
-            status[i] = IDLE
-        if status[i] == IDLE:
-            r = stored
-        elif status[i] == EMPTY:
-            r = 0.0
-        powers[i] = (stored - r) / lengths[i]
-        root = a + s * math.sqrt(r)
-        stored = root * root
-        out[i] = r
-    powers[n] = stored / lengths[n]
-    return out, powers, status
+
+    def __init__(self, initial_energy, lengths, curves, gain):
+        self.initial_energy, self.lengths, self.curves, self.gain = (
+            initial_energy, lengths, curves, gain)
+
+    def forward(self, residuals, status):
+        """(residuals, powers, status) of the point the free residuals set.
+
+        An idle arrival takes the store before it, an empty one 0.  A free
+        residual at or above the store before it would leave its epoch no
+        power, so it turns idle (in a new status list); so does one at 0,
+        where the Newton step is undefined.
+        """
+        lengths = self.lengths
+        n = len(status)
+        status = list(status)
+        out, powers = [0.0] * n, [0.0] * (n + 1)
+        stored = self.initial_energy
+        for i, (a, s) in enumerate(self.curves):
+            r = residuals[i]
+            if status[i] == FREE and not 0.0 < r < stored:
+                status[i] = IDLE
+            if status[i] == IDLE:
+                r = stored
+            elif status[i] == EMPTY:
+                r = 0.0
+            powers[i] = (stored - r) / lengths[i]
+            root = a + s * math.sqrt(r)
+            stored = root * root
+            out[i] = r
+        powers[n] = stored / lengths[n]
+        return out, powers, status
+
+    def objective(self, powers):
+        """sum_i l_i ln(1 + g p_i): the throughput in bits times 2 ln 2."""
+        gain = self.gain
+        return sum(l * math.log1p(gain * p) for l, p in zip(self.lengths, powers))
+
+    def newton(self, residuals, powers, status):
+        """Gradient and Newton step of F = sum_e l_e ln(1 + g p_e) in r.
+
+        With w_e = 1 / (1/g + p_e): a free or idle arrival i feeds the store
+        of the next non-idle epoch e = nxt[i], through G_i and the idle
+        arrivals after it, as T_i(r_i); dF/dr_i = T'_i w_e - w_i, at an idle
+        arrival the multiplier of its p >= 0.  Returns (w, grad, step, free,
+        nxt, slope, decrement): ``step`` is 0 off the ``free`` arrivals,
+        slope is T', decrement the step's predicted rise grad . step.
+        """
+        lengths, curves = self.lengths, self.curves
+        n = len(status)
+        w = [self.gain / (1.0 + self.gain * p) for p in powers]
+        slope, bend, nxt = [0.0] * n, [0.0] * n, [0] * n
+        for i in range(n - 1, -1, -1):
+            r, (a, s) = residuals[i], curves[i]
+            c = a * s                        # G'(r) = c / sqrt(r) + s^2
+            if c == 0.0:
+                g1, g2 = s * s, 0.0
+            elif r == 0.0:
+                # only where no free residual feeds the store (it stays 0)
+                g1, g2 = math.inf, -math.inf
+            else:
+                g1 = c / math.sqrt(r)
+                g2 = -0.5 * g1 / r
+                g1 += s * s
+            if i + 1 < n and status[i + 1] == IDLE:
+                bend[i] = bend[i + 1] * g1 * g1 + slope[i + 1] * g2
+                slope[i] = slope[i + 1] * g1
+                nxt[i] = nxt[i + 1]
+            else:
+                slope[i], bend[i], nxt[i] = g1, g2, i + 1
+        grad = [slope[i] * w[nxt[i]] - w[i] for i in range(n)]
+
+        # Over the free residuals -Hessian is tridiagonal: sum_e D_e q_e q_e^T
+        # plus -T''_i w_e on the diagonal, D_e = w_e^2/l_e, q_e the gradient of
+        # epoch e's spend (-1 at its own residual, T' at the one feeding its
+        # store).  The Thomas sweep merges each epoch into the stiffness P
+        # before it like springs in series, D / (1 + D T'^2 / P), so no pivot
+        # cancels however stiff an epoch is (near idle at a large gain), and
+        # carries 1/P, so a curvature that overflows near r = 0 gives a step
+        # of 0, not NaN.  The step is Newton's in u = sqrt(r): the u-curvature
+        # adds -grad_i / (2 r_i), kept where positive, so y = u / u* goes to
+        # 2y - y^2 from below on F = c sqrt(r) - b r (an r step triples r).
+        free = [i for i in range(n) if status[i] == FREE]
+        shift, pull, merged = [], [], []
+        compliance = 0.0
+        for j, i in enumerate(free):
+            own = w[i] * w[i] / lengths[i]
+            t = slope[free[j - 1]] if j and nxt[free[j - 1]] == i else 0.0
+            link = own * t * compliance if t else 0.0
+            pull.append(link)
+            merged.append(1.0 + link * t)
+            e = nxt[i]
+            curvature = own / merged[-1] - bend[i] * w[e]
+            if grad[i] < 0.0:
+                curvature -= 0.5 * grad[i] / residuals[i]
+            if e == n or status[e] != FREE:
+                curvature += slope[i] * slope[i] * w[e] * w[e] / lengths[e]
+            force = grad[i] + shift[-1] * own * t / merged[-1] if t else grad[i]
+            compliance = 1.0 / curvature
+            shift.append(force * compliance)
+        pull.append(0.0)
+        merged.append(1.0)
+        step = [0.0] * n
+        following = 0.0
+        for j in range(len(free) - 1, -1, -1):
+            following = (shift[j] + pull[j + 1] * following) / merged[j + 1]
+            step[free[j]] = following
+        decrement = sum(grad[i] * step[i] for i in free)
+        return w, grad, step, free, nxt, slope, decrement
+
+    def stationary(self, residuals, powers, w, grad, step, free, nxt):
+        """Whether every free residual has converged (``STATIONARITY_TOL``)."""
+        # relative rounding of each epoch's w: 1 + (store at its start) w / l
+        rounding = [1.0 + (r + p * l) * x / l
+                    for r, p, l, x in zip(residuals + [0.0], powers, self.lengths, w)]
+        return all(abs(grad[i]) <= STATIONARITY_TOL * w[i] * (rounding[i] + rounding[nxt[i]])
+                   or residuals[i] + step[i] == residuals[i] for i in free)
+
+    def released(self, status, w, grad):
+        """The idle arrivals whose relative multiplier is below -RELEASE_TOL."""
+        return [i for i, state in enumerate(status)
+                if state == IDLE and grad[i] / w[i] < -RELEASE_TOL]
+
+    def step_bound(self, residuals, powers, free, step, slope, nxt):
+        """(t, blocking): the longest step of :func:`_line_search` and the
+        free arrival whose epoch it lands on p = 0, or -1."""
+        lengths = self.lengths
+        t, blocking = 1.0, -1
+        reach = 2.0 * (1.0 - math.sqrt(BOUNDARY_FRACTION))    # u to sqrt(fraction) u
+        change = [0.0] * len(powers)
+        for i in free:
+            if step[i] < 0.0:
+                t = min(t, reach * residuals[i] / -step[i])
+            change[i] -= step[i] / lengths[i]
+            change[nxt[i]] += slope[i] * step[i] / lengths[nxt[i]]
+        for i in free:
+            if change[i] < 0.0 and powers[i] < -t * change[i]:
+                t, blocking = powers[i] / -change[i], i
+        return t, blocking
+
+    def trial(self, residuals, step, free, t):
+        """The residuals after a step t in u = sqrt(r)."""
+        return [r + t * d + 0.25 * (t * d) ** 2 / r if d else r
+                for r, d in zip(residuals, step)]
 
 
-def _objective(powers, lengths, gain):
-    """sum_i l_i ln(1 + g p_i): the throughput in bits times 2 ln 2."""
-    return sum(l * math.log1p(gain * p) for l, p in zip(lengths, powers))
+class _ArraySteps:
+    """The kernels of :class:`_ScalarSteps` over whole numpy arrays along
+    the horizon, with the same arithmetic elementwise; sums run in numpy's
+    order.  Two parts stay sequential: the idle runs, where the store
+    passes through in root energy as u_{k+1} = a_k + s_k u_k, walked in
+    Python over the idle arrivals only, and the Thomas sweep, a Python
+    loop over the coefficients as floats.
 
-
-def _newton(residuals, powers, status, lengths, curves, gain):
-    """Gradient and Newton step of F = sum_e l_e ln(1 + g p_e) in r.
-
-    With w_e = 1 / (1/g + p_e): a free or idle arrival i feeds the store
-    of the next non-idle epoch e = nxt[i], through G_i and the idle
-    arrivals after it, as T_i(r_i); dF/dr_i = T'_i w_e - w_i, at an idle
-    arrival the multiplier of its p >= 0.  Returns (w, grad, step, free,
-    nxt, slope): ``step`` is 0 off the ``free`` arrivals, slope is T'.
+    Callers run it under ``np.errstate(all="ignore")``: the scalar
+    kernels' floats overflow to inf and turn inf - inf into NaN without a
+    warning, and so do these.
     """
-    n = len(status)
-    w = [gain / (1.0 + gain * p) for p in powers]
-    slope, bend, nxt = [0.0] * n, [0.0] * n, [0] * n
-    for i in range(n - 1, -1, -1):
-        r, (a, s) = residuals[i], curves[i]
-        c = a * s                        # G'(r) = c / sqrt(r) + s^2
-        if c == 0.0:
-            g1, g2 = s * s, 0.0
-        elif r == 0.0:
-            # only where no free residual feeds the store (it stays 0)
-            g1, g2 = math.inf, -math.inf
-        else:
-            g1 = c / math.sqrt(r)
-            g2 = -0.5 * g1 / r
-            g1 += s * s
-        if i + 1 < n and status[i + 1] == IDLE:
-            bend[i] = bend[i + 1] * g1 * g1 + slope[i + 1] * g2
-            slope[i] = slope[i + 1] * g1
+
+    def __init__(self, initial_energy, lengths, curves, gain):
+        self.initial_energy, self.curves, self.gain = initial_energy, curves, gain
+        self.lengths = np.array(lengths)
+        self.a, self.s = np.array(curves, dtype=float).reshape(-1, 2).T
+        self.c, self.ss = self.a * self.s, self.s * self.s
+
+    def forward(self, residuals, status):
+        n, curves = len(self.curves), self.curves
+        status = np.array(status, dtype=np.int8)
+        out = np.array(residuals, dtype=float)
+        out[status == EMPTY] = 0.0
+        stored = np.empty(n + 1)     # the store before each epoch
+        stored[0] = self.initial_energy
+        root = self.a + self.s * np.sqrt(out)
+        stored[1:] = root * root
+        # Where the arrival before is not idle, its store and idle test are
+        # right as computed.  Each idle run is walked from its first arrival
+        # to the first one after it that is not idle.
+        idle = (status == IDLE) | (status == FREE) & ~((0.0 < out) & (out < stored[:n]))
+        end = 0
+        for i in idle.nonzero()[0].tolist():
+            if i < end:
+                continue
+            store = float(stored[i])
+            while i < n and (status[i] == IDLE
+                             or status[i] == FREE and not 0.0 < out[i] < store):
+                status[i], out[i] = IDLE, store
+                a, s = curves[i]
+                root = a + s * math.sqrt(store)
+                store = root * root
+                i += 1
+                stored[i] = store
+            end = i
+        powers = stored / self.lengths          # the last epoch drains the store
+        powers[:n] = (stored[:n] - out) / self.lengths[:n]
+        return out, powers, status
+
+    def objective(self, powers):
+        return float(self.lengths @ np.log1p(self.gain * powers))
+
+    def newton(self, residuals, powers, status):
+        n, lengths = len(self.curves), self.lengths
+        w = self.gain / (1.0 + self.gain * powers)
+        slope = self.c / np.sqrt(residuals)     # inf at r = 0, as in the scalar kernel
+        bend = -0.5 * slope / residuals
+        flat = self.c == 0.0
+        slope[flat], bend[flat] = 0.0, 0.0
+        slope += self.ss
+        nxt = np.arange(1, n + 1)
+        # an idle arrival passes its store on: chain back through each idle run
+        for i in (status[1:] == IDLE).nonzero()[0][::-1].tolist():
+            bend[i] = bend[i + 1] * slope[i] * slope[i] + slope[i + 1] * bend[i]
+            slope[i] = slope[i + 1] * slope[i]
             nxt[i] = nxt[i + 1]
-        else:
-            slope[i], bend[i], nxt[i] = g1, g2, i + 1
-    grad = [slope[i] * w[nxt[i]] - w[i] for i in range(n)]
+        grad = slope * w[nxt] - w[:n]
 
-    # Over the free residuals -Hessian is tridiagonal: sum_e D_e q_e q_e^T
-    # plus -T''_i w_e on the diagonal, D_e = w_e^2/l_e, q_e the gradient of
-    # epoch e's spend (-1 at its own residual, T' at the one feeding its
-    # store).  The Thomas sweep merges each epoch into the stiffness P
-    # before it like springs in series, D / (1 + D T'^2 / P), so no pivot
-    # cancels however stiff an epoch is (near idle at a large gain), and
-    # carries 1/P, so a curvature that overflows near r = 0 gives a step
-    # of 0, not NaN.  The step is Newton's in u = sqrt(r): the u-curvature
-    # adds -grad_i / (2 r_i), kept where positive, so y = u / u* goes to
-    # 2y - y^2 from below on F = c sqrt(r) - b r (an r step triples r).
-    free = [i for i in range(n) if status[i] == FREE]
-    shift, pull, merged = [], [], []
-    compliance = 0.0
-    for j, i in enumerate(free):
-        own = w[i] * w[i] / lengths[i]
-        t = slope[free[j - 1]] if j and nxt[free[j - 1]] == i else 0.0
-        link = own * t * compliance if t else 0.0
-        pull.append(link)
-        merged.append(1.0 + link * t)
-        e = nxt[i]
-        curvature = own / merged[-1] - bend[i] * w[e]
-        if grad[i] < 0.0:
-            curvature -= 0.5 * grad[i] / residuals[i]
-        if e == n or status[e] != FREE:
-            curvature += slope[i] * slope[i] * w[e] * w[e] / lengths[e]
-        force = grad[i] + shift[-1] * own * t / merged[-1] if t else grad[i]
-        compliance = 1.0 / curvature
-        shift.append(force * compliance)
-    pull.append(0.0)
-    merged.append(1.0)
-    step = [0.0] * n
-    following = 0.0
-    for j in range(len(free) - 1, -1, -1):
-        following = (shift[j] + pull[j + 1] * following) / merged[j + 1]
-        step[free[j]] = following
-    return w, grad, step, free, nxt, slope
+        free = (status == FREE).nonzero()[0]
+        step = np.zeros(n)
+        if free.size:
+            e, r, g = nxt[free], residuals[free], grad[free]
+            t = np.zeros(free.size)
+            linked = nxt[free[:-1]] == free[1:]
+            t[1:][linked] = slope[free[:-1]][linked]
+            tail = np.concatenate((status != FREE, [True]))[e]
+            coefficients = zip(
+                (w[free] * w[free] / lengths[free]).tolist(), t.tolist(),
+                (bend[free] * w[e]).tolist(), np.where(g < 0.0, 0.5 * g / r, 0.0).tolist(),
+                np.where(tail, slope[free] * slope[free] * w[e] * w[e] / lengths[e], 0.0).tolist(),
+                g.tolist())
+            # the Thomas sweep of _ScalarSteps.newton, with its arithmetic
+            shift, pull, merged = [], [], []
+            compliance = force = 0.0
+            for own, t, bend_w, soft, stiff, g in coefficients:
+                if t:
+                    link = own * t * compliance
+                    near = 1.0 + link * t
+                    compliance = 1.0 / (own / near - bend_w - soft + stiff)
+                    force = (g + force * own * t / near) * compliance
+                else:
+                    link, near = 0.0, 1.0
+                    compliance = 1.0 / (own - bend_w - soft + stiff)
+                    force = g * compliance
+                pull.append(link)
+                merged.append(near)
+                shift.append(force)
+            pull.append(0.0)
+            merged.append(1.0)
+            following, out = 0.0, []
+            for force, link, near in zip(shift[::-1], pull[:0:-1], merged[:0:-1]):
+                following = (force + link * following) / near
+                out.append(following)
+            out.reverse()
+            step[free] = out
+        decrement = float(grad[free] @ step[free])
+        return w, grad, step, free, nxt, slope, decrement
+
+    def stationary(self, residuals, powers, w, grad, step, free, nxt):
+        lengths = self.lengths
+        stored = powers * lengths
+        stored[:-1] += residuals
+        rounding = 1.0 + stored * w / lengths
+        r = residuals[free]
+        tolerance = STATIONARITY_TOL * w[free] * (rounding[free] + rounding[nxt[free]])
+        return bool(np.all((np.abs(grad[free]) <= tolerance) | (r + step[free] == r)))
+
+    def released(self, status, w, grad):
+        return ((status == IDLE) & (grad / w[:-1] < -RELEASE_TOL)).nonzero()[0].tolist()
+
+    def step_bound(self, residuals, powers, free, step, slope, nxt):
+        lengths, d = self.lengths, step[free]
+        t = 1.0
+        shrink = d < 0.0
+        if shrink.any():
+            reach = 2.0 * (1.0 - math.sqrt(BOUNDARY_FRACTION))
+            t = min(t, float(np.min(reach * residuals[free][shrink] / -d[shrink])))
+        change = np.zeros(len(powers))
+        change[free] -= d / lengths[free]
+        e = nxt[free]                   # distinct, so each += lands once
+        change[e] += slope[free] * d / lengths[e]
+        c, p = change[free], powers[free]
+        limits = (c < 0.0) & (p < -t * c)
+        if not limits.any():
+            return t, -1
+        ratios = p[limits] / -c[limits]
+        j = int(np.argmin(ratios))
+        return float(ratios[j]), int(free[limits][j])
+
+    def trial(self, residuals, step, free, t):
+        out = residuals.copy()
+        r, d = residuals[free], t * step[free]
+        out[free] = r + d + 0.25 * (d * d) / r
+        return out
+
+
+def _line_search(steps, residuals, powers, status, value, free, step, slope, nxt, decrement):
+    """Damped Newton step: (residuals, powers, status, value), or None.
+
+    A step t moves u = sqrt(r) by t z / (2u), r by t z + (t z)^2 / (4r).
+    Starts from the longest step keeping every free residual above
+    ``BOUNDARY_FRACTION`` of itself and, to first order, every free
+    epoch's power non-negative; the epoch that limits it lands on p = 0
+    and turns idle, however short the step.  Where that step is 0 (a
+    just released epoch, still at p = 0, that the step would drain), the
+    point stays and only that epoch turns idle again: the other released
+    epochs stay free.  Halves the step until the objective rises by an
+    Armijo fraction of the predicted increase, up to its own rounding;
+    None below ``MIN_STEP``.
+    """
+    t, blocking = steps.step_bound(residuals, powers, free, step, slope, nxt)
+    if t == 0.0:
+        status = status.copy()
+        status[blocking] = IDLE
+        return residuals, powers, status, value
+    while t >= MIN_STEP or blocking >= 0:
+        trial = steps.trial(residuals, step, free, t)
+        if blocking >= 0:
+            trial[blocking] = math.inf    # at or above the store: idle
+        trial, trial_powers, trial_status = steps.forward(trial, status)
+        trial_value = steps.objective(trial_powers)
+        if trial_value >= value + ARMIJO * t * decrement - OBJECTIVE_ROUNDING * value:
+            return trial, trial_powers, trial_status, trial_value
+        t, blocking = 0.5 * t, -1
+    return None
+
+
+def _optimal_residuals(kernels, initial_energy, lengths, curves, gain, e_max_root):
+    """The Newton method of :func:`solve`, stepping with ``kernels``
+    (:class:`_ScalarSteps` or :class:`_ArraySteps`).
+
+    Returns (residuals, status, iterations, last Newton decrement), the
+    first two as lists.
+    """
+    steps = kernels(initial_energy, lengths, curves, gain)
+    # Where G is flat in floating point, whatever is left at the arrival
+    # is lost to the full charge, so the residual there is 0.
+    status = [EMPTY if a + s * e_max_root == a else FREE for a, s in curves]
+    left = list(accumulate(reversed(lengths)))[::-1]    # time left at each epoch's start
+    best = (-math.inf,)
+    for kept in ([0.5] * len(curves), [1.0 - l / rest for l, rest in zip(lengths, left)]):
+        start, stored = [], initial_energy
+        for (a, s), share in zip(curves, kept):
+            start.append(share * stored)
+            stored = (a + s * math.sqrt(start[-1])) ** 2
+        point = steps.forward(start, status)
+        value = steps.objective(point[1])
+        if value > best[-1]:
+            best = (*point, value)
+    residuals, powers, status, value = best
+
+    decrement = math.inf
+    for iteration in range(1, MAX_ITERATIONS + 1):
+        w, grad, step, free, nxt, slope, decrement = steps.newton(residuals, powers, status)
+        if steps.stationary(residuals, powers, w, grad, step, free, nxt):
+            released = steps.released(status, w, grad)
+            if not released:
+                if kernels is _ArraySteps:
+                    residuals, status = residuals.tolist(), status.tolist()
+                return residuals, status, iteration, decrement
+            for i in released:
+                status[i] = FREE
+            continue
+
+        moved = _line_search(steps, residuals, powers, status, value, free, step, slope, nxt,
+                             decrement)
+        if moved is None:
+            break
+        residuals, powers, status, value = moved
+        # Drop this step's vectors before the next one builds its own.
+        del w, grad, step, free, nxt, slope
+    raise SolverError("Newton method did not converge",
+                      diagnostics={"iterations": iteration, "newton_decrement": decrement})
 
 
 def _schedule(residuals, status, scenario: EnergyScenario, circuit: ChargeCircuit, maps):
@@ -376,92 +664,6 @@ def _schedule(residuals, status, scenario: EnergyScenario, circuit: ChargeCircui
     return schedule, HarvestTrace(residuals=out, harvested=harvested, consumed=consumed)
 
 
-def _line_search(residuals, powers, status, value, free, step, slope, nxt, decrement,
-                 initial_energy, lengths, curves, gain):
-    """Damped Newton step: (residuals, powers, status, value), or None.
-
-    A step t moves u = sqrt(r) by t z / (2u), r by t z + (t z)^2 / (4r).
-    Starts from the longest step keeping every free residual above
-    ``BOUNDARY_FRACTION`` of itself and, to first order, every free
-    epoch's power non-negative; the epoch that limits it lands on p = 0
-    and turns idle, however short the step.  Halves the step until the
-    objective rises by an Armijo fraction of the predicted increase, up
-    to its own rounding; None below ``MIN_STEP``.
-    """
-    t, blocking = 1.0, -1
-    reach = 2.0 * (1.0 - math.sqrt(BOUNDARY_FRACTION))    # u to sqrt(fraction) u
-    change = [0.0] * len(powers)
-    for i in free:
-        if step[i] < 0.0:
-            t = min(t, reach * residuals[i] / -step[i])
-        change[i] -= step[i] / lengths[i]
-        change[nxt[i]] += slope[i] * step[i] / lengths[nxt[i]]
-    for i in free:
-        if change[i] < 0.0 and powers[i] < -t * change[i]:
-            t, blocking = powers[i] / -change[i], i
-    while t >= MIN_STEP or blocking >= 0:
-        trial = [r + t * d + 0.25 * (t * d) ** 2 / r if d else r
-                 for r, d in zip(residuals, step)]
-        if blocking >= 0:
-            trial[blocking] = math.inf    # at or above the store: idle
-        trial, trial_powers, trial_status = _forward(trial, status, initial_energy,
-                                                     lengths, curves)
-        trial_value = _objective(trial_powers, lengths, gain)
-        if trial_value >= value + ARMIJO * t * decrement - OBJECTIVE_ROUNDING * value:
-            return trial, trial_powers, trial_status, trial_value
-        t, blocking = 0.5 * t, -1
-    return None
-
-
-def _optimal_residuals(initial_energy, lengths, curves, gain, e_max_root):
-    """The Newton method of :func:`solve`.
-
-    Returns (residuals, status, iterations, last Newton decrement).
-    """
-    # Where G is flat in floating point, whatever is left at the arrival
-    # is lost to the full charge, so the residual there is 0.
-    status = [EMPTY if a + s * e_max_root == a else FREE for a, s in curves]
-    left = list(accumulate(reversed(lengths)))[::-1]    # time left at each epoch's start
-    best = (-math.inf,)
-    for kept in ([0.5] * len(curves), [1.0 - l / rest for l, rest in zip(lengths, left)]):
-        start, stored = [], initial_energy
-        for (a, s), share in zip(curves, kept):
-            start.append(share * stored)
-            stored = (a + s * math.sqrt(start[-1])) ** 2
-        point = _forward(start, status, initial_energy, lengths, curves)
-        value = _objective(point[1], lengths, gain)
-        if value > best[-1]:
-            best = (*point, value)
-    residuals, powers, status, value = best
-
-    decrement = math.inf
-    for iteration in range(1, MAX_ITERATIONS + 1):
-        w, grad, step, free, nxt, slope = _newton(residuals, powers, status, lengths,
-                                                  curves, gain)
-        decrement = sum(grad[i] * step[i] for i in free)
-        # relative rounding of each epoch's w: 1 + (store at its start) w / l
-        rounding = [1.0 + (r + p * l) * x / l
-                    for r, p, l, x in zip(residuals + [0.0], powers, lengths, w)]
-        if all(abs(grad[i]) <= STATIONARITY_TOL * w[i] * (rounding[i] + rounding[nxt[i]])
-               or residuals[i] + step[i] == residuals[i] for i in free):
-            worst, i = min(((grad[i] / w[i], i) for i, state in enumerate(status)
-                            if state == IDLE), default=(0.0, -1))
-            if worst >= -RELEASE_TOL:
-                return residuals, status, iteration, decrement
-            status[i] = FREE
-            continue
-
-        moved = _line_search(residuals, powers, status, value, free, step, slope, nxt,
-                             decrement, initial_energy, lengths, curves, gain)
-        if moved is None:
-            break
-        residuals, powers, status, value = moved
-        # Drop this step's vectors before the next one builds its own.
-        del w, grad, step, free, nxt, slope, rounding
-    raise SolverError("Newton method did not converge",
-                      diagnostics={"iterations": iteration, "newton_decrement": decrement})
-
-
 def solve(scenario: EnergyScenario, circuit: ChargeCircuit,
           gain: float = 1.0) -> SolveReport:
     """Compute the throughput-maximizing schedule.
@@ -472,10 +674,11 @@ def solve(scenario: EnergyScenario, circuit: ChargeCircuit,
 
     Damped Newton steps over the arrival residuals (module docstring);
     a step that would take a free epoch's power below 0 stops there and
-    makes the epoch idle.  Once the free residuals are stationary, the
-    idle epoch with the most negative multiplier is released, and with
-    none left the point is optimal.  One pass through the store turns it
-    into powers and a trace, which :func:`check_feasibility` checks.
+    makes the epoch idle.  Once the free residuals are stationary, every
+    idle epoch whose multiplier is below ``-RELEASE_TOL`` is released,
+    and with none left the point is optimal.  One pass through the store
+    turns it into powers and a trace, which :func:`check_feasibility`
+    checks.
 
     Raises:
         SolverError: after ``MAX_ITERATIONS`` steps or a step cut below
@@ -489,8 +692,11 @@ def solve(scenario: EnergyScenario, circuit: ChargeCircuit,
     maps = _charge_maps(scenario.packet_lengths.tolist(), circuit)
     # (a, s) of G(r) = (a + s sqrt r)^2
     curves = [(e_max_root * q, s) for q, s in maps]
-    residuals, status, iterations, decrement = _optimal_residuals(
-        scenario.initial_energy, scenario.epoch_lengths.tolist(), curves, gain, e_max_root)
+    array = len(curves) >= ARRAY_MIN_PACKETS
+    with np.errstate(all="ignore") if array else nullcontext():    # see _ArraySteps
+        residuals, status, iterations, decrement = _optimal_residuals(
+            _ArraySteps if array else _ScalarSteps, scenario.initial_energy,
+            scenario.epoch_lengths.tolist(), curves, gain, e_max_root)
     schedule, trace = _schedule(residuals, status, scenario, circuit, maps)
     verdict = check_feasibility(schedule, trace, circuit)
     if not verdict.ok:

@@ -45,6 +45,13 @@ class TestBruteForce:
         assert result.schedule.powers == (0.0,)
         assert result.throughput == 0.0
 
+    def test_rejects_overfull_battery(self, sim_circuit):
+        # as solve does: the replay would start outside the harvest's domain
+        s = EnergyScenario(initial_energy=1.0, packets=((1.0, 0.0), (2.0, 0.0)), deadline=3.0)
+        assert s.initial_energy > sim_circuit.e_max
+        with pytest.raises(ValueError, match="e_max"):
+            brute_force_optimize(s, sim_circuit, GridSpec(resolution=3, power_bound=1.0))
+
     def test_epoch_limit_enforced(self, sim_circuit):
         scenario, _ = generate_scenario(medium_config(sim_circuit, 4),
                                         np.random.default_rng(0))
@@ -163,10 +170,10 @@ class TestWholeGridReference:
             assert brute_force_optimize(scenario, sim_circuit).feasible < 60 ** 3 / 2
 
     def test_ties_between_permuted_tuples(self, sim_circuit):
-        # two equal harvest-free epochs: (0, 1/2), (1/2, 0) and (1/2, 1/2)
-        # spend the same three powers, and their bits tie exactly
-        s = EnergyScenario(1.0, ((1.0, 0.0), (2.0, 0.0)), 3.0)
-        grid = GridSpec(resolution=3, power_bound=1.0)
+        # two equal harvest-free epochs: (0, 0.05), (0.05, 0) and
+        # (0.05, 0.05) spend the same three powers, and their bits tie exactly
+        s = EnergyScenario(0.1, ((1.0, 0.0), (2.0, 0.0)), 3.0)
+        grid = GridSpec(resolution=3, power_bound=0.1)
         result = brute_force_optimize(s, sim_circuit, grid)
         assert repr(result) == repr(ref.brute_force_optimize(s, sim_circuit, grid))
-        assert result.schedule.powers == (0.0, 0.5, 0.5)
+        assert result.schedule.powers == (0.0, 0.05, 0.05)

@@ -125,6 +125,22 @@ class TestCheckFeasibility:
             assert verdict.ok
 
 
+    def test_reports_the_first_failing_epoch(self, bench_circuit):
+        from rfharvest import HarvestTrace
+        e_max = bench_circuit.e_max
+        schedule = TransmissionSchedule(powers=(0.0,) * 4, epoch_bounds=(0.0, 1.0, 2.0, 3.0, 4.0))
+        # over-full after the harvests of epochs 2 and 3
+        trace = HarvestTrace(residuals=(0.5, 1.0, 1.0, 0.0), harvested=(0.5, e_max, e_max),
+                             consumed=(0.0,) * 4)
+        verdict = check_feasibility(schedule, trace, bench_circuit)
+        assert (verdict.ok, verdict.violated, verdict.epoch) == (False, "capacity", 2)
+        # causality is checked over the whole horizon first
+        trace = HarvestTrace(residuals=(0.5, 1.0, 1.0, -1.0), harvested=(0.5, e_max, e_max),
+                             consumed=(0.0,) * 4)
+        verdict = check_feasibility(schedule, trace, bench_circuit)
+        assert (verdict.ok, verdict.violated, verdict.epoch) == (False, "causality", 4)
+
+
 class TestThroughput:
     def test_silence_is_zero(self):
         s = TransmissionSchedule(powers=(0.0, 0.0), epoch_bounds=(0.0, 1.0, 2.0))
@@ -271,11 +287,26 @@ class TestKKTStructure:
                 assert r + h < sim_circuit.e_max
 
 
+def released_trio():
+    """Three idle epochs of 3e-5 to 9e-5 s are released together at gain
+    1e-3, and the joint step would drain one of them at p = 0.  That one
+    turns idle again; the other two stay free.  Turning all three idle
+    again would release the same three at every step."""
+    return EnergyScenario(initial_energy=1e-300, deadline=53071.36492441976, packets=(
+        (437.75832356974956, 0.009104840763641821), (437.75832795009785, 2.325061156920346),
+        (53071.36000308556, 0.838558692996918), (53071.36003954115, 3.715382455465e-06),
+        (53071.36006677843, 2.2046900347235113e-05), (53071.36015694556, 0.0)))
+
+
 def heterogeneous_scenario(rng, circuit, max_packets):
     """A draw of the benchmark's heterogeneous family: 1..max_packets
-    packets, epochs log-uniform in [1e-3, 10] s, charge durations
+    packets, then :func:`heterogeneous_horizon`'s draws."""
+    return heterogeneous_horizon(rng, circuit, int(rng.integers(1, max_packets + 1)))
+
+
+def heterogeneous_horizon(rng, circuit, n):
+    """n packets, epochs log-uniform in [1e-3, 10] s, charge durations
     log-uniform in [1e-4, 3] tau, any initial energy."""
-    n = int(rng.integers(1, max_packets + 1))
     lengths = np.exp(rng.uniform(math.log(1e-3), math.log(10.0), n + 1))
     durations = circuit.tau * np.exp(rng.uniform(math.log(1e-4), math.log(3.0), n))
     bounds = np.cumsum(lengths)
@@ -314,6 +345,23 @@ class TestHardScenarios:
             assert report.throughput >= oracle.throughput - oracle.error_bound
             with_idle_epochs += 0.0 in report.schedule.powers
         assert with_idle_epochs >= 15
+
+    @pytest.mark.parametrize("n_packets, seed, gain, max_steps",
+                             [(256, 2, 1.0, 40), (1024, 1, 1.0, 40), (32, 9, 2.7e8, 60)])
+    def test_long_heterogeneous_horizons(self, sim_circuit, n_packets, seed, gain, max_steps):
+        # Many idle epochs turn free again once the free residuals are
+        # stationary.  Released one at a time, each release needs the
+        # others to converge again, and these draws ran out of steps.
+        scenario = hetero_horizon(sim_circuit, n_packets, seed)
+        report = solve(scenario, sim_circuit, gain)
+        assert report.iterations <= max_steps
+        assert_beats_max_harvest(report, scenario, sim_circuit, gain)
+
+    def test_released_epoch_the_step_would_drain_turns_idle_alone(self, sim_circuit):
+        s = released_trio()
+        report = solve(s, sim_circuit, 1e-3)
+        assert report.iterations <= 20
+        assert_beats_max_harvest(report, s, sim_circuit, 1e-3)
 
     def test_battery_filling_packet_drains_first(self, sim_circuit):
         # a packet 1e4 time constants long fills the battery whatever is
@@ -354,6 +402,59 @@ class TestHardScenarios:
                           options={"ftol": 1e-14, "maxiter": 1000})
         assert result.success
         assert abs(-result.fun - solve(scenario, sim_circuit).throughput) <= 1e-8
+
+
+def reference_horizon(circuit, n_packets, seed):
+    return generate_scenario(medium_config(circuit, n_packets, seed),
+                             np.random.default_rng([n_packets, seed]))[0]
+
+
+def with_empty_epochs(circuit):
+    """An N = 128 reference horizon with packets of 1e4 tau (s = 0) and
+    40 tau (s = 4e-18): the full charge after each leaves nothing to keep."""
+    scenario = reference_horizon(circuit, 128, 0)
+    packets = list(scenario.packets)
+    for i, time_constants in ((40, 1e4), (90, 40.0)):
+        packets[i] = (packets[i][0], time_constants * circuit.tau)
+    return EnergyScenario(scenario.initial_energy, tuple(packets), scenario.deadline)
+
+
+def hetero_horizon(circuit, n_packets, seed):
+    return heterogeneous_horizon(np.random.default_rng([n_packets, seed]), circuit, n_packets)
+
+
+# hetero: idle runs, blocked steps and releases; empty128: EMPTY arrivals,
+# with G' = 0 and with G' infinite at r = 0; trio: a step blocked at length 0
+KERNEL_CASES = {
+    "N64": lambda circuit: (reference_horizon(circuit, 64, 0), 1.0),
+    "N256": lambda circuit: (reference_horizon(circuit, 256, 0), 1.0),
+    "N1024": lambda circuit: (reference_horizon(circuit, 1024, 0), 1.0),
+    "hetero256/2": lambda circuit: (hetero_horizon(circuit, 256, 2), 1.0),
+    "hetero256/4": lambda circuit: (hetero_horizon(circuit, 256, 4), 1.0),
+    "hetero1024/1": lambda circuit: (hetero_horizon(circuit, 1024, 1), 1.0),
+    "empty128": lambda circuit: (with_empty_epochs(circuit), 1.0),
+    "trio": lambda circuit: (released_trio(), 1e-3),
+}
+
+
+class TestKernelSets:
+    """solve's scalar and array step kernels find the same optimum."""
+
+    @pytest.mark.parametrize("case", list(KERNEL_CASES))
+    def test_both_kernel_sets_agree(self, sim_circuit, monkeypatch, case):
+        scenario, gain = KERNEL_CASES[case](sim_circuit)
+        reports = []
+        for threshold in (scenario.n_packets + 1, scenario.n_packets):    # scalar, array
+            monkeypatch.setattr(scheduling, "ARRAY_MIN_PACKETS", threshold)
+            reports.append(solve(scenario, sim_circuit, gain))
+        scalar, array = ([i for i, p in enumerate(r.schedule.powers) if p == 0.0]
+                         for r in reports)
+        assert scalar == array
+        assert reports[1].throughput == pytest.approx(reports[0].throughput, rel=1e-12)
+        if case == "empty128":
+            residuals = reports[1].trace.residuals
+            assert residuals[40] == pytest.approx(0.0, abs=1e-15)
+            assert residuals[90] == pytest.approx(0.0, abs=1e-15)
 
 
 SIM = ChargeCircuit(resistance=4000.0, capacitance=0.05, v_max=2.5)
