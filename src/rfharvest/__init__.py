@@ -43,7 +43,6 @@ from .simulator import (
     generate_scenario,
     monte_carlo,
     optimal_schedule,
-    rate,
     replay,
 )
 from .strategies import (
@@ -82,7 +81,6 @@ __all__ = [
     "online_step",
     "ChannelLink",
     "ExperimentConfig",
-    "rate",
     "replay",
     "optimal_schedule",
     "generate_scenario",

@@ -38,8 +38,10 @@ The horizon's length picks how a step is computed.  Below
 ``ARRAY_MIN_PACKETS`` packets the step kernels loop over Python floats;
 from there on they work on numpy arrays along the horizon, with the
 same arithmetic elementwise.  Only the idle runs and the O(N) sweep
-stay loops there.  Both kernel sets share one Newton loop: the starts,
-the active set, the release rule and the tolerances.
+stay loops there.  Both kernel sets share one Newton loop (the starts,
+the active set, the release rule and the tolerances) and one Thomas
+sweep, :func:`_sweep`.  The solve returns the point the loop stopped
+at: its powers, and its residuals as the trace.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from typing import Optional
 
 import numpy as np
 
-from .charge import ChargeCircuit, _charge_maps, _harvest_step
+from .charge import ChargeCircuit, _charge_maps, _harvest_value
 from .exceptions import SolverError
 
 __all__ = [
@@ -253,6 +255,49 @@ def throughput(schedule: TransmissionSchedule, gain: float = 1.0) -> float:
     return float(np.sum(0.5 * lengths * np.log1p(snr))) / math.log(2.0)
 
 
+def _sweep(rows):
+    """The Newton step of the free residuals, in order, from one Thomas sweep.
+
+    Over the free residuals -Hessian is tridiagonal: sum_e D_e q_e q_e^T
+    plus -T''_i w_e on the diagonal, D_e = w_e^2/l_e, q_e the gradient of
+    epoch e's spend (-1 at its own residual, T' at the one feeding its
+    store).  Each row (own, t, bend_w, soft, stiff, g) is one free residual
+    i: own = D_i; t = T' of the free residual before it where that feeds
+    epoch i's store, else 0; bend_w = T''_i w_e; soft = grad_i / (2 r_i)
+    where grad_i < 0, else 0; stiff = D_e T'_i^2 where e is not free,
+    else 0; g = grad_i.  The sweep merges each epoch into the stiffness P
+    before it like springs in series, D / (1 + D T'^2 / P), so no pivot
+    cancels however stiff an epoch is (near idle at a large gain), and
+    carries 1/P, so a curvature that overflows near r = 0 gives a step of
+    0, not NaN.  The step is Newton's in u = sqrt(r): the u-curvature adds
+    -grad_i / (2 r_i), kept where positive, so y = u / u* goes to 2y - y^2
+    from below on F = c sqrt(r) - b r (an r step triples r).
+    """
+    shift, pull, merged = [], [], []
+    compliance = force = 0.0
+    for own, t, bend_w, soft, stiff, g in rows:
+        if t:
+            link = own * t * compliance
+            near = 1.0 + link * t
+            compliance = 1.0 / (own / near - bend_w - soft + stiff)
+            force = (g + force * own * t / near) * compliance
+        else:
+            link, near = 0.0, 1.0
+            compliance = 1.0 / (own - bend_w - soft + stiff)
+            force = g * compliance
+        pull.append(link)
+        merged.append(near)
+        shift.append(force)
+    pull.append(0.0)
+    merged.append(1.0)
+    following, out = 0.0, []
+    for force, link, near in zip(shift[::-1], pull[:0:-1], merged[:0:-1]):
+        following = (force + link * following) / near
+        out.append(following)
+    out.reverse()
+    return out
+
+
 class _ScalarSteps:
     """Step kernels that walk the horizon one arrival at a time in Python
     floats: on a short horizon a loop costs less than numpy's calls.
@@ -332,41 +377,21 @@ class _ScalarSteps:
                 slope[i], bend[i], nxt[i] = g1, g2, i + 1
         grad = [slope[i] * w[nxt[i]] - w[i] for i in range(n)]
 
-        # Over the free residuals -Hessian is tridiagonal: sum_e D_e q_e q_e^T
-        # plus -T''_i w_e on the diagonal, D_e = w_e^2/l_e, q_e the gradient of
-        # epoch e's spend (-1 at its own residual, T' at the one feeding its
-        # store).  The Thomas sweep merges each epoch into the stiffness P
-        # before it like springs in series, D / (1 + D T'^2 / P), so no pivot
-        # cancels however stiff an epoch is (near idle at a large gain), and
-        # carries 1/P, so a curvature that overflows near r = 0 gives a step
-        # of 0, not NaN.  The step is Newton's in u = sqrt(r): the u-curvature
-        # adds -grad_i / (2 r_i), kept where positive, so y = u / u* goes to
-        # 2y - y^2 from below on F = c sqrt(r) - b r (an r step triples r).
         free = [i for i in range(n) if status[i] == FREE]
-        shift, pull, merged = [], [], []
-        compliance = 0.0
+        rows = []           # the rows of _sweep
         for j, i in enumerate(free):
-            own = w[i] * w[i] / lengths[i]
-            t = slope[free[j - 1]] if j and nxt[free[j - 1]] == i else 0.0
-            link = own * t * compliance if t else 0.0
-            pull.append(link)
-            merged.append(1.0 + link * t)
             e = nxt[i]
-            curvature = own / merged[-1] - bend[i] * w[e]
-            if grad[i] < 0.0:
-                curvature -= 0.5 * grad[i] / residuals[i]
-            if e == n or status[e] != FREE:
-                curvature += slope[i] * slope[i] * w[e] * w[e] / lengths[e]
-            force = grad[i] + shift[-1] * own * t / merged[-1] if t else grad[i]
-            compliance = 1.0 / curvature
-            shift.append(force * compliance)
-        pull.append(0.0)
-        merged.append(1.0)
+            rows.append((
+                w[i] * w[i] / lengths[i],
+                slope[free[j - 1]] if j and nxt[free[j - 1]] == i else 0.0,
+                bend[i] * w[e],
+                0.5 * grad[i] / residuals[i] if grad[i] < 0.0 else 0.0,
+                slope[i] * slope[i] * w[e] * w[e] / lengths[e]
+                if e == n or status[e] != FREE else 0.0,
+                grad[i]))
         step = [0.0] * n
-        following = 0.0
-        for j in range(len(free) - 1, -1, -1):
-            following = (shift[j] + pull[j + 1] * following) / merged[j + 1]
-            step[free[j]] = following
+        for i, d in zip(free, _sweep(rows)):
+            step[i] = d
         decrement = sum(grad[i] * step[i] for i in free)
         return w, grad, step, free, nxt, slope, decrement
 
@@ -411,8 +436,8 @@ class _ArraySteps:
     the horizon, with the same arithmetic elementwise; sums run in numpy's
     order.  Two parts stay sequential: the idle runs, where the store
     passes through in root energy as u_{k+1} = a_k + s_k u_k, walked in
-    Python over the idle arrivals only, and the Thomas sweep, a Python
-    loop over the coefficients as floats.
+    Python over the idle arrivals only, and the Thomas sweep, the loop of
+    :func:`_sweep` over the coefficients as floats.
 
     Callers run it under ``np.errstate(all="ignore")``: the scalar
     kernels' floats overflow to inf and turn inf - inf into NaN without a
@@ -483,35 +508,11 @@ class _ArraySteps:
             linked = nxt[free[:-1]] == free[1:]
             t[1:][linked] = slope[free[:-1]][linked]
             tail = np.concatenate((status != FREE, [True]))[e]
-            coefficients = zip(
+            step[free] = _sweep(zip(
                 (w[free] * w[free] / lengths[free]).tolist(), t.tolist(),
                 (bend[free] * w[e]).tolist(), np.where(g < 0.0, 0.5 * g / r, 0.0).tolist(),
                 np.where(tail, slope[free] * slope[free] * w[e] * w[e] / lengths[e], 0.0).tolist(),
-                g.tolist())
-            # the Thomas sweep of _ScalarSteps.newton, with its arithmetic
-            shift, pull, merged = [], [], []
-            compliance = force = 0.0
-            for own, t, bend_w, soft, stiff, g in coefficients:
-                if t:
-                    link = own * t * compliance
-                    near = 1.0 + link * t
-                    compliance = 1.0 / (own / near - bend_w - soft + stiff)
-                    force = (g + force * own * t / near) * compliance
-                else:
-                    link, near = 0.0, 1.0
-                    compliance = 1.0 / (own - bend_w - soft + stiff)
-                    force = g * compliance
-                pull.append(link)
-                merged.append(near)
-                shift.append(force)
-            pull.append(0.0)
-            merged.append(1.0)
-            following, out = 0.0, []
-            for force, link, near in zip(shift[::-1], pull[:0:-1], merged[:0:-1]):
-                following = (force + link * following) / near
-                out.append(following)
-            out.reverse()
-            step[free] = out
+                g.tolist()))
         decrement = float(grad[free] @ step[free])
         return w, grad, step, free, nxt, slope, decrement
 
@@ -588,8 +589,8 @@ def _optimal_residuals(kernels, initial_energy, lengths, curves, gain, e_max_roo
     """The Newton method of :func:`solve`, stepping with ``kernels``
     (:class:`_ScalarSteps` or :class:`_ArraySteps`).
 
-    Returns (residuals, status, iterations, last Newton decrement), the
-    first two as lists.
+    Returns (residuals, powers, iterations, last Newton decrement) of the
+    optimum, the first two as the kernels built them: lists or arrays.
     """
     steps = kernels(initial_energy, lengths, curves, gain)
     # Where G is flat in floating point, whatever is left at the arrival
@@ -614,9 +615,7 @@ def _optimal_residuals(kernels, initial_energy, lengths, curves, gain, e_max_roo
         if steps.stationary(residuals, powers, w, grad, step, free, nxt):
             released = steps.released(status, w, grad)
             if not released:
-                if kernels is _ArraySteps:
-                    residuals, status = residuals.tolist(), status.tolist()
-                return residuals, status, iteration, decrement
+                return residuals, powers, iteration, decrement
             for i in released:
                 status[i] = FREE
             continue
@@ -632,38 +631,6 @@ def _optimal_residuals(kernels, initial_energy, lengths, curves, gain, e_max_roo
                       diagnostics={"iterations": iteration, "newton_decrement": decrement})
 
 
-def _schedule(residuals, status, scenario: EnergyScenario, circuit: ChargeCircuit, maps):
-    """Powers that leave the given arrival residuals, and their trace.
-
-    One pass through the store with replay's arithmetic over each
-    packet's charge map in ``maps``; each power is set from the store this
-    pass carries, (store - residual) / l, so rounding does not build up
-    along the horizon, and an idle epoch's power is exactly 0.  The last
-    epoch drains the store.
-    """
-    n = len(maps)
-    e_max, root_e_max = circuit.e_max, math.sqrt(circuit.e_max)
-    stored = scenario.initial_energy
-    powers, out, harvested, consumed = [], [], [], []
-    for i, length in enumerate(scenario.epoch_lengths.tolist()):
-        if i < n and status[i] == IDLE:
-            power = 0.0
-        else:
-            power = max((stored - (residuals[i] if i < n else 0.0)) / length, 0.0)
-        spend = power * length
-        residual = stored - spend
-        powers.append(power)
-        consumed.append(spend)
-        out.append(residual)
-        if i < n:
-            carried = max(residual, 0.0)
-            harvest = _harvest_step(maps[i], e_max, root_e_max, carried)
-            harvested.append(harvest)
-            stored = min(carried + harvest, e_max)
-    schedule = TransmissionSchedule(powers=powers, epoch_bounds=tuple(scenario.epoch_bounds))
-    return schedule, HarvestTrace(residuals=out, harvested=harvested, consumed=consumed)
-
-
 def solve(scenario: EnergyScenario, circuit: ChargeCircuit,
           gain: float = 1.0) -> SolveReport:
     """Compute the throughput-maximizing schedule.
@@ -676,9 +643,11 @@ def solve(scenario: EnergyScenario, circuit: ChargeCircuit,
     a step that would take a free epoch's power below 0 stops there and
     makes the epoch idle.  Once the free residuals are stationary, every
     idle epoch whose multiplier is below ``-RELEASE_TOL`` is released,
-    and with none left the point is optimal.  One pass through the store
-    turns it into powers and a trace, which :func:`check_feasibility`
-    checks.
+    and with none left the point is optimal.  The schedule holds that
+    point's powers, and the trace its residuals, each packet's harvest at
+    them and p l; the residual at the deadline is the trace's own balance,
+    what the last epoch leaves of the store after the last harvest.
+    :func:`check_feasibility` checks the pair.
 
     Raises:
         SolverError: after ``MAX_ITERATIONS`` steps or a step cut below
@@ -692,12 +661,21 @@ def solve(scenario: EnergyScenario, circuit: ChargeCircuit,
     maps = _charge_maps(scenario.packet_lengths.tolist(), circuit)
     # (a, s) of G(r) = (a + s sqrt r)^2
     curves = [(e_max_root * q, s) for q, s in maps]
+    lengths = scenario.epoch_lengths
     array = len(curves) >= ARRAY_MIN_PACKETS
     with np.errstate(all="ignore") if array else nullcontext():    # see _ArraySteps
-        residuals, status, iterations, decrement = _optimal_residuals(
+        residuals, powers, iterations, decrement = _optimal_residuals(
             _ArraySteps if array else _ScalarSteps, scenario.initial_energy,
-            scenario.epoch_lengths.tolist(), curves, gain, e_max_root)
-    schedule, trace = _schedule(residuals, status, scenario, circuit, maps)
+            lengths.tolist(), curves, gain, e_max_root)
+    residuals, powers = np.asarray(residuals), np.asarray(powers)
+    harvested = _harvest_value(np.array(maps).reshape(-1, 2).T, circuit.e_max, e_max_root,
+                               residuals)
+    consumed = powers * lengths
+    held = residuals[-1] + harvested[-1] if maps else scenario.initial_energy
+    schedule = TransmissionSchedule(powers=powers.tolist(),
+                                    epoch_bounds=tuple(scenario.epoch_bounds))
+    trace = HarvestTrace(residuals=[*residuals.tolist(), held - consumed[-1]],
+                         harvested=harvested.tolist(), consumed=consumed.tolist())
     verdict = check_feasibility(schedule, trace, circuit)
     if not verdict.ok:
         raise SolverError("optimum fails the feasibility check",

