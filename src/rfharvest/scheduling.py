@@ -42,6 +42,15 @@ stay loops there.  Both kernel sets share one Newton loop (the starts,
 the active set, the release rule and the tolerances) and one Thomas
 sweep, :func:`_sweep`.  The solve returns the point the loop stopped
 at: its powers, and its residuals as the trace.
+
+A Monte Carlo point solves its scenarios, which share N, as one batch
+(:func:`_solve_batch`): a third kernel set adds a batch axis, (N, B)
+arrays with one column per scenario, and runs the same Newton method
+with each member's own active set, line search and convergence.  Only
+the idle runs and the Thomas sweep walk the arrivals there, a row of
+B-vectors at a time, through the same :func:`_sweep`.  Each member
+gets the report or the SolverError its lone solve gives; on the
+reference sweeps they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -230,15 +239,18 @@ def check_feasibility(schedule: TransmissionSchedule, trace: HarvestTrace,
     right after each harvest may never exceed e_max.  Both checks carry
     an additive slack of 1e-9 * e_max for roundoff.
     """
-    slack = 1e-9 * circuit.e_max
-    for i, r in enumerate(trace.residuals, start=1):
-        if r < -slack:
-            return FeasibilityReport(ok=False, violated="causality", epoch=i)
-    limit = circuit.e_max + slack
-    for i, (r, h) in enumerate(zip(trace.residuals[:-1], trace.harvested), start=1):
-        if r + h > limit:
-            return FeasibilityReport(ok=False, violated="capacity", epoch=i)
+    for violated, flags in zip(("causality", "capacity"), _violations(
+            np.asarray(trace.residuals), np.asarray(trace.harvested), circuit.e_max)):
+        if flags.any():
+            return FeasibilityReport(ok=False, violated=violated, epoch=int(flags.argmax()) + 1)
     return FeasibilityReport(ok=True)
+
+
+def _violations(residuals, harvested, e_max):
+    """(causality, capacity) flags of :func:`check_feasibility`, one per
+    epoch along the first axis of a trace's residuals and harvests."""
+    slack = 1e-9 * e_max
+    return residuals < -slack, residuals[:-1] + harvested > e_max + slack
 
 
 def throughput(schedule: TransmissionSchedule, gain: float = 1.0) -> float:
@@ -248,11 +260,16 @@ def throughput(schedule: TransmissionSchedule, gain: float = 1.0) -> float:
     Summed as log1p(g p) / ln 2, which keeps its relative precision
     where g p is far below 1.
     """
-    snr = gain * np.asarray(schedule.powers)
-    if np.any(snr < -POWER_SLACK) or np.any(~np.isfinite(snr)):
+    return float(_bits(np.asarray(schedule.powers), schedule.epoch_lengths, gain))
+
+
+def _bits(powers, lengths, gain):
+    """:func:`throughput` of each row of powers over its epoch lengths, summed
+    along the last axis (rows of a C-contiguous array sum as a lone row)."""
+    snr = gain * powers
+    if not ((snr >= -POWER_SLACK) & (snr < math.inf)).all():
         raise ValueError("schedule powers must be finite and non-negative")
-    lengths = schedule.epoch_lengths
-    return float(np.sum(0.5 * lengths * np.log1p(snr))) / math.log(2.0)
+    return np.sum(0.5 * lengths * np.log1p(snr), axis=-1) / math.log(2.0)
 
 
 def _sweep(rows):
@@ -272,19 +289,20 @@ def _sweep(rows):
     0, not NaN.  The step is Newton's in u = sqrt(r): the u-curvature adds
     -grad_i / (2 r_i), kept where positive, so y = u / u* goes to 2y - y^2
     from below on F = c sqrt(r) - b r (an r step triples r).
+
+    The entries of a row are floats or, for a batch, vectors with one
+    entry per member, swept with the same arithmetic elementwise.  A row
+    with t = 0 starts a new chain: the compliance and force carried into
+    it enter multiplied by 0, which gives the bits of a fresh start
+    wherever they are finite.
     """
     shift, pull, merged = [], [], []
     compliance = force = 0.0
     for own, t, bend_w, soft, stiff, g in rows:
-        if t:
-            link = own * t * compliance
-            near = 1.0 + link * t
-            compliance = 1.0 / (own / near - bend_w - soft + stiff)
-            force = (g + force * own * t / near) * compliance
-        else:
-            link, near = 0.0, 1.0
-            compliance = 1.0 / (own - bend_w - soft + stiff)
-            force = g * compliance
+        link = own * t * compliance
+        near = 1.0 + link * t
+        compliance = 1.0 / (own / near - bend_w - soft + stiff)
+        force = (g + force * own * t / near) * compliance
         pull.append(link)
         merged.append(near)
         shift.append(force)
@@ -431,6 +449,13 @@ class _ScalarSteps:
                 for r, d in zip(residuals, step)]
 
 
+def _idle(status, residuals, stored):
+    """Where an arrival's epoch is idle: the arrival is, or its free
+    residual is not inside (0, store before it), as _ScalarSteps.forward
+    tests it."""
+    return (status == IDLE) | (status == FREE) & ~((0.0 < residuals) & (residuals < stored))
+
+
 class _ArraySteps:
     """The kernels of :class:`_ScalarSteps` over whole numpy arrays along
     the horizon, with the same arithmetic elementwise; sums run in numpy's
@@ -462,7 +487,7 @@ class _ArraySteps:
         # Where the arrival before is not idle, its store and idle test are
         # right as computed.  Each idle run is walked from its first arrival
         # to the first one after it that is not idle.
-        idle = (status == IDLE) | (status == FREE) & ~((0.0 < out) & (out < stored[:n]))
+        idle = _idle(status, out, stored[:n])
         end = 0
         for i in idle.nonzero()[0].tolist():
             if i < end:
@@ -554,6 +579,137 @@ class _ArraySteps:
         return out
 
 
+class _BatchSteps:
+    """The kernels of :class:`_ScalarSteps` over a batch of horizons with
+    the same number of packets, one column per member: row k of an (N, B)
+    array is arrival k of every member, row k of an (N + 1, B) array
+    epoch k.  The arithmetic is the same elementwise, and sums along the
+    horizon add one row at a time, in the scalar kernels' order (numpy
+    reduces a leading axis that way).  Each member keeps its own active
+    set; a member's entries off its free arrivals are padding.  The idle
+    runs and the Thomas sweep walk the arrivals a row of B-vectors at a
+    time; :func:`_sweep` gets each member's free rows packed to the top.
+
+    Callers run it under ``np.errstate(all="ignore")``, as :class:`_ArraySteps`.
+    """
+
+    def __init__(self, initial_energy, lengths, a, s, gain):
+        self.initial_energy, self.lengths, self.a, self.s, self.gain = (
+            initial_energy, lengths, a, s, gain)
+        self.c, self.ss = a * s, s * s
+        self.members = np.arange(a.shape[1])
+
+    def forward(self, residuals, status):
+        a, s = self.a, self.s
+        n = len(a)
+        status = status.copy()
+        out = np.where(status == EMPTY, 0.0, residuals)
+        stored = np.empty((n + 1, len(self.members)))     # the store before each epoch
+        stored[0] = self.initial_energy
+        root = a + s * np.sqrt(out)
+        stored[1:] = root * root
+        # As in _ArraySteps, a store and idle test are right as computed
+        # where the arrival before is not idle.  The rows with an idle
+        # member are walked in order, each one's stores moving the next
+        # row's stores and idle tests.
+        idle = _idle(status, out, stored[:n])
+        pending = idle.any(axis=1).tolist()
+        for i in range(n):
+            if not pending[i]:
+                continue
+            hit = idle[i]
+            status[i][hit] = IDLE
+            out[i] = np.where(hit, stored[i], out[i])
+            root = a[i] + s[i] * np.sqrt(out[i])
+            stored[i + 1] = root * root
+            if i + 1 < n:
+                idle[i + 1] = _idle(status[i + 1], out[i + 1], stored[i + 1])
+                pending[i + 1] = bool(idle[i + 1].any())
+        powers = stored / self.lengths          # the last epoch drains the store
+        powers[:n] = (stored[:n] - out) / self.lengths[:n]
+        return out, powers, status
+
+    def objective(self, powers):
+        return (self.lengths * np.log1p(self.gain * powers)).sum(axis=0)
+
+    def newton(self, residuals, powers, status):
+        n, lengths, members = len(self.a), self.lengths, self.members
+        w = self.gain / (1.0 + self.gain * powers)
+        slope = self.c / np.sqrt(residuals)     # inf at r = 0, as in the scalar kernel
+        bend = -0.5 * slope / residuals
+        flat = self.c == 0.0
+        slope[flat], bend[flat] = 0.0, 0.0
+        slope += self.ss
+        nxt = np.repeat(np.arange(1, n + 1)[:, None], len(members), axis=1)
+        # an idle arrival passes its store on: chain back through each idle run
+        chained = status[1:] == IDLE
+        for i in chained.any(axis=1).nonzero()[0][::-1].tolist():
+            hit = chained[i]
+            bend[i] = np.where(hit, bend[i + 1] * slope[i] * slope[i] + slope[i + 1] * bend[i],
+                               bend[i])
+            slope[i] = np.where(hit, slope[i + 1] * slope[i], slope[i])
+            nxt[i] = np.where(hit, nxt[i + 1], nxt[i])
+        w_next = w[nxt, members]
+        grad = slope * w_next - w[:n]
+
+        free = status == FREE
+        # whether the epoch a residual feeds ends at a free arrival
+        feeds = np.vstack((status, np.full_like(status[:1], EMPTY)))[nxt, members] == FREE
+        t = np.zeros_like(slope)
+        rows, cols = (free & feeds).nonzero()
+        t[nxt[rows, cols], cols] = slope[rows, cols]
+        # the rows of _sweep; off the free arrivals, rows that sweep to 0
+        coefficients = np.stack((
+            np.where(free, w[:n] * w[:n] / lengths[:n], 1.0), t,
+            np.where(free, bend * w_next, 0.0),
+            np.where(free & (grad < 0.0), 0.5 * grad / residuals, 0.0),
+            np.where(free & ~feeds, slope * slope * w_next * w_next / lengths[nxt, members],
+                     0.0),
+            np.where(free, grad, 0.0)))
+        depth = int(free.sum(axis=0).max(initial=0))
+        packed = np.argsort(~free, axis=0, kind="stable")[:depth]
+        step = np.zeros_like(slope)
+        if depth:
+            step[packed, members] = _sweep(coefficients[:, packed, members].transpose(1, 0, 2))
+            step[~free] = 0.0
+        decrement = np.where(free, grad * step, 0.0).sum(axis=0)
+        return w, grad, step, free, nxt, slope, decrement
+
+    def stationary(self, residuals, powers, w, grad, step, free, nxt):
+        lengths = self.lengths
+        stored = powers * lengths
+        stored[:-1] += residuals
+        rounding = 1.0 + stored * w / lengths
+        tolerance = STATIONARITY_TOL * w[:-1] * (rounding[:-1] + rounding[nxt, self.members])
+        return np.all((np.abs(grad) <= tolerance) | (residuals + step == residuals) | ~free,
+                      axis=0)
+
+    def released(self, status, w, grad):
+        return (status == IDLE) & (grad / w[:-1] < -RELEASE_TOL)
+
+    def step_bound(self, residuals, powers, free, step, slope, nxt):
+        lengths, members = self.lengths, self.members
+        n = len(step)
+        reach = 2.0 * (1.0 - math.sqrt(BOUNDARY_FRACTION))
+        t = np.minimum(1.0, np.where(free & (step < 0.0), reach * residuals / -step,
+                                     math.inf).min(axis=0, initial=math.inf))
+        change = np.zeros_like(powers)
+        rows, cols = free.nonzero()
+        e = nxt[rows, cols]             # distinct within a member, so each lands once
+        change[e, cols] = slope[rows, cols] * step[rows, cols] / lengths[e, cols]
+        change = change[:n] - step / lengths[:n]
+        p = powers[:n]
+        limits = free & (change < 0.0) & (p < -t * change)
+        ratios = np.where(limits, p / -change, math.inf)
+        blocking = ratios.argmin(axis=0)
+        hit = limits.any(axis=0)
+        return (np.where(hit, ratios[blocking, members], t), np.where(hit, blocking, -1))
+
+    def trial(self, residuals, step, t):
+        d = t * step
+        return np.where(step != 0.0, residuals + d + 0.25 * (d * d) / residuals, residuals)
+
+
 def _line_search(steps, residuals, powers, status, value, free, step, slope, nxt, decrement):
     """Damped Newton step: (residuals, powers, status, value), or None.
 
@@ -602,7 +758,8 @@ def _optimal_residuals(kernels, initial_energy, lengths, curves, gain, e_max_roo
         start, stored = [], initial_energy
         for (a, s), share in zip(curves, kept):
             start.append(share * stored)
-            stored = (a + s * math.sqrt(start[-1])) ** 2
+            root = a + s * math.sqrt(start[-1])
+            stored = root * root
         point = steps.forward(start, status)
         value = steps.objective(point[1])
         if value > best[-1]:
@@ -627,8 +784,147 @@ def _optimal_residuals(kernels, initial_energy, lengths, curves, gain, e_max_roo
         residuals, powers, status, value = moved
         # Drop this step's vectors before the next one builds its own.
         del w, grad, step, free, nxt, slope
-    raise SolverError("Newton method did not converge",
-                      diagnostics={"iterations": iteration, "newton_decrement": decrement})
+    raise _not_converged(iteration, decrement)
+
+
+def _not_converged(iterations, decrement):
+    """The SolverError of a Newton method that stopped short of the optimum."""
+    return SolverError("Newton method did not converge",
+                       diagnostics={"iterations": iterations, "newton_decrement": decrement})
+
+
+def _batch_line_search(steps, residuals, powers, status, value, searching, free, step, slope,
+                       nxt, decrement):
+    """:func:`_line_search` for each member in ``searching``, with its own
+    step length and blocking epoch (:class:`_BatchSteps`).
+
+    Returns (residuals, powers, status, value, stuck): the members that
+    moved take their accepted trial, and ``stuck`` flags those whose step
+    was halved below ``MIN_STEP``.
+    """
+    t, blocking = steps.step_bound(residuals, powers, free, step, slope, nxt)
+    members = steps.members
+    blocked = searching & (t == 0.0)
+    status = status.copy()
+    status[blocking[blocked], members[blocked]] = IDLE
+    trying = searching & ~blocked & ((t >= MIN_STEP) | (blocking >= 0))
+    stuck = searching & ~blocked & ~trying
+    while trying.any():
+        trial = np.where(trying, steps.trial(residuals, step, t), residuals)
+        capped = trying & (blocking >= 0)
+        trial[blocking[capped], members[capped]] = math.inf    # at or above the store: idle
+        trial, trial_powers, trial_status = steps.forward(trial, status)
+        trial_value = steps.objective(trial_powers)
+        accept = trying & (trial_value
+                           >= value + ARMIJO * t * decrement - OBJECTIVE_ROUNDING * value)
+        residuals, powers, status, value = (
+            np.where(accept, new, old) for new, old in zip(
+                (trial, trial_powers, trial_status, trial_value),
+                (residuals, powers, status, value)))
+        trying &= ~accept
+        t, blocking = 0.5 * t, np.full_like(blocking, -1)
+        cut = trying & (t < MIN_STEP)
+        stuck |= cut
+        trying &= ~cut
+    return residuals, powers, status, value, stuck
+
+
+def _batch_residuals(steps, e_max_root):
+    """:func:`_optimal_residuals` over a batch (:class:`_BatchSteps`): the
+    same starts, steps and tests, with each member's own active set, line
+    search and convergence.
+
+    Returns (residuals, powers, iterations, decrements, converged), one
+    column or entry per member; a member that did not converge holds the
+    iterations and last decrement its SolverError reports.
+    """
+    a, s, lengths = steps.a, steps.s, steps.lengths
+    n, size = a.shape
+    status = np.where(a + s * e_max_root == a, EMPTY, FREE).astype(np.int8)
+    left = np.cumsum(lengths[::-1], axis=0)[::-1]       # time left at each epoch's start
+    best = None
+    for kept in (np.full_like(a, 0.5), 1.0 - lengths[:n] / left[:n]):
+        start, stored = np.empty_like(a), steps.initial_energy
+        for k in range(n):
+            start[k] = kept[k] * stored
+            root = a[k] + s[k] * np.sqrt(start[k])
+            stored = root * root
+        point = steps.forward(start, status)
+        point = (*point, steps.objective(point[1]))
+        if best is not None:
+            better = point[-1] > best[-1]
+            point = tuple(np.where(better, new, old) for new, old in zip(point, best))
+        best = point
+    residuals, powers, status, value = best
+
+    live, converged = np.ones(size, bool), np.zeros(size, bool)
+    iterations, decrements = np.full(size, MAX_ITERATIONS), np.full(size, math.inf)
+    for iteration in range(1, MAX_ITERATIONS + 1):
+        w, grad, step, free, nxt, slope, decrement = steps.newton(residuals, powers, status)
+        decrements = np.where(live, decrement, decrements)
+        stationary = live & steps.stationary(residuals, powers, w, grad, step, free, nxt)
+        released = steps.released(status, w, grad) & stationary
+        done = stationary & ~released.any(axis=0)
+        converged |= done
+        iterations[done] = iteration
+        status = np.where(released, FREE, status)
+        searching = live & ~stationary
+        live &= ~done
+        if searching.any():
+            residuals, powers, status, value, stuck = _batch_line_search(
+                steps, residuals, powers, status, value, searching, free, step, slope, nxt,
+                decrement)
+            iterations[stuck] = iteration
+            live &= ~stuck
+        if not live.any():
+            break
+    return residuals, powers, iterations, decrements, converged
+
+
+def _reports(scenarios, circuit, gain, maps, bounds, residuals, powers, iterations,
+             decrements):
+    """:func:`solve`'s result for each scenario from the point its Newton
+    method stopped at, given as arrays with one column per scenario (the
+    charge maps stacked as (q, s), the epoch bounds as (N + 2, B)).  The
+    trace holds the residuals, each packet's harvest at them and p l; the
+    residual at the deadline is the trace's own balance.  Returns the
+    SolveReport of each point, or the SolverError of one whose trace
+    fails :func:`check_feasibility`.
+    """
+    e_max = circuit.e_max
+    lengths = np.diff(bounds, axis=0)
+    harvested = _harvest_value(maps, e_max, math.sqrt(e_max), residuals)
+    consumed = powers * lengths
+    held = (residuals[-1] + harvested[-1] if len(residuals)
+            else np.array([scenario.initial_energy for scenario in scenarios]))
+    trace_residuals = np.concatenate((residuals, (held - consumed[-1])[None]))
+    causality, capacity = _violations(trace_residuals, harvested, e_max)
+    feasible = ~(causality.any(axis=0) | capacity.any(axis=0))
+    # rows of C-contiguous arrays, so each sums as throughput sums one schedule
+    bits = _bits(np.where(feasible, powers, 0.0).T.copy(), lengths.T.copy(), gain)
+    out = []
+    for k, scenario in enumerate(scenarios):
+        schedule = TransmissionSchedule(powers=powers[:, k].tolist(),
+                                        epoch_bounds=bounds[:, k].tolist())
+        trace = HarvestTrace(residuals=trace_residuals[:, k].tolist(),
+                             harvested=harvested[:, k].tolist(),
+                             consumed=consumed[:, k].tolist())
+        diagnostics = {"iterations": int(iterations[k]),
+                       "newton_decrement": float(decrements[k])}
+        if not feasible[k]:
+            verdict = check_feasibility(schedule, trace, circuit)
+            out.append(SolverError("optimum fails the feasibility check", diagnostics={
+                **diagnostics, "violated": verdict.violated, "epoch": verdict.epoch}))
+            continue
+        out.append(SolveReport(
+            schedule=schedule,
+            trace=trace,
+            throughput=float(bits[k]),
+            iterations=diagnostics["iterations"],
+            newton_decrement=diagnostics["newton_decrement"],
+            terminal_residual_error=abs(trace.terminal_residual),
+        ))
+    return out
 
 
 def solve(scenario: EnergyScenario, circuit: ChargeCircuit,
@@ -647,7 +943,7 @@ def solve(scenario: EnergyScenario, circuit: ChargeCircuit,
     point's powers, and the trace its residuals, each packet's harvest at
     them and p l; the residual at the deadline is the trace's own balance,
     what the last epoch leaves of the store after the last harvest.
-    :func:`check_feasibility` checks the pair.
+    The pair passes :func:`check_feasibility`'s test.
 
     Raises:
         SolverError: after ``MAX_ITERATIONS`` steps or a step cut below
@@ -661,31 +957,44 @@ def solve(scenario: EnergyScenario, circuit: ChargeCircuit,
     maps = _charge_maps(scenario.packet_lengths.tolist(), circuit)
     # (a, s) of G(r) = (a + s sqrt r)^2
     curves = [(e_max_root * q, s) for q, s in maps]
-    lengths = scenario.epoch_lengths
+    bounds = scenario.epoch_bounds
     array = len(curves) >= ARRAY_MIN_PACKETS
     with np.errstate(all="ignore") if array else nullcontext():    # see _ArraySteps
         residuals, powers, iterations, decrement = _optimal_residuals(
             _ArraySteps if array else _ScalarSteps, scenario.initial_energy,
-            lengths.tolist(), curves, gain, e_max_root)
-    residuals, powers = np.asarray(residuals), np.asarray(powers)
-    harvested = _harvest_value(np.array(maps).reshape(-1, 2).T, circuit.e_max, e_max_root,
-                               residuals)
-    consumed = powers * lengths
-    held = residuals[-1] + harvested[-1] if maps else scenario.initial_energy
-    schedule = TransmissionSchedule(powers=powers.tolist(),
-                                    epoch_bounds=tuple(scenario.epoch_bounds))
-    trace = HarvestTrace(residuals=[*residuals.tolist(), held - consumed[-1]],
-                         harvested=harvested.tolist(), consumed=consumed.tolist())
-    verdict = check_feasibility(schedule, trace, circuit)
-    if not verdict.ok:
-        raise SolverError("optimum fails the feasibility check",
-                          diagnostics={"iterations": iterations, "newton_decrement": decrement,
-                                       "violated": verdict.violated, "epoch": verdict.epoch})
-    return SolveReport(
-        schedule=schedule,
-        trace=trace,
-        throughput=throughput(schedule, gain),
-        iterations=iterations,
-        newton_decrement=decrement,
-        terminal_residual_error=abs(trace.terminal_residual),
-    )
+            np.diff(bounds).tolist(), curves, gain, e_max_root)
+    report, = _reports([scenario], circuit, gain, np.array(maps).reshape(-1, 2).T[..., None],
+                       bounds[:, None], np.asarray(residuals, dtype=float)[:, None],
+                       np.asarray(powers)[:, None], [iterations], [decrement])
+    if isinstance(report, SolverError):
+        raise report
+    return report
+
+
+def _solve_batch(scenarios, circuit: ChargeCircuit, gain: float = 1.0) -> list:
+    """:func:`solve` on scenarios with the same number of packets, in one
+    Newton run over the batch (:class:`_BatchSteps`).
+
+    Returns, per scenario, the SolveReport solve returns or the
+    SolverError it raises, with the same diagnostics; a member that fails
+    leaves the others as they are.
+    """
+    if any(scenario.initial_energy > circuit.e_max for scenario in scenarios):
+        raise ValueError("initial_energy exceeds the battery capacity e_max")
+    n = scenarios[0].n_packets
+    e_max_root = math.sqrt(circuit.e_max)
+    maps = np.array([_charge_maps([d for _, d in scenario.packets], circuit)
+                     for scenario in scenarios]).reshape(len(scenarios), n, 2).T.copy()
+    bounds = np.array([(0.0, *(t for t, _ in scenario.packets), scenario.deadline)
+                       for scenario in scenarios]).T.copy()
+    steps = _BatchSteps(np.array([scenario.initial_energy for scenario in scenarios]),
+                        np.diff(bounds, axis=0), e_max_root * maps[0], maps[1], gain)
+    with np.errstate(all="ignore"):
+        residuals, powers, iterations, decrements, converged = _batch_residuals(steps, e_max_root)
+    out = [_not_converged(int(i), float(d)) for i, d in zip(iterations, decrements)]
+    done = converged.nonzero()[0]
+    for k, report in zip(done, _reports([scenarios[k] for k in done], circuit, gain,
+                                        maps[:, :, done], bounds[:, done], residuals[:, done],
+                                        powers[:, done], iterations[done], decrements[done])):
+        out[k] = report
+    return out

@@ -21,12 +21,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .charge import ChargeCircuit, _charge_map, _charge_maps, _harvest_step, packet_length_for
-from .exceptions import ConfigError, GenerationError, InfeasibleError
+from .exceptions import ConfigError, GenerationError, InfeasibleError, SolverError
 from .scheduling import (
     EnergyScenario,
     HarvestTrace,
     SolveReport,
     TransmissionSchedule,
+    _solve_batch,
     solve,
 )
 from .strategies import (
@@ -336,6 +337,12 @@ def monte_carlo(config: ExperimentConfig,
     draws at every sweep point and the result table is reproducible row
     by row.
 
+    Each point draws all its runs' scenarios first.  With ``"optimal"``
+    among the strategies, their optimal schedules are solved as one batch
+    (the reports of solving each alone) and each is replayed; every other
+    strategy goes through :func:`evaluate_strategy`, once per run.  A
+    scenario the solver fails on raises its SolverError.
+
     Returns a list of row dicts, one per (sweep value, strategy).
     """
     for name in strategies:
@@ -374,14 +381,24 @@ def monte_carlo(config: ExperimentConfig,
         bits_per_s = {name: [] for name in strategies}
         harvested = {name: [] for name in strategies}
         te_over_tau = []
-        for run in range(point.runs):
-            rng = np.random.default_rng([point.seed, run])
-            scenario, classic = generate_scenario(point, rng)
+        drawn = [generate_scenario(point, np.random.default_rng([point.seed, run]))
+                 for run in range(point.runs)]
+        if "optimal" in strategies:
+            solved = _solve_batch([scenario for scenario, _ in drawn], point.circuit,
+                                  _snr_gain(point.rate_model, point.link))
+        for run, (scenario, classic) in enumerate(drawn):
             if scenario.n_packets:
                 te_over_tau.append(float(np.mean(scenario.packet_lengths))
                                    / point.circuit.tau)
             for name in strategies:
-                trace, bits = evaluate_strategy(name, scenario, classic, point)
+                if name == "optimal":
+                    report = solved[run]
+                    if isinstance(report, SolverError):
+                        raise report
+                    trace, bits = replay(report.schedule, scenario, point.circuit,
+                                         point.rate_model, point.link)
+                else:
+                    trace, bits = evaluate_strategy(name, scenario, classic, point)
                 bits_per_s[name].append(bits / scenario.deadline)
                 harvested[name].append(trace.total_harvested)
         for name in strategies:

@@ -591,19 +591,103 @@ class TestTinyStores:
                                      gain)
 
 
+def sweep_batches(monkeypatch, strategies=("optimal",), axes=("mean_epoch_length", "capacitance")):
+    """(scenarios, circuit, gain, results) of each batched solve that
+    monte_carlo runs on the reference sweep axes."""
+    run = load_config(Path(__file__).resolve().parent.parent / "configs" / "reference.yaml")
+    values = {"mean_epoch_length": run.sweep.epoch_lengths, "capacitance": run.sweep.capacitances}
+    batches = []
+
+    def spied(scenarios, circuit, gain):
+        results = scheduling._solve_batch(scenarios, circuit, gain)
+        batches.append((scenarios, circuit, gain, results))
+        return results
+
+    monkeypatch.setattr(simulator, "_solve_batch", spied)
+    for axis in axes:
+        monte_carlo(experiment_config(run), strategies, axis, values[axis])
+    return batches
+
+
 def test_reference_fig5_solves_in_few_newton_steps(monkeypatch):
     # root-energy steps from the better start: at most 8 per scenario on
     # both fig5 axes (11-12 with r steps from half the store)
-    run = load_config(Path(__file__).resolve().parent.parent / "configs" / "reference.yaml")
-    point, steps = experiment_config(run), []
-
-    def counted(*args):
-        report = solve(*args)
-        steps.append(report.iterations)
-        return report
-
-    monkeypatch.setattr(simulator, "solve", counted)
-    monte_carlo(point, ("optimal",), "mean_epoch_length", run.sweep.epoch_lengths)
-    monte_carlo(point, ("optimal",), "capacitance", run.sweep.capacitances)
+    steps = [report.iterations for *_, reports in sweep_batches(monkeypatch)
+             for report in reports]
     assert len(steps) == 300
     assert max(steps) <= 8
+
+
+def solved_alone(scenario, circuit, gain):
+    try:
+        return solve(scenario, circuit, gain)
+    except SolverError as exc:
+        return exc
+
+
+def by_size_and_gain(draws):
+    groups = {}
+    for scenario, gain in draws:
+        groups.setdefault((scenario.n_packets, gain), []).append(scenario)
+    return groups
+
+
+class TestBatchedSolve:
+    """monte_carlo solves a sweep point's scenarios in one batched Newton
+    run; each member gets what solve gives it alone."""
+
+    def test_reference_sweeps_agree_bit_for_bit(self, monkeypatch):
+        batches = [*sweep_batches(monkeypatch),
+                   *sweep_batches(monkeypatch, ("optimal", "max_harvest", "tight_string"),
+                                  ("mean_epoch_length",))]
+        assert sum(len(scenarios) for scenarios, *_ in batches) == 450
+        for scenarios, circuit, gain, reports in batches:
+            for scenario, batched in zip(scenarios, reports):
+                alone = solve(scenario, circuit, gain)
+                assert batched.schedule.powers == alone.schedule.powers
+                assert batched.trace.residuals == alone.trace.residuals
+                assert batched.iterations == alone.iterations
+                assert batched.newton_decrement == alone.newton_decrement
+
+    @pytest.mark.parametrize("family", ["heterogeneous", "fuzz"])
+    def test_random_draws_agree(self, family):
+        if family == "heterogeneous":
+            rng = np.random.default_rng([3, 0])
+            draws = [(heterogeneous_scenario(rng, SIM, 5), 1.0) for _ in range(600)]
+        else:
+            rng = np.random.default_rng([8, 0])
+            draws = [fuzz_scenario(rng, SIM) for _ in range(1500)]
+        groups = by_size_and_gain(draws)
+        assert family == "heterogeneous" or any(n == 0 for n, _ in groups)
+        for (_, gain), scenarios in groups.items():
+            for scenario, batched in zip(scenarios, scheduling._solve_batch(scenarios, SIM, gain)):
+                alone = solved_alone(scenario, SIM, gain)
+                if isinstance(alone, SolverError):
+                    assert isinstance(batched, SolverError)
+                    assert batched.diagnostics == alone.diagnostics
+                    continue
+                idle = [[i for i, p in enumerate(r.schedule.powers) if p == 0.0]
+                        for r in (alone, batched)]
+                assert idle[0] == idle[1]
+                assert batched.throughput == pytest.approx(alone.throughput, rel=1e-12)
+
+    @pytest.mark.parametrize("limit", [1, 6])
+    def test_failures_carry_diagnostics(self, sim_circuit, monkeypatch, limit):
+        # cut off after `limit` steps, each member fails or converges as
+        # it would alone; at 6 steps the batch holds both kinds
+        monkeypatch.setattr(scheduling, "MAX_ITERATIONS", limit)
+        config = medium_config(sim_circuit, 8, 0)
+        scenarios = [generate_scenario(config, np.random.default_rng([0, run]))[0]
+                     for run in range(30)]
+        results = scheduling._solve_batch(scenarios, sim_circuit)
+        failed = [isinstance(r, SolverError) for r in results]
+        assert all(failed) if limit == 1 else 0 < sum(failed) < len(failed)
+        for scenario, batched in zip(scenarios, results):
+            alone = solved_alone(scenario, sim_circuit, 1.0)
+            assert type(batched) is type(alone)
+            if isinstance(alone, SolverError):
+                assert batched.diagnostics == alone.diagnostics
+                assert batched.diagnostics["iterations"] == limit
+                assert batched.diagnostics["newton_decrement"] > 0.0
+            else:
+                assert batched.schedule.powers == alone.schedule.powers

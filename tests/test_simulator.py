@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import rfharvest.simulator as simulator
 from rfharvest import (
     ChannelLink,
     EnergyScenario,
@@ -191,6 +192,30 @@ class TestMonteCarlo:
         assert rows[0]["mean_throughput"] == bits / scenario.deadline
         assert rows[0]["mean_harvested"] == trace.total_harvested
         assert rows[0]["std_throughput"] == 0.0
+
+    def test_replays_every_other_strategy_through_evaluate_strategy(self, sim_circuit,
+                                                                       monkeypatch):
+        # the optimal schedules of a point are solved as one batch; every
+        # other strategy is still evaluated once per run, looked up on the
+        # module at call time, and the rows match evaluating each strategy
+        # run by run
+        config = medium_config(sim_circuit)
+        strategies = ("optimal", "max_harvest", "tight_string", "online")
+        calls = []
+
+        def counted(name, *args):
+            calls.append(name)
+            return evaluate_strategy(name, *args)
+
+        monkeypatch.setattr(simulator, "evaluate_strategy", counted)
+        rows = monte_carlo(config, strategies)
+        assert calls == ["max_harvest", "tight_string", "online"] * config.runs
+        drawn = [generate_scenario(config, np.random.default_rng([config.seed, run]))
+                 for run in range(config.runs)]
+        for row in rows:
+            bits = [evaluate_strategy(row["strategy"], scenario, classic, config)[1]
+                    / scenario.deadline for scenario, classic in drawn]
+            assert row["mean_throughput"] == float(np.mean(bits))
 
     def test_tables_are_deterministic(self, sim_circuit):
         config = medium_config(sim_circuit)
