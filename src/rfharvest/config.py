@@ -26,7 +26,6 @@ __all__ = [
     "RunConfig",
     "load_config",
     "parse_config",
-    "dump_config",
     "config_hash",
     "experiment_config",
 ]
@@ -185,36 +184,6 @@ def load_config(path) -> RunConfig:
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
     return parse_config(data)
-
-
-def dump_config(config: RunConfig) -> str:
-    """Serialize a RunConfig back to YAML (comments are not preserved)."""
-    data = {
-        "circuit": {
-            "resistance": config.circuit.resistance,
-            "capacitance": config.circuit.capacitance,
-            "v_max": config.circuit.v_max,
-        },
-        "link": {
-            "frequency": config.link.frequency,
-            "distance": config.link.distance,
-            "bandwidth": config.link.bandwidth,
-            "noise_density": config.link.noise_density,
-        },
-        "rate_model": config.rate_model,
-        "seed": config.seed,
-        "runs": config.runs,
-        "generator": asdict(config.generator),
-        "sweep": {key: list(value) if isinstance(value, tuple) else value
-                  for key, value in asdict(config.sweep).items()},
-    }
-    if config.scenario is not None:
-        data["scenario"] = {
-            "initial_energy": config.scenario.initial_energy,
-            "packets": [[a, d] for a, d in config.scenario.packets],
-            "deadline": config.scenario.deadline,
-        }
-    return yaml.safe_dump(data, sort_keys=True)
 
 
 def config_hash(path) -> str:

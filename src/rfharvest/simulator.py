@@ -150,8 +150,8 @@ def replay(policy, scenario: EnergyScenario, circuit: ChargeCircuit,
         else:
             power = policy.power(bounds[i], stored, observed[:i],
                                  scenario.deadline, circuit)
-        if power < 0:
-            raise ValueError(f"policy produced a negative power in epoch {i + 1}")
+        if not power >= 0:
+            raise ValueError(f"policy produced a negative or NaN power in epoch {i + 1}")
         spend = power * length
         if spend > stored + slack:
             # Genuinely consuming energy it does not have: cut to the
@@ -297,7 +297,10 @@ def generate_scenario(config: ExperimentConfig, rng: np.random.Generator):
 
 def evaluate_strategy(name: str, scenario: EnergyScenario, classic_harvests,
                        config: ExperimentConfig):
-    """(trace, bits) of one named strategy on one scenario."""
+    """(trace, bits) of replaying one named strategy on one scenario.
+
+    ``"optimal"`` solves the scenario and replays the solved schedule.
+    """
     circuit, rate_model, link = config.circuit, config.rate_model, config.link
     if name == "optimal":
         report = optimal_schedule(scenario, circuit, rate_model, link)
@@ -339,9 +342,10 @@ def monte_carlo(config: ExperimentConfig,
 
     Each point draws all its runs' scenarios first.  With ``"optimal"``
     among the strategies, their optimal schedules are solved as one batch
-    (the reports of solving each alone) and each is replayed; every other
-    strategy goes through :func:`evaluate_strategy`, once per run.  A
-    scenario the solver fails on raises its SolverError.
+    (the reports of solving each alone), and the optimal rows average the
+    reports' own throughput and trace; every other strategy is replayed
+    through :func:`evaluate_strategy`, once per run.  A scenario the
+    solver fails on raises its SolverError.
 
     Returns a list of row dicts, one per (sweep value, strategy).
     """
@@ -395,8 +399,7 @@ def monte_carlo(config: ExperimentConfig,
                     report = solved[run]
                     if isinstance(report, SolverError):
                         raise report
-                    trace, bits = replay(report.schedule, scenario, point.circuit,
-                                         point.rate_model, point.link)
+                    trace, bits = report.trace, report.throughput
                 else:
                     trace, bits = evaluate_strategy(name, scenario, classic, point)
                 bits_per_s[name].append(bits / scenario.deadline)

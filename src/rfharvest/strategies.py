@@ -70,8 +70,7 @@ class ClassicTunnel:
 
 def classic_tunnel(initial_energy: float, arrivals: Sequence[float],
                    harvests: Sequence[float], deadline: float,
-                   circuit: ChargeCircuit,
-                   full_fraction: float = FULL_BATTERY_FRACTION) -> ClassicTunnel:
+                   circuit: ChargeCircuit) -> ClassicTunnel:
     """Build the fixed tunnel from a classic arrival sequence."""
     arrivals = list(arrivals)
     harvests = list(harvests)
@@ -79,7 +78,7 @@ def classic_tunnel(initial_energy: float, arrivals: Sequence[float],
         raise ValueError("arrivals and harvests must have equal length")
     if arrivals and (arrivals[-1] >= deadline or min(arrivals) <= 0):
         raise ValueError("arrivals must lie strictly inside (0, deadline)")
-    cap = full_fraction * circuit.e_max
+    cap = FULL_BATTERY_FRACTION * circuit.e_max
     if initial_energy > cap or any(h > cap for h in harvests):
         raise ValueError("an energy increment exceeds the usable battery capacity")
     upper, lower = [], []

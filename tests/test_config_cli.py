@@ -2,7 +2,6 @@ import subprocess
 import sys
 
 import pytest
-import yaml
 
 from rfharvest import (
     SolveReport,
@@ -13,11 +12,7 @@ from rfharvest import (
     replay,
 )
 from rfharvest.cli import main
-from rfharvest.config import (
-    dump_config,
-    load_config,
-    parse_config,
-)
+from rfharvest.config import load_config, parse_config
 from rfharvest.exceptions import ConfigError, SolverError
 
 EXPLICIT = """
@@ -69,12 +64,6 @@ class TestConfigParsing:
         assert config.scenario.n_packets == 2
         assert config.scenario.deadline == 30.0
         assert config.circuit.v_max == 2.5
-
-    def test_round_trip_is_identity(self, explicit_config):
-        config = load_config(explicit_config)
-        once = dump_config(config)
-        again = dump_config(parse_config(yaml.safe_load(once)))
-        assert once == again
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):

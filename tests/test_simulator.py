@@ -132,6 +132,24 @@ class TestReplay:
         with pytest.raises(ValueError):
             replay(schedule, s, sim_circuit)
 
+    @pytest.mark.parametrize("power", [math.nan, -1e-3])
+    def test_nan_or_negative_schedule_power_rejected(self, sim_circuit, power):
+        # throughput() refuses the same schedule; replay names the epoch
+        s = EnergyScenario(initial_energy=0.01, packets=((1.0, 5.0),), deadline=2.0)
+        schedule = TransmissionSchedule(powers=(0.0, power),
+                                        epoch_bounds=(0.0, 1.0, 2.0))
+        with pytest.raises(ValueError, match="epoch 2"):
+            replay(schedule, s, sim_circuit)
+
+    def test_nan_policy_power_rejected(self, sim_circuit):
+        class NaNPolicy:
+            def power(self, now, stored, history, deadline, circuit):
+                return math.nan
+
+        s = EnergyScenario(initial_energy=0.01, packets=((1.0, 5.0),), deadline=2.0)
+        with pytest.raises(ValueError, match="epoch 1"):
+            replay(NaNPolicy(), s, sim_circuit)
+
 
 class TestGenerateScenario:
     def test_zero_harvest_means_zero_durations(self, sim_circuit):
@@ -198,7 +216,7 @@ class TestMonteCarlo:
         # the optimal schedules of a point are solved as one batch; every
         # other strategy is still evaluated once per run, looked up on the
         # module at call time, and the rows match evaluating each strategy
-        # run by run
+        # run by run (the optimal one by its lone solve's throughput)
         config = medium_config(sim_circuit)
         strategies = ("optimal", "max_harvest", "tight_string", "online")
         calls = []
@@ -213,9 +231,38 @@ class TestMonteCarlo:
         drawn = [generate_scenario(config, np.random.default_rng([config.seed, run]))
                  for run in range(config.runs)]
         for row in rows:
-            bits = [evaluate_strategy(row["strategy"], scenario, classic, config)[1]
-                    / scenario.deadline for scenario, classic in drawn]
+            if row["strategy"] == "optimal":
+                bits = [optimal_schedule(scenario, sim_circuit).throughput
+                        / scenario.deadline for scenario, _ in drawn]
+            else:
+                bits = [evaluate_strategy(row["strategy"], scenario, classic, config)[1]
+                        / scenario.deadline for scenario, classic in drawn]
             assert row["mean_throughput"] == float(np.mean(bits))
+
+    @pytest.mark.parametrize("rate_model", ["normalized", "link-budget"])
+    def test_optimal_rows_are_the_solve_reports_own(self, sim_circuit, reference_link,
+                                                     monkeypatch, rate_model):
+        # no optimal schedule is replayed: its row averages each lone
+        # solve's own throughput and harvest, bit for bit
+        config = medium_config(sim_circuit, rate_model=rate_model, link=reference_link)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return replay(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "replay", counted)
+        (row,) = monte_carlo(config, ("optimal",))
+        assert calls == []
+        scenarios = [generate_scenario(config, np.random.default_rng([config.seed, run]))[0]
+                     for run in range(config.runs)]
+        reports = [optimal_schedule(scenario, sim_circuit, rate_model, reference_link)
+                   for scenario in scenarios]
+        assert row["mean_throughput"] == float(np.mean(
+            [report.throughput / scenario.deadline
+             for scenario, report in zip(scenarios, reports)]))
+        assert row["mean_harvested"] == float(np.mean(
+            [report.trace.total_harvested for report in reports]))
 
     def test_tables_are_deterministic(self, sim_circuit):
         config = medium_config(sim_circuit)
