@@ -10,6 +10,8 @@ energy tunnel, schedule the conventional taut string through it, record
 the residuals that schedule would leave at each arrival, and invert the
 charge curve to find the packet charge durations that reproduce exactly
 those harvests.  The same scenario can then be fed to every strategy.
+A Monte Carlo point draws all its runs as one batch, which gives each
+run the scenario a lone draw gives it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .charge import ChargeCircuit, _charge_map, _charge_maps, _harvest_step, packet_length_for
+from .charge import (
+    MAX_CHARGE_TIME_CONSTANTS,
+    ChargeCircuit,
+    _charge_map,
+    _charge_maps,
+    _harvest_step,
+    _harvest_value,
+    packet_length_for,
+)
 from .exceptions import ConfigError, GenerationError, InfeasibleError, SolverError
 from .scheduling import (
     EnergyScenario,
@@ -33,6 +43,7 @@ from .scheduling import (
 from .strategies import (
     FULL_BATTERY_FRACTION,
     OnlinePredictivePolicy,
+    _taut_string,
     classic_tunnel,
     max_harvest_schedule,
     tight_string_schedule,
@@ -150,8 +161,9 @@ def replay(policy, scenario: EnergyScenario, circuit: ChargeCircuit,
         else:
             power = policy.power(bounds[i], stored, observed[:i],
                                  scenario.deadline, circuit)
-        if not power >= 0:
-            raise ValueError(f"policy produced a negative or NaN power in epoch {i + 1}")
+        if not 0 <= power < math.inf:
+            raise ValueError(f"policy produced a negative or non-finite power "
+                             f"in epoch {i + 1}")
         spend = power * length
         if spend > stored + slack:
             # Genuinely consuming energy it does not have: cut to the
@@ -215,10 +227,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
-        if self.mean_epoch_length <= 0:
-            raise ConfigError("mean_epoch_length must be > 0")
-        if self.mean_harvest < 0:
-            raise ConfigError("mean_harvest must be >= 0")
+        if not 0 < self.mean_epoch_length < math.inf:
+            raise ConfigError("mean_epoch_length must be finite and > 0")
+        if not 0 <= self.mean_harvest < math.inf:
+            raise ConfigError("mean_harvest must be finite and >= 0")
         if self.packet_count < 0:
             raise ConfigError("packet_count must be >= 0")
         if not 0 <= self.initial_energy:
@@ -295,6 +307,104 @@ def generate_scenario(config: ExperimentConfig, rng: np.random.Generator):
     )
 
 
+def _draw_scenarios(config: ExperimentConfig, count: int) -> list:
+    """The draws of ``count`` runs, run k with ``default_rng([seed, k])``.
+
+    Returns what calling :func:`generate_scenario` once per run returns,
+    bit for bit, and raises the error of the first run that cannot be
+    drawn.  Each run keeps its own generator and its first attempt's two
+    draws; the tunnel and every test of it are (runs, N) array
+    operations, each run's taut string goes through the shared funnel
+    scan, and the charge-curve inversion walks the arrivals once with
+    run vectors.  ``exp``, ``expm1`` and ``log1p`` are taken with
+    ``math`` one element at a time, as the lone path takes them: numpy's
+    may round differently, which would move every scenario.  A run whose
+    first attempt fails a test of the lone path is drawn again by a lone
+    call, which repeats that attempt and retries.
+    """
+    n = config.packet_count
+    circuit = config.circuit
+    tau, e_max, root_e_max = circuit.tau, circuit.e_max, math.sqrt(circuit.e_max)
+    cap = FULL_BATTERY_FRACTION * e_max
+    initial = config.initial_energy
+    rngs = [np.random.default_rng([config.seed, k]) for k in range(count)]
+    lengths = np.array([_uniform_about(rng, config.mean_epoch_length, n + 1)
+                        for rng in rngs])
+    harvests = np.array([_uniform_about(rng, config.mean_harvest, n) for rng in rngs])
+
+    # classic_tunnel and ClassicTunnel, one flag per run
+    arrivals = np.cumsum(lengths[:, :-1], axis=1)
+    deadlines = lengths.sum(axis=1)
+    failed = (harvests > cap).any(axis=1) | (initial > cap) | (deadlines <= 0)
+    if n:
+        failed |= (arrivals[:, -1] >= deadlines) | (arrivals <= 0).any(axis=1)
+    cumulative = np.cumsum(np.concatenate((np.full((count, 1), initial), harvests), axis=1),
+                           axis=1)
+    upper, total = cumulative[:, :-1], cumulative[:, -1:]
+    over = cumulative[:, 1:] - cap
+    lower = np.where(over > 0.0, over, 0.0)
+    failed |= (lower > upper).any(axis=1) | (np.diff(upper, axis=1) < 0).any(axis=1)
+
+    # tight_string_schedule, with the powers of every run in one division
+    zeros = np.zeros((count, 1))
+    bounds = np.concatenate((zeros, arrivals, deadlines[:, None]), axis=1)
+    epoch_lengths = np.diff(bounds, axis=1)
+    # the lone path divides by a zero-length epoch, in the funnel scan or
+    # with numpy's warning
+    failed |= (epoch_lengths <= 0).any(axis=1)
+    epoch_lengths[failed] = 1.0
+    gates = zip(bounds.tolist(), np.concatenate((zeros, lower, total), axis=1).tolist(),
+                np.concatenate((zeros, upper, total), axis=1).tolist())
+    drained = np.zeros((count, n + 2))    # the string's height at each bound
+    for k, (xs, los, his) in enumerate(gates):
+        if not failed[k]:
+            vertices = _taut_string(xs, los, his)
+            drained[k] = np.interp(xs, [v[0] for v in vertices], [v[1] for v in vertices])
+    spends = (np.diff(drained, axis=1) / epoch_lengths).T * epoch_lengths.T
+
+    # packet_length_for and the harvest step at each arrival, tested once
+    # the walk is done.  sqrt(target) >= sqrt(e_max) holds wherever the
+    # lone path finds target >= e_max, divides a harvest by zero, or
+    # fails the harvest step's domain test (a residual above e_max puts
+    # the target there too); it also takes targets within rounding of
+    # e_max, which the tunnel's cap keeps away, and a lone redraw of
+    # such a run would be exact anyway.  A failed run walks on with
+    # finite numbers: its residual stays >= 0, a masked quotient is 0
+    # and a charge duration lies in [0, inf].
+    durations = np.empty((n, count))
+    target_roots = np.empty((n, count))
+    stored = np.full(count, initial)
+    for i, (spend, harvest) in enumerate(zip(spends, harvests.T)):
+        residual = stored - spend
+        residual = np.where(residual > 0.0, residual, 0.0)
+        target = residual + harvest
+        root = np.sqrt(residual)
+        scale = (np.sqrt(target, out=target_roots[i]) + root) * (root_e_max - root)
+        # 0 at 0 / 0, where the lone path returns 0 for no harvest
+        q = np.divide(harvest, scale, out=np.zeros(count), where=scale > 0.0)
+        duration = [-tau * math.log1p(-x) if x < 1.0 else math.inf for x in q.tolist()]
+        durations[i] = duration
+        exponents = [-d / tau for d in duration]
+        charge_map = (np.array([-math.expm1(x) for x in exponents]),
+                      np.array([math.exp(x) for x in exponents]))
+        stored = residual + _harvest_value(charge_map, e_max, root_e_max, residual)
+    failed |= ((target_roots >= root_e_max).any(axis=0)
+               | (durations > MAX_CHARGE_TIME_CONSTANTS * tau).any(axis=0))
+
+    drawn = []
+    for k, (redraw, times, packet_lengths, deadline, classic) in enumerate(zip(
+            failed.tolist(), arrivals.tolist(), durations.T.tolist(), deadlines.tolist(),
+            harvests.tolist())):
+        if redraw:
+            drawn.append(generate_scenario(config, np.random.default_rng([config.seed, k])))
+            continue
+        scenario = EnergyScenario(initial_energy=initial,
+                                  packets=tuple(zip(times, packet_lengths)),
+                                  deadline=deadline)
+        drawn.append((scenario, tuple(classic)))
+    return drawn
+
+
 def evaluate_strategy(name: str, scenario: EnergyScenario, classic_harvests,
                        config: ExperimentConfig):
     """(trace, bits) of replaying one named strategy on one scenario.
@@ -340,8 +450,10 @@ def monte_carlo(config: ExperimentConfig,
     draws at every sweep point and the result table is reproducible row
     by row.
 
-    Each point draws all its runs' scenarios first.  With ``"optimal"``
-    among the strategies, their optimal schedules are solved as one batch
+    Each point draws all its runs' scenarios first, as one batch that
+    gives every run what :func:`generate_scenario` draws for it alone
+    (from the same generator, bit for bit).  With ``"optimal"`` among the
+    strategies, their optimal schedules are solved as one batch
     (the reports of solving each alone), and the optimal rows average the
     reports' own throughput and trace; every other strategy is replayed
     through :func:`evaluate_strategy`, once per run.  A scenario the
@@ -385,8 +497,7 @@ def monte_carlo(config: ExperimentConfig,
         bits_per_s = {name: [] for name in strategies}
         harvested = {name: [] for name in strategies}
         te_over_tau = []
-        drawn = [generate_scenario(point, np.random.default_rng([point.seed, run]))
-                 for run in range(point.runs)]
+        drawn = _draw_scenarios(point, point.runs)
         if "optimal" in strategies:
             solved = _solve_batch([scenario for scenario, _ in drawn], point.circuit,
                                   _snr_gain(point.rate_model, point.link))

@@ -277,10 +277,13 @@ class TestSweepCommand:
                                            "{mean_harvest: 0.3}",
                                            "{mean_epoch_length: 0.0}",
                                            "{mean_harvest: -0.01}",
-                                           "{packet_count: -1}"],
+                                           "{packet_count: -1}",
+                                           "{mean_epoch_length: .inf}",
+                                           "{mean_harvest: .nan}"],
                              ids=["above_cap", "above_e_max", "lowest_draw_above_cap",
                                   "zero_epoch_length", "negative_harvest",
-                                  "negative_packet_count"])
+                                  "negative_packet_count", "infinite_epoch_length",
+                                  "nan_harvest"])
     def test_config_that_never_generates_exits_2(self, tmp_path, capsys, generator):
         path = tmp_path / "cfg.yaml"
         path.write_text(f"runs: 2\ngenerator: {generator}\n")

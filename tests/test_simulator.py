@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import forward_reference as ref
+import rfharvest.charge as charge
 import rfharvest.simulator as simulator
 from rfharvest import (
     ChannelLink,
@@ -20,6 +22,7 @@ from rfharvest import (
     solve,
     tight_string_schedule,
 )
+from rfharvest.config import SweepConfig, experiment_config, parse_config
 from rfharvest.exceptions import ConfigError
 from rfharvest.simulator import UNIFORM_HALFWIDTH, evaluate_strategy
 from rfharvest.strategies import FULL_BATTERY_FRACTION
@@ -132,7 +135,7 @@ class TestReplay:
         with pytest.raises(ValueError):
             replay(schedule, s, sim_circuit)
 
-    @pytest.mark.parametrize("power", [math.nan, -1e-3])
+    @pytest.mark.parametrize("power", [math.nan, -1e-3, math.inf])
     def test_nan_or_negative_schedule_power_rejected(self, sim_circuit, power):
         # throughput() refuses the same schedule; replay names the epoch
         s = EnergyScenario(initial_energy=0.01, packets=((1.0, 5.0),), deadline=2.0)
@@ -142,13 +145,18 @@ class TestReplay:
             replay(schedule, s, sim_circuit)
 
     def test_nan_policy_power_rejected(self, sim_circuit):
-        class NaNPolicy:
+        # an infinite power is refused too, not clamped as an overdraw
+        class ConstantPolicy:
+            def __init__(self, value):
+                self.value = value
+
             def power(self, now, stored, history, deadline, circuit):
-                return math.nan
+                return self.value
 
         s = EnergyScenario(initial_energy=0.01, packets=((1.0, 5.0),), deadline=2.0)
-        with pytest.raises(ValueError, match="epoch 1"):
-            replay(NaNPolicy(), s, sim_circuit)
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="epoch 1"):
+                replay(ConstantPolicy(value), s, sim_circuit)
 
 
 class TestGenerateScenario:
@@ -198,6 +206,119 @@ class TestGenerateScenario:
             medium_config(sim_circuit, initial_energy=np.nextafter(cap, 1.0))
         # no packets, no harvest draws
         medium_config(sim_circuit, mean_harvest=2.0 * sim_circuit.e_max, packet_count=0)
+
+    @pytest.mark.parametrize("field", ["mean_epoch_length", "mean_harvest"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_draw_means_are_refused(self, sim_circuit, field, value):
+        # numpy's uniform draw would fail with an OverflowError instead
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            medium_config(sim_circuit, **{field: value})
+
+
+def lone_draws(config, count, generate=generate_scenario):
+    """Each run drawn alone, run k from ``default_rng([seed, k])``."""
+    return [generate(config, np.random.default_rng([config.seed, run]))
+            for run in range(count)]
+
+
+def first_attempt_fails(config, run):
+    """Whether a lone draw of the run took more than one attempt: one
+    attempt leaves the generator just after its two uniform draws."""
+    used = np.random.default_rng([config.seed, run])
+    generate_scenario(config, used)
+    once = np.random.default_rng([config.seed, run])
+    once.uniform(size=config.packet_count + 1)
+    once.uniform(size=config.packet_count)
+    return used.bit_generator.state != once.bit_generator.state
+
+
+class TestDrawScenarios:
+    """A Monte Carlo point draws its runs as one batch; every run gets
+    what a lone generate_scenario call returns."""
+
+    @staticmethod
+    def assert_drawn_alone(config, count, drawn):
+        alone = lone_draws(config, count)
+        assert drawn == alone
+        # bit for bit: repr tells -0.0 from 0.0
+        assert repr(drawn) == repr(alone)
+        assert drawn == lone_draws(config, count, ref.generate_scenario)
+
+    @pytest.mark.parametrize("axis", ["mean_epoch_length", "capacitance"])
+    def test_reference_sweep_points(self, monkeypatch, axis):
+        # the points monte_carlo builds for fig5 (and, on the first axis,
+        # fig6); every first attempt passes, so no run is drawn alone
+        point = experiment_config(parse_config({}))
+        values = {"mean_epoch_length": SweepConfig().epoch_lengths,
+                  "capacitance": SweepConfig().capacitances}[axis]
+        batches, lone_calls = [], []
+
+        def recorded(config, count):
+            drawn = draw(config, count)
+            batches.append((config, count, drawn))
+            return drawn
+
+        draw = simulator._draw_scenarios
+        monkeypatch.setattr(simulator, "_draw_scenarios", recorded)
+        monkeypatch.setattr(simulator, "generate_scenario",
+                            lambda *args: lone_calls.append(args))
+        monte_carlo(point, ("zero",), axis, values)
+        assert len(batches) == len(values)
+        assert lone_calls == []
+        for config, count, drawn in batches:
+            assert count == point.runs
+            self.assert_drawn_alone(config, count, drawn)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(packet_count=0),
+        dict(packet_count=1024, runs=8),
+        dict(mean_harvest=0.0),
+        # the inverse is 0 / 0 at every arrival
+        dict(mean_harvest=0.0, initial_energy=0.0),
+    ], ids=["no_packets", "baselines_point", "no_harvest", "no_harvest_empty_store"])
+    def test_edge_points(self, sim_circuit, overrides):
+        config = medium_config(sim_circuit, **{"runs": 5, **overrides})
+        self.assert_drawn_alone(config, config.runs,
+                                simulator._draw_scenarios(config, config.runs))
+
+    @pytest.mark.parametrize("case", ["tunnel", "inversion"])
+    def test_failed_first_attempts_are_drawn_alone(self, sim_circuit, monkeypatch, case):
+        if case == "tunnel":
+            # some harvest draws exceed the usable capacity
+            cap = FULL_BATTERY_FRACTION * sim_circuit.e_max
+            config = medium_config(sim_circuit, mean_harvest=0.8 * cap, packet_count=3,
+                                   runs=30)
+        else:
+            # some charge durations exceed the (lowered) limit; the
+            # batch reads the constant through its own import
+            for module in (charge, simulator):
+                monkeypatch.setattr(module, "MAX_CHARGE_TIME_CONSTANTS", 0.6)
+            config = medium_config(sim_circuit, packet_count=3, runs=12)
+        failing = [run for run in range(config.runs) if first_attempt_fails(config, run)]
+        assert 0 < len(failing) < config.runs
+        through_lone = []
+
+        def spied(*args):
+            drawn = generate_scenario(*args)
+            through_lone.append(drawn)
+            return drawn
+
+        monkeypatch.setattr(simulator, "generate_scenario", spied)
+        drawn = simulator._draw_scenarios(config, config.runs)
+        assert through_lone == [drawn[run] for run in failing]
+        self.assert_drawn_alone(config, config.runs, drawn)
+
+    def test_exhausted_retries_raise_the_lone_error(self, sim_circuit):
+        # the config of test_impossible_draws_exhaust_retries
+        cap = FULL_BATTERY_FRACTION * sim_circuit.e_max
+        config = medium_config(sim_circuit,
+                               mean_harvest=(1.0 - 1e-9) * cap / (1.0 - UNIFORM_HALFWIDTH),
+                               initial_energy=0.0)
+        with pytest.raises(GenerationError) as alone:
+            generate_scenario(config, np.random.default_rng([config.seed, 0]))
+        with pytest.raises(GenerationError) as batched:
+            simulator._draw_scenarios(config, config.runs)
+        assert str(batched.value) == str(alone.value)
 
 
 class TestMonteCarlo:
