@@ -105,26 +105,6 @@ def _harvest_value(charge_map, e_max, root_e_max, residual):
                       q * (e_max - residual))
 
 
-def _harvest_step(charge_map: tuple, e_max: float, root_e_max: float,
-                  residual: float) -> float:
-    """Harvest from one packet at one residual, as a Python float.
-
-    The scalar form of :func:`harvested_energy` on a packet's charge map,
-    for every loop that carries a store from one arrival to the next:
-    the same domain test (NaN passes), and the operations of
-    :func:`_harvest_value` in the same order, with ``math.sqrt`` in
-    place of ``np.sqrt`` (both are correctly rounded), so the result is
-    the same bit for bit.
-    """
-    residual = float(residual)
-    if residual < 0 or residual > e_max:
-        raise ValueError("residual must lie in [0, e_max]")
-    q, s = charge_map
-    u = math.sqrt(residual)
-    return min(q * (root_e_max - u) * (root_e_max * q + (1.0 + s) * u),
-               q * (e_max - residual))
-
-
 def harvested_energy(residual, packet_length: float, circuit: ChargeCircuit):
     """Energy captured from a packet given the pre-arrival residual energy.
 
@@ -190,25 +170,60 @@ def packet_length_for(residual_before: float, harvested: float, circuit: ChargeC
             or needs more than ``MAX_CHARGE_TIME_CONSTANTS`` time
             constants (the curve is flat there).
     """
-    if residual_before < 0:
+    if not residual_before >= 0:
         raise ValueError(f"residual_before must be >= 0, got {residual_before}")
     if harvested < 0:
         raise ValueError(f"harvested must be >= 0, got {harvested}")
-    target = residual_before + harvested
-    if target >= circuit.e_max:
-        raise InfeasibleError(
-            f"cannot charge to {target} J: capacity is {circuit.e_max} J "
-            "and a full charge takes infinite time"
-        )
-    if harvested == 0:    # the quotient below is 0 / 0 at r = 0
-        return 0.0
-    root = math.sqrt(residual_before)
-    q = harvested / ((math.sqrt(target) + root) * (math.sqrt(circuit.e_max) - root))
-    # q reaches 1 only by rounding, within an ulp of a full charge
-    duration = -circuit.tau * math.log1p(-q) if q < 1.0 else math.inf
-    if duration > MAX_CHARGE_TIME_CONSTANTS * circuit.tau:
-        raise InfeasibleError(
-            f"charge duration {duration:.3g} s exceeds "
-            f"{MAX_CHARGE_TIME_CONSTANTS:g} time constants"
-        )
+    duration, = _charge_durations(residual_before, (0.0,), (harvested,), circuit)
     return duration
+
+
+def _charge_durations(initial_energy: float, spends, harvests, circuit: ChargeCircuit) -> list:
+    """Charge durations that make a store walk capture the given harvests.
+
+    The store starts at ``initial_energy``.  Epoch i spends spends[i],
+    floored at a residual r of 0, and packet i must then capture exactly
+    harvests[i] from r; the store carried on is r plus the harvest of
+    the packet's charge map (q, s) at r, as :func:`harvested_energy`
+    computes it from the duration found.  One loop in Python floats,
+    with no call per arrival: the inversion of :func:`packet_length_for`
+    (one step of this walk) and the harvest of :func:`_harvest_value`,
+    in the same operations and order, with ``math`` in place of numpy
+    (its sqrt is correctly rounded too).  The residual never leaves
+    [0, e_max): it is floored at 0 and lies below a target under e_max.
+
+    Raises:
+        InfeasibleError: as :func:`packet_length_for`, for the first
+            packet whose target reaches e_max or whose duration exceeds
+            ``MAX_CHARGE_TIME_CONSTANTS`` time constants.
+    """
+    tau, e_max = circuit.tau, circuit.e_max
+    root_e_max = math.sqrt(e_max)
+    longest = MAX_CHARGE_TIME_CONSTANTS * tau
+    sqrt, log1p, expm1, exp = math.sqrt, math.log1p, math.expm1, math.exp
+    stored, durations = initial_energy, []
+    for spend, harvest in zip(spends, harvests):
+        residual = stored - spend
+        if not residual > 0.0:
+            residual = 0.0
+        target = residual + harvest
+        if target >= e_max:
+            raise InfeasibleError(f"cannot charge to {target} J: capacity is {e_max} J "
+                                  "and a full charge takes infinite time")
+        u = sqrt(residual)
+        if harvest == 0:    # the quotient below is 0 / 0 at r = 0
+            duration = 0.0
+        else:
+            q = harvest / ((sqrt(target) + u) * (root_e_max - u))
+            # q reaches 1 only by rounding, within an ulp of a full charge
+            duration = -tau * log1p(-q) if q < 1.0 else math.inf
+            if duration > longest:
+                raise InfeasibleError(f"charge duration {duration:.3g} s exceeds "
+                                      f"{MAX_CHARGE_TIME_CONSTANTS:g} time constants")
+        x = -duration / tau
+        q, s = -expm1(x), exp(x)
+        captured = q * (root_e_max - u) * (root_e_max * q + (1.0 + s) * u)
+        full = q * (e_max - residual)
+        stored = residual + (full if full < captured else captured)
+        durations.append(duration)
+    return durations

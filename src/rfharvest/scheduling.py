@@ -164,8 +164,8 @@ class TransmissionSchedule:
     epoch_bounds: tuple  # seconds, length len(powers) + 1
 
     def __post_init__(self):
-        object.__setattr__(self, "powers", tuple(float(p) for p in self.powers))
-        object.__setattr__(self, "epoch_bounds", tuple(float(t) for t in self.epoch_bounds))
+        object.__setattr__(self, "powers", tuple(map(float, self.powers)))
+        object.__setattr__(self, "epoch_bounds", tuple(map(float, self.epoch_bounds)))
         if len(self.epoch_bounds) != len(self.powers) + 1:
             raise ValueError("epoch_bounds must have one more entry than powers")
 
@@ -197,8 +197,8 @@ class HarvestTrace:
 
     def __post_init__(self):
         for name in ("residuals", "harvested", "consumed"):
-            object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
-        object.__setattr__(self, "clamped", tuple(bool(x) for x in self.clamped))
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
+        object.__setattr__(self, "clamped", tuple(map(bool, self.clamped)))
 
     @property
     def terminal_residual(self) -> float:

@@ -10,8 +10,10 @@ energy tunnel, schedule the conventional taut string through it, record
 the residuals that schedule would leave at each arrival, and invert the
 charge curve to find the packet charge durations that reproduce exactly
 those harvests.  The same scenario can then be fed to every strategy.
-A Monte Carlo point draws all its runs as one batch, which gives each
-run the scenario a lone draw gives it.
+A Monte Carlo point draws all its runs as one batch: the tunnels and
+their tests as (runs, N) arrays, then each run through the one
+inversion walk a lone draw takes (``charge._charge_durations``), which
+gives each run the scenario a lone draw gives it.
 """
 
 from __future__ import annotations
@@ -22,15 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .charge import (
-    MAX_CHARGE_TIME_CONSTANTS,
-    ChargeCircuit,
-    _charge_map,
-    _charge_maps,
-    _harvest_step,
-    _harvest_value,
-    packet_length_for,
-)
+from .charge import ChargeCircuit, _charge_durations
 from .exceptions import ConfigError, GenerationError, InfeasibleError, SolverError
 from .scheduling import (
     EnergyScenario,
@@ -134,67 +128,80 @@ def replay(policy, scenario: EnergyScenario, circuit: ChargeCircuit,
     plans on energies it will not actually receive, and that shortfall
     is part of what the comparison measures.
 
+    The scenario's packets are read once as Python floats, and each
+    arrival's charge map and harvest are taken inline, in the operations
+    of :func:`~rfharvest.charge.harvested_energy`, so the walk makes no
+    call per epoch besides an online policy's.
+
     Returns:
         (HarvestTrace, throughput in bits under the active rate model,
         summed as log1p(g p) / ln 2 like
         :func:`~rfharvest.scheduling.throughput`)
     """
-    bounds = scenario.epoch_bounds.tolist()
-    lengths = scenario.epoch_lengths.tolist()
-    n = scenario.n_packets
+    if scenario.initial_energy > circuit.e_max:
+        raise ValueError("initial_energy exceeds the battery capacity e_max")
+    packets = scenario.packets
+    n = len(packets)
     fixed_powers = policy.powers if isinstance(policy, TransmissionSchedule) else None
     if fixed_powers is not None and len(fixed_powers) != n + 1:
         raise ValueError("schedule has a different number of epochs than the scenario")
     if fixed_powers is None:
-        observed = np.array(scenario.packets, dtype=float).reshape(n, 2)
+        observed = np.array(packets, dtype=float).reshape(n, 2)
         observed.flags.writeable = False
 
     gain = _snr_gain(rate_model, link)
     slack = _clamp_slack(circuit)
-    e_max, root_e_max = circuit.e_max, math.sqrt(circuit.e_max)
-    maps = _charge_maps(scenario.packet_lengths.tolist(), circuit)
-    stored = scenario.initial_energy
+    tau, e_max, deadline = circuit.tau, circuit.e_max, scenario.deadline
+    root_e_max = math.sqrt(e_max)
+    sqrt, log1p, expm1, exp, inf = math.sqrt, math.log1p, math.expm1, math.exp, math.inf
+    stored, start = scenario.initial_energy, 0.0
     residuals, harvested, consumed, clamped, nats = [], [], [], [], 0.0
-    for i, length in enumerate(lengths):
+    # the deadline closes the last epoch; its duration is never read
+    for i, (end, duration) in enumerate((*packets, (deadline, 0.0))):
+        length = end - start
         if fixed_powers is not None:
             power = fixed_powers[i]
         else:
-            power = policy.power(bounds[i], stored, observed[:i],
-                                 scenario.deadline, circuit)
-        if not 0 <= power < math.inf:
+            power = policy.power(start, stored, observed[:i], deadline, circuit)
+        if not 0 <= power < inf:
             raise ValueError(f"policy produced a negative or non-finite power "
                              f"in epoch {i + 1}")
         spend = power * length
         if spend > stored + slack:
             # Genuinely consuming energy it does not have: cut to the
-            # store and flag.  Overshoots inside the slack band are kept
-            # as is (residual dips a hair below zero) so that replaying
-            # a solver schedule, whose last epoch drains the store up to
-            # rounding, is not flagged.
+            # store (>= 0, as the carry is floored) and flag.  Overshoots
+            # inside the slack band are kept as is (residual dips a hair
+            # below zero) so that replaying a solver schedule, whose last
+            # epoch drains the store up to rounding, is not flagged.
             clamped.append(True)
-            spend = max(stored, 0.0)
+            spend = stored
             power = spend / length
         else:
             clamped.append(False)
         residual = stored - spend
         consumed.append(spend)
         residuals.append(residual)
-        nats += 0.5 * length * math.log1p(power * gain)
+        nats += 0.5 * length * log1p(power * gain)
         if i < n:
             # The physical store lies in [0, e_max]; the recorded residual
             # keeps any roundoff-scale dip for trace fidelity, but the
             # carry is floored so exact bound touches stay exact, and
             # capped so a full store that rounds above e_max stays full.
-            carried = max(residual, 0.0)
-            harvest = _harvest_step(maps[i], e_max, root_e_max, carried)
+            carried = 0.0 if residual < 0.0 else residual
+            x = -duration / tau
+            q, s = -expm1(x), exp(x)
+            u = sqrt(carried)
+            harvest = q * (root_e_max - u) * (root_e_max * q + (1.0 + s) * u)
+            full = q * (e_max - carried)
+            if full < harvest:
+                harvest = full
             harvested.append(harvest)
-            stored = min(carried + harvest, e_max)
-    trace = HarvestTrace(
-        residuals=tuple(residuals),
-        harvested=tuple(harvested),
-        consumed=tuple(consumed),
-        clamped=tuple(clamped),
-    )
+            stored = carried + harvest
+            if e_max < stored:
+                stored = e_max
+        start = end
+    trace = HarvestTrace(residuals=residuals, harvested=harvested, consumed=consumed,
+                         clamped=clamped)
     return trace, nats / math.log(2.0)
 
 
@@ -267,7 +274,6 @@ def generate_scenario(config: ExperimentConfig, rng: np.random.Generator):
     """
     n = config.packet_count
     circuit = config.circuit
-    tau, e_max, root_e_max = circuit.tau, circuit.e_max, math.sqrt(circuit.e_max)
     failures = []
     for _ in range(GENERATION_RETRIES):
         lengths = _uniform_about(rng, config.mean_epoch_length, n + 1)
@@ -278,20 +284,14 @@ def generate_scenario(config: ExperimentConfig, rng: np.random.Generator):
             tunnel = classic_tunnel(config.initial_energy, arrivals, harvests,
                                     deadline, circuit)
             schedule = tight_string_schedule(tunnel)
-            # Residuals the taut string leaves at each arrival, computed
-            # with exactly the replay's sequential arithmetic: the charge
-            # curve's slope is infinite at zero residual, so the bound
-            # touches (residual exactly 0) must agree bit for bit or the
-            # round trip drifts.
-            epoch_lengths = schedule.epoch_lengths.tolist()
-            durations = []
-            stored = config.initial_energy
-            for i, drawn in enumerate(harvests.tolist()):
-                residual = max(0.0, stored - schedule.powers[i] * epoch_lengths[i])
-                duration = packet_length_for(residual, drawn, circuit)
-                durations.append(duration)
-                stored = residual + _harvest_step(_charge_map(duration, tau), e_max,
-                                                  root_e_max, residual)
+            # The inversion carries the store with exactly the replay's
+            # sequential arithmetic: the charge curve's slope is infinite
+            # at zero residual, so the bound touches (residual exactly 0)
+            # must agree bit for bit or the round trip drifts.
+            spends = [power * length for power, length
+                      in zip(schedule.powers, schedule.epoch_lengths.tolist())]
+            durations = _charge_durations(config.initial_energy, spends, harvests.tolist(),
+                                          circuit)
         except (ValueError, InfeasibleError) as exc:
             failures.append(str(exc))
             continue
@@ -315,17 +315,15 @@ def _draw_scenarios(config: ExperimentConfig, count: int) -> list:
     drawn.  Each run keeps its own generator and its first attempt's two
     draws; the tunnel and every test of it are (runs, N) array
     operations, each run's taut string goes through the shared funnel
-    scan, and the charge-curve inversion walks the arrivals once with
-    run vectors.  ``exp``, ``expm1`` and ``log1p`` are taken with
-    ``math`` one element at a time, as the lone path takes them: numpy's
-    may round differently, which would move every scenario.  A run whose
-    first attempt fails a test of the lone path is drawn again by a lone
-    call, which repeats that attempt and retries.
+    scan, and each run that passes walks the charge-curve inversion of
+    the lone path, :func:`~rfharvest.charge._charge_durations`.  A run
+    whose first attempt fails a test of the lone path, or whose
+    inversion raises, is drawn again by a lone call, which repeats that
+    attempt and retries.
     """
     n = config.packet_count
     circuit = config.circuit
-    tau, e_max, root_e_max = circuit.tau, circuit.e_max, math.sqrt(circuit.e_max)
-    cap = FULL_BATTERY_FRACTION * e_max
+    cap = FULL_BATTERY_FRACTION * circuit.e_max
     initial = config.initial_energy
     rngs = [np.random.default_rng([config.seed, k]) for k in range(count)]
     lengths = np.array([_uniform_about(rng, config.mean_epoch_length, n + 1)
@@ -360,46 +358,22 @@ def _draw_scenarios(config: ExperimentConfig, count: int) -> list:
         if not failed[k]:
             vertices = _taut_string(xs, los, his)
             drained[k] = np.interp(xs, [v[0] for v in vertices], [v[1] for v in vertices])
-    spends = (np.diff(drained, axis=1) / epoch_lengths).T * epoch_lengths.T
-
-    # packet_length_for and the harvest step at each arrival, tested once
-    # the walk is done.  sqrt(target) >= sqrt(e_max) holds wherever the
-    # lone path finds target >= e_max, divides a harvest by zero, or
-    # fails the harvest step's domain test (a residual above e_max puts
-    # the target there too); it also takes targets within rounding of
-    # e_max, which the tunnel's cap keeps away, and a lone redraw of
-    # such a run would be exact anyway.  A failed run walks on with
-    # finite numbers: its residual stays >= 0, a masked quotient is 0
-    # and a charge duration lies in [0, inf].
-    durations = np.empty((n, count))
-    target_roots = np.empty((n, count))
-    stored = np.full(count, initial)
-    for i, (spend, harvest) in enumerate(zip(spends, harvests.T)):
-        residual = stored - spend
-        residual = np.where(residual > 0.0, residual, 0.0)
-        target = residual + harvest
-        root = np.sqrt(residual)
-        scale = (np.sqrt(target, out=target_roots[i]) + root) * (root_e_max - root)
-        # 0 at 0 / 0, where the lone path returns 0 for no harvest
-        q = np.divide(harvest, scale, out=np.zeros(count), where=scale > 0.0)
-        duration = [-tau * math.log1p(-x) if x < 1.0 else math.inf for x in q.tolist()]
-        durations[i] = duration
-        exponents = [-d / tau for d in duration]
-        charge_map = (np.array([-math.expm1(x) for x in exponents]),
-                      np.array([math.exp(x) for x in exponents]))
-        stored = residual + _harvest_value(charge_map, e_max, root_e_max, residual)
-    failed |= ((target_roots >= root_e_max).any(axis=0)
-               | (durations > MAX_CHARGE_TIME_CONSTANTS * tau).any(axis=0))
+    spends = np.diff(drained, axis=1) / epoch_lengths * epoch_lengths
 
     drawn = []
-    for k, (redraw, times, packet_lengths, deadline, classic) in enumerate(zip(
-            failed.tolist(), arrivals.tolist(), durations.T.tolist(), deadlines.tolist(),
-            harvests.tolist())):
+    for k, (redraw, times, spent, classic, deadline) in enumerate(zip(
+            failed.tolist(), arrivals.tolist(), spends.tolist(), harvests.tolist(),
+            deadlines.tolist())):
+        if not redraw:
+            try:
+                durations = _charge_durations(initial, spent, classic, circuit)
+            except InfeasibleError:
+                redraw = True
         if redraw:
             drawn.append(generate_scenario(config, np.random.default_rng([config.seed, k])))
             continue
         scenario = EnergyScenario(initial_energy=initial,
-                                  packets=tuple(zip(times, packet_lengths)),
+                                  packets=tuple(zip(times, durations)),
                                   deadline=deadline)
         drawn.append((scenario, tuple(classic)))
     return drawn
@@ -418,7 +392,8 @@ def evaluate_strategy(name: str, scenario: EnergyScenario, classic_harvests,
     elif name == "max_harvest":
         policy = max_harvest_schedule(scenario, circuit)
     elif name == "tight_string":
-        tunnel = classic_tunnel(scenario.initial_energy, scenario.arrival_times,
+        # Python floats, not numpy scalars, for the funnel scan's arithmetic
+        tunnel = classic_tunnel(scenario.initial_energy, [t for t, _ in scenario.packets],
                                 classic_harvests, scenario.deadline, circuit)
         policy = tight_string_schedule(tunnel)
     elif name == "online":

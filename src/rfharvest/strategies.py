@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .charge import ChargeCircuit, _charge_maps, _harvest_step, optimal_residual
+from .charge import ChargeCircuit, optimal_residual
 from .scheduling import EnergyScenario, TransmissionSchedule
 
 __all__ = [
@@ -62,9 +62,10 @@ class ClassicTunnel:
             raise ValueError("tunnel deadline must be > 0")
         if len(self.times) != len(self.upper) or len(self.times) != len(self.lower):
             raise ValueError("times, upper and lower must have equal length")
-        if any(lo > hi for lo, hi in zip(self.lower, self.upper)):
+        upper = np.asarray(self.upper, dtype=float)
+        if (np.asarray(self.lower, dtype=float) > upper).any():
             raise ValueError("tunnel is empty: lower bound exceeds upper bound")
-        if any(np.diff(self.upper) < 0):
+        if (np.diff(upper) < 0).any():
             raise ValueError("upper bound must be non-decreasing")
 
 
@@ -115,24 +116,40 @@ def max_harvest_schedule(scenario: EnergyScenario,
     In every epoch it sheds exactly enough energy to arrive at the
     incoming packet's optimal residual (transmitting nothing when the
     store is already at or below the target), and drains whatever is
-    left in the final epoch.
+    left in the final epoch.  Each target is :func:`optimal_residual`
+    of the packet's own charge map, and the walk takes it and the
+    harvest inline, with no call per arrival.
     """
-    lengths = scenario.epoch_lengths.tolist()
-    durations = scenario.packet_lengths.tolist()
-    e_max, root_e_max = circuit.e_max, math.sqrt(circuit.e_max)
-    stored = scenario.initial_energy
-    powers = []
-    maps = _charge_maps(durations, circuit)
-    for length, duration, charge_map in zip(lengths, durations, maps):
-        target = optimal_residual(duration, circuit)
-        power = max(0.0, (stored - target) / length)
+    if scenario.initial_energy > circuit.e_max:
+        raise ValueError("initial_energy exceeds the battery capacity e_max")
+    tau, e_max = circuit.tau, circuit.e_max
+    root_e_max = math.sqrt(e_max)
+    sqrt, expm1, exp = math.sqrt, math.expm1, math.exp
+    stored, start = scenario.initial_energy, 0.0
+    powers, bounds = [], [0.0]
+    for arrival, duration in scenario.packets:
+        length = arrival - start
+        x = -duration / tau
+        q, s = -expm1(x), exp(x)
+        target = e_max * (s / (1.0 + s)) ** 2      # optimal_residual
+        power = (stored - target) / length
+        if not power > 0.0:
+            power = 0.0
         # a target below one ulp of the store (over ~18 tau) rounds past it
-        residual = max(0.0, stored - power * length)
-        stored = residual + _harvest_step(charge_map, e_max, root_e_max, residual)
+        residual = stored - power * length
+        if not residual > 0.0:
+            residual = 0.0
+        # the harvest at the residual, as harvested_energy takes it
+        u = sqrt(residual)
+        harvest = q * (root_e_max - u) * (root_e_max * q + (1.0 + s) * u)
+        full = q * (e_max - residual)
+        stored = residual + (full if full < harvest else harvest)
         powers.append(power)
-    powers.append(stored / lengths[-1])
-    return TransmissionSchedule(powers=tuple(powers),
-                                epoch_bounds=tuple(scenario.epoch_bounds))
+        bounds.append(arrival)
+        start = arrival
+    bounds.append(scenario.deadline)
+    powers.append(stored / (scenario.deadline - start))
+    return TransmissionSchedule(powers=powers, epoch_bounds=bounds)
 
 
 def _taut_string(xs, los, his):
@@ -217,19 +234,21 @@ def predict_next(history, now: float,
     arrival t_k, so the mean is ``t_k / k``, rounded once, at O(1) cost.
     With an empty history the configured priors are used directly.
     """
+    length, arrival = _predicted(history, now, prior_length, prior_gap)
+    return PacketPrediction(predicted_length=length, predicted_arrival=arrival)
+
+
+def _predicted(history, now, prior_length, prior_gap) -> tuple:
+    """:func:`predict_next`'s (predicted length, predicted arrival)."""
     if prior_gap is None or prior_gap <= 0:
         raise ValueError("prior_gap must be a positive number of seconds")
     count = len(history)
     if count == 0:
-        return PacketPrediction(predicted_length=prior_length,
-                                predicted_arrival=now + prior_gap)
+        return prior_length, now + prior_gap
     rows = np.asarray(history, dtype=float)
     # np.add.reduce(x) / count is what np.mean computes, without its
     # dispatch overhead
-    return PacketPrediction(
-        predicted_length=float(np.add.reduce(rows[:, 1]) / count),
-        predicted_arrival=now + float(rows[-1, 0]) / count,
-    )
+    return float(np.add.reduce(rows[:, 1]) / count), now + float(rows[-1, 0]) / count
 
 
 def online_step(stored: float, prediction: PacketPrediction, now: float,
@@ -240,14 +259,20 @@ def online_step(stored: float, prediction: PacketPrediction, now: float,
     the predicted horizon; transmits nothing when the store is at or
     below the target.
     """
+    return _shed(stored, prediction.predicted_length, prediction.predicted_arrival, now,
+                 circuit)
+
+
+def _shed(stored, length, arrival, now, circuit) -> float:
+    """:func:`online_step` on the prediction's length and arrival."""
     if stored < 0:
         raise ValueError(f"stored energy must be >= 0, got {stored}")
-    if prediction.predicted_arrival <= now:
+    if arrival <= now:
         raise ValueError("predicted arrival must lie in the future")
-    target = optimal_residual(prediction.predicted_length, circuit)
+    target = optimal_residual(length, circuit)
     if stored <= target:
         return 0.0
-    return (stored - target) / (prediction.predicted_arrival - now)
+    return (stored - target) / (arrival - now)
 
 
 @dataclass(frozen=True)
@@ -268,9 +293,11 @@ class OnlinePredictivePolicy:
 
     def power(self, now: float, stored: float, history: np.ndarray,
               deadline: float, circuit: ChargeCircuit) -> float:
-        prediction = predict_next(history, now,
-                                  prior_length=self.prior_length,
-                                  prior_gap=self.prior_gap)
-        if prediction.predicted_arrival >= deadline:
+        # predict_next and online_step on the prediction's two floats,
+        # with their checks, without building a PacketPrediction
+        length, arrival = _predicted(history, now, self.prior_length, self.prior_gap)
+        if length < 0:
+            raise ValueError("predicted_length must be >= 0")
+        if arrival >= deadline:
             return stored / (deadline - now)
-        return online_step(stored, prediction, now, circuit)
+        return _shed(stored, length, arrival, now, circuit)

@@ -1,7 +1,7 @@
 """The forward path against its original per-epoch form, bit for bit.
 
 ``forward_reference`` holds the loops in their per-epoch form, before
-the shared scalar harvest step, the once-read scenario arrays and the
+the inline per-arrival harvest, the once-read scenario packets and the
 read-only history array; every trace, bit count and generated scenario
 must come out identical (compared through ``repr``, which tells apart
 every distinct double, -0.0 included).

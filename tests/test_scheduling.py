@@ -64,6 +64,34 @@ class TestEnergyScenario:
             EnergyScenario(**kwargs)
 
 
+class TestRecordEntries:
+    """Schedules and traces hold Python floats and bools, whatever
+    sequence of numpy arrays or numpy scalars they were built from."""
+
+    def test_schedule_entries_are_floats(self):
+        for powers, bounds in [
+                (np.array([0.5, 0.0]), np.array([0.0, 1.0, 2.0])),
+                ((np.float64(0.5), np.float32(0.0)), (np.int64(0), np.float64(1.0), 2)),
+                (np.array([0.5, 0.0], dtype=np.float32), np.arange(3))]:
+            schedule = TransmissionSchedule(powers=powers, epoch_bounds=bounds)
+            assert [type(p) for p in schedule.powers] == [float] * 2
+            assert [type(t) for t in schedule.epoch_bounds] == [float] * 3
+            assert schedule.powers == (0.5, 0.0)
+            assert schedule.epoch_bounds == (0.0, 1.0, 2.0)
+
+    def test_trace_entries_are_floats_and_bools(self):
+        for values, flags in [(np.array([0.25, 0.0]), np.array([True, False])),
+                              ((np.float64(0.25), np.float64(0.0)),
+                               (np.bool_(True), np.bool_(False)))]:
+            trace = scheduling.HarvestTrace(residuals=values, harvested=values[:1],
+                                            consumed=values, clamped=flags)
+            for name in ("residuals", "harvested", "consumed"):
+                assert {type(x) for x in getattr(trace, name)} == {float}
+            assert [type(c) for c in trace.clamped] == [bool] * 2
+            assert trace.clamped == (True, False)
+            assert trace.residuals == (0.25, 0.0)
+
+
 class TestPropagate:
     """The powers and trace solve returns: the Newton method's own point."""
 

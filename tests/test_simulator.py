@@ -6,17 +6,21 @@ import pytest
 import forward_reference as ref
 import rfharvest.charge as charge
 import rfharvest.simulator as simulator
+import rfharvest.strategies as strategies
 from rfharvest import (
     ChannelLink,
     EnergyScenario,
     ExperimentConfig,
     GenerationError,
+    OnlinePredictivePolicy,
     TransmissionSchedule,
     classic_tunnel,
     future_impact_probe,
     generate_scenario,
     harvest_sensitivity,
+    harvested_energy,
     monte_carlo,
+    optimal_residual,
     optimal_schedule,
     replay,
     solve,
@@ -26,6 +30,8 @@ from rfharvest.config import SweepConfig, experiment_config, parse_config
 from rfharvest.exceptions import ConfigError
 from rfharvest.simulator import UNIFORM_HALFWIDTH, evaluate_strategy
 from rfharvest.strategies import FULL_BATTERY_FRACTION
+
+from conftest import random_circuit
 
 # Free-space path loss of the reference link, from 40-digit evaluation.
 REFERENCE_FSPL = 49.734524087583378
@@ -158,6 +164,78 @@ class TestReplay:
             with pytest.raises(ValueError, match="epoch 1"):
                 replay(ConstantPolicy(value), s, sim_circuit)
 
+    @pytest.mark.parametrize("packets", [0, 1])
+    @pytest.mark.parametrize("spent", [0.0, 0.95])
+    def test_store_above_e_max_is_refused(self, sim_circuit, packets, spent):
+        # a 1 J store in a 0.156 J battery, refused with solve's message
+        # whatever epoch 1 spends, with or without an arrival to take it
+        s = EnergyScenario(initial_energy=1.0, packets=((1.0, 5.0),)[:packets],
+                           deadline=2.0)
+        bounds = tuple(s.epoch_bounds)
+        schedule = TransmissionSchedule(powers=(spent / bounds[1],) + (0.0,) * packets,
+                                        epoch_bounds=bounds)
+        with pytest.raises(ValueError) as refused:
+            solve(s, sim_circuit)
+        for policy in (schedule, OnlinePredictivePolicy(prior_length=5.0, prior_gap=1.0)):
+            with pytest.raises(ValueError) as replayed:
+                replay(policy, s, sim_circuit)
+            assert str(replayed.value) == str(refused.value)
+
+    def test_full_store_is_accepted(self, sim_circuit):
+        s = EnergyScenario(initial_energy=sim_circuit.e_max, packets=((1.0, 5.0),),
+                           deadline=2.0)
+        trace, _ = replay(TransmissionSchedule(powers=(0.0, 0.0), epoch_bounds=(0.0, 1.0, 2.0)),
+                          s, sim_circuit)
+        assert trace.harvested == (0.0,)
+
+
+class TestReplayHarvest:
+    """The harvest replay takes at each arrival equals harvested_energy
+    bit for bit (compared through float.hex, which tells -0.0 from 0.0)."""
+
+    IDLE = TransmissionSchedule(powers=(0.0, 0.0), epoch_bounds=(0.0, 1.0, 2.0))
+
+    def harvest(self, residual, duration, circuit):
+        """The harvest of one packet that arrives at an untouched store."""
+        scenario = EnergyScenario(initial_energy=residual, packets=((1.0, duration),),
+                                  deadline=2.0)
+        trace, _ = replay(self.IDLE, scenario, circuit)
+        assert trace.residuals[0].hex() == residual.hex()
+        return trace.harvested[0]
+
+    def test_matches_harvested_energy_bit_for_bit(self, bench_circuit, sim_circuit):
+        rng = np.random.default_rng(8)
+        circuits = [bench_circuit, sim_circuit] + [random_circuit(rng) for _ in range(6)]
+        for circuit in circuits:
+            e_max, tau = circuit.e_max, circuit.tau
+            residuals = [0.0, -0.0, 5e-324, 1e-300, e_max,
+                         np.nextafter(e_max, 0.0), optimal_residual(tau, circuit)]
+            residuals += list(np.linspace(0.0, e_max, 41))
+            residuals += list(rng.uniform(0.0, e_max, 40))
+            durations = [0.0, tau, 1e4 * tau] + list(tau * rng.uniform(0.0, 5.0, 6))
+            for duration in durations:
+                for r in map(float, residuals):
+                    want = harvested_energy(r, duration, circuit)
+                    got = self.harvest(r, float(duration), circuit)
+                    assert type(got) is float
+                    assert got.hex() == want.hex(), (circuit, duration, r)
+
+    def test_decay_underflow_is_the_full_charge_limit(self, sim_circuit):
+        # exp(-1e4) underflows to 0: the charge map is (1, 0), and an
+        # empty store fills to exactly e_max
+        assert self.harvest(0.0, 1e4 * sim_circuit.tau, sim_circuit) == sim_circuit.e_max
+
+    def test_domain_errors(self, bench_circuit):
+        # a residual harvested_energy refuses never reaches a harvest:
+        # the scenario refuses a negative or infinite store, and replay
+        # one above e_max
+        above = np.nextafter(bench_circuit.e_max, np.inf)
+        for bad in (-5e-324, -0.1, above, bench_circuit.e_max * 1.001, np.inf):
+            with pytest.raises(ValueError):
+                harvested_energy(bad, 15.0, bench_circuit)
+            with pytest.raises(ValueError):
+                self.harvest(float(bad), 15.0, bench_circuit)
+
 
 class TestGenerateScenario:
     def test_zero_harvest_means_zero_durations(self, sim_circuit):
@@ -206,6 +284,25 @@ class TestGenerateScenario:
             medium_config(sim_circuit, initial_energy=np.nextafter(cap, 1.0))
         # no packets, no harvest draws
         medium_config(sim_circuit, mean_harvest=2.0 * sim_circuit.e_max, packet_count=0)
+
+    @pytest.mark.parametrize("module, name, value, mean_harvest, failure", [
+        (charge, "MAX_CHARGE_TIME_CONSTANTS", 0.01, 0.03,
+         "charge duration 83.6 s exceeds 0.01 time constants"),
+        # a tunnel that lets the store past e_max
+        (strategies, "FULL_BATTERY_FRACTION", 4.0, 0.2,
+         "cannot charge to 0.2097980941030983 J: capacity is 0.15625 J "
+         "and a full charge takes infinite time"),
+    ], ids=["too_long", "full_charge"])
+    def test_inversion_failures_keep_their_messages(self, sim_circuit, monkeypatch, module,
+                                                    name, value, mean_harvest, failure):
+        # every attempt fails the charge-curve inversion; the texts are
+        # those packet_length_for gave when the draw called it per packet
+        config = medium_config(sim_circuit, mean_harvest=mean_harvest)
+        monkeypatch.setattr(module, name, value)
+        with pytest.raises(GenerationError) as exc:
+            generate_scenario(config, np.random.default_rng([5, 0]))
+        assert str(exc.value) == ("no feasible scenario in 100 attempts; "
+                                  f"last failure: {failure}")
 
     @pytest.mark.parametrize("field", ["mean_epoch_length", "mean_harvest"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -289,10 +386,9 @@ class TestDrawScenarios:
             config = medium_config(sim_circuit, mean_harvest=0.8 * cap, packet_count=3,
                                    runs=30)
         else:
-            # some charge durations exceed the (lowered) limit; the
-            # batch reads the constant through its own import
-            for module in (charge, simulator):
-                monkeypatch.setattr(module, "MAX_CHARGE_TIME_CONSTANTS", 0.6)
+            # some charge durations exceed the (lowered) limit, which the
+            # batch and the lone draws read through one inversion walk
+            monkeypatch.setattr(charge, "MAX_CHARGE_TIME_CONSTANTS", 0.6)
             config = medium_config(sim_circuit, packet_count=3, runs=12)
         failing = [run for run in range(config.runs) if first_attempt_fails(config, run)]
         assert 0 < len(failing) < config.runs

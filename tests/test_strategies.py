@@ -164,6 +164,23 @@ class TestMaxHarvest:
         assert not any(trace.clamped)
         assert abs(trace.residuals[-1]) <= 1e-12
 
+    @pytest.mark.parametrize("packets", [0, 1])
+    def test_store_above_e_max_is_refused(self, sim_circuit, packets):
+        # a 1 J store in a 0.156 J battery, refused with solve's message
+        s = EnergyScenario(initial_energy=1.0, packets=((1.0, 5.0),)[:packets],
+                           deadline=2.0)
+        with pytest.raises(ValueError) as refused:
+            solve(s, sim_circuit)
+        with pytest.raises(ValueError) as greedy:
+            max_harvest_schedule(s, sim_circuit)
+        assert str(greedy.value) == str(refused.value)
+
+    def test_full_store_is_accepted(self, sim_circuit):
+        s = EnergyScenario(initial_energy=sim_circuit.e_max, packets=((1.0, 5.0),),
+                           deadline=2.0)
+        schedule = max_harvest_schedule(s, sim_circuit)
+        assert schedule.powers[0] > 0.0
+
     def test_harvests_most_among_the_three_strategies(self, sim_circuit):
         config = ExperimentConfig(circuit=sim_circuit, mean_epoch_length=0.006,
                                   mean_harvest=0.03, packet_count=2,
