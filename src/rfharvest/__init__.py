@@ -48,11 +48,8 @@ from .simulator import (
 from .strategies import (
     ClassicTunnel,
     OnlinePredictivePolicy,
-    PacketPrediction,
     classic_tunnel,
     max_harvest_schedule,
-    online_step,
-    predict_next,
     tight_string_schedule,
 )
 
@@ -72,13 +69,10 @@ __all__ = [
     "throughput",
     "solve",
     "ClassicTunnel",
-    "PacketPrediction",
     "OnlinePredictivePolicy",
     "classic_tunnel",
     "max_harvest_schedule",
     "tight_string_schedule",
-    "predict_next",
-    "online_step",
     "ChannelLink",
     "ExperimentConfig",
     "replay",

@@ -118,15 +118,17 @@ def replay(policy, scenario: EnergyScenario, circuit: ChargeCircuit,
     """Execute a schedule or online policy under the feedback model.
 
     ``policy`` is either a :class:`TransmissionSchedule` or an object
-    with a ``power(now, stored, history, deadline, circuit)`` method that
-    is queried once per epoch, at its start, with the packets observed
-    so far: in epoch i, ``history`` is a read-only (i, 2) float array
-    whose rows are the (arrival, charge duration) pairs of the first i
-    packets, a view into one array built per replay.  Consumption that
-    would drive the store negative is clamped to what is available and
-    the epoch is flagged rather than raising: the conventional baseline
-    plans on energies it will not actually receive, and that shortfall
-    is part of what the comparison measures.
+    with a ``power(now, stored, count, total, deadline, circuit)`` method
+    that is queried once per epoch, at its start, with running
+    statistics of the packets observed so far: in epoch i, ``count`` is
+    the int i and ``total`` the sum of the first i charge durations,
+    added left to right as the packets arrive.  Epoch i starts at the
+    i-th arrival (t = 0 for i = 0), so ``now`` is the last arrival seen.
+    Consumption that would drive the store negative is clamped to what
+    is available and the epoch is flagged rather than raising: the
+    conventional baseline plans on energies it will not actually
+    receive, and that shortfall is part of what the comparison
+    measures.
 
     The scenario's packets are read once as Python floats, and each
     arrival's charge map and harvest are taken inline, in the operations
@@ -145,16 +147,13 @@ def replay(policy, scenario: EnergyScenario, circuit: ChargeCircuit,
     fixed_powers = policy.powers if isinstance(policy, TransmissionSchedule) else None
     if fixed_powers is not None and len(fixed_powers) != n + 1:
         raise ValueError("schedule has a different number of epochs than the scenario")
-    if fixed_powers is None:
-        observed = np.array(packets, dtype=float).reshape(n, 2)
-        observed.flags.writeable = False
 
     gain = _snr_gain(rate_model, link)
     slack = _clamp_slack(circuit)
     tau, e_max, deadline = circuit.tau, circuit.e_max, scenario.deadline
     root_e_max = math.sqrt(e_max)
     sqrt, log1p, expm1, exp, inf = math.sqrt, math.log1p, math.expm1, math.exp, math.inf
-    stored, start = scenario.initial_energy, 0.0
+    stored, start, total = scenario.initial_energy, 0.0, 0.0
     residuals, harvested, consumed, clamped, nats = [], [], [], [], 0.0
     # the deadline closes the last epoch; its duration is never read
     for i, (end, duration) in enumerate((*packets, (deadline, 0.0))):
@@ -162,7 +161,8 @@ def replay(policy, scenario: EnergyScenario, circuit: ChargeCircuit,
         if fixed_powers is not None:
             power = fixed_powers[i]
         else:
-            power = policy.power(start, stored, observed[:i], deadline, circuit)
+            power = policy.power(start, stored, i, total, deadline, circuit)
+            total += duration
         if not 0 <= power < inf:
             raise ValueError(f"policy produced a negative or non-finite power "
                              f"in epoch {i + 1}")
@@ -277,8 +277,9 @@ def generate_scenario(config: ExperimentConfig, rng: np.random.Generator):
     failures = []
     for _ in range(GENERATION_RETRIES):
         lengths = _uniform_about(rng, config.mean_epoch_length, n + 1)
-        harvests = _uniform_about(rng, config.mean_harvest, n)
-        arrivals = np.cumsum(lengths[:-1])
+        # Python floats, not numpy scalars, for the funnel scan's arithmetic
+        harvests = _uniform_about(rng, config.mean_harvest, n).tolist()
+        arrivals = np.cumsum(lengths[:-1]).tolist()
         deadline = float(np.sum(lengths))
         try:
             tunnel = classic_tunnel(config.initial_energy, arrivals, harvests,
@@ -290,8 +291,7 @@ def generate_scenario(config: ExperimentConfig, rng: np.random.Generator):
             # must agree bit for bit or the round trip drifts.
             spends = [power * length for power, length
                       in zip(schedule.powers, schedule.epoch_lengths.tolist())]
-            durations = _charge_durations(config.initial_energy, spends, harvests.tolist(),
-                                          circuit)
+            durations = _charge_durations(config.initial_energy, spends, harvests, circuit)
         except (ValueError, InfeasibleError) as exc:
             failures.append(str(exc))
             continue
@@ -300,7 +300,7 @@ def generate_scenario(config: ExperimentConfig, rng: np.random.Generator):
             packets=tuple(zip(arrivals, durations)),
             deadline=deadline,
         )
-        return scenario, tuple(float(h) for h in harvests)
+        return scenario, tuple(harvests)
     raise GenerationError(
         f"no feasible scenario in {GENERATION_RETRIES} attempts; "
         f"last failure: {failures[-1] if failures else 'none'}"

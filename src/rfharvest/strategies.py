@@ -10,14 +10,18 @@ Three policies besides the offline optimum:
   consumption on harvesting;
 * an online policy that predicts the next packet from the running means
   of past packet lengths and inter-arrival intervals and applies the
-  same residual-parking rule to the prediction.
+  same residual-parking rule to the prediction.  It is queried through
+  ``power(now, stored, count, total, deadline, circuit)``, where
+  :func:`~rfharvest.simulator.replay` passes the number of packets seen
+  and the running sum of their charge durations, so each epoch's
+  prediction costs O(1).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,13 +30,10 @@ from .scheduling import EnergyScenario, TransmissionSchedule
 
 __all__ = [
     "ClassicTunnel",
-    "PacketPrediction",
     "OnlinePredictivePolicy",
     "classic_tunnel",
     "max_harvest_schedule",
     "tight_string_schedule",
-    "predict_next",
-    "online_step",
 ]
 
 # The conventional model treats the battery as "full" at this fraction
@@ -95,18 +96,6 @@ def classic_tunnel(initial_energy: float, arrivals: Sequence[float],
         deadline=deadline,
         total_energy=cumulative,
     )
-
-
-@dataclass(frozen=True)
-class PacketPrediction:
-    """Predicted charge duration and arrival time of the next packet."""
-
-    predicted_length: float   # seconds
-    predicted_arrival: float  # seconds, absolute time
-
-    def __post_init__(self):
-        if self.predicted_length < 0:
-            raise ValueError("predicted_length must be >= 0")
 
 
 def max_harvest_schedule(scenario: EnergyScenario,
@@ -219,85 +208,50 @@ def tight_string_schedule(tunnel: ClassicTunnel) -> TransmissionSchedule:
     return TransmissionSchedule(powers=tuple(powers), epoch_bounds=tuple(xs))
 
 
-def predict_next(history, now: float,
-                 prior_length: float = 0.0,
-                 prior_gap: Optional[float] = None) -> PacketPrediction:
-    """Predict the next packet from running means of the past ones.
-
-    ``history`` holds the (arrival_time, charge_duration) rows of the
-    packets seen so far: a (k, 2) array, such as the read-only view
-    :func:`~rfharvest.simulator.replay` passes, or any sequence of
-    pairs.  The predicted charge duration is the mean of past durations;
-    the predicted arrival is ``now`` plus the mean interval between past
-    arrivals, where the stream origin t = 0 counts as the reference for
-    the first interval.  Those k intervals telescope exactly to the last
-    arrival t_k, so the mean is ``t_k / k``, rounded once, at O(1) cost.
-    With an empty history the configured priors are used directly.
-    """
-    length, arrival = _predicted(history, now, prior_length, prior_gap)
-    return PacketPrediction(predicted_length=length, predicted_arrival=arrival)
-
-
-def _predicted(history, now, prior_length, prior_gap) -> tuple:
-    """:func:`predict_next`'s (predicted length, predicted arrival)."""
-    if prior_gap is None or prior_gap <= 0:
-        raise ValueError("prior_gap must be a positive number of seconds")
-    count = len(history)
-    if count == 0:
-        return prior_length, now + prior_gap
-    rows = np.asarray(history, dtype=float)
-    # np.add.reduce(x) / count is what np.mean computes, without its
-    # dispatch overhead
-    return float(np.add.reduce(rows[:, 1]) / count), now + float(rows[-1, 0]) / count
-
-
-def online_step(stored: float, prediction: PacketPrediction, now: float,
-                circuit: ChargeCircuit) -> float:
-    """Power to transmit until the predicted arrival.
-
-    Sheds the excess above the predicted packet's optimal residual over
-    the predicted horizon; transmits nothing when the store is at or
-    below the target.
-    """
-    return _shed(stored, prediction.predicted_length, prediction.predicted_arrival, now,
-                 circuit)
-
-
-def _shed(stored, length, arrival, now, circuit) -> float:
-    """:func:`online_step` on the prediction's length and arrival."""
-    if stored < 0:
-        raise ValueError(f"stored energy must be >= 0, got {stored}")
-    if arrival <= now:
-        raise ValueError("predicted arrival must lie in the future")
-    target = optimal_residual(length, circuit)
-    if stored <= target:
-        return 0.0
-    return (stored - target) / (arrival - now)
-
-
 @dataclass(frozen=True)
 class OnlinePredictivePolicy:
     """Re-plans at every arrival using the moving-average predictor.
 
     ``prior_length`` and ``prior_gap`` seed the first prediction before
-    any packet has been observed.  ``history`` in :meth:`power` is the
-    read-only (i, 2) array of (arrival, charge duration) rows that
-    :func:`~rfharvest.simulator.replay` passes in epoch i.  When the
-    predicted arrival falls at or beyond the transmission deadline, no
-    further packet is expected in time, so the policy drains the store
-    by the deadline instead of parking at a residual it would never use.
+    any packet has been observed.  After ``count`` packets whose charge
+    durations sum to ``total``, the predicted charge duration is their
+    mean, ``total / count``, and the predicted arrival is ``now`` plus
+    the mean interval between past arrivals, with t = 0 as the
+    reference for the first one.  Epochs start at arrivals, so ``now``
+    is the last arrival t_k, and those k intervals telescope exactly to
+    it: the mean is ``now / count``, rounded once.
+
+    The policy sheds the excess above the predicted packet's optimal
+    residual over the predicted horizon, and transmits nothing when the
+    store is at or below that target.  When the predicted arrival falls
+    at or beyond the transmission deadline, no further packet is
+    expected in time, so it drains the store by the deadline instead of
+    parking at a residual it would never use.
     """
 
     prior_length: float
     prior_gap: float
 
-    def power(self, now: float, stored: float, history: np.ndarray,
+    def __post_init__(self):
+        if not 0 < self.prior_gap < math.inf:
+            raise ValueError("prior_gap must be a finite, positive number of seconds")
+        # an infinite charge duration is a full charge, as in a scenario
+        if not self.prior_length >= 0:
+            raise ValueError("prior_length must be >= 0")
+
+    def power(self, now: float, stored: float, count: int, total: float,
               deadline: float, circuit: ChargeCircuit) -> float:
-        # predict_next and online_step on the prediction's two floats,
-        # with their checks, without building a PacketPrediction
-        length, arrival = _predicted(history, now, self.prior_length, self.prior_gap)
-        if length < 0:
-            raise ValueError("predicted_length must be >= 0")
+        if stored < 0:
+            raise ValueError(f"stored energy must be >= 0, got {stored}")
+        if count:
+            length, arrival = total / count, now + now / count
+        else:
+            length, arrival = self.prior_length, now + self.prior_gap
         if arrival >= deadline:
             return stored / (deadline - now)
-        return _shed(stored, length, arrival, now, circuit)
+        if arrival <= now:
+            raise ValueError("predicted arrival must lie in the future")
+        target = optimal_residual(length, circuit)
+        if stored <= target:
+            return 0.0
+        return (stored - target) / (arrival - now)

@@ -3,12 +3,12 @@
 Here ``replay``, ``max_harvest_schedule`` and ``generate_scenario`` index
 the scenario's numpy arrays and call the public ``harvested_energy`` at
 every arrival, and ``replay`` hands online policies a fresh tuple of
-(arrival, duration) pairs each epoch, which ``predict_next`` takes apart
-through list comprehensions.  The library reads each scenario once as
-Python floats, takes every packet's charge map from one list and runs
-the same arithmetic through one scalar harvest step over a read-only
-history array; the tests require identical results.  Both sum the bits
-as 0.5 l log1p(g p) and divide the total by ln 2 once.
+(arrival, duration) pairs each epoch, which the policy below takes apart
+and sums again.  The library reads each scenario once as Python floats,
+takes every packet's charge map and harvest inline and hands an online
+policy the packet count and a running duration sum; the tests require
+identical results.  Both sum the bits as 0.5 l log1p(g p) and divide the
+total by ln 2 once.
 
 The library's deliberate departures are not copied: ``replay`` caps a
 carried store that rounds above e_max, and ``max_harvest_schedule``
@@ -30,12 +30,7 @@ from rfharvest.simulator import (
     _snr_gain,
     _uniform_about,
 )
-from rfharvest.strategies import (
-    PacketPrediction,
-    classic_tunnel,
-    online_step,
-    tight_string_schedule,
-)
+from rfharvest.strategies import classic_tunnel, tight_string_schedule
 
 
 def replay(policy, scenario, circuit, rate_model="normalized", link=None):
@@ -136,31 +131,28 @@ def generate_scenario(config, rng):
     )
 
 
-def predict_next(history, now, prior_length=0.0, prior_gap=None):
-    if prior_gap is None or prior_gap <= 0:
-        raise ValueError("prior_gap must be a positive number of seconds")
-    if not history:
-        return PacketPrediction(predicted_length=prior_length,
-                                predicted_arrival=now + prior_gap)
-    arrivals = [t for t, _ in history]
-    durations = np.asarray([d for _, d in history], dtype=float)
-    return PacketPrediction(
-        predicted_length=float(np.mean(durations)),
-        predicted_arrival=now + float(arrivals[-1]) / len(arrivals),
-    )
-
-
 class OnlinePredictivePolicy:
-    """The online policy of the library, predicting through the list
-    form of ``predict_next`` above."""
+    """The online policy of the library, predicting from the whole tuple
+    history it is handed in every epoch."""
 
     def __init__(self, prior_length, prior_gap):
         self.prior_length = prior_length
         self.prior_gap = prior_gap
 
     def power(self, now, stored, history, deadline, circuit):
-        prediction = predict_next(history, now, prior_length=self.prior_length,
-                                  prior_gap=self.prior_gap)
-        if prediction.predicted_arrival >= deadline:
+        if history:
+            # left to right, as the library's running sum adds them;
+            # sum() compensates floats from Python 3.12 on
+            total = 0.0
+            for _, duration in history:
+                total += duration
+            length = total / len(history)
+            arrival = now + float(history[-1][0]) / len(history)
+        else:
+            length, arrival = self.prior_length, now + self.prior_gap
+        if arrival >= deadline:
             return stored / (deadline - now)
-        return online_step(stored, prediction, now, circuit)
+        target = optimal_residual(length, circuit)
+        if stored <= target:
+            return 0.0
+        return (stored - target) / (arrival - now)

@@ -2,12 +2,10 @@
 
 ``forward_reference`` holds the loops in their per-epoch form, before
 the inline per-arrival harvest, the once-read scenario packets and the
-read-only history array; every trace, bit count and generated scenario
-must come out identical (compared through ``repr``, which tells apart
-every distinct double, -0.0 included).
+online policy's running statistics; every trace, bit count and
+generated scenario must come out identical (compared through ``repr``,
+which tells apart every distinct double, -0.0 included).
 """
-
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +19,6 @@ from rfharvest import (
     generate_scenario,
     max_harvest_schedule,
     optimal_schedule,
-    predict_next,
     replay,
     tight_string_schedule,
 )
@@ -117,67 +114,32 @@ class TestForwardMatchesReference:
         assert repr(got) == repr(ref.replay(greedy, scenario, sim_circuit))
 
 
-class TestPredictNextHistory:
-    def test_list_and_array_histories_match_reference(self):
-        rng = np.random.default_rng(11)
-        sizes = [1, 2, 7, 8, 9, 127, 128, 129, 1024, 9000]
-        sizes += [int(k) for k in rng.integers(1, 400, size=40)]
-        untelescoped = 0
-        for j, k in enumerate(sizes):
-            # values spanning six decades; every other history is left
-            # unsorted, so that the summed gaps often differ from the
-            # last arrival and the summation order shows
-            arrivals = rng.uniform(0.0, 1.0, k) * np.exp(rng.uniform(-7.0, 7.0, k))
-            if j % 2 == 0:
-                arrivals = np.cumsum(arrivals)
-            rows = np.column_stack((arrivals, rng.uniform(0.0, 50.0, k)))
-            as_list = [(float(t), float(d)) for t, d in rows]
-            stacked = np.vstack((rows, [[1e9, 1.0]]))
-            stacked.flags.writeable = False
-            want = ref.predict_next(as_list, 0.0, prior_gap=0.5)
-            # the correctly rounded mean of the exact gaps from t = 0
-            assert want.predicted_arrival == float(Fraction(as_list[-1][0]) / k), k
-            gaps = np.diff(np.concatenate(([0.0], rows[:, 0])))
-            untelescoped += want.predicted_arrival != float(np.mean(gaps))
-            for history in (as_list, tuple(as_list), rows, stacked[:k]):
-                got = predict_next(history, 0.0, prior_gap=0.5)
-                assert repr(got) == repr(want), k
-        # the summed gaps' rounding shows, so the two estimates differ
-        assert untelescoped >= 5
-
-    @pytest.mark.parametrize("empty", [[], (), np.empty((0, 2))])
-    def test_empty_histories_use_priors(self, empty):
-        got = predict_next(empty, 2.0, prior_length=4.0, prior_gap=0.5)
-        assert (got.predicted_length, got.predicted_arrival) == (4.0, 2.5)
-
-
 class RecordingPolicy:
-    """Online policy that keeps every history it is shown."""
+    """Online policy that keeps what replay hands it in every epoch."""
 
     def __init__(self):
         self.seen = []
 
-    def power(self, now, stored, history, deadline, circuit):
-        self.seen.append(history)
+    def power(self, now, stored, count, total, deadline, circuit):
+        self.seen.append((now, count, total))
         return 0.0
 
 
-class TestReplayHistory:
-    @pytest.mark.parametrize("packets", [0, 1, 8])
-    def test_rows_are_the_observed_packets(self, sim_circuit, packets):
+class TestReplayStatistics:
+    @pytest.mark.parametrize("packets", [0, 1, 8, 1024])
+    def test_count_sum_and_last_arrival(self, sim_circuit, packets):
         if packets:
             config = forward_config(sim_circuit, packets, 5)
             scenario, _ = generate_scenario(config, np.random.default_rng(5))
         else:
-            scenario = EnergyScenario(initial_energy=0.05, packets=(),
-                                          deadline=1.0)
+            scenario = EnergyScenario(initial_energy=0.05, packets=(), deadline=1.0)
         policy = RecordingPolicy()
         replay(policy, scenario, sim_circuit)
         assert len(policy.seen) == packets + 1
-        for i, history in enumerate(policy.seen):
-            assert history.shape == (i, 2)
-            assert history.dtype == np.float64
-            assert history.tolist() == [list(p) for p in scenario.packets[:i]]
-            assert not history.flags.writeable
-            with pytest.raises(ValueError):
-                history[...] = 0.0
+        for i, (now, count, total) in enumerate(policy.seen):
+            assert type(count) is int and count == i
+            expected = 0.0
+            for _, duration in scenario.packets[:i]:
+                expected += duration
+            assert type(total) is float and repr(total) == repr(expected)
+            assert now == (scenario.packets[i - 1][0] if i else 0.0)

@@ -156,7 +156,7 @@ class TestReplay:
             def __init__(self, value):
                 self.value = value
 
-            def power(self, now, stored, history, deadline, circuit):
+            def power(self, now, stored, count, total, deadline, circuit):
                 return self.value
 
         s = EnergyScenario(initial_energy=0.01, packets=((1.0, 5.0),), deadline=2.0)

@@ -8,17 +8,15 @@ from rfharvest import (
     EnergyScenario,
     ExperimentConfig,
     OnlinePredictivePolicy,
-    PacketPrediction,
     classic_tunnel,
     generate_scenario,
     max_harvest_schedule,
-    online_step,
     optimal_residual,
-    predict_next,
     replay,
     solve,
     tight_string_schedule,
 )
+from rfharvest.simulator import evaluate_strategy
 from rfharvest.strategies import FULL_BATTERY_FRACTION
 
 
@@ -203,40 +201,63 @@ class TestMaxHarvest:
             assert greedy >= string - 1e-12
 
 
+def shed(stored, length, horizon, circuit):
+    """The power that parks ``stored`` at the optimal residual of a
+    packet of ``length`` over ``horizon`` seconds."""
+    return (stored - optimal_residual(length, circuit)) / horizon
+
+
 class TestPredictNext:
-    def test_empty_history_uses_priors(self):
-        p = predict_next([], now=3.0, prior_length=5.0, prior_gap=10.0)
-        assert p.predicted_length == 5.0
-        assert p.predicted_arrival == 13.0
+    """The policy's prediction of the next packet, seen through the power
+    it sheds from a full store with the deadline far away."""
 
-    def test_single_packet(self):
-        p = predict_next([(8.0, 5.0)], now=8.0, prior_length=0.0, prior_gap=10.0)
-        assert p.predicted_length == 5.0
-        assert p.predicted_arrival == 16.0  # one observed interval: 8 s
+    def test_empty_history_uses_priors(self, sim_circuit):
+        policy = OnlinePredictivePolicy(prior_length=5.0, prior_gap=10.0)
+        e_max = sim_circuit.e_max
+        power = policy.power(3.0, e_max, 0, 0.0, 1e3, sim_circuit)
+        assert power == shed(e_max, 5.0, 10.0, sim_circuit)
 
-    def test_running_means(self):
-        history = [(8.0, 4.0), (20.0, 6.0)]  # intervals 8 and 12
-        p = predict_next(history, now=20.0, prior_length=0.0, prior_gap=1.0)
-        assert p.predicted_length == 5.0
-        assert p.predicted_arrival == 30.0
+    def test_single_packet(self, sim_circuit):
+        policy = OnlinePredictivePolicy(prior_length=0.0, prior_gap=10.0)
+        e_max = sim_circuit.e_max
+        # one observed interval, 8 s, from t = 0 to the arrival at 8 s
+        power = policy.power(8.0, e_max, 1, 5.0, 1e3, sim_circuit)
+        assert power == shed(e_max, 5.0, 8.0, sim_circuit)
 
-    def test_constant_stream_is_predicted_exactly(self):
-        history = [(10.0 * k, 3.0) for k in range(1, 6)]
-        p = predict_next(history, now=50.0, prior_length=0.0, prior_gap=1.0)
-        assert p.predicted_length == 3.0
-        assert p.predicted_arrival == pytest.approx(60.0)
+    def test_running_means(self, sim_circuit):
+        # packets (8 s, 4 s) and (20 s, 6 s): intervals 8 and 12
+        policy = OnlinePredictivePolicy(prior_length=0.0, prior_gap=1.0)
+        e_max = sim_circuit.e_max
+        power = policy.power(20.0, e_max, 2, 4.0 + 6.0, 1e3, sim_circuit)
+        assert power == shed(e_max, 5.0, 10.0, sim_circuit)
+
+    def test_constant_stream_is_predicted_exactly(self, sim_circuit):
+        policy = OnlinePredictivePolicy(prior_length=0.0, prior_gap=1.0)
+        total = 0.0
+        for _ in range(5):      # packets (10 k s, 3 s), k = 1..5
+            total += 3.0
+        e_max = sim_circuit.e_max
+        power = policy.power(50.0, e_max, 5, total, 1e3, sim_circuit)
+        assert power == shed(e_max, 3.0, 10.0, sim_circuit)
 
     def test_requires_positive_gap_prior(self):
-        with pytest.raises(ValueError):
-            predict_next([], now=0.0, prior_length=1.0, prior_gap=0.0)
+        # bad priors are refused at construction, before any epoch asks
+        # for a power
+        for prior_gap in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="prior_gap"):
+                OnlinePredictivePolicy(prior_length=1.0, prior_gap=prior_gap)
+        for prior_length in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="prior_length"):
+                OnlinePredictivePolicy(prior_length=prior_length, prior_gap=1.0)
 
 
 class TestOnlineStep:
     def test_idle_at_or_below_target(self, sim_circuit):
         target = optimal_residual(20.0, sim_circuit)
-        prediction = PacketPrediction(predicted_length=20.0, predicted_arrival=10.0)
-        assert online_step(0.5 * target, prediction, 0.0, sim_circuit) == 0.0
-        assert online_step(target, prediction, 0.0, sim_circuit) == 0.0
+        policy = OnlinePredictivePolicy(prior_length=20.0, prior_gap=10.0)
+        for stored in (0.0, 0.5 * target, target):
+            assert policy.power(0.0, stored, 0, 0.0, 1e3, sim_circuit) == 0.0
+            assert policy.power(10.0, stored, 2, 40.0, 1e3, sim_circuit) == 0.0
 
     def test_sheds_excess_over_horizon(self):
         # engineered numbers: 0.6 J stored, 0.24 J target, 10 s horizon
@@ -245,15 +266,48 @@ class TestOnlineStep:
         # invert optimal_residual: e_max/(1+e^(T/tau))^2 = 0.24
         duration = circuit.tau * math.log(math.sqrt(circuit.e_max / 0.24) - 1.0)
         assert optimal_residual(duration, circuit) == pytest.approx(0.24, rel=1e-12)
-        prediction = PacketPrediction(predicted_length=duration,
-                                      predicted_arrival=10.0)
-        power = online_step(0.6, prediction, 0.0, circuit)
+        policy = OnlinePredictivePolicy(prior_length=duration, prior_gap=10.0)
+        power = policy.power(0.0, 0.6, 0, 0.0, 100.0, circuit)
         assert power == pytest.approx((0.6 - 0.24) / 10.0, rel=1e-12)
 
     def test_rejects_stale_prediction(self, sim_circuit):
-        prediction = PacketPrediction(predicted_length=5.0, predicted_arrival=1.0)
-        with pytest.raises(ValueError):
-            online_step(0.1, prediction, 2.0, sim_circuit)
+        policy = OnlinePredictivePolicy(prior_length=5.0, prior_gap=1.0)
+        # a prior gap lost to rounding, and a last arrival at t = 0, both
+        # predict the next packet at now
+        for now, count, total in ((1e20, 0, 0.0), (0.0, 1, 5.0)):
+            with pytest.raises(ValueError, match="future"):
+                policy.power(now, 0.1, count, total, 1e30, sim_circuit)
+
+    def test_rejects_negative_store_and_length(self, sim_circuit):
+        policy = OnlinePredictivePolicy(prior_length=5.0, prior_gap=1.0)
+        with pytest.raises(ValueError, match="stored energy"):
+            policy.power(2.0, -1e-3, 1, 5.0, 10.0, sim_circuit)
+        with pytest.raises(ValueError, match="packet_length"):
+            policy.power(2.0, 0.1, 1, -5.0, 10.0, sim_circuit)
+
+    def test_infinite_charge_duration_parks_at_zero(self, sim_circuit):
+        # a full-charge packet's optimal residual is 0, as a prior or as
+        # an observed duration, so the whole store is shed
+        policy = OnlinePredictivePolicy(prior_length=math.inf, prior_gap=1.0)
+        assert policy.power(0.0, 0.1, 0, 0.0, 10.0, sim_circuit) == 0.1
+        assert policy.power(1.0, 0.1, 1, math.inf, 10.0, sim_circuit) == 0.1
+        s = EnergyScenario(initial_energy=0.05, packets=((1.0, math.inf), (2.0, 5.0)),
+                           deadline=3.0)
+        config = ExperimentConfig(circuit=sim_circuit, mean_epoch_length=1.0,
+                                  mean_harvest=0.03, packet_count=2, initial_energy=0.05)
+        trace, bits = evaluate_strategy("online", s, (), config)
+        assert not any(trace.clamped) and 0.0 < bits < math.inf
+
+    @pytest.mark.parametrize("deadline", [4.0, 3.5])
+    def test_drains_when_prediction_passes_deadline(self, sim_circuit, deadline):
+        # the next packet is predicted at 2 + 2/1 = 4 s, at or after the
+        # deadline: the whole store goes by the deadline, target or not
+        policy = OnlinePredictivePolicy(prior_length=5.0, prior_gap=1.0)
+        for stored in (0.0, 1e-6, sim_circuit.e_max):
+            power = policy.power(2.0, stored, 1, 5.0, deadline, sim_circuit)
+            assert power == stored / (deadline - 2.0)
+        # the priors predict 2 + 1 = 3 s
+        assert policy.power(2.0, 0.1, 0, 0.0, 3.0, sim_circuit) == 0.1 / 1.0
 
 
 class TestOnlinePolicy:
