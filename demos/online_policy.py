@@ -49,9 +49,8 @@ print("\nrandom streams (medium-length packets), online vs offline optimum:")
 for seed in range(5):
     rng = np.random.default_rng([3, seed])
     random_scenario, _ = generate_scenario(config, rng)
-    policy = OnlinePredictivePolicy(
-        prior_length=float(np.mean(random_scenario.packet_lengths)),
-        prior_gap=config.mean_epoch_length)
+    # no charge duration is known before the first packet
+    policy = OnlinePredictivePolicy(prior_length=0.0, prior_gap=config.mean_epoch_length)
     _, online = replay(policy, random_scenario, circuit)
     offline = solve(random_scenario, circuit).throughput
     print(f"  seed {seed}: online/offline = {online / offline:6.2%}")

@@ -25,10 +25,10 @@ from .oracle import GridSpec, brute_force_optimize
 from .scheduling import TransmissionSchedule
 from .simulator import (
     STRATEGIES,
+    _draw_scenarios,
     _snr_gain,
     evaluate_strategy,
     future_impact_probe,
-    generate_scenario,
     monte_carlo,
     optimal_schedule,
 )
@@ -144,8 +144,7 @@ def cmd_simulate(args) -> int:
             raise ConfigError("tight_string needs a generated scenario (the classic "
                               "harvest sequence); remove the 'scenario' section")
     else:
-        rng = np.random.default_rng([seed, 0])
-        scenario, classic = generate_scenario(point, rng)
+        scenario, classic = _draw_scenarios(point, 1)[0]
     trace, bits = evaluate_strategy(args.strategy, scenario, classic, point)
     manifest = RunManifest(__version__, f"simulate {args.strategy}", digest, seed,
                            config.rate_model)
@@ -189,18 +188,20 @@ def cmd_sweep(args) -> int:
         header = ["scenario_index", "d", "length_delta", "packet_delta",
                   "relative_power_change", "seed"]
         data = []
-        for index in range(sweep.scenarios):
-            rng = np.random.default_rng([seed, index])
-            scenario, _ = generate_scenario(point, rng)
+        for index, (scenario, _) in enumerate(_draw_scenarios(point, sweep.scenarios)):
             for d in sweep.impact_epochs:
-                if d > scenario.n_packets:
-                    raise ConfigError(f"impact epoch d={d} exceeds the packet count")
+                if not 1 <= d <= scenario.n_packets:
+                    raise ConfigError(f"scenario {index}: impact epoch d={d} must lie in "
+                                      f"[1, {scenario.n_packets}]")
                 delta_length = sweep.length_delta_fraction * point.mean_epoch_length
                 delta_packet = (sweep.packet_delta_fraction
                                 * scenario.packets[d - 1][1])
-                change = future_impact_probe(scenario, config.circuit, d,
-                                             delta_length, delta_packet,
-                                             config.rate_model, config.link)
+                try:
+                    change = future_impact_probe(scenario, config.circuit, d,
+                                                 delta_length, delta_packet,
+                                                 config.rate_model, config.link)
+                except ValueError as exc:
+                    raise ConfigError(f"scenario {index}, d={d}: {exc}") from exc
                 data.append([index, d, delta_length, delta_packet, change, seed])
     else:
         raise ConfigError(f"unknown figure {args.figure!r}")
@@ -213,7 +214,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    config, digest, seed = _load(args)
+    config, _, _ = _load(args)
     point = experiment_config(config)
     grid = GridSpec()
     if point.packet_count > grid.epoch_limit:
@@ -223,9 +224,7 @@ def cmd_oracle_check(args) -> int:
     worst_gap = -np.inf
     worst_run = None
     float_slack = 1e-9
-    for run in range(point.runs):
-        rng = np.random.default_rng([seed, run])
-        scenario, _ = generate_scenario(point, rng)
+    for run, (scenario, _) in enumerate(_draw_scenarios(point, point.runs)):
         report = optimal_schedule(scenario, config.circuit,
                                   config.rate_model, config.link)
         result = brute_force_optimize(scenario, config.circuit, grid, gain)

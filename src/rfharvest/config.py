@@ -100,6 +100,20 @@ def _take(mapping, name, allowed):
         raise ConfigError(f"unknown keys in '{name}': {sorted(unknown)}")
 
 
+def _section(data, name, defaults) -> dict:
+    """``defaults`` updated from the mapping ``data[name]``, each value
+    coerced to its default's type, a tuple's element by element.
+
+    ``float()`` also rescues exponent literals like 2.4e9 that YAML 1.1
+    resolves as strings (its float regex wants a signed exponent).
+    """
+    section = {**defaults, **_require_mapping(data.get(name, {}), name)}
+    _take(section, name, defaults)
+    return {key: (tuple(map(type(default[0]), section[key])) if isinstance(default, tuple)
+                  else type(default)(section[key]))
+            for key, default in defaults.items()}
+
+
 def parse_config(data: dict) -> RunConfig:
     """Build a RunConfig from a parsed YAML mapping, applying defaults."""
     if data is None:
@@ -109,15 +123,8 @@ def parse_config(data: dict) -> RunConfig:
           ["circuit", "link", "rate_model", "seed", "runs", "scenario",
            "generator", "sweep"])
     try:
-        circuit_map = {**DEFAULT_CIRCUIT, **_require_mapping(data.get("circuit", {}), "circuit")}
-        _take(circuit_map, "circuit", DEFAULT_CIRCUIT)
-        # float() also rescues exponent literals like 2.4e9 that YAML 1.1
-        # resolves as strings (its float regex wants a signed exponent)
-        circuit = ChargeCircuit(**{k: float(v) for k, v in circuit_map.items()})
-
-        link_map = {**DEFAULT_LINK, **_require_mapping(data.get("link", {}), "link")}
-        _take(link_map, "link", DEFAULT_LINK)
-        link = ChannelLink(**{k: float(v) for k, v in link_map.items()})
+        circuit = ChargeCircuit(**_section(data, "circuit", DEFAULT_CIRCUIT))
+        link = ChannelLink(**_section(data, "link", DEFAULT_LINK))
 
         rate_model = data.get("rate_model", "normalized")
         if rate_model not in ("normalized", "link-budget"):
@@ -145,27 +152,8 @@ def parse_config(data: dict) -> RunConfig:
                 deadline=float(node["deadline"]),
             )
 
-        gen_defaults = asdict(GeneratorConfig())
-        gen_map = {**gen_defaults, **_require_mapping(data.get("generator", {}), "generator")}
-        _take(gen_map, "generator", gen_defaults)
-        generator = GeneratorConfig(
-            packet_count=int(gen_map["packet_count"]),
-            mean_epoch_length=float(gen_map["mean_epoch_length"]),
-            mean_harvest=float(gen_map["mean_harvest"]),
-            initial_energy=float(gen_map["initial_energy"]),
-        )
-
-        sweep_defaults = asdict(SweepConfig())
-        sweep_map = {**sweep_defaults, **_require_mapping(data.get("sweep", {}), "sweep")}
-        _take(sweep_map, "sweep", sweep_defaults)
-        sweep = SweepConfig(
-            epoch_lengths=tuple(float(v) for v in sweep_map["epoch_lengths"]),
-            capacitances=tuple(float(v) for v in sweep_map["capacitances"]),
-            impact_epochs=tuple(int(v) for v in sweep_map["impact_epochs"]),
-            length_delta_fraction=float(sweep_map["length_delta_fraction"]),
-            packet_delta_fraction=float(sweep_map["packet_delta_fraction"]),
-            scenarios=int(sweep_map["scenarios"]),
-        )
+        generator = GeneratorConfig(**_section(data, "generator", asdict(GeneratorConfig())))
+        sweep = SweepConfig(**_section(data, "sweep", asdict(SweepConfig())))
     except ConfigError:
         raise
     except (TypeError, ValueError, KeyError) as exc:

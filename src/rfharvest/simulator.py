@@ -10,10 +10,10 @@ energy tunnel, schedule the conventional taut string through it, record
 the residuals that schedule would leave at each arrival, and invert the
 charge curve to find the packet charge durations that reproduce exactly
 those harvests.  The same scenario can then be fed to every strategy.
-A Monte Carlo point draws all its runs as one batch: the tunnels and
-their tests as (runs, N) arrays, then each run through the one
-inversion walk a lone draw takes (``charge._charge_durations``), which
-gives each run the scenario a lone draw gives it.
+There is one draw, over a batch of generators, whose failed runs retry
+as a smaller batch.  ``generate_scenario`` is a batch of one; a Monte
+Carlo point and every seeded CLI loop draw run k from
+``default_rng([seed, k])``, all runs in one batch.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from .scheduling import (
     _solve_batch,
     solve,
 )
+from . import strategies
 from .strategies import (
-    FULL_BATTERY_FRACTION,
     OnlinePredictivePolicy,
     _taut_string,
     classic_tunnel,
@@ -242,9 +242,9 @@ class ExperimentConfig:
             raise ConfigError("packet_count must be >= 0")
         if not 0 <= self.initial_energy:
             raise ConfigError("initial_energy must be >= 0")
-        # classic_tunnel refuses an increment above the usable capacity,
-        # so either of these fails every generation attempt
-        cap = FULL_BATTERY_FRACTION * self.circuit.e_max
+        # the tunnel refuses an increment above the usable capacity, so
+        # either of these fails every generation attempt
+        cap = strategies.FULL_BATTERY_FRACTION * self.circuit.e_max
         if self.initial_energy > cap:
             raise ConfigError(f"initial_energy exceeds the usable capacity {cap} J")
         if self.packet_count and self.mean_harvest * (1.0 - UNIFORM_HALFWIDTH) > cap:
@@ -262,121 +262,126 @@ def generate_scenario(config: ExperimentConfig, rng: np.random.Generator):
     """Draw one scenario by the reverse-order tunnel construction.
 
     Step 1: draw classic per-packet harvests and epoch lengths, build
-    the fixed tunnel, schedule the taut string through it and record the
+    the fixed tunnel, pull the taut string through it and record the
     residual it leaves before each arrival.  Step 2: invert the charge
     curve to get the packet charge duration that captures exactly the
     drawn harvest from that residual.  Step 3: package as a scenario.
     Draws that cannot be inverted (battery-filling harvests) are
-    redrawn, up to a bounded number of attempts.
+    redrawn, up to ``GENERATION_RETRIES`` attempts.  This is the draw a
+    Monte Carlo point makes of each run, on a batch of one generator.
 
     Returns:
         (EnergyScenario, tuple of the classic per-packet harvests)
     """
-    n = config.packet_count
-    circuit = config.circuit
-    failures = []
-    for _ in range(GENERATION_RETRIES):
-        lengths = _uniform_about(rng, config.mean_epoch_length, n + 1)
-        # Python floats, not numpy scalars, for the funnel scan's arithmetic
-        harvests = _uniform_about(rng, config.mean_harvest, n).tolist()
-        arrivals = np.cumsum(lengths[:-1]).tolist()
-        deadline = float(np.sum(lengths))
-        try:
-            tunnel = classic_tunnel(config.initial_energy, arrivals, harvests,
-                                    deadline, circuit)
-            schedule = tight_string_schedule(tunnel)
-            # The inversion carries the store with exactly the replay's
-            # sequential arithmetic: the charge curve's slope is infinite
-            # at zero residual, so the bound touches (residual exactly 0)
-            # must agree bit for bit or the round trip drifts.
-            spends = [power * length for power, length
-                      in zip(schedule.powers, schedule.epoch_lengths.tolist())]
-            durations = _charge_durations(config.initial_energy, spends, harvests, circuit)
-        except (ValueError, InfeasibleError) as exc:
-            failures.append(str(exc))
-            continue
-        scenario = EnergyScenario(
-            initial_energy=config.initial_energy,
-            packets=tuple(zip(arrivals, durations)),
-            deadline=deadline,
-        )
-        return scenario, tuple(harvests)
-    raise GenerationError(
-        f"no feasible scenario in {GENERATION_RETRIES} attempts; "
-        f"last failure: {failures[-1] if failures else 'none'}"
-    )
+    return _draw(config, [rng])[0]
 
 
 def _draw_scenarios(config: ExperimentConfig, count: int) -> list:
-    """The draws of ``count`` runs, run k with ``default_rng([seed, k])``.
+    """The draws of ``count`` runs, run k from ``default_rng([seed, k])``."""
+    return _draw(config, [np.random.default_rng([config.seed, k]) for k in range(count)])
 
-    Returns what calling :func:`generate_scenario` once per run returns,
-    bit for bit, and raises the error of the first run that cannot be
-    drawn.  Each run keeps its own generator and its first attempt's two
-    draws; the tunnel and every test of it are (runs, N) array
-    operations, each run's taut string goes through the shared funnel
-    scan, and each run that passes walks the charge-curve inversion of
-    the lone path, :func:`~rfharvest.charge._charge_durations`.  A run
-    whose first attempt fails a test of the lone path, or whose
-    inversion raises, is drawn again by a lone call, which repeats that
-    attempt and retries.
+
+def _draw(config: ExperimentConfig, rngs) -> list:
+    """One (scenario, classic harvests) per generator.
+
+    The runs that have no scenario yet retry as one batch, up to
+    ``GENERATION_RETRIES`` attempts in all.  Then the lowest-index run
+    still without one raises the GenerationError naming its last failure.
+    """
+    drawn = [None] * len(rngs)      # each run's scenario, or its last failure
+    pending = list(range(len(rngs)))
+    for _ in range(GENERATION_RETRIES):
+        if not pending:
+            break
+        for k, outcome in zip(pending, _attempt(config, [rngs[k] for k in pending])):
+            drawn[k] = outcome
+        pending = [k for k in pending if isinstance(drawn[k], str)]
+    if pending:
+        raise GenerationError(
+            f"no feasible scenario in {GENERATION_RETRIES} attempts; "
+            f"last failure: {drawn[pending[0]] or 'none'}"
+        )
+    return drawn
+
+
+def _attempt(config: ExperimentConfig, rngs) -> list:
+    """One attempt per generator, as a batch: per run, its (scenario,
+    classic harvests) or the text of the first test it failed.
+
+    Each generator draws its epoch lengths, then its harvests.  The
+    tunnels and their tests are (runs, N) arrays, with the arithmetic and
+    the texts of ``classic_tunnel`` and ``ClassicTunnel``; each run that
+    passes goes through the funnel scan, then the inversion walk
+    ``charge._charge_durations``, whose ``InfeasibleError`` text it keeps.
     """
     n = config.packet_count
     circuit = config.circuit
-    cap = FULL_BATTERY_FRACTION * circuit.e_max
+    # classic_tunnel's cap, read at call time as it reads it
+    cap = strategies.FULL_BATTERY_FRACTION * circuit.e_max
     initial = config.initial_energy
-    rngs = [np.random.default_rng([config.seed, k]) for k in range(count)]
+    count = len(rngs)
     lengths = np.array([_uniform_about(rng, config.mean_epoch_length, n + 1)
                         for rng in rngs])
     harvests = np.array([_uniform_about(rng, config.mean_harvest, n) for rng in rngs])
 
-    # classic_tunnel and ClassicTunnel, one flag per run
     arrivals = np.cumsum(lengths[:, :-1], axis=1)
     deadlines = lengths.sum(axis=1)
-    failed = (harvests > cap).any(axis=1) | (initial > cap) | (deadlines <= 0)
-    if n:
-        failed |= (arrivals[:, -1] >= deadlines) | (arrivals <= 0).any(axis=1)
     cumulative = np.cumsum(np.concatenate((np.full((count, 1), initial), harvests), axis=1),
                            axis=1)
     upper, total = cumulative[:, :-1], cumulative[:, -1:]
     over = cumulative[:, 1:] - cap
     lower = np.where(over > 0.0, over, 0.0)
-    failed |= (lower > upper).any(axis=1) | (np.diff(upper, axis=1) < 0).any(axis=1)
+    tests = (   # in classic_tunnel's order; with no packets, no arrival fails
+        (((arrivals[:, -1:] >= deadlines[:, None]) | (arrivals <= 0)).any(axis=1),
+         "arrivals must lie strictly inside (0, deadline)"),
+        ((harvests > cap).any(axis=1) | (initial > cap),
+         "an energy increment exceeds the usable battery capacity"),
+        (deadlines <= 0, "tunnel deadline must be > 0"),
+        ((lower > upper).any(axis=1), "tunnel is empty: lower bound exceeds upper bound"),
+        ((np.diff(upper, axis=1) < 0).any(axis=1), "upper bound must be non-decreasing"),
+    )
+    flags = np.array([flag for flag, _ in tests])
+    failed = flags.any(axis=0)
+    # the first test a run fails names its failure
+    reasons = [tests[first][1] if fails else None
+               for first, fails in zip(flags.argmax(axis=0).tolist(), failed.tolist())]
 
     # tight_string_schedule, with the powers of every run in one division
     zeros = np.zeros((count, 1))
     bounds = np.concatenate((zeros, arrivals, deadlines[:, None]), axis=1)
     epoch_lengths = np.diff(bounds, axis=1)
-    # the lone path divides by a zero-length epoch, in the funnel scan or
-    # with numpy's warning
-    failed |= (epoch_lengths <= 0).any(axis=1)
+    # a failed run spends nothing, whatever its epochs
     epoch_lengths[failed] = 1.0
     gates = zip(bounds.tolist(), np.concatenate((zeros, lower, total), axis=1).tolist(),
                 np.concatenate((zeros, upper, total), axis=1).tolist())
     drained = np.zeros((count, n + 2))    # the string's height at each bound
     for k, (xs, los, his) in enumerate(gates):
-        if not failed[k]:
+        if reasons[k] is None:
             vertices = _taut_string(xs, los, his)
             drained[k] = np.interp(xs, [v[0] for v in vertices], [v[1] for v in vertices])
+    # The inversion carries the store with exactly the replay's arithmetic,
+    # power times length: the charge curve's slope is infinite at zero
+    # residual, so the bound touches (residual exactly 0) must agree bit
+    # for bit or the round trip drifts.
     spends = np.diff(drained, axis=1) / epoch_lengths * epoch_lengths
 
-    drawn = []
-    for k, (redraw, times, spent, classic, deadline) in enumerate(zip(
-            failed.tolist(), arrivals.tolist(), spends.tolist(), harvests.tolist(),
-            deadlines.tolist())):
-        if not redraw:
+    outcomes = []
+    for reason, times, spent, classic, deadline in zip(
+            reasons, arrivals.tolist(), spends.tolist(), harvests.tolist(),
+            deadlines.tolist()):
+        if reason is None:
             try:
                 durations = _charge_durations(initial, spent, classic, circuit)
-            except InfeasibleError:
-                redraw = True
-        if redraw:
-            drawn.append(generate_scenario(config, np.random.default_rng([config.seed, k])))
+            except InfeasibleError as exc:
+                reason = str(exc)
+        if reason is not None:
+            outcomes.append(reason)
             continue
         scenario = EnergyScenario(initial_energy=initial,
                                   packets=tuple(zip(times, durations)),
                                   deadline=deadline)
-        drawn.append((scenario, tuple(classic)))
-    return drawn
+        outcomes.append((scenario, tuple(classic)))
+    return outcomes
 
 
 def evaluate_strategy(name: str, scenario: EnergyScenario, classic_harvests,
@@ -397,9 +402,9 @@ def evaluate_strategy(name: str, scenario: EnergyScenario, classic_harvests,
                                 classic_harvests, scenario.deadline, circuit)
         policy = tight_string_schedule(tunnel)
     elif name == "online":
-        policy = OnlinePredictivePolicy(prior_length=float(np.mean(scenario.packet_lengths))
-                                        if scenario.n_packets else 0.0,
-                                        prior_gap=config.mean_epoch_length)
+        # nothing is known of the charge durations before the first
+        # packet, so the policy parks at the short-packet optimum e_max/4
+        policy = OnlinePredictivePolicy(prior_length=0.0, prior_gap=config.mean_epoch_length)
     elif name == "zero":
         policy = TransmissionSchedule(powers=(0.0,) * (scenario.n_packets + 1),
                                       epoch_bounds=tuple(scenario.epoch_bounds))

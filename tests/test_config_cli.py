@@ -251,6 +251,20 @@ class TestSweepCommand:
         data = [l for l in lines if not l.startswith("#")][1:]
         assert len(data) == 4  # 2 scenarios x 2 depths
 
+    @pytest.mark.parametrize("sweep, message", [
+        ("{impact_epochs: [0]}", "scenario 0: impact epoch d=0 must lie in [1, 6]"),
+        ("{impact_epochs: [1], length_delta_fraction: -10}",
+         "scenario 0, d=1: perturbation makes the scenario invalid"),
+    ], ids=["zero_depth", "invalid_perturbation"])
+    def test_fig8_bad_probe_exits_2(self, tmp_path, capsys, sweep, message):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(f"generator: {{packet_count: 6}}\nsweep: {sweep}\n")
+        rc = main(["sweep", "--config", str(path), "--figure", "fig8",
+                   "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_fig6_deterministic(self, tmp_path):
         path = tmp_path / "cfg.yaml"
         path.write_text("seed: 5\nruns: 2\n"

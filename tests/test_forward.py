@@ -45,9 +45,8 @@ def reference_policy(name, scenario, classic, config):
             scenario.initial_energy, scenario.arrival_times, classic,
             scenario.deadline, circuit))
     if name == "online":
-        return ref.OnlinePredictivePolicy(
-            prior_length=float(np.mean(scenario.packet_lengths)),
-            prior_gap=config.mean_epoch_length)
+        return ref.OnlinePredictivePolicy(prior_length=0.0,
+                                          prior_gap=config.mean_epoch_length)
     assert name == "zero"
     return TransmissionSchedule(powers=(0.0,) * (scenario.n_packets + 1),
                                 epoch_bounds=tuple(scenario.epoch_bounds))

@@ -273,6 +273,21 @@ class TestGenerateScenario:
         with pytest.raises(GenerationError):
             generate_scenario(config, np.random.default_rng(2))
 
+    def test_tunnel_failures_keep_their_message(self, sim_circuit):
+        # the config above: every attempt draws a harvest above the
+        # usable capacity, which classic_tunnel refused with this text
+        cap = FULL_BATTERY_FRACTION * sim_circuit.e_max
+        config = medium_config(sim_circuit,
+                               mean_harvest=(1.0 - 1e-9) * cap / (1.0 - UNIFORM_HALFWIDTH),
+                               initial_energy=0.0)
+        with pytest.raises(GenerationError) as drawn:
+            generate_scenario(config, np.random.default_rng(2))
+        with pytest.raises(GenerationError) as reference:
+            ref.generate_scenario(config, np.random.default_rng(2))
+        assert str(drawn.value) == str(reference.value) == (
+            "no feasible scenario in 100 attempts; last failure: "
+            "an energy increment exceeds the usable battery capacity")
+
     def test_configs_that_never_generate_are_refused(self, sim_circuit):
         # every harvest draw, or the initial charge, exceeds the usable
         # capacity, so no attempt could succeed
@@ -344,7 +359,7 @@ class TestDrawScenarios:
     @pytest.mark.parametrize("axis", ["mean_epoch_length", "capacitance"])
     def test_reference_sweep_points(self, monkeypatch, axis):
         # the points monte_carlo builds for fig5 (and, on the first axis,
-        # fig6); every first attempt passes, so no run is drawn alone
+        # fig6); each point draws its runs as one batch, not run by run
         point = experiment_config(parse_config({}))
         values = {"mean_epoch_length": SweepConfig().epoch_lengths,
                   "capacitance": SweepConfig().capacitances}[axis]
@@ -392,17 +407,9 @@ class TestDrawScenarios:
             config = medium_config(sim_circuit, packet_count=3, runs=12)
         failing = [run for run in range(config.runs) if first_attempt_fails(config, run)]
         assert 0 < len(failing) < config.runs
-        through_lone = []
-
-        def spied(*args):
-            drawn = generate_scenario(*args)
-            through_lone.append(drawn)
-            return drawn
-
-        monkeypatch.setattr(simulator, "generate_scenario", spied)
-        drawn = simulator._draw_scenarios(config, config.runs)
-        assert through_lone == [drawn[run] for run in failing]
-        self.assert_drawn_alone(config, config.runs, drawn)
+        # the failed runs retry in the batch and still get their lone draws
+        self.assert_drawn_alone(config, config.runs,
+                                simulator._draw_scenarios(config, config.runs))
 
     def test_exhausted_retries_raise_the_lone_error(self, sim_circuit):
         # the config of test_impossible_draws_exhaust_retries
