@@ -1,14 +1,14 @@
 """Brute-force schedule search for validating the recursive solver.
 
-Enumerates per-epoch powers on a uniform grid and replays every tuple
-under the feedback harvest model, keeping the feasible tuple with the
-highest objective.  Only the first N powers are gridded: whatever energy
-is left at the last arrival is drained linearly over the final epoch,
-which is always optimal because the rate grows with power.  The grid is
-walked one epoch at a time, each epoch evaluated once per distinct power
-prefix; the search stays exhaustive over its grid, ties go to the
-lexicographically smallest tuple, it shares nothing with the KKT
-recursion, and it is intentionally limited to tiny instances.
+Enumerates per-epoch powers on a uniform grid and replays every causal
+tuple under the feedback harvest model, keeping the one with the highest
+objective.  Only the first N powers are gridded: whatever energy is left
+at the last arrival is drained linearly over the final epoch, which is
+always optimal because the rate grows with power.  The grid is walked one
+epoch at a time over causal power prefixes only, so a prefix is dropped
+at the epoch where it first overspends; ties go to the lexicographically
+smallest tuple, the search shares nothing with the KKT recursion, and it
+is intentionally limited to tiny instances.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .charge import (
     ChargeCircuit,
     _charge_maps,
     _harvest_value,
-    harvested_energy,
     optimal_residual,
 )
 from .exceptions import BudgetError
@@ -52,17 +51,16 @@ class OracleResult:
     schedule: TransmissionSchedule
     throughput: float        # bits at the link gain searched with
     error_bound: float       # conservative optimality gap of the grid
-    evaluated: int           # tuples enumerated
-    feasible: int            # tuples surviving the causality check
+    evaluated: int           # grid tuples searched
+    feasible: int            # causal tuples scored
 
 
 def _auto_power_bound(scenario: EnergyScenario, circuit: ChargeCircuit) -> float:
-    best_harvest = sum(
-        harvested_energy(optimal_residual(d, circuit), d, circuit)
-        for d in scenario.packet_lengths
-    )
-    total = scenario.initial_energy + best_harvest
-    return 2.0 * total / float(np.min(scenario.epoch_lengths))
+    e_max, lengths = circuit.e_max, scenario.packet_lengths
+    harvests = (_harvest_value(m, e_max, math.sqrt(e_max), optimal_residual(d, circuit))
+                for m, d in zip(_charge_maps(lengths, circuit), lengths))
+    total = scenario.initial_energy + sum(harvests)
+    return float(2.0 * total / float(np.min(scenario.epoch_lengths)))
 
 
 def brute_force_optimize(scenario: EnergyScenario, circuit: ChargeCircuit,
@@ -72,13 +70,13 @@ def brute_force_optimize(scenario: EnergyScenario, circuit: ChargeCircuit,
 
     The objective is sum_i (l_i / 2) * log2(1 + g * p_i) with the link
     gain g (SNR per watt; 1 in normalized units), as in
-    :func:`~rfharvest.scheduling.solve`.  Tuples that would consume
-    energy before it is stored are discarded outright (never clamped).
-    Every grid tuple is scored, each epoch once per power prefix; ties
-    go to the lexicographically smallest tuple.  The error bound is
-    the largest objective loss that rounding each optimal power down to
-    the grid could cost, from the grid pitch and the slope bound
-    l_i * g / (2 ln 2) of each epoch's rate term.
+    :func:`~rfharvest.scheduling.solve`.  A power prefix that consumes
+    energy before it is stored is dropped (never clamped) at the epoch
+    where it first overspends; every causal tuple is scored, each epoch
+    once per causal prefix, and ties go to the lexicographically
+    smallest tuple.  The error bound is the largest objective loss that
+    rounding each optimal power down to the grid could cost, from the
+    grid pitch and the slope bound l_i * g / (2 ln 2) of each epoch's rate term.
 
     Raises:
         ValueError: if the scenario has more packets than the grid allows,
@@ -108,26 +106,28 @@ def brute_force_optimize(scenario: EnergyScenario, circuit: ChargeCircuit,
 
     maps = _charge_maps(scenario.packet_lengths, circuit)
     e_max, root_e_max = circuit.e_max, math.sqrt(circuit.e_max)
-    stored, ok, bits = scenario.initial_energy, True, 0.0
+    # Per causal power prefix, in C order: flat grid index, bits, store.
+    index, bits = np.zeros(1, dtype=np.intp), np.zeros(1)
+    stored = np.full(1, scenario.initial_energy)
     for i in range(n):
-        # Epoch i's power varies along axis i: one state per power prefix.
-        power = axis.reshape((-1,) + (1,) * (n - i - 1))
-        spend = power * lengths[i]
-        ok = ok & (spend <= stored + 1e-12 * e_max)
-        residual = np.clip(stored - spend, 0.0, None)
-        bits = bits + 0.5 * lengths[i] * np.log2(1.0 + gain * power)
+        # A prefix's causal powers are a leading run of the ascending axis.
+        spend = axis * lengths[i]
+        counts = np.searchsorted(spend, stored + 1e-12 * e_max, side="right")
+        parent = np.repeat(np.arange(counts.size), counts)
+        level = np.arange(parent.size) - (np.cumsum(counts) - counts)[parent]
+        index = index[parent] * grid.resolution + level
+        residual = np.clip(stored[parent] - spend[level], 0.0, None)
+        bits = bits[parent] + (0.5 * lengths[i] * np.log2(1.0 + gain * axis))[level]
         stored = residual + _harvest_value(maps[i], e_max, root_e_max, residual)
+    if bits.size == 0:  # impossible: the all-zero tuple is always causal
+        raise AssertionError("grid search found no feasible tuple")
     final_power = stored / lengths[-1]
     bits = bits + 0.5 * lengths[-1] * np.log2(1.0 + gain * final_power)
-    bits[~ok] = -np.inf
 
-    # C-order argmax: ties go to the lexicographically smallest tuple.
-    best = np.unravel_index(int(np.argmax(bits)), bits.shape)
-    if not ok[best]:
-        # Only possible if every tuple violates causality, which the
-        # all-zero tuple never does.
-        raise AssertionError("grid search found no feasible tuple")
-    best_powers = tuple(axis[list(best)]) + (float(final_power[best]),)
+    # First argmax in C order: ties go to the lexicographically smallest tuple.
+    best = int(np.argmax(bits))
+    cell = np.unravel_index(index[best], (grid.resolution,) * n)
+    best_powers = tuple(axis[list(cell)]) + (float(final_power[best]),)
     schedule = TransmissionSchedule(powers=best_powers, epoch_bounds=tuple(bounds_grid))
     pitch = p_ub / (grid.resolution - 1)
     error_bound = pitch * gain * float(np.sum(lengths[:-1])) / (2.0 * math.log(2.0))
@@ -136,5 +136,5 @@ def brute_force_optimize(scenario: EnergyScenario, circuit: ChargeCircuit,
         throughput=float(bits[best]),
         error_bound=error_bound,
         evaluated=count,
-        feasible=int(np.count_nonzero(ok)),
+        feasible=bits.size,
     )

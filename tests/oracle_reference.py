@@ -2,9 +2,10 @@
 
 ``brute_force_optimize`` used to build every power tuple of the grid as
 one R^N x N array (``np.meshgrid`` + ``np.stack``) and replay each tuple
-from epoch 1.  The library now walks the grid one epoch at a time on
-broadcast arrays, so each epoch is evaluated once per distinct power
-prefix; the tests require identical results.
+from epoch 1.  The library now walks the grid one epoch at a time over
+the causal power prefixes only, dropping a prefix at the epoch where it
+first overspends, so each epoch is evaluated once per causal prefix; the
+tests require identical results.
 """
 
 import math

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,20 @@ class TestBruteForce:
         report = solve(s, sim_circuit)
         assert result.throughput <= report.throughput + 1e-9
 
+    def test_peak_allocation_below_one_grid_array(self, sim_circuit):
+        # at the derived bound under 1 % of the 60^3 tuples are causal;
+        # the walk must not allocate on the scale of the whole grid
+        for seed in range(10):
+            scenario, _ = generate_scenario(medium_config(sim_circuit, 3),
+                                            np.random.default_rng([49, seed]))
+            tracemalloc.start()
+            try:
+                brute_force_optimize(scenario, sim_circuit)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 60 ** 3 * np.dtype(np.float64).itemsize
+
 
 class TestWholeGridReference:
     """The staged grid walk scores every tuple exactly as the whole grid did."""
@@ -177,3 +193,28 @@ class TestWholeGridReference:
         result = brute_force_optimize(s, sim_circuit, grid)
         assert repr(result) == repr(ref.brute_force_optimize(s, sim_circuit, grid))
         assert result.schedule.powers == (0.0, 0.05, 0.05)
+
+    def test_only_the_all_zero_prefix_is_causal(self, sim_circuit):
+        # nothing stored and nothing to harvest: any positive power overspends
+        s = EnergyScenario(0.0, ((1.0, 0.0), (2.0, 0.0), (3.0, 0.0)), 4.0)
+        grid = GridSpec(resolution=60, power_bound=1.0)
+        result = brute_force_optimize(s, sim_circuit, grid)
+        assert result.feasible == 1
+        assert result.schedule.powers == (0.0,) * 4
+        assert repr(result) == repr(ref.brute_force_optimize(s, sim_circuit, grid))
+
+    @pytest.mark.parametrize("excess, kept", [(1e-13, True), (1e-12, False)])
+    def test_causality_tolerance(self, sim_circuit, excess, kept):
+        # the top grid power spends the store plus excess; within
+        # 1e-12 e_max it is kept and scored (and wins: the 3 s epoch is
+        # worth more than the 1 s drain), beyond it the prefix is dropped
+        e0, length = 0.05, 3.0
+        s = EnergyScenario(e0, ((length, 0.0),), length + 1.0)
+        grid = GridSpec(resolution=2, power_bound=(e0 + excess) / length)
+        spend = grid.power_bound * length
+        assert e0 < spend
+        assert (spend <= e0 + 1e-12 * sim_circuit.e_max) == kept
+        result = brute_force_optimize(s, sim_circuit, grid)
+        assert result.feasible == 1 + kept
+        assert result.schedule.powers[0] == (grid.power_bound if kept else 0.0)
+        assert repr(result) == repr(ref.brute_force_optimize(s, sim_circuit, grid))
