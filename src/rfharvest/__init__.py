@@ -4,9 +4,9 @@ The harvested energy of an RF-powered transmitter depends on the energy
 already in its capacitor, so transmission scheduling feeds back into
 harvesting.  This package models that loop, computes offline-optimal
 schedules with a Newton method over the residuals at the arrivals,
-implements the classic fixed-tunnel baseline and two greedy/online
-policies, and provides a Monte Carlo harness plus a brute-force oracle
-for validation.
+replays the classic fixed-tunnel baseline each scenario is drawn from
+and two greedy/online policies, and provides a Monte Carlo harness plus
+a brute-force oracle for validation.
 """
 
 __version__ = "0.1.0"
@@ -45,13 +45,7 @@ from .simulator import (
     optimal_schedule,
     replay,
 )
-from .strategies import (
-    ClassicTunnel,
-    OnlinePredictivePolicy,
-    classic_tunnel,
-    max_harvest_schedule,
-    tight_string_schedule,
-)
+from .strategies import OnlinePredictivePolicy, max_harvest_schedule
 
 __all__ = [
     "__version__",
@@ -68,11 +62,8 @@ __all__ = [
     "check_feasibility",
     "throughput",
     "solve",
-    "ClassicTunnel",
     "OnlinePredictivePolicy",
-    "classic_tunnel",
     "max_harvest_schedule",
-    "tight_string_schedule",
     "ChannelLink",
     "ExperimentConfig",
     "replay",

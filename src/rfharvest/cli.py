@@ -139,13 +139,13 @@ def cmd_simulate(args) -> int:
                           f"choose from {', '.join(STRATEGIES)}")
     point = experiment_config(config)
     if config.scenario is not None:
-        scenario, classic = config.scenario, None
+        scenario, string = config.scenario, None
         if args.strategy == "tight_string":
-            raise ConfigError("tight_string needs a generated scenario (the classic "
-                              "harvest sequence); remove the 'scenario' section")
+            raise ConfigError("tight_string needs a generated scenario (the tight "
+                              "string it is drawn from); remove the 'scenario' section")
     else:
-        scenario, classic = _draw_scenarios(point, 1)[0]
-    trace, bits = evaluate_strategy(args.strategy, scenario, classic, point)
+        scenario, string = _draw_scenarios(point, 1)[0]
+    trace, bits = evaluate_strategy(args.strategy, scenario, string, point)
     manifest = RunManifest(__version__, f"simulate {args.strategy}", digest, seed,
                            config.rate_model)
     effective = TransmissionSchedule(

@@ -9,11 +9,13 @@ Scenario generation runs the classic model in reverse: draw a fixed
 energy tunnel, schedule the conventional taut string through it, record
 the residuals that schedule would leave at each arrival, and invert the
 charge curve to find the packet charge durations that reproduce exactly
-those harvests.  The same scenario can then be fed to every strategy.
-There is one draw, over a batch of generators, whose failed runs retry
-as a smaller batch.  ``generate_scenario`` is a batch of one; a Monte
-Carlo point and every seeded CLI loop draw run k from
-``default_rng([seed, k])``, all runs in one batch.
+those harvests.  The same scenario can then be fed to every strategy;
+the draw hands out the taut string with it, as the tight-string
+schedule that strategy replays.  There is one draw, over a batch of
+generators, whose failed runs retry as a smaller batch.
+``generate_scenario`` is a batch of one; a Monte Carlo point and every
+seeded CLI loop draw run k from ``default_rng([seed, k])``, all runs in
+one batch.
 """
 
 from __future__ import annotations
@@ -35,13 +37,7 @@ from .scheduling import (
     solve,
 )
 from . import strategies
-from .strategies import (
-    OnlinePredictivePolicy,
-    _taut_string,
-    classic_tunnel,
-    max_harvest_schedule,
-    tight_string_schedule,
-)
+from .strategies import OnlinePredictivePolicy, _taut_string, max_harvest_schedule
 
 __all__ = [
     "ChannelLink",
@@ -242,8 +238,8 @@ class ExperimentConfig:
             raise ConfigError("packet_count must be >= 0")
         if not 0 <= self.initial_energy:
             raise ConfigError("initial_energy must be >= 0")
-        # the tunnel refuses an increment above the usable capacity, so
-        # either of these fails every generation attempt
+        # the draw's tunnel refuses an increment above the usable
+        # capacity, so either of these fails every generation attempt
         cap = strategies.FULL_BATTERY_FRACTION * self.circuit.e_max
         if self.initial_energy > cap:
             raise ConfigError(f"initial_energy exceeds the usable capacity {cap} J")
@@ -271,7 +267,8 @@ def generate_scenario(config: ExperimentConfig, rng: np.random.Generator):
     Monte Carlo point makes of each run, on a batch of one generator.
 
     Returns:
-        (EnergyScenario, tuple of the classic per-packet harvests)
+        (EnergyScenario, the tight-string TransmissionSchedule it was
+        drawn from, which the conventional baseline replays)
     """
     return _draw(config, [rng])[0]
 
@@ -282,7 +279,7 @@ def _draw_scenarios(config: ExperimentConfig, count: int) -> list:
 
 
 def _draw(config: ExperimentConfig, rngs) -> list:
-    """One (scenario, classic harvests) per generator.
+    """One (scenario, tight-string schedule) per generator.
 
     The runs that have no scenario yet retry as one batch, up to
     ``GENERATION_RETRIES`` attempts in all.  Then the lowest-index run
@@ -306,17 +303,21 @@ def _draw(config: ExperimentConfig, rngs) -> list:
 
 def _attempt(config: ExperimentConfig, rngs) -> list:
     """One attempt per generator, as a batch: per run, its (scenario,
-    classic harvests) or the text of the first test it failed.
+    tight-string schedule) or the text of the first test it failed.
 
     Each generator draws its epoch lengths, then its harvests.  The
-    tunnels and their tests are (runs, N) arrays, with the arithmetic and
-    the texts of ``classic_tunnel`` and ``ClassicTunnel``; each run that
-    passes goes through the funnel scan, then the inversion walk
-    ``charge._charge_durations``, whose ``InfeasibleError`` text it keeps.
+    classic tunnels and their tests are (runs, N) arrays: at each
+    arrival, the consumption stays below the energy arrived before its
+    jump (``upper``) and above the overflow floor after it (``lower``,
+    the capacity capped at ``FULL_BATTERY_FRACTION`` of e_max).  Each
+    run that passes goes through the funnel scan, whose string from
+    (0, 0) to (deadline, total) gives the schedule's powers, then the
+    inversion walk ``charge._charge_durations``, whose
+    ``InfeasibleError`` text it keeps.
     """
     n = config.packet_count
     circuit = config.circuit
-    # classic_tunnel's cap, read at call time as it reads it
+    # read at call time, so a patched fraction takes effect
     cap = strategies.FULL_BATTERY_FRACTION * circuit.e_max
     initial = config.initial_energy
     count = len(rngs)
@@ -331,7 +332,7 @@ def _attempt(config: ExperimentConfig, rngs) -> list:
     upper, total = cumulative[:, :-1], cumulative[:, -1:]
     over = cumulative[:, 1:] - cap
     lower = np.where(over > 0.0, over, 0.0)
-    tests = (   # in classic_tunnel's order; with no packets, no arrival fails
+    tests = (   # with no packets, no arrival fails
         (((arrivals[:, -1:] >= deadlines[:, None]) | (arrivals <= 0)).any(axis=1),
          "arrivals must lie strictly inside (0, deadline)"),
         ((harvests > cap).any(axis=1) | (initial > cap),
@@ -346,29 +347,31 @@ def _attempt(config: ExperimentConfig, rngs) -> list:
     reasons = [tests[first][1] if fails else None
                for first, fails in zip(flags.argmax(axis=0).tolist(), failed.tolist())]
 
-    # tight_string_schedule, with the powers of every run in one division
+    # the taut strings, with the powers of every run in one division
     zeros = np.zeros((count, 1))
     bounds = np.concatenate((zeros, arrivals, deadlines[:, None]), axis=1)
     epoch_lengths = np.diff(bounds, axis=1)
     # a failed run spends nothing, whatever its epochs
     epoch_lengths[failed] = 1.0
-    gates = zip(bounds.tolist(), np.concatenate((zeros, lower, total), axis=1).tolist(),
+    bound_rows = bounds.tolist()
+    gates = zip(bound_rows, np.concatenate((zeros, lower, total), axis=1).tolist(),
                 np.concatenate((zeros, upper, total), axis=1).tolist())
     drained = np.zeros((count, n + 2))    # the string's height at each bound
     for k, (xs, los, his) in enumerate(gates):
         if reasons[k] is None:
             vertices = _taut_string(xs, los, his)
             drained[k] = np.interp(xs, [v[0] for v in vertices], [v[1] for v in vertices])
+    powers = np.diff(drained, axis=1) / epoch_lengths
     # The inversion carries the store with exactly the replay's arithmetic,
     # power times length: the charge curve's slope is infinite at zero
     # residual, so the bound touches (residual exactly 0) must agree bit
     # for bit or the round trip drifts.
-    spends = np.diff(drained, axis=1) / epoch_lengths * epoch_lengths
+    spends = powers * epoch_lengths
 
     outcomes = []
-    for reason, times, spent, classic, deadline in zip(
+    for reason, times, spent, classic, deadline, string, epochs in zip(
             reasons, arrivals.tolist(), spends.tolist(), harvests.tolist(),
-            deadlines.tolist()):
+            deadlines.tolist(), powers.tolist(), bound_rows):
         if reason is None:
             try:
                 durations = _charge_durations(initial, spent, classic, circuit)
@@ -380,15 +383,18 @@ def _attempt(config: ExperimentConfig, rngs) -> list:
         scenario = EnergyScenario(initial_energy=initial,
                                   packets=tuple(zip(times, durations)),
                                   deadline=deadline)
-        outcomes.append((scenario, tuple(classic)))
+        outcomes.append((scenario, TransmissionSchedule(powers=string, epoch_bounds=epochs)))
     return outcomes
 
 
-def evaluate_strategy(name: str, scenario: EnergyScenario, classic_harvests,
-                       config: ExperimentConfig):
+def evaluate_strategy(name: str, scenario: EnergyScenario,
+                      tight_string: Optional[TransmissionSchedule],
+                      config: ExperimentConfig):
     """(trace, bits) of replaying one named strategy on one scenario.
 
     ``"optimal"`` solves the scenario and replays the solved schedule.
+    ``"tight_string"`` replays ``tight_string``, the schedule the draw
+    of the scenario hands out with it; the other strategies ignore it.
     """
     circuit, rate_model, link = config.circuit, config.rate_model, config.link
     if name == "optimal":
@@ -397,10 +403,10 @@ def evaluate_strategy(name: str, scenario: EnergyScenario, classic_harvests,
     elif name == "max_harvest":
         policy = max_harvest_schedule(scenario, circuit)
     elif name == "tight_string":
-        # Python floats, not numpy scalars, for the funnel scan's arithmetic
-        tunnel = classic_tunnel(scenario.initial_energy, [t for t, _ in scenario.packets],
-                                classic_harvests, scenario.deadline, circuit)
-        policy = tight_string_schedule(tunnel)
+        if not isinstance(tight_string, TransmissionSchedule):
+            raise ValueError("tight_string replays the TransmissionSchedule the "
+                             "scenario was drawn from")
+        policy = tight_string
     elif name == "online":
         # nothing is known of the charge durations before the first
         # packet, so the policy parks at the short-packet optimum e_max/4
@@ -436,7 +442,8 @@ def monte_carlo(config: ExperimentConfig,
     strategies, their optimal schedules are solved as one batch
     (the reports of solving each alone), and the optimal rows average the
     reports' own throughput and trace; every other strategy is replayed
-    through :func:`evaluate_strategy`, once per run.  A scenario the
+    through :func:`evaluate_strategy`, once per run, the tight string
+    being the schedule the run's draw handed out.  A scenario the
     solver fails on raises its SolverError.
 
     Returns a list of row dicts, one per (sweep value, strategy).
@@ -481,7 +488,7 @@ def monte_carlo(config: ExperimentConfig,
         if "optimal" in strategies:
             solved = _solve_batch([scenario for scenario, _ in drawn], point.circuit,
                                   _snr_gain(point.rate_model, point.link))
-        for run, (scenario, classic) in enumerate(drawn):
+        for run, (scenario, string) in enumerate(drawn):
             if scenario.n_packets:
                 te_over_tau.append(float(np.mean(scenario.packet_lengths))
                                    / point.circuit.tau)
@@ -492,7 +499,7 @@ def monte_carlo(config: ExperimentConfig,
                         raise report
                     trace, bits = report.trace, report.throughput
                 else:
-                    trace, bits = evaluate_strategy(name, scenario, classic, point)
+                    trace, bits = evaluate_strategy(name, scenario, string, point)
                 bits_per_s[name].append(bits / scenario.deadline)
                 harvested[name].append(trace.total_harvested)
         for name in strategies:

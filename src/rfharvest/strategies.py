@@ -5,9 +5,12 @@ Three policies besides the offline optimum:
 * the maximal-energy-harvesting policy, which before every arrival tries
   to park the stored energy exactly at the harvest-maximizing residual
   for the incoming packet;
-* the conventional fixed-tunnel baseline, which schedules the taut
-  string through the classic energy tunnel that ignores the feedback of
-  consumption on harvesting;
+* the conventional fixed-tunnel baseline, the taut string through the
+  classic energy tunnel that ignores the feedback of consumption on
+  harvesting.  The scenario draw (``simulator._attempt``) builds each
+  run's tunnel and pulls the string through it with ``_taut_string``
+  to invert the charge curve, and hands that string out as the draw's
+  second value; ``evaluate_strategy("tight_string")`` replays it;
 * an online policy that predicts the next packet from the running means
   of past packet lengths and inter-arrival intervals and applies the
   same residual-parking rule to the prediction.  It is queried through
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -29,73 +31,14 @@ from .charge import ChargeCircuit, optimal_residual
 from .scheduling import EnergyScenario, TransmissionSchedule
 
 __all__ = [
-    "ClassicTunnel",
     "OnlinePredictivePolicy",
-    "classic_tunnel",
     "max_harvest_schedule",
-    "tight_string_schedule",
 ]
 
 # The conventional model treats the battery as "full" at this fraction
-# of e_max, since the asymptotic charge curve never actually reaches it.
+# of e_max, since the asymptotic charge curve never actually reaches it;
+# the classic tunnel of the scenario draw caps its increments here.
 FULL_BATTERY_FRACTION = 0.99
-
-
-@dataclass(frozen=True)
-class ClassicTunnel:
-    """Fixed energy tunnel of the conventional (no-feedback) model.
-
-    At each arrival instant the cumulative consumption must stay below
-    the energy that has arrived so far (``upper``, evaluated before the
-    arrival's jump) and above the level at which the battery would
-    overflow (``lower``, evaluated after the jump, with the capacity
-    capped at ``FULL_BATTERY_FRACTION`` of e_max).
-    """
-
-    times: tuple          # arrival instants, seconds
-    upper: tuple          # joules, cumulative arrivals before each jump
-    lower: tuple          # joules, overflow floor after each jump
-    deadline: float       # seconds
-    total_energy: float   # joules available by the deadline
-
-    def __post_init__(self):
-        if self.deadline <= 0:
-            raise ValueError("tunnel deadline must be > 0")
-        if len(self.times) != len(self.upper) or len(self.times) != len(self.lower):
-            raise ValueError("times, upper and lower must have equal length")
-        upper = np.asarray(self.upper, dtype=float)
-        if (np.asarray(self.lower, dtype=float) > upper).any():
-            raise ValueError("tunnel is empty: lower bound exceeds upper bound")
-        if (np.diff(upper) < 0).any():
-            raise ValueError("upper bound must be non-decreasing")
-
-
-def classic_tunnel(initial_energy: float, arrivals: Sequence[float],
-                   harvests: Sequence[float], deadline: float,
-                   circuit: ChargeCircuit) -> ClassicTunnel:
-    """Build the fixed tunnel from a classic arrival sequence."""
-    arrivals = list(arrivals)
-    harvests = list(harvests)
-    if len(arrivals) != len(harvests):
-        raise ValueError("arrivals and harvests must have equal length")
-    if arrivals and (arrivals[-1] >= deadline or min(arrivals) <= 0):
-        raise ValueError("arrivals must lie strictly inside (0, deadline)")
-    cap = FULL_BATTERY_FRACTION * circuit.e_max
-    if initial_energy > cap or any(h > cap for h in harvests):
-        raise ValueError("an energy increment exceeds the usable battery capacity")
-    upper, lower = [], []
-    cumulative = initial_energy
-    for h in harvests:
-        upper.append(cumulative)          # before the jump at this arrival
-        cumulative += h
-        lower.append(max(0.0, cumulative - cap))
-    return ClassicTunnel(
-        times=tuple(arrivals),
-        upper=tuple(upper),
-        lower=tuple(lower),
-        deadline=deadline,
-        total_energy=cumulative,
-    )
 
 
 def max_harvest_schedule(scenario: EnergyScenario,
@@ -187,25 +130,6 @@ def _taut_string(xs, los, his):
             vertices.append((xs[n - 1], los[n - 1]))
             break
     return vertices
-
-
-def tight_string_schedule(tunnel: ClassicTunnel) -> TransmissionSchedule:
-    """Taut string through the classic tunnel, as per-epoch powers.
-
-    The string runs from (0, 0) to (deadline, total_energy); consuming
-    everything by the deadline maximizes the classic-model objective
-    because the rate grows with power.  Slopes change only at arrival
-    instants where the string touches a bound.
-    """
-    xs = [0.0, *tunnel.times, tunnel.deadline]
-    los = [0.0, *tunnel.lower, tunnel.total_energy]
-    his = [0.0, *tunnel.upper, tunnel.total_energy]
-    vertices = _taut_string(xs, los, his)
-    vx = [v[0] for v in vertices]
-    vy = [v[1] for v in vertices]
-    cumulative = np.interp(xs, vx, vy)
-    powers = np.diff(cumulative) / np.diff(np.asarray(xs))
-    return TransmissionSchedule(powers=tuple(powers), epoch_bounds=tuple(xs))
 
 
 @dataclass(frozen=True)

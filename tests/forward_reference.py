@@ -10,6 +10,13 @@ policy the packet count and a running duration sum; the tests require
 identical results.  Both sum the bits as 0.5 l log1p(g p) and divide the
 total by ln 2 once.
 
+The draw builds its classic tunnel one run at a time, with the tests and
+texts of the library's (runs, N) arrays, and turns the taut string
+through it into powers on its own; only the funnel scan ``_taut_string``
+is the library's, checked against SLSQP in ``test_strategies``.  It
+returns the library's pair, (scenario, tight-string schedule), and
+``draw`` also the classic harvests and the tunnel.
+
 The library's deliberate departures are not copied: ``replay`` caps a
 carried store that rounds above e_max, and ``max_harvest_schedule``
 floors a parked residual that rounds below 0; here both raise.  The
@@ -18,9 +25,11 @@ t = 0, which telescope to the last arrival t_k.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+import rfharvest.strategies as strategies
 from rfharvest.charge import harvested_energy, optimal_residual, packet_length_for
 from rfharvest.exceptions import GenerationError, InfeasibleError
 from rfharvest.scheduling import EnergyScenario, HarvestTrace, TransmissionSchedule
@@ -30,7 +39,6 @@ from rfharvest.simulator import (
     _snr_gain,
     _uniform_about,
 )
-from rfharvest.strategies import classic_tunnel, tight_string_schedule
 
 
 def replay(policy, scenario, circuit, rate_model="normalized", link=None):
@@ -96,7 +104,71 @@ def max_harvest_schedule(scenario, circuit):
                                 epoch_bounds=tuple(scenario.epoch_bounds))
 
 
+@dataclass(frozen=True)
+class ClassicTunnel:
+    """Fixed energy tunnel of the conventional (no-feedback) model.
+
+    At each arrival instant the cumulative consumption must stay below
+    the energy that has arrived so far (``upper``, evaluated before the
+    arrival's jump) and above the level at which the battery would
+    overflow (``lower``, evaluated after the jump, with the capacity
+    capped at ``FULL_BATTERY_FRACTION`` of e_max).
+    """
+
+    times: tuple          # arrival instants, seconds
+    upper: tuple          # joules, cumulative arrivals before each jump
+    lower: tuple          # joules, overflow floor after each jump
+    deadline: float       # seconds
+    total_energy: float   # joules available by the deadline
+
+    def __post_init__(self):
+        if self.deadline <= 0:
+            raise ValueError("tunnel deadline must be > 0")
+        upper = np.asarray(self.upper, dtype=float)
+        if (np.asarray(self.lower, dtype=float) > upper).any():
+            raise ValueError("tunnel is empty: lower bound exceeds upper bound")
+        if (np.diff(upper) < 0).any():
+            raise ValueError("upper bound must be non-decreasing")
+
+
+def classic_tunnel(initial_energy, arrivals, harvests, deadline, circuit):
+    """Build the fixed tunnel from a classic arrival sequence."""
+    arrivals = list(arrivals)
+    harvests = list(harvests)
+    if arrivals and (arrivals[-1] >= deadline or min(arrivals) <= 0):
+        raise ValueError("arrivals must lie strictly inside (0, deadline)")
+    cap = strategies.FULL_BATTERY_FRACTION * circuit.e_max
+    if initial_energy > cap or any(h > cap for h in harvests):
+        raise ValueError("an energy increment exceeds the usable battery capacity")
+    upper, lower = [], []
+    cumulative = initial_energy
+    for h in harvests:
+        upper.append(cumulative)          # before the jump at this arrival
+        cumulative += h
+        lower.append(max(0.0, cumulative - cap))
+    return ClassicTunnel(times=tuple(arrivals), upper=tuple(upper), lower=tuple(lower),
+                         deadline=deadline, total_energy=cumulative)
+
+
+def tight_string_schedule(tunnel):
+    """Taut string from (0, 0) to (deadline, total_energy) through the
+    tunnel, as per-epoch powers."""
+    xs = [0.0, *tunnel.times, tunnel.deadline]
+    los = [0.0, *tunnel.lower, tunnel.total_energy]
+    his = [0.0, *tunnel.upper, tunnel.total_energy]
+    vertices = strategies._taut_string(xs, los, his)
+    cumulative = np.interp(xs, [v[0] for v in vertices], [v[1] for v in vertices])
+    powers = np.diff(cumulative) / np.diff(np.asarray(xs))
+    return TransmissionSchedule(powers=tuple(powers), epoch_bounds=tuple(xs))
+
+
 def generate_scenario(config, rng):
+    """(scenario, tight-string schedule), as the library's draw returns."""
+    return draw(config, rng)[:2]
+
+
+def draw(config, rng):
+    """(scenario, tight-string schedule, classic harvests, tunnel)."""
     n = config.packet_count
     failures = []
     for _ in range(GENERATION_RETRIES):
@@ -124,7 +196,7 @@ def generate_scenario(config, rng):
             packets=tuple(zip(arrivals, durations)),
             deadline=deadline,
         )
-        return scenario, tuple(float(h) for h in harvests)
+        return scenario, schedule, tuple(float(h) for h in harvests), tunnel
     raise GenerationError(
         f"no feasible scenario in {GENERATION_RETRIES} attempts; "
         f"last failure: {failures[-1] if failures else 'none'}"

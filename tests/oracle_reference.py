@@ -5,16 +5,26 @@ one R^N x N array (``np.meshgrid`` + ``np.stack``) and replay each tuple
 from epoch 1.  The library now walks the grid one epoch at a time over
 the causal power prefixes only, dropping a prefix at the epoch where it
 first overspends, so each epoch is evaluated once per causal prefix; the
-tests require identical results.
+tests require identical results.  The derived power bound is computed
+here too, from the public ``harvested_energy`` and ``optimal_residual``.
 """
 
 import math
 
 import numpy as np
 
-from rfharvest.charge import _charge_maps, _harvest_value
-from rfharvest.oracle import GridSpec, OracleResult, _auto_power_bound
+from rfharvest.charge import _charge_maps, _harvest_value, harvested_energy, optimal_residual
+from rfharvest.oracle import GridSpec, OracleResult
 from rfharvest.scheduling import TransmissionSchedule
+
+
+def auto_power_bound(scenario, circuit):
+    """Twice the most energy that could be spent, E0 plus every packet's
+    largest harvest, over the shortest epoch."""
+    total = scenario.initial_energy + sum(
+        harvested_energy(optimal_residual(d, circuit), d, circuit)
+        for d in scenario.packet_lengths)
+    return float(2.0 * total / float(np.min(scenario.epoch_lengths)))
 
 
 def brute_force_optimize(scenario, circuit, grid=GridSpec(), gain=1.0):
@@ -29,7 +39,7 @@ def brute_force_optimize(scenario, circuit, grid=GridSpec(), gain=1.0):
         return OracleResult(schedule=schedule, throughput=bits, error_bound=0.0,
                             evaluated=1, feasible=1)
 
-    p_ub = grid.power_bound or _auto_power_bound(scenario, circuit)
+    p_ub = grid.power_bound or auto_power_bound(scenario, circuit)
     axis = np.linspace(0.0, p_ub, grid.resolution)
     mesh = np.meshgrid(*([axis] * n), indexing="ij")
     powers = np.stack([m.reshape(-1) for m in mesh], axis=1)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+import forward_reference as ref
 import rfharvest as rf
 
 BENCH = rf.ChargeCircuit(resistance=750.0, capacitance=0.68, v_max=2.5)
@@ -204,7 +205,7 @@ def test_criterion_6_invariant_suites(capsys):
 
     # simulator: replay conservation and determinism
     config = medium_config(6, seed=1, runs=2)
-    scenario, classic = rf.generate_scenario(config, np.random.default_rng([4001, 0]))
+    scenario, _ = rf.generate_scenario(config, np.random.default_rng([4001, 0]))
     schedule = rf.max_harvest_schedule(scenario, SIM)
     trace_a, bits_a = rf.replay(schedule, scenario, SIM)
     trace_b, bits_b = rf.replay(schedule, scenario, SIM)
@@ -214,14 +215,12 @@ def test_criterion_6_invariant_suites(capsys):
         assert trace_a.residuals[i + 1] == stored - trace_a.consumed[i + 1]
     assert rf.monte_carlo(config, ("optimal",)) == rf.monte_carlo(config, ("optimal",))
 
-    # strategies: tunnel containment and bound-touch slope changes
+    # strategies: the drawn tight string's tunnel containment and
+    # bound-touch slope changes, against the reference draw's tunnel
     for seed in range(10):
-        rng = np.random.default_rng([4002, seed])
-        scenario, classic = rf.generate_scenario(medium_config(6, seed), rng)
-        tunnel = rf.classic_tunnel(scenario.initial_energy,
-                                   scenario.arrival_times, classic,
-                                   scenario.deadline, SIM)
-        schedule = rf.tight_string_schedule(tunnel)
+        scenario, schedule = rf.generate_scenario(medium_config(6, seed),
+                                                  np.random.default_rng([4002, seed]))
+        tunnel = ref.draw(medium_config(6, seed), np.random.default_rng([4002, seed]))[3]
         consumed = np.cumsum(np.asarray(schedule.powers)
                              * schedule.epoch_lengths)[:-1]
         for k in range(scenario.n_packets):

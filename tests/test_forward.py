@@ -2,9 +2,10 @@
 
 ``forward_reference`` holds the loops in their per-epoch form, before
 the inline per-arrival harvest, the once-read scenario packets and the
-online policy's running statistics; every trace, bit count and
-generated scenario must come out identical (compared through ``repr``,
-which tells apart every distinct double, -0.0 included).
+online policy's running statistics; every trace, bit count,
+generated scenario and tight string must come out identical (compared
+through ``repr``, which tells apart every distinct double, -0.0
+included).
 """
 
 import numpy as np
@@ -15,12 +16,10 @@ from rfharvest import (
     EnergyScenario,
     ExperimentConfig,
     TransmissionSchedule,
-    classic_tunnel,
     generate_scenario,
     max_harvest_schedule,
     optimal_schedule,
     replay,
-    tight_string_schedule,
 )
 from rfharvest.exceptions import SolverError
 from rfharvest.simulator import STRATEGIES, evaluate_strategy
@@ -32,8 +31,9 @@ def forward_config(circuit, packets, seed, **overrides):
                             initial_energy=0.05, runs=1, seed=seed, **overrides)
 
 
-def reference_policy(name, scenario, classic, config):
-    """The policy each strategy replays, built from the reference loops."""
+def reference_policy(name, scenario, string, config):
+    """The policy each strategy replays, built from the reference loops;
+    ``string`` is the reference draw's tight string."""
     circuit = config.circuit
     if name == "optimal":
         return optimal_schedule(scenario, circuit, config.rate_model,
@@ -41,9 +41,7 @@ def reference_policy(name, scenario, classic, config):
     if name == "max_harvest":
         return ref.max_harvest_schedule(scenario, circuit)
     if name == "tight_string":
-        return tight_string_schedule(classic_tunnel(
-            scenario.initial_energy, scenario.arrival_times, classic,
-            scenario.deadline, circuit))
+        return string
     if name == "online":
         return ref.OnlinePredictivePolicy(prior_length=0.0,
                                           prior_gap=config.mean_epoch_length)
@@ -65,18 +63,18 @@ class TestForwardMatchesReference:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_scenarios_and_every_strategy(self, sim_circuit, packets, seed):
         config = forward_config(sim_circuit, packets, seed)
-        scenario, classic = generate_scenario(config, np.random.default_rng([seed, 7]))
+        scenario, string = generate_scenario(config, np.random.default_rng([seed, 7]))
         expected = ref.generate_scenario(config, np.random.default_rng([seed, 7]))
-        assert repr((scenario, classic)) == repr(expected)
+        assert repr((scenario, string)) == repr(expected)
         assert scenario.n_packets == packets
 
         assert (repr(max_harvest_schedule(scenario, sim_circuit))
                 == repr(ref.max_harvest_schedule(scenario, sim_circuit)))
         outcomes = {}
         for name in STRATEGIES:
-            got = outcome(evaluate_strategy, name, scenario, classic, config)
+            got = outcome(evaluate_strategy, name, scenario, string, config)
             want = outcome(lambda: ref.replay(
-                reference_policy(name, scenario, classic, config),
+                reference_policy(name, scenario, expected[1], config),
                 scenario, sim_circuit))
             outcomes[name] = got[0]
             if name == "zero" and want[0] == "ValueError":
@@ -84,7 +82,7 @@ class TestForwardMatchesReference:
                 # ulp above e_max into the next harvest, which refuses
                 # it; the library caps the carried store at e_max
                 assert want[1] == "residual must lie in [0, e_max]"
-                trace, bits = evaluate_strategy(name, scenario, classic, config)
+                trace, bits = evaluate_strategy(name, scenario, string, config)
                 assert bits == 0.0
                 assert max(trace.residuals) <= sim_circuit.e_max
                 continue
@@ -94,10 +92,11 @@ class TestForwardMatchesReference:
     def test_link_budget_replay(self, sim_circuit, reference_link):
         config = forward_config(sim_circuit, 8, 3, rate_model="link-budget",
                                 link=reference_link)
-        scenario, classic = generate_scenario(config, np.random.default_rng(3))
+        scenario, string = generate_scenario(config, np.random.default_rng(3))
+        _, expected = ref.generate_scenario(config, np.random.default_rng(3))
         for name in STRATEGIES:
-            policy = reference_policy(name, scenario, classic, config)
-            got = evaluate_strategy(name, scenario, classic, config)
+            policy = reference_policy(name, scenario, expected, config)
+            got = evaluate_strategy(name, scenario, string, config)
             want = ref.replay(policy, scenario, sim_circuit, "link-budget",
                               reference_link)
             assert repr(got) == repr(want), name

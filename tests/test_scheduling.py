@@ -401,6 +401,19 @@ class TestHardScenarios:
         assert report.iterations <= 20
         assert_beats_max_harvest(report, s, sim_circuit, 1e-3)
 
+    def test_slow_release_at_the_link_gain(self, sim_circuit):
+        # at gain 2.7e8 the power of epoch 4, released near p = 0, only
+        # about doubles per Newton step (3.7e-9, 1.1e-8, 2.6e-8, ... W)
+        s = EnergyScenario(initial_energy=0.01494850414324754, deadline=30616.68983352187,
+                           packets=((0.00013590293349089914, 4.6262208648926837e-10),
+                                    (3106.163545049241, 0.05557855153497049),
+                                    (3106.1635574390234, 11.988986224338834),
+                                    (3106.163559773944, 1.0965512012570172e-06),
+                                    (3106.1637307303076, 24547.39072724848)))
+        report = solve(s, sim_circuit, 2.7e8)
+        assert report.iterations <= 48
+        assert_beats_max_harvest(report, s, sim_circuit, 2.7e8)
+
     def test_battery_filling_packet_drains_first(self, sim_circuit):
         # a packet 1e4 time constants long fills the battery whatever is
         # left at its arrival, so the first epoch spends it all
@@ -698,6 +711,21 @@ class TestBatchedSolve:
                         for r in (alone, batched)]
                 assert idle[0] == idle[1]
                 assert batched.throughput == pytest.approx(alone.throughput, rel=1e-12)
+
+    @pytest.mark.parametrize("members", [("hetero256/2", "hetero256/4", "N256"),
+                                         ("hetero1024/1", "N1024"), ("empty128", "N128")],
+                             ids=["N256", "N1024", "N128"])
+    def test_long_horizons_agree(self, sim_circuit, members):
+        # the array kernels, on same-N groups of KERNEL_CASES horizons
+        cases = {**KERNEL_CASES, "N128": lambda circuit: (reference_horizon(circuit, 128, 0), 1.0)}
+        scenarios = [cases[name](sim_circuit)[0] for name in members]
+        for scenario, batched in zip(scenarios, scheduling._solve_batch(scenarios, sim_circuit)):
+            alone = solve(scenario, sim_circuit)
+            idle = [[i for i, p in enumerate(r.schedule.powers) if p == 0.0]
+                    for r in (alone, batched)]
+            assert idle[0] == idle[1]
+            assert batched.iterations == alone.iterations
+            assert batched.throughput == pytest.approx(alone.throughput, rel=1e-12)
 
     @pytest.mark.parametrize("limit", [1, 6])
     def test_failures_carry_diagnostics(self, sim_circuit, monkeypatch, limit):

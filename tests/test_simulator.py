@@ -14,7 +14,6 @@ from rfharvest import (
     GenerationError,
     OnlinePredictivePolicy,
     TransmissionSchedule,
-    classic_tunnel,
     future_impact_probe,
     generate_scenario,
     harvest_sensitivity,
@@ -24,7 +23,6 @@ from rfharvest import (
     optimal_schedule,
     replay,
     solve,
-    tight_string_schedule,
 )
 from rfharvest.config import SweepConfig, experiment_config, parse_config
 from rfharvest.exceptions import ConfigError
@@ -240,20 +238,17 @@ class TestReplayHarvest:
 class TestGenerateScenario:
     def test_zero_harvest_means_zero_durations(self, sim_circuit):
         config = medium_config(sim_circuit, mean_harvest=0.0)
-        scenario, classic = generate_scenario(config, np.random.default_rng(1))
+        scenario, string = generate_scenario(config, np.random.default_rng(1))
         assert all(d == 0.0 for d in scenario.packet_lengths)
-        assert all(h == 0.0 for h in classic)
+        trace, _ = replay(string, scenario, config.circuit)
+        assert all(h == 0.0 for h in trace.harvested)
 
     def test_round_trip_reproduces_classic_harvests(self, sim_circuit):
         config = medium_config(sim_circuit)
         for seed in range(20):
-            rng = np.random.default_rng([13, seed])
-            scenario, classic = generate_scenario(config, rng)
-            tunnel = classic_tunnel(scenario.initial_energy,
-                                    scenario.arrival_times, classic,
-                                    scenario.deadline, sim_circuit)
-            schedule = tight_string_schedule(tunnel)
-            trace, _ = replay(schedule, scenario, sim_circuit)
+            scenario, string = generate_scenario(config, np.random.default_rng([13, seed]))
+            classic = ref.draw(config, np.random.default_rng([13, seed]))[2]
+            trace, _ = replay(string, scenario, sim_circuit)
             assert max(abs(h - c) for h, c in
                        zip(trace.harvested, classic)) <= 1e-9
 
@@ -275,7 +270,7 @@ class TestGenerateScenario:
 
     def test_tunnel_failures_keep_their_message(self, sim_circuit):
         # the config above: every attempt draws a harvest above the
-        # usable capacity, which classic_tunnel refused with this text
+        # usable capacity, which the classic tunnel refuses with this text
         cap = FULL_BATTERY_FRACTION * sim_circuit.e_max
         config = medium_config(sim_circuit,
                                mean_harvest=(1.0 - 1e-9) * cap / (1.0 - UNIFORM_HALFWIDTH),
@@ -429,8 +424,8 @@ class TestMonteCarlo:
         config = medium_config(sim_circuit, runs=1)
         rows = monte_carlo(config, ("max_harvest",))
         rng = np.random.default_rng([config.seed, 0])
-        scenario, classic = generate_scenario(config, rng)
-        trace, bits = evaluate_strategy("max_harvest", scenario, classic, config)
+        scenario, string = generate_scenario(config, rng)
+        trace, bits = evaluate_strategy("max_harvest", scenario, string, config)
         assert rows[0]["mean_throughput"] == bits / scenario.deadline
         assert rows[0]["mean_harvested"] == trace.total_harvested
         assert rows[0]["std_throughput"] == 0.0
@@ -459,8 +454,8 @@ class TestMonteCarlo:
                 bits = [optimal_schedule(scenario, sim_circuit).throughput
                         / scenario.deadline for scenario, _ in drawn]
             else:
-                bits = [evaluate_strategy(row["strategy"], scenario, classic, config)[1]
-                        / scenario.deadline for scenario, classic in drawn]
+                bits = [evaluate_strategy(row["strategy"], scenario, string, config)[1]
+                        / scenario.deadline for scenario, string in drawn]
             assert row["mean_throughput"] == float(np.mean(bits))
 
     @pytest.mark.parametrize("rate_model", ["normalized", "link-budget"])
@@ -487,6 +482,21 @@ class TestMonteCarlo:
              for scenario, report in zip(scenarios, reports)]))
         assert row["mean_harvested"] == float(np.mean(
             [report.trace.total_harvested for report in reports]))
+
+    def test_tight_string_replays_the_drawn_schedule(self, sim_circuit):
+        config = medium_config(sim_circuit)
+        scenario, string = generate_scenario(config, np.random.default_rng([config.seed, 0]))
+        assert (evaluate_strategy("tight_string", scenario, string, config)
+                == replay(string, scenario, sim_circuit))
+        # no schedule, or a tuple such as the classic harvests
+        for bad in (None, string.powers[1:]):
+            with pytest.raises(ValueError, match="TransmissionSchedule"):
+                evaluate_strategy("tight_string", scenario, bad, config)
+        # the string of a longer horizon
+        _, longer = generate_scenario(medium_config(sim_circuit, packet_count=7),
+                                      np.random.default_rng(0))
+        with pytest.raises(ValueError, match="different number of epochs"):
+            evaluate_strategy("tight_string", scenario, longer, config)
 
     def test_tables_are_deterministic(self, sim_circuit):
         config = medium_config(sim_circuit)

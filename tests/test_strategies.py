@@ -4,20 +4,18 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from forward_reference import classic_tunnel, tight_string_schedule
 from rfharvest import (
     EnergyScenario,
     ExperimentConfig,
     OnlinePredictivePolicy,
-    classic_tunnel,
     generate_scenario,
     max_harvest_schedule,
     optimal_residual,
     replay,
     solve,
-    tight_string_schedule,
 )
 from rfharvest.simulator import evaluate_strategy
-from rfharvest.strategies import FULL_BATTERY_FRACTION
 
 
 def string_length_oracle(tunnel):
@@ -38,24 +36,10 @@ def string_length_oracle(tunnel):
     return np.concatenate(([0.0], result.x, [tunnel.total_energy]))
 
 
-class TestClassicTunnel:
-    def test_bounds_shape(self, sim_circuit):
-        tunnel = classic_tunnel(0.01, [10.0, 20.0], [0.02, 0.03], 30.0, sim_circuit)
-        assert tunnel.upper == (0.01, 0.03)
-        cap = FULL_BATTERY_FRACTION * sim_circuit.e_max
-        assert tunnel.lower == (max(0.0, 0.03 - cap), max(0.0, 0.06 - cap))
-        assert tunnel.total_energy == pytest.approx(0.06)
-
-    def test_rejects_oversized_increments(self, sim_circuit):
-        with pytest.raises(ValueError):
-            classic_tunnel(0.01, [10.0], [sim_circuit.e_max], 20.0, sim_circuit)
-
-    def test_rejects_arrivals_outside_horizon(self, sim_circuit):
-        with pytest.raises(ValueError):
-            classic_tunnel(0.01, [25.0], [0.01], 20.0, sim_circuit)
-
-
 class TestTightString:
+    """The library's funnel scan ``_taut_string``, through gates built by
+    the reference copy of the classic tunnel."""
+
     def test_no_arrivals_is_constant_drain(self, sim_circuit):
         tunnel = classic_tunnel(0.05, [], [], 25.0, sim_circuit)
         schedule = tight_string_schedule(tunnel)
@@ -185,16 +169,13 @@ class TestMaxHarvest:
                                   initial_energy=0.05, runs=1, seed=0)
         for seed in range(10):
             rng = np.random.default_rng([77, seed])
-            scenario, classic = generate_scenario(config, rng)
-            tunnel = classic_tunnel(scenario.initial_energy,
-                                    scenario.arrival_times, classic,
-                                    scenario.deadline, sim_circuit)
+            scenario, string = generate_scenario(config, rng)
             traces = [
                 replay(max_harvest_schedule(scenario, sim_circuit),
                        scenario, sim_circuit)[0],
                 replay(solve(scenario, sim_circuit).schedule,
                        scenario, sim_circuit)[0],
-                replay(tight_string_schedule(tunnel), scenario, sim_circuit)[0],
+                replay(string, scenario, sim_circuit)[0],
             ]
             greedy, optimal, string = (t.total_harvested for t in traces)
             assert greedy >= optimal - 1e-12
@@ -332,14 +313,11 @@ class TestOnlinePolicy:
                                   initial_energy=0.05, runs=1, seed=0)
         for seed in range(10):
             rng = np.random.default_rng([31, seed])
-            scenario, classic = generate_scenario(config, rng)
-            tunnel = classic_tunnel(scenario.initial_energy,
-                                    scenario.arrival_times, classic,
-                                    scenario.deadline, sim_circuit)
+            scenario, string = generate_scenario(config, rng)
             policies = [
                 solve(scenario, sim_circuit).schedule,
                 max_harvest_schedule(scenario, sim_circuit),
-                tight_string_schedule(tunnel),
+                string,
                 OnlinePredictivePolicy(prior_length=0.03, prior_gap=0.006),
             ]
             slack = 1e-9 * sim_circuit.e_max + 1e-9
