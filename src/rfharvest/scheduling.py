@@ -34,28 +34,31 @@ other epochs the optimum satisfies
 
 with X_m the harvest sensitivity at arrival m.
 
+A flat charge map ends a segment: the store is emptied into the epoch
+before it, and what follows does not depend on anything before it.  So
+the even-spend start spends over the time left in the segment, and
+each segment bounds its own part of the step and releases its idle
+epochs once it is stationary itself.  A horizon of one segment steps exactly
+as if there were no segments.  A Monte Carlo point solves its
+scenarios, which share N, as one horizon (:func:`_solve_batch`): each
+member's epochs, then a flat map (a, s) = (sqrt(E0), 0) that starts the
+next member from its initial energy E0.  A member after the first thus
+starts from (sqrt(E0))^2, within 2 ulp of E0.
+
 The horizon's length picks how a step is computed.  Below
-``ARRAY_MIN_PACKETS`` packets the step kernels loop over Python floats;
+``ARRAY_MIN_PACKETS`` arrivals the step kernels loop over Python floats;
 from there on they work on numpy arrays along the horizon, with the
 same arithmetic elementwise.  Only the idle runs and the O(N) sweep
 stay loops there.  Both kernel sets share one Newton loop (the starts,
 the active set, the release rule and the tolerances) and one Thomas
 sweep, :func:`_sweep`.  The solve returns the point the loop stopped
 at: its powers, and its residuals as the trace.
-
-A Monte Carlo point solves its scenarios, which share N, as one batch
-(:func:`_solve_batch`): a third kernel set adds a batch axis, (N, B)
-arrays with one column per scenario, and runs the same Newton method
-with each member's own active set, line search and convergence.  Only
-the idle runs and the Thomas sweep walk the arrivals there, a row of
-B-vectors at a time, through the same :func:`_sweep`.  Each member
-gets the report or the SolverError its lone solve gives; on the
-reference sweeps they agree bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import accumulate
@@ -96,9 +99,10 @@ OBJECTIVE_ROUNDING = 1e-14
 MIN_STEP = 1e-16
 # A step may shrink a free residual to this fraction of itself at most.
 BOUNDARY_FRACTION = 0.01
-# Horizons of at least this many packets step with _ArraySteps, shorter
-# ones with _ScalarSteps.  A solve takes about as long with either at 64
-# packets; the array kernels win above, the scalar ones below.
+# Horizons of at least this many arrivals step with _ArraySteps, shorter
+# ones with _ScalarSteps; a batch's joined horizon counts its flat maps.
+# A lone solve takes about as long with either at 64 packets; the array
+# kernels win above, the scalar ones below.
 ARRAY_MIN_PACKETS = 64
 
 
@@ -248,9 +252,9 @@ def check_feasibility(schedule: TransmissionSchedule, trace: HarvestTrace,
 
 def _violations(residuals, harvested, e_max):
     """(causality, capacity) flags of :func:`check_feasibility`, one per
-    epoch along the first axis of a trace's residuals and harvests."""
+    epoch along the last axis of a trace's residuals and harvests."""
     slack = 1e-9 * e_max
-    return residuals < -slack, residuals[:-1] + harvested > e_max + slack
+    return residuals < -slack, residuals[..., :-1] + harvested > e_max + slack
 
 
 def throughput(schedule: TransmissionSchedule, gain: float = 1.0) -> float:
@@ -288,13 +292,10 @@ def _sweep(rows):
     carries 1/P, so a curvature that overflows near r = 0 gives a step of
     0, not NaN.  The step is Newton's in u = sqrt(r): the u-curvature adds
     -grad_i / (2 r_i), kept where positive, so y = u / u* goes to 2y - y^2
-    from below on F = c sqrt(r) - b r (an r step triples r).
-
-    The entries of a row are floats or, for a batch, vectors with one
-    entry per member, swept with the same arithmetic elementwise.  A row
-    with t = 0 starts a new chain: the compliance and force carried into
-    it enter multiplied by 0, which gives the bits of a fresh start
-    wherever they are finite.
+    from below on F = c sqrt(r) - b r (an r step triples r).  A row with
+    t = 0, as the first after a flat map, starts a new chain: the
+    compliance and force carried into it enter multiplied by 0, which
+    gives the bits of a fresh start wherever they are finite.
     """
     shift, pull, merged = [], [], []
     compliance = force = 0.0
@@ -321,12 +322,14 @@ class _ScalarSteps:
     floats: on a short horizon a loop costs less than numpy's calls.
 
     Every kernel takes and returns the point in the containers it built:
-    lists here, numpy arrays in :class:`_ArraySteps`.
+    lists here, numpy arrays in :class:`_ArraySteps`.  ``firsts`` holds
+    each segment's first epoch; a kernel that tests, bounds or scales a
+    step does so segment by segment.
     """
 
-    def __init__(self, initial_energy, lengths, curves, gain):
-        self.initial_energy, self.lengths, self.curves, self.gain = (
-            initial_energy, lengths, curves, gain)
+    def __init__(self, initial_energy, lengths, curves, gain, firsts):
+        self.initial_energy, self.lengths, self.curves, self.gain, self.firsts = (
+            initial_energy, lengths, curves, gain, firsts)
 
     def forward(self, residuals, status):
         """(residuals, powers, status) of the point the free residuals set.
@@ -414,25 +417,50 @@ class _ScalarSteps:
         return w, grad, step, free, nxt, slope, decrement
 
     def stationary(self, residuals, powers, w, grad, step, free, nxt):
-        """Whether every free residual has converged (``STATIONARITY_TOL``)."""
-        # relative rounding of each epoch's w: 1 + (store at its start) w / l
-        rounding = [1.0 + (r + p * l) * x / l
-                    for r, p, l, x in zip(residuals + [0.0], powers, self.lengths, w)]
-        return all(abs(grad[i]) <= STATIONARITY_TOL * w[i] * (rounding[i] + rounding[nxt[i]])
-                   or residuals[i] + step[i] == residuals[i] for i in free)
+        """Whether each segment's free residuals have converged
+        (``STATIONARITY_TOL``)."""
+        lengths, n = self.lengths, len(residuals)
 
-    def released(self, status, w, grad):
-        """The idle arrivals whose relative multiplier is below -RELEASE_TOL."""
+        def rounding(e):
+            """Relative rounding of epoch e's w: 1 + (store at its start) w / l."""
+            stored = (residuals[e] if e < n else 0.0) + powers[e] * lengths[e]
+            return 1.0 + stored * w[e] / lengths[e]
+        converged = (abs(grad[i]) <= STATIONARITY_TOL * w[i] * (rounding(i) + rounding(nxt[i]))
+                     or residuals[i] + step[i] == residuals[i] for i in free)
+        if len(self.firsts) == 1:
+            return (all(converged),)
+        settled = [True] * len(self.firsts)
+        for i, ok in zip(free, converged):
+            if not ok:
+                settled[bisect_right(self.firsts, i) - 1] = False
+        return settled
+
+    def released(self, status, w, grad, settled):
+        """The idle arrivals of the ``settled`` segments whose relative
+        multiplier is below -RELEASE_TOL."""
         return [i for i, state in enumerate(status)
-                if state == IDLE and grad[i] / w[i] < -RELEASE_TOL]
+                if state == IDLE and grad[i] / w[i] < -RELEASE_TOL
+                and settled[bisect_right(self.firsts, i) - 1]]
 
-    def step_bound(self, residuals, powers, free, step, slope, nxt):
-        """(t, blocking): the longest step of :func:`_line_search` and the
-        free arrival whose epoch it lands on p = 0, or -1."""
-        lengths = self.lengths
-        t, blocking = 1.0, -1
-        reach = 2.0 * (1.0 - math.sqrt(BOUNDARY_FRACTION))    # u to sqrt(fraction) u
+    def step_bound(self, residuals, powers, grad, free, step, slope, nxt, decrement):
+        """(t, blocking, decrement): the longest step of :func:`_line_search`,
+        the free arrivals whose epochs it lands on p = 0, and the step's
+        predicted rise (:func:`_joint_bound` on several segments)."""
         change = [0.0] * len(powers)
+        if len(self.firsts) == 1:
+            t, limit = self.bound(residuals, powers, free, step, slope, nxt, change)
+            return t, (limit,) if limit >= 0 else (), decrement
+        cuts = [*(bisect_left(free, j) for j in self.firsts), len(free)]    # into free
+        bounds, blocking = zip(*(self.bound(residuals, powers, free[lo:hi], step, slope, nxt,
+                                            change) for lo, hi in zip(cuts, cuts[1:])))
+        return _joint_bound(self, bounds, blocking, grad, free, step, decrement)
+
+    def bound(self, residuals, powers, free, step, slope, nxt, change):
+        """(t, blocking) of one segment's free arrivals, blocking -1 where no
+        epoch limits t; adds the step's first-order power changes to change."""
+        lengths = self.lengths
+        reach = 2.0 * (1.0 - math.sqrt(BOUNDARY_FRACTION))    # u to sqrt(fraction) u
+        t, blocking = 1.0, -1
         for i in free:
             if step[i] < 0.0:
                 t = min(t, reach * residuals[i] / -step[i])
@@ -443,17 +471,18 @@ class _ScalarSteps:
                 t, blocking = powers[i] / -change[i], i
         return t, blocking
 
+    def rescale(self, step, factors, grad, free):
+        """Multiply each segment's part of the step by its factor, in place;
+        returns the step's new predicted rise grad . step."""
+        cuts = [*self.firsts, len(step)]
+        for lo, hi, factor in zip(cuts, cuts[1:], factors):
+            step[lo:hi] = [d * factor for d in step[lo:hi]]
+        return sum(grad[i] * step[i] for i in free)
+
     def trial(self, residuals, step, free, t):
         """The residuals after a step t in u = sqrt(r)."""
         return [r + t * d + 0.25 * (t * d) ** 2 / r if d else r
                 for r, d in zip(residuals, step)]
-
-
-def _idle(status, residuals, stored):
-    """Where an arrival's epoch is idle: the arrival is, or its free
-    residual is not inside (0, store before it), as _ScalarSteps.forward
-    tests it."""
-    return (status == IDLE) | (status == FREE) & ~((0.0 < residuals) & (residuals < stored))
 
 
 class _ArraySteps:
@@ -462,18 +491,21 @@ class _ArraySteps:
     order.  Two parts stay sequential: the idle runs, where the store
     passes through in root energy as u_{k+1} = a_k + s_k u_k, walked in
     Python over the idle arrivals only, and the Thomas sweep, the loop of
-    :func:`_sweep` over the coefficients as floats.
+    :func:`_sweep` over the coefficients as floats.  The per-segment
+    kernels run once over the horizon, each arrival's segment an index.
 
     Callers run it under ``np.errstate(all="ignore")``: the scalar
     kernels' floats overflow to inf and turn inf - inf into NaN without a
     warning, and so do these.
     """
 
-    def __init__(self, initial_energy, lengths, curves, gain):
+    def __init__(self, initial_energy, lengths, curves, gain, firsts):
         self.initial_energy, self.curves, self.gain = initial_energy, curves, gain
         self.lengths = np.array(lengths)
         self.a, self.s = np.array(curves, dtype=float).reshape(-1, 2).T
         self.c, self.ss = self.a * self.s, self.s * self.s
+        self.firsts = firsts
+        self.segment = np.searchsorted(firsts, np.arange(len(curves)), side="right") - 1
 
     def forward(self, residuals, status):
         n, curves = len(self.curves), self.curves
@@ -484,10 +516,11 @@ class _ArraySteps:
         stored[0] = self.initial_energy
         root = self.a + self.s * np.sqrt(out)
         stored[1:] = root * root
-        # Where the arrival before is not idle, its store and idle test are
-        # right as computed.  Each idle run is walked from its first arrival
-        # to the first one after it that is not idle.
-        idle = _idle(status, out, stored[:n])
+        # Where the arrival before is not idle, its store and idle test (as
+        # _ScalarSteps.forward's) are right as computed.  Each idle run is
+        # walked from its first arrival to the first one after it that is
+        # not idle.
+        idle = (status == IDLE) | (status == FREE) & ~((0.0 < out) & (out < stored[:n]))
         end = 0
         for i in idle.nonzero()[0].tolist():
             if i < end:
@@ -548,29 +581,52 @@ class _ArraySteps:
         rounding = 1.0 + stored * w / lengths
         r = residuals[free]
         tolerance = STATIONARITY_TOL * w[free] * (rounding[free] + rounding[nxt[free]])
-        return bool(np.all((np.abs(grad[free]) <= tolerance) | (r + step[free] == r)))
+        converged = (np.abs(grad[free]) <= tolerance) | (r + step[free] == r)
+        if len(self.firsts) == 1:
+            return (bool(np.all(converged)),)
+        settled = np.ones(len(self.firsts), bool)
+        settled[self.segment[free[~converged]]] = False
+        return settled.tolist()
 
-    def released(self, status, w, grad):
-        return ((status == IDLE) & (grad / w[:-1] < -RELEASE_TOL)).nonzero()[0].tolist()
+    def released(self, status, w, grad, settled):
+        out = (status == IDLE) & (grad / w[:-1] < -RELEASE_TOL) & np.array(settled)[self.segment]
+        return out.nonzero()[0].tolist()
 
-    def step_bound(self, residuals, powers, free, step, slope, nxt):
+    def step_bound(self, residuals, powers, grad, free, step, slope, nxt, decrement):
         lengths, d = self.lengths, step[free]
-        t = 1.0
+        reach = 2.0 * (1.0 - math.sqrt(BOUNDARY_FRACTION))
         shrink = d < 0.0
-        if shrink.any():
-            reach = 2.0 * (1.0 - math.sqrt(BOUNDARY_FRACTION))
-            t = min(t, float(np.min(reach * residuals[free][shrink] / -d[shrink])))
         change = np.zeros(len(powers))
         change[free] -= d / lengths[free]
         e = nxt[free]                   # distinct, so each += lands once
         change[e] += slope[free] * d / lengths[e]
         c, p = change[free], powers[free]
-        limits = (c < 0.0) & (p < -t * c)
-        if not limits.any():
-            return t, -1
-        ratios = p[limits] / -c[limits]
-        j = int(np.argmin(ratios))
-        return float(ratios[j]), int(free[limits][j])
+        if len(self.firsts) == 1:
+            t = 1.0
+            if shrink.any():
+                t = min(t, float(np.min(reach * residuals[free][shrink] / -d[shrink])))
+            limits = (c < 0.0) & (p < -t * c)
+            if not limits.any():
+                return t, (), decrement
+            ratios = p[limits] / -c[limits]
+            j = int(np.argmin(ratios))
+            return float(ratios[j]), (int(free[limits][j]),), decrement
+        segment = self.segment[free]
+        bounds = np.ones(len(self.firsts))
+        np.minimum.at(bounds, segment[shrink], reach * residuals[free][shrink] / -d[shrink])
+        limits = (c < 0.0) & (p < -bounds[segment] * c)
+        ratios, limited = p[limits] / -c[limits], segment[limits]
+        # each segment's first smallest ratio, as np.argmin picks it
+        order = np.lexsort((ratios, limited))
+        first = order[np.diff(limited[order], prepend=-1) != 0]
+        blocking = np.full(len(bounds), -1)
+        bounds[limited[first]] = ratios[first]
+        blocking[limited[first]] = free[limits][first]
+        return _joint_bound(self, bounds.tolist(), blocking.tolist(), grad, free, step, decrement)
+
+    def rescale(self, step, factors, grad, free):
+        step *= np.array(factors)[self.segment]
+        return float(grad[free] @ step[free])
 
     def trial(self, residuals, step, free, t):
         out = residuals.copy()
@@ -579,180 +635,78 @@ class _ArraySteps:
         return out
 
 
-class _BatchSteps:
-    """The kernels of :class:`_ScalarSteps` over a batch of horizons with
-    the same number of packets, one column per member: row k of an (N, B)
-    array is arrival k of every member, row k of an (N + 1, B) array
-    epoch k.  The arithmetic is the same elementwise, and sums along the
-    horizon add one row at a time, in the scalar kernels' order (numpy
-    reduces a leading axis that way).  Each member keeps its own active
-    set; a member's entries off its free arrivals are padding.  The idle
-    runs and the Thomas sweep walk the arrivals a row of B-vectors at a
-    time; :func:`_sweep` gets each member's free rows packed to the top.
-
-    Callers run it under ``np.errstate(all="ignore")``, as :class:`_ArraySteps`.
+def _joint_bound(steps, bounds, blocking, grad, free, step, decrement):
+    """``step_bound``'s (t, blocking, decrement) on several segments, from
+    each one's bound and limiting free arrival (or -1): t is the longest
+    bound, and each segment's part of the step is scaled in place so that
+    t takes it to its own.  A bound of 0 gives t = 0, blocking only there.
     """
-
-    def __init__(self, initial_energy, lengths, a, s, gain):
-        self.initial_energy, self.lengths, self.a, self.s, self.gain = (
-            initial_energy, lengths, a, s, gain)
-        self.c, self.ss = a * s, s * s
-        self.members = np.arange(a.shape[1])
-
-    def forward(self, residuals, status):
-        a, s = self.a, self.s
-        n = len(a)
-        status = status.copy()
-        out = np.where(status == EMPTY, 0.0, residuals)
-        stored = np.empty((n + 1, len(self.members)))     # the store before each epoch
-        stored[0] = self.initial_energy
-        root = a + s * np.sqrt(out)
-        stored[1:] = root * root
-        # As in _ArraySteps, a store and idle test are right as computed
-        # where the arrival before is not idle.  The rows with an idle
-        # member are walked in order, each one's stores moving the next
-        # row's stores and idle tests.
-        idle = _idle(status, out, stored[:n])
-        pending = idle.any(axis=1).tolist()
-        for i in range(n):
-            if not pending[i]:
-                continue
-            hit = idle[i]
-            status[i][hit] = IDLE
-            out[i] = np.where(hit, stored[i], out[i])
-            root = a[i] + s[i] * np.sqrt(out[i])
-            stored[i + 1] = root * root
-            if i + 1 < n:
-                idle[i + 1] = _idle(status[i + 1], out[i + 1], stored[i + 1])
-                pending[i + 1] = bool(idle[i + 1].any())
-        powers = stored / self.lengths          # the last epoch drains the store
-        powers[:n] = (stored[:n] - out) / self.lengths[:n]
-        return out, powers, status
-
-    def objective(self, powers):
-        return (self.lengths * np.log1p(self.gain * powers)).sum(axis=0)
-
-    def newton(self, residuals, powers, status):
-        n, lengths, members = len(self.a), self.lengths, self.members
-        w = self.gain / (1.0 + self.gain * powers)
-        slope = self.c / np.sqrt(residuals)     # inf at r = 0, as in the scalar kernel
-        bend = -0.5 * slope / residuals
-        flat = self.c == 0.0
-        slope[flat], bend[flat] = 0.0, 0.0
-        slope += self.ss
-        nxt = np.repeat(np.arange(1, n + 1)[:, None], len(members), axis=1)
-        # an idle arrival passes its store on: chain back through each idle run
-        chained = status[1:] == IDLE
-        for i in chained.any(axis=1).nonzero()[0][::-1].tolist():
-            hit = chained[i]
-            bend[i] = np.where(hit, bend[i + 1] * slope[i] * slope[i] + slope[i + 1] * bend[i],
-                               bend[i])
-            slope[i] = np.where(hit, slope[i + 1] * slope[i], slope[i])
-            nxt[i] = np.where(hit, nxt[i + 1], nxt[i])
-        w_next = w[nxt, members]
-        grad = slope * w_next - w[:n]
-
-        free = status == FREE
-        # whether the epoch a residual feeds ends at a free arrival
-        feeds = np.vstack((status, np.full_like(status[:1], EMPTY)))[nxt, members] == FREE
-        t = np.zeros_like(slope)
-        rows, cols = (free & feeds).nonzero()
-        t[nxt[rows, cols], cols] = slope[rows, cols]
-        # the rows of _sweep; off the free arrivals, rows that sweep to 0
-        coefficients = np.stack((
-            np.where(free, w[:n] * w[:n] / lengths[:n], 1.0), t,
-            np.where(free, bend * w_next, 0.0),
-            np.where(free & (grad < 0.0), 0.5 * grad / residuals, 0.0),
-            np.where(free & ~feeds, slope * slope * w_next * w_next / lengths[nxt, members],
-                     0.0),
-            np.where(free, grad, 0.0)))
-        depth = int(free.sum(axis=0).max(initial=0))
-        packed = np.argsort(~free, axis=0, kind="stable")[:depth]
-        step = np.zeros_like(slope)
-        if depth:
-            step[packed, members] = _sweep(coefficients[:, packed, members].transpose(1, 0, 2))
-            step[~free] = 0.0
-        decrement = np.where(free, grad * step, 0.0).sum(axis=0)
-        return w, grad, step, free, nxt, slope, decrement
-
-    def stationary(self, residuals, powers, w, grad, step, free, nxt):
-        lengths = self.lengths
-        stored = powers * lengths
-        stored[:-1] += residuals
-        rounding = 1.0 + stored * w / lengths
-        tolerance = STATIONARITY_TOL * w[:-1] * (rounding[:-1] + rounding[nxt, self.members])
-        return np.all((np.abs(grad) <= tolerance) | (residuals + step == residuals) | ~free,
-                      axis=0)
-
-    def released(self, status, w, grad):
-        return (status == IDLE) & (grad / w[:-1] < -RELEASE_TOL)
-
-    def step_bound(self, residuals, powers, free, step, slope, nxt):
-        lengths, members = self.lengths, self.members
-        n = len(step)
-        reach = 2.0 * (1.0 - math.sqrt(BOUNDARY_FRACTION))
-        t = np.minimum(1.0, np.where(free & (step < 0.0), reach * residuals / -step,
-                                     math.inf).min(axis=0, initial=math.inf))
-        change = np.zeros_like(powers)
-        rows, cols = free.nonzero()
-        e = nxt[rows, cols]             # distinct within a member, so each lands once
-        change[e, cols] = slope[rows, cols] * step[rows, cols] / lengths[e, cols]
-        change = change[:n] - step / lengths[:n]
-        p = powers[:n]
-        limits = free & (change < 0.0) & (p < -t * change)
-        ratios = np.where(limits, p / -change, math.inf)
-        blocking = ratios.argmin(axis=0)
-        hit = limits.any(axis=0)
-        return (np.where(hit, ratios[blocking, members], t), np.where(hit, blocking, -1))
-
-    def trial(self, residuals, step, t):
-        d = t * step
-        return np.where(step != 0.0, residuals + d + 0.25 * (d * d) / residuals, residuals)
+    t = max(bounds)
+    if min(bounds) == 0.0:
+        return 0.0, [i for bound, i in zip(bounds, blocking) if bound == 0.0], decrement
+    if min(bounds) < t:
+        decrement = steps.rescale(step, [bound / t for bound in bounds], grad, free)
+    return t, [i for i in blocking if i >= 0], decrement
 
 
-def _line_search(steps, residuals, powers, status, value, free, step, slope, nxt, decrement):
+def _line_search(steps, residuals, powers, status, value, grad, free, step, slope, nxt,
+                 decrement):
     """Damped Newton step: (residuals, powers, status, value), or None.
 
     A step t moves u = sqrt(r) by t z / (2u), r by t z + (t z)^2 / (4r).
     Starts from the longest step keeping every free residual above
     ``BOUNDARY_FRACTION`` of itself and, to first order, every free
-    epoch's power non-negative; the epoch that limits it lands on p = 0
-    and turns idle, however short the step.  Where that step is 0 (a
-    just released epoch, still at p = 0, that the step would drain), the
-    point stays and only that epoch turns idle again: the other released
-    epochs stay free.  Halves the step until the objective rises by an
+    epoch's power non-negative, each segment's within its own bound
+    (:func:`_joint_bound`); an epoch that limits the step lands on p = 0
+    and turns idle, however short the step.  Where a segment's step is 0
+    (a just released epoch, still at p = 0, that the step would drain),
+    the point stays and only that epoch turns idle again: the other
+    released epochs stay free, and the other segments wait a step.
+    Halves the step until the objective rises by an
     Armijo fraction of the predicted increase, up to its own rounding;
     None below ``MIN_STEP``.
     """
-    t, blocking = steps.step_bound(residuals, powers, free, step, slope, nxt)
+    t, blocking, decrement = steps.step_bound(residuals, powers, grad, free, step, slope, nxt,
+                                              decrement)
     if t == 0.0:
         status = status.copy()
-        status[blocking] = IDLE
+        for i in blocking:
+            status[i] = IDLE
         return residuals, powers, status, value
-    while t >= MIN_STEP or blocking >= 0:
+    while t >= MIN_STEP or blocking:
         trial = steps.trial(residuals, step, free, t)
-        if blocking >= 0:
-            trial[blocking] = math.inf    # at or above the store: idle
+        for i in blocking:
+            trial[i] = math.inf           # at or above the store: idle
         trial, trial_powers, trial_status = steps.forward(trial, status)
         trial_value = steps.objective(trial_powers)
         if trial_value >= value + ARMIJO * t * decrement - OBJECTIVE_ROUNDING * value:
             return trial, trial_powers, trial_status, trial_value
-        t, blocking = 0.5 * t, -1
+        t, blocking = 0.5 * t, ()
     return None
 
 
 def _optimal_residuals(kernels, initial_energy, lengths, curves, gain, e_max_root):
-    """The Newton method of :func:`solve`, stepping with ``kernels``
-    (:class:`_ScalarSteps` or :class:`_ArraySteps`).
+    """The Newton method of :func:`solve` on any horizon, lone or joined,
+    stepping with ``kernels`` (:class:`_ScalarSteps` or :class:`_ArraySteps`).
 
-    Returns (residuals, powers, iterations, last Newton decrement) of the
-    optimum, the first two as the kernels built them: lists or arrays.
+    Once a segment is stationary, its idle epochs with a negative
+    multiplier are released and the step is taken again from the new
+    active set in the same iteration; the method stops when every segment
+    is stationary with nothing to release.  Returns (residuals, powers,
+    iterations, last Newton decrement) of the optimum, the first two as
+    the kernels built them: lists or arrays.
     """
-    steps = kernels(initial_energy, lengths, curves, gain)
     # Where G is flat in floating point, whatever is left at the arrival
-    # is lost to the full charge, so the residual there is 0.
+    # is lost to the full charge: the residual there is 0, and the
+    # arrival ends a segment.
     status = [EMPTY if a + s * e_max_root == a else FREE for a, s in curves]
-    left = list(accumulate(reversed(lengths)))[::-1]    # time left at each epoch's start
+    # each segment's first epoch
+    firsts = [0, *(i + 1 for i, state in enumerate(status) if state == EMPTY)]
+    steps = kernels(initial_energy, lengths, curves, gain, firsts)
+    # the time left in its segment at each epoch's start
+    left = list(accumulate(reversed(lengths)))[::-1]
+    for lo, hi in zip(firsts, firsts[1:]):
+        left[lo:hi] = list(accumulate(reversed(lengths[lo:hi])))[::-1]
     best = (-math.inf,)
     for kept in ([0.5] * len(curves), [1.0 - l / rest for l, rest in zip(lengths, left)]):
         start, stored = [], initial_energy
@@ -769,162 +723,26 @@ def _optimal_residuals(kernels, initial_energy, lengths, curves, gain, e_max_roo
     decrement = math.inf
     for iteration in range(1, MAX_ITERATIONS + 1):
         w, grad, step, free, nxt, slope, decrement = steps.newton(residuals, powers, status)
-        if steps.stationary(residuals, powers, w, grad, step, free, nxt):
-            released = steps.released(status, w, grad)
-            if not released:
+        settled = steps.stationary(residuals, powers, w, grad, step, free, nxt)
+        if True in settled:
+            released = steps.released(status, w, grad, settled)
+            if not released and False not in settled:
                 return residuals, powers, iteration, decrement
-            for i in released:
-                status[i] = FREE
-            continue
+            if released:
+                for i in released:
+                    status[i] = FREE
+                w, grad, step, free, nxt, slope, decrement = steps.newton(
+                    residuals, powers, status)
 
-        moved = _line_search(steps, residuals, powers, status, value, free, step, slope, nxt,
-                             decrement)
+        moved = _line_search(steps, residuals, powers, status, value, grad, free, step, slope,
+                             nxt, decrement)
         if moved is None:
             break
         residuals, powers, status, value = moved
         # Drop this step's vectors before the next one builds its own.
         del w, grad, step, free, nxt, slope
-    raise _not_converged(iteration, decrement)
-
-
-def _not_converged(iterations, decrement):
-    """The SolverError of a Newton method that stopped short of the optimum."""
-    return SolverError("Newton method did not converge",
-                       diagnostics={"iterations": iterations, "newton_decrement": decrement})
-
-
-def _batch_line_search(steps, residuals, powers, status, value, searching, free, step, slope,
-                       nxt, decrement):
-    """:func:`_line_search` for each member in ``searching``, with its own
-    step length and blocking epoch (:class:`_BatchSteps`).
-
-    Returns (residuals, powers, status, value, stuck): the members that
-    moved take their accepted trial, and ``stuck`` flags those whose step
-    was halved below ``MIN_STEP``.
-    """
-    t, blocking = steps.step_bound(residuals, powers, free, step, slope, nxt)
-    members = steps.members
-    blocked = searching & (t == 0.0)
-    status = status.copy()
-    status[blocking[blocked], members[blocked]] = IDLE
-    trying = searching & ~blocked & ((t >= MIN_STEP) | (blocking >= 0))
-    stuck = searching & ~blocked & ~trying
-    while trying.any():
-        trial = np.where(trying, steps.trial(residuals, step, t), residuals)
-        capped = trying & (blocking >= 0)
-        trial[blocking[capped], members[capped]] = math.inf    # at or above the store: idle
-        trial, trial_powers, trial_status = steps.forward(trial, status)
-        trial_value = steps.objective(trial_powers)
-        accept = trying & (trial_value
-                           >= value + ARMIJO * t * decrement - OBJECTIVE_ROUNDING * value)
-        residuals, powers, status, value = (
-            np.where(accept, new, old) for new, old in zip(
-                (trial, trial_powers, trial_status, trial_value),
-                (residuals, powers, status, value)))
-        trying &= ~accept
-        t, blocking = 0.5 * t, np.full_like(blocking, -1)
-        cut = trying & (t < MIN_STEP)
-        stuck |= cut
-        trying &= ~cut
-    return residuals, powers, status, value, stuck
-
-
-def _batch_residuals(steps, e_max_root):
-    """:func:`_optimal_residuals` over a batch (:class:`_BatchSteps`): the
-    same starts, steps and tests, with each member's own active set, line
-    search and convergence.
-
-    Returns (residuals, powers, iterations, decrements, converged), one
-    column or entry per member; a member that did not converge holds the
-    iterations and last decrement its SolverError reports.
-    """
-    a, s, lengths = steps.a, steps.s, steps.lengths
-    n, size = a.shape
-    status = np.where(a + s * e_max_root == a, EMPTY, FREE).astype(np.int8)
-    left = np.cumsum(lengths[::-1], axis=0)[::-1]       # time left at each epoch's start
-    best = None
-    for kept in (np.full_like(a, 0.5), 1.0 - lengths[:n] / left[:n]):
-        start, stored = np.empty_like(a), steps.initial_energy
-        for k in range(n):
-            start[k] = kept[k] * stored
-            root = a[k] + s[k] * np.sqrt(start[k])
-            stored = root * root
-        point = steps.forward(start, status)
-        point = (*point, steps.objective(point[1]))
-        if best is not None:
-            better = point[-1] > best[-1]
-            point = tuple(np.where(better, new, old) for new, old in zip(point, best))
-        best = point
-    residuals, powers, status, value = best
-
-    live, converged = np.ones(size, bool), np.zeros(size, bool)
-    iterations, decrements = np.full(size, MAX_ITERATIONS), np.full(size, math.inf)
-    for iteration in range(1, MAX_ITERATIONS + 1):
-        w, grad, step, free, nxt, slope, decrement = steps.newton(residuals, powers, status)
-        decrements = np.where(live, decrement, decrements)
-        stationary = live & steps.stationary(residuals, powers, w, grad, step, free, nxt)
-        released = steps.released(status, w, grad) & stationary
-        done = stationary & ~released.any(axis=0)
-        converged |= done
-        iterations[done] = iteration
-        status = np.where(released, FREE, status)
-        searching = live & ~stationary
-        live &= ~done
-        if searching.any():
-            residuals, powers, status, value, stuck = _batch_line_search(
-                steps, residuals, powers, status, value, searching, free, step, slope, nxt,
-                decrement)
-            iterations[stuck] = iteration
-            live &= ~stuck
-        if not live.any():
-            break
-    return residuals, powers, iterations, decrements, converged
-
-
-def _reports(scenarios, circuit, gain, maps, bounds, residuals, powers, iterations,
-             decrements):
-    """:func:`solve`'s result for each scenario from the point its Newton
-    method stopped at, given as arrays with one column per scenario (the
-    charge maps stacked as (q, s), the epoch bounds as (N + 2, B)).  The
-    trace holds the residuals, each packet's harvest at them and p l; the
-    residual at the deadline is the trace's own balance.  Returns the
-    SolveReport of each point, or the SolverError of one whose trace
-    fails :func:`check_feasibility`.
-    """
-    e_max = circuit.e_max
-    lengths = np.diff(bounds, axis=0)
-    harvested = _harvest_value(maps, e_max, math.sqrt(e_max), residuals)
-    consumed = powers * lengths
-    held = (residuals[-1] + harvested[-1] if len(residuals)
-            else np.array([scenario.initial_energy for scenario in scenarios]))
-    trace_residuals = np.concatenate((residuals, (held - consumed[-1])[None]))
-    causality, capacity = _violations(trace_residuals, harvested, e_max)
-    feasible = ~(causality.any(axis=0) | capacity.any(axis=0))
-    # rows of C-contiguous arrays, so each sums as throughput sums one schedule
-    bits = _bits(np.where(feasible, powers, 0.0).T.copy(), lengths.T.copy(), gain)
-    out = []
-    for k, scenario in enumerate(scenarios):
-        schedule = TransmissionSchedule(powers=powers[:, k].tolist(),
-                                        epoch_bounds=bounds[:, k].tolist())
-        trace = HarvestTrace(residuals=trace_residuals[:, k].tolist(),
-                             harvested=harvested[:, k].tolist(),
-                             consumed=consumed[:, k].tolist())
-        diagnostics = {"iterations": int(iterations[k]),
-                       "newton_decrement": float(decrements[k])}
-        if not feasible[k]:
-            verdict = check_feasibility(schedule, trace, circuit)
-            out.append(SolverError("optimum fails the feasibility check", diagnostics={
-                **diagnostics, "violated": verdict.violated, "epoch": verdict.epoch}))
-            continue
-        out.append(SolveReport(
-            schedule=schedule,
-            trace=trace,
-            throughput=float(bits[k]),
-            iterations=diagnostics["iterations"],
-            newton_decrement=diagnostics["newton_decrement"],
-            terminal_residual_error=abs(trace.terminal_residual),
-        ))
-    return out
+    raise SolverError("Newton method did not converge",
+                      diagnostics={"iterations": iteration, "newton_decrement": decrement})
 
 
 def solve(scenario: EnergyScenario, circuit: ChargeCircuit,
@@ -935,15 +753,16 @@ def solve(scenario: EnergyScenario, circuit: ChargeCircuit,
     schedule and trace are in watts and joules and the throughput in
     bits either way.
 
-    Damped Newton steps over the arrival residuals (module docstring);
-    a step that would take a free epoch's power below 0 stops there and
-    makes the epoch idle.  Once the free residuals are stationary, every
-    idle epoch whose multiplier is below ``-RELEASE_TOL`` is released,
-    and with none left the point is optimal.  The schedule holds that
-    point's powers, and the trace its residuals, each packet's harvest at
-    them and p l; the residual at the deadline is the trace's own balance,
-    what the last epoch leaves of the store after the last harvest.
-    The pair passes :func:`check_feasibility`'s test.
+    Damped Newton steps over the arrival residuals (module docstring),
+    run as a batch of one (:func:`_solve_batch`); a step that would take
+    a free epoch's power below 0 stops there and makes the epoch idle.
+    Once the free residuals are stationary, every idle epoch whose
+    multiplier is below ``-RELEASE_TOL`` is released, and with none left
+    the point is optimal.  The schedule holds that point's powers, and the
+    trace its residuals, each packet's harvest at them and p l; the
+    residual at the deadline is the trace's own balance, what the last
+    epoch leaves of the store after the last harvest.  The pair passes
+    :func:`check_feasibility`'s test.
 
     Raises:
         SolverError: after ``MAX_ITERATIONS`` steps or a step cut below
@@ -951,21 +770,7 @@ def solve(scenario: EnergyScenario, circuit: ChargeCircuit,
             check; its diagnostics hold ``iterations`` and the last
             ``newton_decrement``.
     """
-    if scenario.initial_energy > circuit.e_max:
-        raise ValueError("initial_energy exceeds the battery capacity e_max")
-    e_max_root = math.sqrt(circuit.e_max)
-    maps = _charge_maps(scenario.packet_lengths.tolist(), circuit)
-    # (a, s) of G(r) = (a + s sqrt r)^2
-    curves = [(e_max_root * q, s) for q, s in maps]
-    bounds = scenario.epoch_bounds
-    array = len(curves) >= ARRAY_MIN_PACKETS
-    with np.errstate(all="ignore") if array else nullcontext():    # see _ArraySteps
-        residuals, powers, iterations, decrement = _optimal_residuals(
-            _ArraySteps if array else _ScalarSteps, scenario.initial_energy,
-            np.diff(bounds).tolist(), curves, gain, e_max_root)
-    report, = _reports([scenario], circuit, gain, np.array(maps).reshape(-1, 2).T[..., None],
-                       bounds[:, None], np.asarray(residuals, dtype=float)[:, None],
-                       np.asarray(powers)[:, None], [iterations], [decrement])
+    report, = _solve_batch([scenario], circuit, gain)
     if isinstance(report, SolverError):
         raise report
     return report
@@ -973,28 +778,73 @@ def solve(scenario: EnergyScenario, circuit: ChargeCircuit,
 
 def _solve_batch(scenarios, circuit: ChargeCircuit, gain: float = 1.0) -> list:
     """:func:`solve` on scenarios with the same number of packets, in one
-    Newton run over the batch (:class:`_BatchSteps`).
+    Newton run over one horizon: each member's N + 1 epochs, then a flat
+    charge map (a, s) = (sqrt(E0), 0) that empties the store and fills it
+    with the next member's initial energy E0 (module docstring).
 
-    Returns, per scenario, the SolveReport solve returns or the
-    SolverError it raises, with the same diagnostics; a member that fails
-    leaves the others as they are.
+    Returns, per scenario, a SolveReport, which carries the joined run's
+    iterations and last Newton decrement, or a SolverError.  Where the
+    joined run fails, or a member's trace fails the feasibility check,
+    the member is solved alone and gets what :func:`solve` gives it.
     """
     if any(scenario.initial_energy > circuit.e_max for scenario in scenarios):
         raise ValueError("initial_energy exceeds the battery capacity e_max")
-    n = scenarios[0].n_packets
+    size, n = len(scenarios), scenarios[0].n_packets
     e_max_root = math.sqrt(circuit.e_max)
-    maps = np.array([_charge_maps([d for _, d in scenario.packets], circuit)
-                     for scenario in scenarios]).reshape(len(scenarios), n, 2).T.copy()
+    maps = [_charge_maps([d for _, d in scenario.packets], circuit) for scenario in scenarios]
     bounds = np.array([(0.0, *(t for t, _ in scenario.packets), scenario.deadline)
-                       for scenario in scenarios]).T.copy()
-    steps = _BatchSteps(np.array([scenario.initial_energy for scenario in scenarios]),
-                        np.diff(bounds, axis=0), e_max_root * maps[0], maps[1], gain)
-    with np.errstate(all="ignore"):
-        residuals, powers, iterations, decrements, converged = _batch_residuals(steps, e_max_root)
-    out = [_not_converged(int(i), float(d)) for i, d in zip(iterations, decrements)]
-    done = converged.nonzero()[0]
-    for k, report in zip(done, _reports([scenarios[k] for k in done], circuit, gain,
-                                        maps[:, :, done], bounds[:, done], residuals[:, done],
-                                        powers[:, done], iterations[done], decrements[done])):
-        out[k] = report
+                       for scenario in scenarios])
+    lengths = np.diff(bounds)
+    curves = []         # (a, s) of G(r) = (a + s sqrt r)^2
+    for k, (scenario, charges) in enumerate(zip(scenarios, maps)):
+        if k:
+            curves.append((math.sqrt(scenario.initial_energy), 0.0))
+        curves += [(e_max_root * q, s) for q, s in charges]
+    array = len(curves) >= ARRAY_MIN_PACKETS
+    try:
+        with np.errstate(all="ignore") if array else nullcontext():    # see _ArraySteps
+            residuals, powers, iterations, decrement = _optimal_residuals(
+                _ArraySteps if array else _ScalarSteps, scenarios[0].initial_energy,
+                lengths.ravel().tolist(), curves, gain, e_max_root)
+    except SolverError as error:
+        return [error] if size == 1 else [_solve_batch([scenario], circuit, gain)[0]
+                                           for scenario in scenarios]
+    # One row per member.  The trace holds the residuals, each packet's
+    # harvest at them and p l; the residual at the deadline, in the last
+    # column, is the trace's own balance.
+    residuals = np.concatenate((residuals, (0.0,))).reshape(size, n + 1)
+    powers = np.asarray(powers).reshape(size, n + 1)
+    e_max = circuit.e_max
+    harvested = _harvest_value(np.array(maps).reshape(size, n, 2).transpose(2, 0, 1), e_max,
+                               e_max_root, residuals[:, :-1])
+    consumed = powers * lengths
+    held = (residuals[:, -2] + harvested[:, -1] if n
+            else np.array([scenario.initial_energy for scenario in scenarios]))
+    residuals[:, -1] = held - consumed[:, -1]
+    causality, capacity = _violations(residuals, harvested, e_max)
+    feasible = ~(causality.any(axis=1) | capacity.any(axis=1))
+    bits = _bits(np.where(feasible[:, None], powers, 0.0), lengths, gain)
+    out = []
+    for k, scenario in enumerate(scenarios):
+        schedule = TransmissionSchedule(powers=powers[k].tolist(),
+                                        epoch_bounds=bounds[k].tolist())
+        trace = HarvestTrace(residuals=residuals[k].tolist(),
+                             harvested=harvested[k].tolist(),
+                             consumed=consumed[k].tolist())
+        if feasible[k]:
+            out.append(SolveReport(
+                schedule=schedule,
+                trace=trace,
+                throughput=float(bits[k]),
+                iterations=iterations,
+                newton_decrement=decrement,
+                terminal_residual_error=abs(trace.terminal_residual),
+            ))
+        elif size > 1:
+            out.append(_solve_batch([scenario], circuit, gain)[0])
+        else:
+            verdict = check_feasibility(schedule, trace, circuit)
+            out.append(SolverError("optimum fails the feasibility check", diagnostics={
+                "iterations": iterations, "newton_decrement": decrement,
+                "violated": verdict.violated, "epoch": verdict.epoch}))
     return out
