@@ -79,10 +79,13 @@ def brute_force_optimize(scenario: EnergyScenario, circuit: ChargeCircuit,
     grid pitch and the slope bound l_i * g / (2 ln 2) of each epoch's rate term.
 
     Raises:
-        ValueError: if the scenario has more packets than the grid allows,
-            or its initial energy exceeds the battery capacity e_max.
+        ValueError: unless 0 < gain < inf, or if the scenario has more
+            packets than the grid allows, or its initial energy exceeds the
+            battery capacity e_max.
         BudgetError: if enumeration would exceed the evaluation budget.
     """
+    if not 0.0 < gain < math.inf:
+        raise ValueError(f"gain must be finite and > 0, got {gain}")
     if scenario.initial_energy > circuit.e_max:
         raise ValueError("initial_energy exceeds the battery capacity e_max")
     n = scenario.n_packets

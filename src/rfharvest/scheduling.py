@@ -38,27 +38,27 @@ A flat charge map ends a segment: the store is emptied into the epoch
 before it, and what follows does not depend on anything before it.  So
 the even-spend start spends over the time left in the segment, and
 each segment bounds its own part of the step and releases its idle
-epochs once it is stationary itself.  A horizon of one segment steps exactly
-as if there were no segments.  A Monte Carlo point solves its
+epochs once it is stationary itself.  A Monte Carlo point solves its
 scenarios, which share N, as one horizon (:func:`_solve_batch`): each
 member's epochs, then a flat map (a, s) = (sqrt(E0), 0) that starts the
 next member from its initial energy E0.  A member after the first thus
 starts from (sqrt(E0))^2, within 2 ulp of E0.
 
-The horizon's length picks how a step is computed.  Below
-``ARRAY_MIN_PACKETS`` arrivals the step kernels loop over Python floats;
-from there on they work on numpy arrays along the horizon, with the
-same arithmetic elementwise.  Only the idle runs and the O(N) sweep
-stay loops there.  Both kernel sets share one Newton loop (the starts,
-the active set, the release rule and the tolerances) and one Thomas
-sweep, :func:`_sweep`.  The solve returns the point the loop stopped
-at: its powers, and its residuals as the trace.
+The horizon picks how a step is computed.  A horizon of one segment and
+fewer than ``ARRAY_MIN_PACKETS`` arrivals steps with kernels that loop
+over Python floats.  Every other horizon, long or of several segments,
+steps with kernels that work on numpy arrays along the horizon, with
+the same arithmetic elementwise; only these know segments, and only
+the idle runs and the O(N) sweep stay loops there.  Both kernel sets
+share one Newton loop (the starts, the active set, the release rule and
+the tolerances) and one Thomas sweep, :func:`_sweep`.  The solve
+returns the point the loop stopped at: its powers, and its residuals as
+the trace.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import accumulate
@@ -99,10 +99,11 @@ OBJECTIVE_ROUNDING = 1e-14
 MIN_STEP = 1e-16
 # A step may shrink a free residual to this fraction of itself at most.
 BOUNDARY_FRACTION = 0.01
-# Horizons of at least this many arrivals step with _ArraySteps, shorter
-# ones with _ScalarSteps; a batch's joined horizon counts its flat maps.
-# A lone solve takes about as long with either at 64 packets; the array
-# kernels win above, the scalar ones below.
+# A horizon of one segment steps with _ScalarSteps below this many
+# arrivals and with _ArraySteps from there on; a horizon of several
+# segments (a flat map, or a batch's joined horizon) always steps with
+# _ArraySteps.  A lone solve takes about as long with either at 64
+# packets; the array kernels win above, the scalar ones below.
 ARRAY_MIN_PACKETS = 64
 
 
@@ -318,26 +319,26 @@ def _sweep(rows):
 
 
 class _ScalarSteps:
-    """Step kernels that walk the horizon one arrival at a time in Python
-    floats: on a short horizon a loop costs less than numpy's calls.
+    """Step kernels that walk a horizon of one segment one arrival at a
+    time in Python floats: on a short horizon a loop costs less than
+    numpy's calls.  Every other horizon steps with :class:`_ArraySteps`,
+    so no arrival here is empty.
 
     Every kernel takes and returns the point in the containers it built:
-    lists here, numpy arrays in :class:`_ArraySteps`.  ``firsts`` holds
-    each segment's first epoch; a kernel that tests, bounds or scales a
-    step does so segment by segment.
+    lists here, numpy arrays in :class:`_ArraySteps`.
     """
 
-    def __init__(self, initial_energy, lengths, curves, gain, firsts):
-        self.initial_energy, self.lengths, self.curves, self.gain, self.firsts = (
-            initial_energy, lengths, curves, gain, firsts)
+    def __init__(self, initial_energy, lengths, curves, gain):
+        self.initial_energy, self.lengths, self.curves, self.gain = (
+            initial_energy, lengths, curves, gain)
 
     def forward(self, residuals, status):
         """(residuals, powers, status) of the point the free residuals set.
 
-        An idle arrival takes the store before it, an empty one 0.  A free
-        residual at or above the store before it would leave its epoch no
-        power, so it turns idle (in a new status list); so does one at 0,
-        where the Newton step is undefined.
+        An idle arrival takes the store before it.  A free residual at or
+        above the store before it would leave its epoch no power, so it
+        turns idle (in a new status list); so does one at 0, where the
+        Newton step is undefined.
         """
         lengths = self.lengths
         n = len(status)
@@ -350,8 +351,6 @@ class _ScalarSteps:
                 status[i] = IDLE
             if status[i] == IDLE:
                 r = stored
-            elif status[i] == EMPTY:
-                r = 0.0
             powers[i] = (stored - r) / lengths[i]
             root = a + s * math.sqrt(r)
             stored = root * root
@@ -417,50 +416,31 @@ class _ScalarSteps:
         return w, grad, step, free, nxt, slope, decrement
 
     def stationary(self, residuals, powers, w, grad, step, free, nxt):
-        """Whether each segment's free residuals have converged
-        (``STATIONARITY_TOL``)."""
+        """Whether the free residuals have converged (``STATIONARITY_TOL``),
+        as the flag of the horizon's one segment."""
         lengths, n = self.lengths, len(residuals)
 
         def rounding(e):
             """Relative rounding of epoch e's w: 1 + (store at its start) w / l."""
             stored = (residuals[e] if e < n else 0.0) + powers[e] * lengths[e]
             return 1.0 + stored * w[e] / lengths[e]
-        converged = (abs(grad[i]) <= STATIONARITY_TOL * w[i] * (rounding(i) + rounding(nxt[i]))
-                     or residuals[i] + step[i] == residuals[i] for i in free)
-        if len(self.firsts) == 1:
-            return (all(converged),)
-        settled = [True] * len(self.firsts)
-        for i, ok in zip(free, converged):
-            if not ok:
-                settled[bisect_right(self.firsts, i) - 1] = False
-        return settled
+        return (all(abs(grad[i]) <= STATIONARITY_TOL * w[i] * (rounding(i) + rounding(nxt[i]))
+                    or residuals[i] + step[i] == residuals[i] for i in free),)
 
     def released(self, status, w, grad, settled):
-        """The idle arrivals of the ``settled`` segments whose relative
-        multiplier is below -RELEASE_TOL."""
+        """The idle arrivals whose relative multiplier is below -RELEASE_TOL
+        (called once the segment is ``settled``)."""
         return [i for i, state in enumerate(status)
-                if state == IDLE and grad[i] / w[i] < -RELEASE_TOL
-                and settled[bisect_right(self.firsts, i) - 1]]
+                if state == IDLE and grad[i] / w[i] < -RELEASE_TOL]
 
     def step_bound(self, residuals, powers, grad, free, step, slope, nxt, decrement):
         """(t, blocking, decrement): the longest step of :func:`_line_search`,
-        the free arrivals whose epochs it lands on p = 0, and the step's
-        predicted rise (:func:`_joint_bound` on several segments)."""
-        change = [0.0] * len(powers)
-        if len(self.firsts) == 1:
-            t, limit = self.bound(residuals, powers, free, step, slope, nxt, change)
-            return t, (limit,) if limit >= 0 else (), decrement
-        cuts = [*(bisect_left(free, j) for j in self.firsts), len(free)]    # into free
-        bounds, blocking = zip(*(self.bound(residuals, powers, free[lo:hi], step, slope, nxt,
-                                            change) for lo, hi in zip(cuts, cuts[1:])))
-        return _joint_bound(self, bounds, blocking, grad, free, step, decrement)
-
-    def bound(self, residuals, powers, free, step, slope, nxt, change):
-        """(t, blocking) of one segment's free arrivals, blocking -1 where no
-        epoch limits t; adds the step's first-order power changes to change."""
+        the free arrival whose epoch it lands on p = 0 (if one limits it),
+        and the step's predicted rise."""
         lengths = self.lengths
         reach = 2.0 * (1.0 - math.sqrt(BOUNDARY_FRACTION))    # u to sqrt(fraction) u
-        t, blocking = 1.0, -1
+        change = [0.0] * len(powers)    # the step's first-order power changes
+        t, blocking = 1.0, ()
         for i in free:
             if step[i] < 0.0:
                 t = min(t, reach * residuals[i] / -step[i])
@@ -468,16 +448,8 @@ class _ScalarSteps:
             change[nxt[i]] += slope[i] * step[i] / lengths[nxt[i]]
         for i in free:
             if change[i] < 0.0 and powers[i] < -t * change[i]:
-                t, blocking = powers[i] / -change[i], i
-        return t, blocking
-
-    def rescale(self, step, factors, grad, free):
-        """Multiply each segment's part of the step by its factor, in place;
-        returns the step's new predicted rise grad . step."""
-        cuts = [*self.firsts, len(step)]
-        for lo, hi, factor in zip(cuts, cuts[1:], factors):
-            step[lo:hi] = [d * factor for d in step[lo:hi]]
-        return sum(grad[i] * step[i] for i in free)
+                t, blocking = powers[i] / -change[i], (i,)
+        return t, blocking, decrement
 
     def trial(self, residuals, step, free, t):
         """The residuals after a step t in u = sqrt(r)."""
@@ -491,8 +463,13 @@ class _ArraySteps:
     order.  Two parts stay sequential: the idle runs, where the store
     passes through in root energy as u_{k+1} = a_k + s_k u_k, walked in
     Python over the idle arrivals only, and the Thomas sweep, the loop of
-    :func:`_sweep` over the coefficients as floats.  The per-segment
-    kernels run once over the horizon, each arrival's segment an index.
+    :func:`_sweep` over the coefficients as floats.
+
+    These kernels alone know segments: ``firsts`` holds each segment's
+    first epoch, and a kernel that tests, bounds or scales a step does so
+    segment by segment, in one pass over the horizon with each arrival's
+    segment an index.  A horizon of one segment takes shortcuts with the
+    same arithmetic.
 
     Callers run it under ``np.errstate(all="ignore")``: the scalar
     kernels' floats overflow to inf and turn inf - inf into NaN without a
@@ -611,6 +588,7 @@ class _ArraySteps:
             ratios = p[limits] / -c[limits]
             j = int(np.argmin(ratios))
             return float(ratios[j]), (int(free[limits][j]),), decrement
+        # Each segment's own bound and limiting free arrival (or -1).
         segment = self.segment[free]
         bounds = np.ones(len(self.firsts))
         np.minimum.at(bounds, segment[shrink], reach * residuals[free][shrink] / -d[shrink])
@@ -622,31 +600,22 @@ class _ArraySteps:
         blocking = np.full(len(bounds), -1)
         bounds[limited[first]] = ratios[first]
         blocking[limited[first]] = free[limits][first]
-        return _joint_bound(self, bounds.tolist(), blocking.tolist(), grad, free, step, decrement)
-
-    def rescale(self, step, factors, grad, free):
-        step *= np.array(factors)[self.segment]
-        return float(grad[free] @ step[free])
+        # t is the longest bound, and each segment's part of the step is
+        # scaled in place so that t takes it to its own.  A bound of 0
+        # gives t = 0, blocking only there.
+        t, least = float(bounds.max()), bounds.min()
+        if least == 0.0:
+            return 0.0, blocking[bounds == 0.0].tolist(), decrement
+        if least < t:
+            step *= (bounds / t)[self.segment]
+            decrement = float(grad[free] @ step[free])
+        return t, blocking[blocking >= 0].tolist(), decrement
 
     def trial(self, residuals, step, free, t):
         out = residuals.copy()
         r, d = residuals[free], t * step[free]
         out[free] = r + d + 0.25 * (d * d) / r
         return out
-
-
-def _joint_bound(steps, bounds, blocking, grad, free, step, decrement):
-    """``step_bound``'s (t, blocking, decrement) on several segments, from
-    each one's bound and limiting free arrival (or -1): t is the longest
-    bound, and each segment's part of the step is scaled in place so that
-    t takes it to its own.  A bound of 0 gives t = 0, blocking only there.
-    """
-    t = max(bounds)
-    if min(bounds) == 0.0:
-        return 0.0, [i for bound, i in zip(bounds, blocking) if bound == 0.0], decrement
-    if min(bounds) < t:
-        decrement = steps.rescale(step, [bound / t for bound in bounds], grad, free)
-    return t, [i for i in blocking if i >= 0], decrement
 
 
 def _line_search(steps, residuals, powers, status, value, grad, free, step, slope, nxt,
@@ -657,7 +626,7 @@ def _line_search(steps, residuals, powers, status, value, grad, free, step, slop
     Starts from the longest step keeping every free residual above
     ``BOUNDARY_FRACTION`` of itself and, to first order, every free
     epoch's power non-negative, each segment's within its own bound
-    (:func:`_joint_bound`); an epoch that limits the step lands on p = 0
+    (``step_bound``); an epoch that limits the step lands on p = 0
     and turns idle, however short the step.  Where a segment's step is 0
     (a just released epoch, still at p = 0, that the step would drain),
     the point stays and only that epoch turns idle again: the other
@@ -685,16 +654,17 @@ def _line_search(steps, residuals, powers, status, value, grad, free, step, slop
     return None
 
 
-def _optimal_residuals(kernels, initial_energy, lengths, curves, gain, e_max_root):
-    """The Newton method of :func:`solve` on any horizon, lone or joined,
-    stepping with ``kernels`` (:class:`_ScalarSteps` or :class:`_ArraySteps`).
+def _optimal_residuals(initial_energy, lengths, curves, gain, e_max_root):
+    """The Newton method of :func:`solve` on any horizon, lone or joined.
 
-    Once a segment is stationary, its idle epochs with a negative
-    multiplier are released and the step is taken again from the new
-    active set in the same iteration; the method stops when every segment
-    is stationary with nothing to release.  Returns (residuals, powers,
-    iterations, last Newton decrement) of the optimum, the first two as
-    the kernels built them: lists or arrays.
+    A horizon of one segment and fewer than ``ARRAY_MIN_PACKETS``
+    arrivals steps with :class:`_ScalarSteps`, every other one with
+    :class:`_ArraySteps`.  Once a segment is stationary, its idle epochs
+    with a negative multiplier are released and the step is taken again
+    from the new active set in the same iteration; the method stops when
+    every segment is stationary with nothing to release.  Returns
+    (residuals, powers, iterations, last Newton decrement) of the optimum,
+    the first two as the kernels built them: lists or arrays.
     """
     # Where G is flat in floating point, whatever is left at the arrival
     # is lost to the full charge: the residual there is 0, and the
@@ -702,45 +672,48 @@ def _optimal_residuals(kernels, initial_energy, lengths, curves, gain, e_max_roo
     status = [EMPTY if a + s * e_max_root == a else FREE for a, s in curves]
     # each segment's first epoch
     firsts = [0, *(i + 1 for i, state in enumerate(status) if state == EMPTY)]
-    steps = kernels(initial_energy, lengths, curves, gain, firsts)
+    array = len(curves) >= ARRAY_MIN_PACKETS or len(firsts) > 1
+    steps = (_ArraySteps(initial_energy, lengths, curves, gain, firsts) if array
+             else _ScalarSteps(initial_energy, lengths, curves, gain))
     # the time left in its segment at each epoch's start
     left = list(accumulate(reversed(lengths)))[::-1]
     for lo, hi in zip(firsts, firsts[1:]):
         left[lo:hi] = list(accumulate(reversed(lengths[lo:hi])))[::-1]
-    best = (-math.inf,)
-    for kept in ([0.5] * len(curves), [1.0 - l / rest for l, rest in zip(lengths, left)]):
-        start, stored = [], initial_energy
-        for (a, s), share in zip(curves, kept):
-            start.append(share * stored)
-            root = a + s * math.sqrt(start[-1])
-            stored = root * root
-        point = steps.forward(start, status)
-        value = steps.objective(point[1])
-        if value > best[-1]:
-            best = (*point, value)
-    residuals, powers, status, value = best
+    with np.errstate(all="ignore") if array else nullcontext():    # see _ArraySteps
+        best = (-math.inf,)
+        for kept in ([0.5] * len(curves), [1.0 - l / rest for l, rest in zip(lengths, left)]):
+            start, stored = [], initial_energy
+            for (a, s), share in zip(curves, kept):
+                start.append(share * stored)
+                root = a + s * math.sqrt(start[-1])
+                stored = root * root
+            point = steps.forward(start, status)
+            value = steps.objective(point[1])
+            if value > best[-1]:
+                best = (*point, value)
+        residuals, powers, status, value = best
 
-    decrement = math.inf
-    for iteration in range(1, MAX_ITERATIONS + 1):
-        w, grad, step, free, nxt, slope, decrement = steps.newton(residuals, powers, status)
-        settled = steps.stationary(residuals, powers, w, grad, step, free, nxt)
-        if True in settled:
-            released = steps.released(status, w, grad, settled)
-            if not released and False not in settled:
-                return residuals, powers, iteration, decrement
-            if released:
-                for i in released:
-                    status[i] = FREE
-                w, grad, step, free, nxt, slope, decrement = steps.newton(
-                    residuals, powers, status)
+        decrement = math.inf
+        for iteration in range(1, MAX_ITERATIONS + 1):
+            w, grad, step, free, nxt, slope, decrement = steps.newton(residuals, powers, status)
+            settled = steps.stationary(residuals, powers, w, grad, step, free, nxt)
+            if True in settled:
+                released = steps.released(status, w, grad, settled)
+                if not released and False not in settled:
+                    return residuals, powers, iteration, decrement
+                if released:
+                    for i in released:
+                        status[i] = FREE
+                    w, grad, step, free, nxt, slope, decrement = steps.newton(
+                        residuals, powers, status)
 
-        moved = _line_search(steps, residuals, powers, status, value, grad, free, step, slope,
-                             nxt, decrement)
-        if moved is None:
-            break
-        residuals, powers, status, value = moved
-        # Drop this step's vectors before the next one builds its own.
-        del w, grad, step, free, nxt, slope
+            moved = _line_search(steps, residuals, powers, status, value, grad, free, step,
+                                 slope, nxt, decrement)
+            if moved is None:
+                break
+            residuals, powers, status, value = moved
+            # Drop this step's vectors before the next one builds its own.
+            del w, grad, step, free, nxt, slope
     raise SolverError("Newton method did not converge",
                       diagnostics={"iterations": iteration, "newton_decrement": decrement})
 
@@ -765,6 +738,8 @@ def solve(scenario: EnergyScenario, circuit: ChargeCircuit,
     :func:`check_feasibility`'s test.
 
     Raises:
+        ValueError: unless 0 < gain < inf, or if the initial energy
+            exceeds the battery capacity e_max.
         SolverError: after ``MAX_ITERATIONS`` steps or a step cut below
             ``MIN_STEP`` without convergence, or when the trace fails the
             check; its diagnostics hold ``iterations`` and the last
@@ -786,7 +761,10 @@ def _solve_batch(scenarios, circuit: ChargeCircuit, gain: float = 1.0) -> list:
     iterations and last Newton decrement, or a SolverError.  Where the
     joined run fails, or a member's trace fails the feasibility check,
     the member is solved alone and gets what :func:`solve` gives it.
+    Raises ValueError as :func:`solve` does.
     """
+    if not 0.0 < gain < math.inf:
+        raise ValueError(f"gain must be finite and > 0, got {gain}")
     if any(scenario.initial_energy > circuit.e_max for scenario in scenarios):
         raise ValueError("initial_energy exceeds the battery capacity e_max")
     size, n = len(scenarios), scenarios[0].n_packets
@@ -800,12 +778,9 @@ def _solve_batch(scenarios, circuit: ChargeCircuit, gain: float = 1.0) -> list:
         if k:
             curves.append((math.sqrt(scenario.initial_energy), 0.0))
         curves += [(e_max_root * q, s) for q, s in charges]
-    array = len(curves) >= ARRAY_MIN_PACKETS
     try:
-        with np.errstate(all="ignore") if array else nullcontext():    # see _ArraySteps
-            residuals, powers, iterations, decrement = _optimal_residuals(
-                _ArraySteps if array else _ScalarSteps, scenarios[0].initial_energy,
-                lengths.ravel().tolist(), curves, gain, e_max_root)
+        residuals, powers, iterations, decrement = _optimal_residuals(
+            scenarios[0].initial_energy, lengths.ravel().tolist(), curves, gain, e_max_root)
     except SolverError as error:
         return [error] if size == 1 else [_solve_batch([scenario], circuit, gain)[0]
                                            for scenario in scenarios]

@@ -78,8 +78,17 @@ class ChannelLink:
     noise_density: float   # dBm/Hz
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.frequency, self.distance, self.bandwidth,
+                                       self.noise_density))):
+            raise ValueError("link fields must be finite")
         if self.frequency <= 0 or self.distance <= 0 or self.bandwidth <= 0:
             raise ValueError("frequency, distance and bandwidth must be > 0")
+        try:
+            gain = self.gain
+        except OverflowError:
+            gain = math.inf
+        if not 0.0 < gain < math.inf:
+            raise ValueError(f"the link's SNR per watt must be finite and > 0, got {gain}")
 
     @property
     def path_loss(self) -> float:
@@ -453,6 +462,8 @@ def monte_carlo(config: ExperimentConfig,
             raise ValueError(f"unknown strategy {name!r}")
     if sweep_axis is None:
         points = [(None, config)]
+    elif sweep_values is None:
+        raise ValueError(f"sweep axis {sweep_axis!r} needs sweep_values")
     elif sweep_axis == "mean_epoch_length":
         # Scaling the drawn harvest along with the arrival spacing keeps
         # the energy density (joules arriving per second) constant; the

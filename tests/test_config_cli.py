@@ -177,6 +177,18 @@ class TestOptimizeCommand:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", [["oracle-check"],
+                                         ["simulate", "--strategy", "max_harvest"]],
+                             ids=["oracle-check", "simulate"])
+    def test_non_finite_link_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(GENERATED + "link: {frequency: .nan}\n")
+        rc = main([*command, "--config", str(path), "--rate-model", "link-budget",
+                   "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unsolvable_scenario_exits_3(self, explicit_config, tmp_path, capsys,
                                          monkeypatch):
         # a solver failure is exit 3, not a config error

@@ -53,6 +53,12 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="e_max"):
             brute_force_optimize(s, sim_circuit, GridSpec(resolution=3, power_bound=1.0))
 
+    @pytest.mark.parametrize("gain", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_bad_gains(self, sim_circuit, gain):
+        s = EnergyScenario(initial_energy=0.01, packets=((1.0, 1.0),), deadline=2.0)
+        with pytest.raises(ValueError, match="gain"):
+            brute_force_optimize(s, sim_circuit, gain=gain)
+
     def test_epoch_limit_enforced(self, sim_circuit):
         scenario, _ = generate_scenario(medium_config(sim_circuit, 4),
                                         np.random.default_rng(0))

@@ -60,6 +60,18 @@ class TestLinkBudget:
             ChannelLink(frequency=0.0, distance=1.0, bandwidth=1.0,
                         noise_density=-174.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("frequency", math.nan), ("distance", math.inf), ("bandwidth", math.nan),
+        ("noise_density", -math.inf),
+        ("distance", 1e300),            # the SNR per watt underflows to 0
+        ("noise_density", -1e6),        # and overflows
+    ])
+    def test_rejects_non_finite_fields_and_gains(self, field, value):
+        fields = dict(frequency=2.4e9, distance=3.048, bandwidth=1.0e7, noise_density=-174.0)
+        fields[field] = value
+        with pytest.raises(ValueError):
+            ChannelLink(**fields)
+
 
 def rate(power_dbm, link):
     """Spectral efficiency in bits/s/Hz at a transmit power in dBm, through
@@ -512,6 +524,11 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo(medium_config(sim_circuit), ("optimal",),
                         sweep_axis="voltage", sweep_values=[1.0])
+
+    def test_axis_without_values_rejected(self, sim_circuit):
+        with pytest.raises(ValueError, match="sweep_values"):
+            monte_carlo(medium_config(sim_circuit), ("optimal",),
+                        sweep_axis="capacitance")
 
 
 class TestRateModelDuality:
