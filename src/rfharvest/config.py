@@ -9,6 +9,7 @@ and a 4 kOhm / 50 mF charging circuit.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -72,6 +73,17 @@ class SweepConfig:
     length_delta_fraction: float = 0.2   # of the mean epoch length
     packet_delta_fraction: float = 0.2   # of the perturbed packet's duration
     scenarios: int = 10                  # seeded scenarios for the probe
+
+    def __post_init__(self):
+        # an empty axis, or no probe scenario, would write a CSV without rows
+        for name in ("epoch_lengths", "capacitances"):
+            values = getattr(self, name)
+            if not values or not all(0.0 < value < math.inf for value in values):
+                raise ConfigError(f"sweep.{name} must list finite values > 0, got {values}")
+        if not self.impact_epochs:
+            raise ConfigError("sweep.impact_epochs must not be empty")
+        if self.scenarios < 1:
+            raise ConfigError(f"sweep.scenarios must be >= 1, got {self.scenarios}")
 
 
 @dataclass(frozen=True)
@@ -156,7 +168,7 @@ def parse_config(data: dict) -> RunConfig:
         sweep = SweepConfig(**_section(data, "sweep", asdict(SweepConfig())))
     except ConfigError:
         raise
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
     return RunConfig(circuit=circuit, link=link, rate_model=rate_model, seed=seed,
                      runs=runs, scenario=scenario, generator=generator, sweep=sweep)

@@ -48,18 +48,20 @@ The horizon picks how a step is computed.  A horizon of one segment and
 fewer than ``ARRAY_MIN_PACKETS`` arrivals steps with kernels that loop
 over Python floats.  Every other horizon, long or of several segments,
 steps with kernels that work on numpy arrays along the horizon, with
-the same arithmetic elementwise; only these know segments, and only
+the same arithmetic elementwise; only these know segments, and a lone
+long horizon is their one-segment case, with no code of its own.  Only
 the idle runs and the O(N) sweep stay loops there.  Both kernel sets
 share one Newton loop (the starts, the active set, the release rule and
-the tolerances) and one Thomas sweep, :func:`_sweep`.  The solve
-returns the point the loop stopped at: its powers, and its residuals as
-the trace.
+the tolerances) and one Thomas sweep, :func:`_sweep`, and each has one
+kernel per part of a step: the forward pass, the objective, the Newton
+step, the convergence and release test, the step bound and the trial
+point.  The solve returns the point the loop stopped at: its powers,
+and its residuals as the trace.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional
@@ -415,23 +417,23 @@ class _ScalarSteps:
         decrement = sum(grad[i] * step[i] for i in free)
         return w, grad, step, free, nxt, slope, decrement
 
-    def stationary(self, residuals, powers, w, grad, step, free, nxt):
-        """Whether the free residuals have converged (``STATIONARITY_TOL``),
-        as the flag of the horizon's one segment."""
+    def settle(self, residuals, powers, status, w, grad, step, free, nxt):
+        """(done, released): whether the point is optimal, its free residuals
+        converged (``STATIONARITY_TOL``) with nothing to release, and, once
+        they have converged, the idle arrivals whose relative multiplier is
+        below -RELEASE_TOL."""
         lengths, n = self.lengths, len(residuals)
 
         def rounding(e):
             """Relative rounding of epoch e's w: 1 + (store at its start) w / l."""
             stored = (residuals[e] if e < n else 0.0) + powers[e] * lengths[e]
             return 1.0 + stored * w[e] / lengths[e]
-        return (all(abs(grad[i]) <= STATIONARITY_TOL * w[i] * (rounding(i) + rounding(nxt[i]))
-                    or residuals[i] + step[i] == residuals[i] for i in free),)
-
-    def released(self, status, w, grad, settled):
-        """The idle arrivals whose relative multiplier is below -RELEASE_TOL
-        (called once the segment is ``settled``)."""
-        return [i for i, state in enumerate(status)
-                if state == IDLE and grad[i] / w[i] < -RELEASE_TOL]
+        if not all(abs(grad[i]) <= STATIONARITY_TOL * w[i] * (rounding(i) + rounding(nxt[i]))
+                   or residuals[i] + step[i] == residuals[i] for i in free):
+            return False, []
+        released = [i for i, state in enumerate(status)
+                    if state == IDLE and grad[i] / w[i] < -RELEASE_TOL]
+        return not released, released
 
     def step_bound(self, residuals, powers, grad, free, step, slope, nxt, decrement):
         """(t, blocking, decrement): the longest step of :func:`_line_search`,
@@ -468,12 +470,12 @@ class _ArraySteps:
     These kernels alone know segments: ``firsts`` holds each segment's
     first epoch, and a kernel that tests, bounds or scales a step does so
     segment by segment, in one pass over the horizon with each arrival's
-    segment an index.  A horizon of one segment takes shortcuts with the
-    same arithmetic.
+    segment an index.  A horizon of one segment runs the same code as a
+    joined batch.
 
-    Callers run it under ``np.errstate(all="ignore")``: the scalar
-    kernels' floats overflow to inf and turn inf - inf into NaN without a
-    warning, and so do these.
+    :func:`_optimal_residuals` runs every kernel under
+    ``np.errstate(all="ignore")``: the scalar kernels' floats overflow to
+    inf and turn inf - inf into NaN without a warning, and so do these.
     """
 
     def __init__(self, initial_energy, lengths, curves, gain, firsts):
@@ -551,7 +553,10 @@ class _ArraySteps:
         decrement = float(grad[free] @ step[free])
         return w, grad, step, free, nxt, slope, decrement
 
-    def stationary(self, residuals, powers, w, grad, step, free, nxt):
+    def settle(self, residuals, powers, status, w, grad, step, free, nxt):
+        """Segment by segment: each releases once its own free residuals
+        have converged, and the point is optimal once all have with none
+        to release."""
         lengths = self.lengths
         stored = powers * lengths
         stored[:-1] += residuals
@@ -559,15 +564,13 @@ class _ArraySteps:
         r = residuals[free]
         tolerance = STATIONARITY_TOL * w[free] * (rounding[free] + rounding[nxt[free]])
         converged = (np.abs(grad[free]) <= tolerance) | (r + step[free] == r)
-        if len(self.firsts) == 1:
-            return (bool(np.all(converged)),)
         settled = np.ones(len(self.firsts), bool)
         settled[self.segment[free[~converged]]] = False
-        return settled.tolist()
-
-    def released(self, status, w, grad, settled):
-        out = (status == IDLE) & (grad / w[:-1] < -RELEASE_TOL) & np.array(settled)[self.segment]
-        return out.nonzero()[0].tolist()
+        if not settled.any():
+            return False, []
+        released = ((status == IDLE) & (grad / w[:-1] < -RELEASE_TOL)
+                    & settled[self.segment]).nonzero()[0].tolist()
+        return bool(settled.all()) and not released, released
 
     def step_bound(self, residuals, powers, grad, free, step, slope, nxt, decrement):
         lengths, d = self.lengths, step[free]
@@ -578,16 +581,6 @@ class _ArraySteps:
         e = nxt[free]                   # distinct, so each += lands once
         change[e] += slope[free] * d / lengths[e]
         c, p = change[free], powers[free]
-        if len(self.firsts) == 1:
-            t = 1.0
-            if shrink.any():
-                t = min(t, float(np.min(reach * residuals[free][shrink] / -d[shrink])))
-            limits = (c < 0.0) & (p < -t * c)
-            if not limits.any():
-                return t, (), decrement
-            ratios = p[limits] / -c[limits]
-            j = int(np.argmin(ratios))
-            return float(ratios[j]), (int(free[limits][j]),), decrement
         # Each segment's own bound and limiting free arrival (or -1).
         segment = self.segment[free]
         bounds = np.ones(len(self.firsts))
@@ -659,12 +652,14 @@ def _optimal_residuals(initial_energy, lengths, curves, gain, e_max_root):
 
     A horizon of one segment and fewer than ``ARRAY_MIN_PACKETS``
     arrivals steps with :class:`_ScalarSteps`, every other one with
-    :class:`_ArraySteps`.  Once a segment is stationary, its idle epochs
-    with a negative multiplier are released and the step is taken again
-    from the new active set in the same iteration; the method stops when
-    every segment is stationary with nothing to release.  Returns
-    (residuals, powers, iterations, last Newton decrement) of the optimum,
-    the first two as the kernels built them: lists or arrays.
+    :class:`_ArraySteps`, both under ``np.errstate(all="ignore")``.  Each
+    iteration asks the kernels' ``settle`` whether the point is optimal
+    (every segment stationary with nothing to release) and which idle
+    epochs to release: those with a negative multiplier in a stationary
+    segment.  A release takes the step again from the new active set in
+    the same iteration.  Returns (residuals, powers, iterations, last
+    Newton decrement) of the optimum, the first two as the kernels built
+    them: lists or arrays.
     """
     # Where G is flat in floating point, whatever is left at the arrival
     # is lost to the full charge: the residual there is 0, and the
@@ -672,14 +667,14 @@ def _optimal_residuals(initial_energy, lengths, curves, gain, e_max_root):
     status = [EMPTY if a + s * e_max_root == a else FREE for a, s in curves]
     # each segment's first epoch
     firsts = [0, *(i + 1 for i, state in enumerate(status) if state == EMPTY)]
-    array = len(curves) >= ARRAY_MIN_PACKETS or len(firsts) > 1
-    steps = (_ArraySteps(initial_energy, lengths, curves, gain, firsts) if array
+    steps = (_ArraySteps(initial_energy, lengths, curves, gain, firsts)
+             if len(curves) >= ARRAY_MIN_PACKETS or len(firsts) > 1
              else _ScalarSteps(initial_energy, lengths, curves, gain))
     # the time left in its segment at each epoch's start
-    left = list(accumulate(reversed(lengths)))[::-1]
-    for lo, hi in zip(firsts, firsts[1:]):
-        left[lo:hi] = list(accumulate(reversed(lengths[lo:hi])))[::-1]
-    with np.errstate(all="ignore") if array else nullcontext():    # see _ArraySteps
+    left = []
+    for lo, hi in zip(firsts, [*firsts[1:], len(lengths)]):
+        left += list(accumulate(reversed(lengths[lo:hi])))[::-1]
+    with np.errstate(all="ignore"):    # see _ArraySteps
         best = (-math.inf,)
         for kept in ([0.5] * len(curves), [1.0 - l / rest for l, rest in zip(lengths, left)]):
             start, stored = [], initial_energy
@@ -696,16 +691,14 @@ def _optimal_residuals(initial_energy, lengths, curves, gain, e_max_root):
         decrement = math.inf
         for iteration in range(1, MAX_ITERATIONS + 1):
             w, grad, step, free, nxt, slope, decrement = steps.newton(residuals, powers, status)
-            settled = steps.stationary(residuals, powers, w, grad, step, free, nxt)
-            if True in settled:
-                released = steps.released(status, w, grad, settled)
-                if not released and False not in settled:
-                    return residuals, powers, iteration, decrement
-                if released:
-                    for i in released:
-                        status[i] = FREE
-                    w, grad, step, free, nxt, slope, decrement = steps.newton(
-                        residuals, powers, status)
+            done, released = steps.settle(residuals, powers, status, w, grad, step, free, nxt)
+            if done:
+                return residuals, powers, iteration, decrement
+            if released:
+                for i in released:
+                    status[i] = FREE
+                w, grad, step, free, nxt, slope, decrement = steps.newton(
+                    residuals, powers, status)
 
             moved = _line_search(steps, residuals, powers, status, value, grad, free, step,
                                  slope, nxt, decrement)

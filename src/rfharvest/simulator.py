@@ -245,6 +245,12 @@ class ExperimentConfig:
             raise ConfigError("mean_harvest must be finite and >= 0")
         if self.packet_count < 0:
             raise ConfigError("packet_count must be >= 0")
+        # the drawn epochs, each up to the mean times 1 + UNIFORM_HALFWIDTH,
+        # must add up to a finite deadline
+        if not ((self.packet_count + 1) * self.mean_epoch_length * (1.0 + UNIFORM_HALFWIDTH)
+                < math.inf):
+            raise ConfigError(f"mean_epoch_length {self.mean_epoch_length} s makes the drawn "
+                              f"horizon of {self.packet_count + 1} epochs overflow")
         if not 0 <= self.initial_energy:
             raise ConfigError("initial_energy must be >= 0")
         # the draw's tunnel refuses an increment above the usable

@@ -277,6 +277,27 @@ class TestSweepCommand:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("figure, sweep, message", [
+        ("fig5", "{capacitances: [0.04, -0.06]}", "sweep.capacitances must list finite"),
+        ("fig5", "{capacitances: [.nan]}", "sweep.capacitances must list finite"),
+        ("fig6", "{epoch_lengths: [.inf]}", "sweep.epoch_lengths must list finite"),
+        ("fig6", "{epoch_lengths: []}", "sweep.epoch_lengths must list finite"),
+        ("fig8", "{impact_epochs: []}", "sweep.impact_epochs must not be empty"),
+        ("fig8", "{scenarios: -1}", "sweep.scenarios must be >= 1"),
+        ("fig8", "{scenarios: 0}", "sweep.scenarios must be >= 1"),
+    ], ids=["negative_capacitance", "nan_capacitance", "infinite_epoch_length",
+            "no_epoch_lengths", "no_impact_epochs", "negative_scenarios", "no_scenarios"])
+    def test_bad_sweep_axis_exits_2(self, tmp_path, capsys, figure, sweep, message):
+        # refused when the config is parsed, not by a traceback or a CSV
+        # without rows from the figure that reads the axis
+        path = tmp_path / "cfg.yaml"
+        path.write_text(f"runs: 2\nsweep: {sweep}\n")
+        rc = main(["sweep", "--config", str(path), "--figure", figure,
+                   "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_fig6_deterministic(self, tmp_path):
         path = tmp_path / "cfg.yaml"
         path.write_text("seed: 5\nruns: 2\n"
@@ -305,11 +326,15 @@ class TestSweepCommand:
                                            "{mean_harvest: -0.01}",
                                            "{packet_count: -1}",
                                            "{mean_epoch_length: .inf}",
-                                           "{mean_harvest: .nan}"],
+                                           "{mean_harvest: .nan}",
+                                           "{mean_epoch_length: 1.5e+308}",
+                                           "{mean_epoch_length: 2.0e+307}",
+                                           "{packet_count: .inf}"],
                              ids=["above_cap", "above_e_max", "lowest_draw_above_cap",
                                   "zero_epoch_length", "negative_harvest",
                                   "negative_packet_count", "infinite_epoch_length",
-                                  "nan_harvest"])
+                                  "nan_harvest", "overflowing_epoch_draw",
+                                  "overflowing_horizon", "infinite_packet_count"])
     def test_config_that_never_generates_exits_2(self, tmp_path, capsys, generator):
         path = tmp_path / "cfg.yaml"
         path.write_text(f"runs: 2\ngenerator: {generator}\n")

@@ -834,6 +834,32 @@ class TestBatchedSolve:
                                     (8.057643082842558, 0.18818636957024704)))]
         self.assert_batch(scenarios, scheduling._solve_batch(scenarios, SIM), SIM, 1.0)
 
+    @pytest.mark.parametrize("draw", range(5))
+    @pytest.mark.parametrize("trio_first", [True, False])
+    def test_zero_step_bound_in_one_segment(self, monkeypatch, draw, trio_first):
+        # the trio's step bound is 0 (a released epoch the step would
+        # drain) while the other member's is not: only the trio's epoch
+        # blocks, and each member still reaches its lone optimum
+        rng = np.random.default_rng([7, 0])
+        other = [heterogeneous_horizon(rng, SIM, 6) for _ in range(draw + 1)][-1]
+        scenarios = [released_trio(), other] if trio_first else [other, released_trio()]
+        trio = range(0, 6) if trio_first else range(7, 13)     # the trio's arrivals
+        zero_bounds = []
+        bound = scheduling._ArraySteps.step_bound
+
+        def spied(self, *args):
+            t, blocking, decrement = bound(self, *args)
+            if t == 0.0:
+                zero_bounds.append(list(blocking))
+            return t, blocking, decrement
+
+        monkeypatch.setattr(scheduling._ArraySteps, "step_bound", spied)
+        reports = scheduling._solve_batch(scenarios, SIM, 1e-3)
+        assert zero_bounds and all(len(blocking) == 1 and blocking[0] in trio
+                                   for blocking in zero_bounds)
+        for scenario, batched in zip(scenarios, reports):
+            self.assert_lone_optimum(scenario, batched, solve(scenario, SIM, 1e-3), SIM, 1e-3)
+
     def test_idle_heavy_batch_takes_its_slowest_members_steps(self):
         # each member bounds its own step and releases its own idle epochs:
         # one bound shared by the whole batch took over a hundred steps here

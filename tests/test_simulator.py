@@ -333,6 +333,16 @@ class TestGenerateScenario:
         with pytest.raises(ConfigError, match=f"{field} must be finite"):
             medium_config(sim_circuit, **{field: value})
 
+    @pytest.mark.parametrize("value", [1.5e308, 2.0e307])
+    def test_overflowing_draw_horizon_is_refused(self, sim_circuit, value):
+        # seven epochs of up to the mean times 1 + UNIFORM_HALFWIDTH could
+        # add up past the largest float: at 1.5e308 numpy's uniform draw
+        # raises OverflowError, and at N = 8 a 2e307 draw's deadline is inf
+        with pytest.raises(ConfigError, match="mean_epoch_length .* overflow"):
+            medium_config(sim_circuit, mean_epoch_length=value)
+        medium_config(sim_circuit, mean_epoch_length=value / 7.0 / (1.0 + UNIFORM_HALFWIDTH)
+                      / (1.0 + 1e-15))
+
 
 def lone_draws(config, count, generate=generate_scenario):
     """Each run drawn alone, run k from ``default_rng([seed, k])``."""
