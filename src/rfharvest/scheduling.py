@@ -53,10 +53,12 @@ long horizon is their one-segment case, with no code of its own.  Only
 the idle runs and the O(N) sweep stay loops there.  Both kernel sets
 share one Newton loop (the starts, the active set, the release rule and
 the tolerances) and one Thomas sweep, :func:`_sweep`, and each has one
-kernel per part of a step: the forward pass, the objective, the Newton
-step, the convergence and release test, the step bound and the trial
-point.  The solve returns the point the loop stopped at: its powers,
-and its residuals as the trace.
+kernel per part of a step: the forward pass, which also scores the
+point, the Newton step, the convergence and release test, the step
+bound and the trial point.  The solve returns the point the loop stopped
+at: its powers, and its residuals as the trace.  The set's last kernel
+builds that report in its own containers, so a lone short solve stays
+in Python floats but for the sum of its bits.
 """
 
 from __future__ import annotations
@@ -335,35 +337,36 @@ class _ScalarSteps:
             initial_energy, lengths, curves, gain)
 
     def forward(self, residuals, status):
-        """(residuals, powers, status) of the point the free residuals set.
+        """(residuals, powers, status, value) of the point the free residuals
+        set, its value sum_i l_i ln(1 + g p_i) (the throughput in bits times
+        2 ln 2) added up from the first epoch on.
 
         An idle arrival takes the store before it.  A free residual at or
         above the store before it would leave its epoch no power, so it
         turns idle (in a new status list); so does one at 0, where the
         Newton step is undefined.
         """
-        lengths = self.lengths
+        lengths, gain, log1p, sqrt = self.lengths, self.gain, math.log1p, math.sqrt
         n = len(status)
         status = list(status)
         out, powers = [0.0] * n, [0.0] * (n + 1)
-        stored = self.initial_energy
+        stored, value = self.initial_energy, 0.0
         for i, (a, s) in enumerate(self.curves):
             r = residuals[i]
             if status[i] == FREE and not 0.0 < r < stored:
                 status[i] = IDLE
             if status[i] == IDLE:
                 r = stored
-            powers[i] = (stored - r) / lengths[i]
-            root = a + s * math.sqrt(r)
+            l = lengths[i]
+            powers[i] = p = (stored - r) / l
+            value += l * log1p(gain * p)
+            root = a + s * sqrt(r)
             stored = root * root
             out[i] = r
-        powers[n] = stored / lengths[n]
-        return out, powers, status
-
-    def objective(self, powers):
-        """sum_i l_i ln(1 + g p_i): the throughput in bits times 2 ln 2."""
-        gain = self.gain
-        return sum(l * math.log1p(gain * p) for l, p in zip(self.lengths, powers))
+        l = lengths[n]
+        powers[n] = p = stored / l
+        value += l * log1p(gain * p)
+        return out, powers, status, value
 
     def newton(self, residuals, powers, status):
         """Gradient and Newton step of F = sum_e l_e ln(1 + g p_e) in r.
@@ -375,42 +378,46 @@ class _ScalarSteps:
         nxt, slope, decrement): ``step`` is 0 off the ``free`` arrivals,
         slope is T', decrement the step's predicted rise grad . step.
         """
-        lengths, curves = self.lengths, self.curves
+        lengths, curves, gain, sqrt = self.lengths, self.curves, self.gain, math.sqrt
         n = len(status)
-        w = [self.gain / (1.0 + self.gain * p) for p in powers]
-        slope, bend, nxt = [0.0] * n, [0.0] * n, [0] * n
+        w = [gain / (1.0 + gain * p) for p in powers]
+        slope, nxt, grad = [0.0] * n, [0] * n, [0.0] * n
+        # One backward pass.  T', T'' and e chain back through each idle run
+        # from the arrival after it, and each free arrival adds its row of
+        # _sweep.  No arrival is empty, so e is the next free arrival or the
+        # last epoch, and a row's t is the T' of the free arrival before it.
+        rows, free = [], []
+        g1 = g2 = 0.0
+        e, chained = n, False           # arrival i + 1's e, and whether it is idle
         for i in range(n - 1, -1, -1):
             r, (a, s) = residuals[i], curves[i]
             c = a * s                        # G'(r) = c / sqrt(r) + s^2
             if c == 0.0:
-                g1, g2 = s * s, 0.0
+                h1, h2 = s * s, 0.0
             elif r == 0.0:
                 # only where no free residual feeds the store (it stays 0)
-                g1, g2 = math.inf, -math.inf
+                h1, h2 = math.inf, -math.inf
             else:
-                g1 = c / math.sqrt(r)
-                g2 = -0.5 * g1 / r
-                g1 += s * s
-            if i + 1 < n and status[i + 1] == IDLE:
-                bend[i] = bend[i + 1] * g1 * g1 + slope[i + 1] * g2
-                slope[i] = slope[i + 1] * g1
-                nxt[i] = nxt[i + 1]
+                h1 = c / sqrt(r)
+                h2 = -0.5 * h1 / r
+                h1 += s * s
+            if chained:
+                g1, g2 = g1 * h1, g2 * h1 * h1 + g1 * h2
             else:
-                slope[i], bend[i], nxt[i] = g1, g2, i + 1
-        grad = [slope[i] * w[nxt[i]] - w[i] for i in range(n)]
-
-        free = [i for i in range(n) if status[i] == FREE]
-        rows = []           # the rows of _sweep
-        for j, i in enumerate(free):
-            e = nxt[i]
-            rows.append((
-                w[i] * w[i] / lengths[i],
-                slope[free[j - 1]] if j and nxt[free[j - 1]] == i else 0.0,
-                bend[i] * w[e],
-                0.5 * grad[i] / residuals[i] if grad[i] < 0.0 else 0.0,
-                slope[i] * slope[i] * w[e] * w[e] / lengths[e]
-                if e == n or status[e] != FREE else 0.0,
-                grad[i]))
+                g1, g2, e = h1, h2, i + 1
+            slope[i], nxt[i] = g1, e
+            we, wi = w[e], w[i]
+            grad[i] = g = g1 * we - wi
+            chained = status[i] == IDLE
+            if not chained:
+                if rows:
+                    rows[-1][1] = g1
+                rows.append([wi * wi / lengths[i], 0.0, g2 * we,
+                             0.5 * g / r if g < 0.0 else 0.0,
+                             g1 * g1 * we * we / lengths[e] if e == n else 0.0, g])
+                free.append(i)
+        rows.reverse()
+        free.reverse()
         step = [0.0] * n
         for i, d in zip(free, _sweep(rows)):
             step[i] = d
@@ -457,6 +464,30 @@ class _ScalarSteps:
         """The residuals after a step t in u = sqrt(r)."""
         return [r + t * d + 0.25 * (t * d) ** 2 / r if d else r
                 for r, d in zip(residuals, step)]
+
+    def report(self, residuals, powers, maps, initial_energies, e_max):
+        """The lone member's (powers, residuals, harvested, consumed, bits),
+        as :func:`_solve_batch` reports them, with bits None where the trace
+        fails :func:`check_feasibility`'s test.  The harvests are
+        :func:`_harvest_value`'s operations in ``math``, and the tests
+        :func:`_violations`' in floats; only the bits go through numpy.
+        """
+        root_e_max, slack = math.sqrt(e_max), 1e-9 * e_max
+        harvested = []
+        for r, (q, s) in zip(residuals, maps[0]):
+            u = math.sqrt(r)
+            captured = q * (root_e_max - u) * (root_e_max * q + (1.0 + s) * u)
+            full = q * (e_max - r)
+            harvested.append(captured if captured < full else full)    # np.minimum's pick
+        consumed = [p * l for p, l in zip(powers, self.lengths)]
+        held = residuals[-1] + harvested[-1] if residuals else initial_energies[0]
+        residuals = [*residuals, held - consumed[-1]]
+        top = e_max + slack
+        feasible = not (any(r < -slack for r in residuals)
+                        or any(r + h > top for r, h in zip(residuals, harvested)))
+        bits = (float(_bits(np.array(powers), np.array(self.lengths), self.gain))
+                if feasible else None)
+        return [(powers, residuals, harvested, consumed, bits)]
 
 
 class _ArraySteps:
@@ -516,10 +547,7 @@ class _ArraySteps:
             end = i
         powers = stored / self.lengths          # the last epoch drains the store
         powers[:n] = (stored[:n] - out) / self.lengths[:n]
-        return out, powers, status
-
-    def objective(self, powers):
-        return float(self.lengths @ np.log1p(self.gain * powers))
+        return out, powers, status, float(self.lengths @ np.log1p(self.gain * powers))
 
     def newton(self, residuals, powers, status):
         n, lengths = len(self.curves), self.lengths
@@ -581,18 +609,26 @@ class _ArraySteps:
         e = nxt[free]                   # distinct, so each += lands once
         change[e] += slope[free] * d / lengths[e]
         c, p = change[free], powers[free]
-        # Each segment's own bound and limiting free arrival (or -1).
+        # Each segment's own bound and limiting free arrival (or -1).  free
+        # is sorted, so a segment's free arrivals are one run of it.
         segment = self.segment[free]
         bounds = np.ones(len(self.firsts))
-        np.minimum.at(bounds, segment[shrink], reach * residuals[free][shrink] / -d[shrink])
-        limits = (c < 0.0) & (p < -bounds[segment] * c)
-        ratios, limited = p[limits] / -c[limits], segment[limits]
-        # each segment's first smallest ratio, as np.argmin picks it
-        order = np.lexsort((ratios, limited))
-        first = order[np.diff(limited[order], prepend=-1) != 0]
         blocking = np.full(len(bounds), -1)
-        bounds[limited[first]] = ratios[first]
-        blocking[limited[first]] = free[limits][first]
+        if free.size:
+            opens = np.empty(free.size, bool)
+            opens[0] = True
+            np.not_equal(segment[1:], segment[:-1], out=opens[1:])
+            starts = opens.nonzero()[0]
+            bounds[segment[starts]] = np.minimum(np.minimum.reduceat(
+                np.where(shrink, reach * residuals[free] / -d, 1.0), starts), 1.0)
+        limits = ((c < 0.0) & (p < -bounds[segment] * c)).nonzero()[0]
+        if limits.size:
+            ratios, limited = p[limits] / -c[limits], segment[limits]
+            # each segment's first smallest ratio, as np.argmin picks it
+            order = np.lexsort((ratios, limited))
+            first = order[np.diff(limited[order], prepend=-1) != 0]
+            bounds[limited[first]] = ratios[first]
+            blocking[limited[first]] = free[limits[first]]
         # t is the longest bound, and each segment's part of the step is
         # scaled in place so that t takes it to its own.  A bound of 0
         # gives t = 0, blocking only there.
@@ -609,6 +645,25 @@ class _ArraySteps:
         r, d = residuals[free], t * step[free]
         out[free] = r + d + 0.25 * (d * d) / r
         return out
+
+    def report(self, residuals, powers, maps, initial_energies, e_max):
+        """Each member's row, from B x (N + 1) arrays of the joined horizon:
+        a member's last column holds its residual at the deadline."""
+        size, n = len(maps), len(maps[0])
+        residuals = np.concatenate((residuals, (0.0,))).reshape(size, n + 1)
+        powers = powers.reshape(size, n + 1)
+        lengths = self.lengths.reshape(size, n + 1)
+        harvested = _harvest_value(np.array(maps).reshape(size, n, 2).transpose(2, 0, 1), e_max,
+                                   math.sqrt(e_max), residuals[:, :-1])
+        consumed = powers * lengths
+        held = residuals[:, -2] + harvested[:, -1] if n else np.array(initial_energies)
+        residuals[:, -1] = held - consumed[:, -1]
+        causality, capacity = _violations(residuals, harvested, e_max)
+        feasible = ~(causality.any(axis=1) | capacity.any(axis=1))
+        bits = _bits(np.where(feasible[:, None], powers, 0.0), lengths, self.gain)
+        return [(powers[k].tolist(), residuals[k].tolist(), harvested[k].tolist(),
+                 consumed[k].tolist(), float(bits[k]) if feasible[k] else None)
+                for k in range(size)]
 
 
 def _line_search(steps, residuals, powers, status, value, grad, free, step, slope, nxt,
@@ -639,8 +694,7 @@ def _line_search(steps, residuals, powers, status, value, grad, free, step, slop
         trial = steps.trial(residuals, step, free, t)
         for i in blocking:
             trial[i] = math.inf           # at or above the store: idle
-        trial, trial_powers, trial_status = steps.forward(trial, status)
-        trial_value = steps.objective(trial_powers)
+        trial, trial_powers, trial_status, trial_value = steps.forward(trial, status)
         if trial_value >= value + ARMIJO * t * decrement - OBJECTIVE_ROUNDING * value:
             return trial, trial_powers, trial_status, trial_value
         t, blocking = 0.5 * t, ()
@@ -657,9 +711,9 @@ def _optimal_residuals(initial_energy, lengths, curves, gain, e_max_root):
     (every segment stationary with nothing to release) and which idle
     epochs to release: those with a negative multiplier in a stationary
     segment.  A release takes the step again from the new active set in
-    the same iteration.  Returns (residuals, powers, iterations, last
-    Newton decrement) of the optimum, the first two as the kernels built
-    them: lists or arrays.
+    the same iteration.  Returns (kernels, residuals, powers, iterations,
+    last Newton decrement) of the optimum, the point as the kernels built
+    it, lists or arrays, for their ``report``.
     """
     # Where G is flat in floating point, whatever is left at the arrival
     # is lost to the full charge: the residual there is 0, and the
@@ -683,9 +737,8 @@ def _optimal_residuals(initial_energy, lengths, curves, gain, e_max_root):
                 root = a + s * math.sqrt(start[-1])
                 stored = root * root
             point = steps.forward(start, status)
-            value = steps.objective(point[1])
-            if value > best[-1]:
-                best = (*point, value)
+            if point[-1] > best[-1]:
+                best = point
         residuals, powers, status, value = best
 
         decrement = math.inf
@@ -693,7 +746,7 @@ def _optimal_residuals(initial_energy, lengths, curves, gain, e_max_root):
             w, grad, step, free, nxt, slope, decrement = steps.newton(residuals, powers, status)
             done, released = steps.settle(residuals, powers, status, w, grad, step, free, nxt)
             if done:
-                return residuals, powers, iteration, decrement
+                return steps, residuals, powers, iteration, decrement
             if released:
                 for i in released:
                     status[i] = FREE
@@ -760,50 +813,37 @@ def _solve_batch(scenarios, circuit: ChargeCircuit, gain: float = 1.0) -> list:
         raise ValueError(f"gain must be finite and > 0, got {gain}")
     if any(scenario.initial_energy > circuit.e_max for scenario in scenarios):
         raise ValueError("initial_energy exceeds the battery capacity e_max")
-    size, n = len(scenarios), scenarios[0].n_packets
+    size = len(scenarios)
     e_max_root = math.sqrt(circuit.e_max)
     maps = [_charge_maps([d for _, d in scenario.packets], circuit) for scenario in scenarios]
-    bounds = np.array([(0.0, *(t for t, _ in scenario.packets), scenario.deadline)
-                       for scenario in scenarios])
-    lengths = np.diff(bounds)
+    bounds = [[0.0, *(t for t, _ in scenario.packets), float(scenario.deadline)]
+              for scenario in scenarios]
+    lengths = [b - a for row in bounds for a, b in zip(row, row[1:])]   # np.diff's bits
     curves = []         # (a, s) of G(r) = (a + s sqrt r)^2
     for k, (scenario, charges) in enumerate(zip(scenarios, maps)):
         if k:
             curves.append((math.sqrt(scenario.initial_energy), 0.0))
         curves += [(e_max_root * q, s) for q, s in charges]
     try:
-        residuals, powers, iterations, decrement = _optimal_residuals(
-            scenarios[0].initial_energy, lengths.ravel().tolist(), curves, gain, e_max_root)
+        steps, residuals, powers, iterations, decrement = _optimal_residuals(
+            scenarios[0].initial_energy, lengths, curves, gain, e_max_root)
     except SolverError as error:
         return [error] if size == 1 else [_solve_batch([scenario], circuit, gain)[0]
                                            for scenario in scenarios]
-    # One row per member.  The trace holds the residuals, each packet's
-    # harvest at them and p l; the residual at the deadline, in the last
-    # column, is the trace's own balance.
-    residuals = np.concatenate((residuals, (0.0,))).reshape(size, n + 1)
-    powers = np.asarray(powers).reshape(size, n + 1)
-    e_max = circuit.e_max
-    harvested = _harvest_value(np.array(maps).reshape(size, n, 2).transpose(2, 0, 1), e_max,
-                               e_max_root, residuals[:, :-1])
-    consumed = powers * lengths
-    held = (residuals[:, -2] + harvested[:, -1] if n
-            else np.array([scenario.initial_energy for scenario in scenarios]))
-    residuals[:, -1] = held - consumed[:, -1]
-    causality, capacity = _violations(residuals, harvested, e_max)
-    feasible = ~(causality.any(axis=1) | capacity.any(axis=1))
-    bits = _bits(np.where(feasible[:, None], powers, 0.0), lengths, gain)
+    # The trace holds the residuals, each packet's harvest at them and
+    # p l; the residual at the deadline is the trace's own balance.
+    rows = steps.report(residuals, powers, maps,
+                        [scenario.initial_energy for scenario in scenarios], circuit.e_max)
     out = []
-    for k, scenario in enumerate(scenarios):
-        schedule = TransmissionSchedule(powers=powers[k].tolist(),
-                                        epoch_bounds=bounds[k].tolist())
-        trace = HarvestTrace(residuals=residuals[k].tolist(),
-                             harvested=harvested[k].tolist(),
-                             consumed=consumed[k].tolist())
-        if feasible[k]:
+    for scenario, epoch_bounds, (powers, residuals, harvested, consumed, bits) in zip(
+            scenarios, bounds, rows):
+        schedule = TransmissionSchedule(powers=powers, epoch_bounds=epoch_bounds)
+        trace = HarvestTrace(residuals=residuals, harvested=harvested, consumed=consumed)
+        if bits is not None:
             out.append(SolveReport(
                 schedule=schedule,
                 trace=trace,
-                throughput=float(bits[k]),
+                throughput=bits,
                 iterations=iterations,
                 newton_decrement=decrement,
                 terminal_residual_error=abs(trace.terminal_residual),

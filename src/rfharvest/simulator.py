@@ -459,7 +459,8 @@ def monte_carlo(config: ExperimentConfig,
     reports' own throughput and trace; every other strategy is replayed
     through :func:`evaluate_strategy`, once per run, the tight string
     being the schedule the run's draw handed out.  A scenario the
-    solver fails on raises its SolverError.
+    solver fails on raises its SolverError, and a sweep point its
+    ExperimentConfig refuses a ConfigError that names the axis and value.
 
     Returns a list of row dicts, one per (sweep value, strategy).
     """
@@ -470,31 +471,33 @@ def monte_carlo(config: ExperimentConfig,
         points = [(None, config)]
     elif sweep_values is None:
         raise ValueError(f"sweep axis {sweep_axis!r} needs sweep_values")
-    elif sweep_axis == "mean_epoch_length":
-        # Scaling the drawn harvest along with the arrival spacing keeps
-        # the energy density (joules arriving per second) constant; the
-        # battery's initial charge is state, not arrival process, and
-        # stays fixed.
-        scale_base = config.mean_epoch_length
-        points = [
-            (value, replace(
-                config,
-                mean_epoch_length=value,
-                mean_harvest=config.mean_harvest * value / scale_base,
-            ))
-            for value in sweep_values
-        ]
-    elif sweep_axis == "capacitance":
-        points = [
-            (value, replace(config, circuit=ChargeCircuit(
-                resistance=config.circuit.resistance,
-                capacitance=value,
-                v_max=config.circuit.v_max,
-            )))
-            for value in sweep_values
-        ]
     else:
-        raise ValueError(f"unknown sweep axis {sweep_axis!r}")
+        if sweep_axis == "mean_epoch_length":
+            # Scaling the drawn harvest along with the arrival spacing keeps
+            # the energy density (joules arriving per second) constant; the
+            # battery's initial charge is state, not arrival process, and
+            # stays fixed.
+            scale_base = config.mean_epoch_length
+
+            def scaled(value):
+                return replace(config, mean_epoch_length=value,
+                               mean_harvest=config.mean_harvest * value / scale_base)
+        elif sweep_axis == "capacitance":
+            def scaled(value):
+                return replace(config, circuit=ChargeCircuit(
+                    resistance=config.circuit.resistance,
+                    capacitance=value,
+                    v_max=config.circuit.v_max,
+                ))
+        else:
+            raise ValueError(f"unknown sweep axis {sweep_axis!r}")
+        points = []
+        for value in sweep_values:
+            # the scaled point may refuse a key the config never set
+            try:
+                points.append((value, scaled(value)))
+            except ConfigError as exc:
+                raise ConfigError(f"sweep point {sweep_axis}={value!r}: {exc}") from exc
 
     rows = []
     for value, point in points:

@@ -285,10 +285,17 @@ class TestSweepCommand:
         ("fig8", "{impact_epochs: []}", "sweep.impact_epochs must not be empty"),
         ("fig8", "{scenarios: -1}", "sweep.scenarios must be >= 1"),
         ("fig8", "{scenarios: 0}", "sweep.scenarios must be >= 1"),
+        # a finite epoch length that scales the drawn harvest past what the
+        # scaled point accepts: its error names the sweep point
+        ("fig6", "{epoch_lengths: [1.0e+308]}",
+         "sweep point mean_epoch_length=1e+308: mean_harvest must be finite and >= 0"),
+        ("fig5", "{epoch_lengths: [0.006, 1.0e+300]}",
+         "sweep point mean_epoch_length=1e+300: every harvest draw exceeds the usable capacity"),
     ], ids=["negative_capacitance", "nan_capacitance", "infinite_epoch_length",
-            "no_epoch_lengths", "no_impact_epochs", "negative_scenarios", "no_scenarios"])
+            "no_epoch_lengths", "no_impact_epochs", "negative_scenarios", "no_scenarios",
+            "overflowing_harvest", "overfull_harvest"])
     def test_bad_sweep_axis_exits_2(self, tmp_path, capsys, figure, sweep, message):
-        # refused when the config is parsed, not by a traceback or a CSV
+        # refused before any point runs, not by a traceback or a CSV
         # without rows from the figure that reads the axis
         path = tmp_path / "cfg.yaml"
         path.write_text(f"runs: 2\nsweep: {sweep}\n")

@@ -1,3 +1,4 @@
+import bisect
 import math
 from pathlib import Path
 
@@ -567,6 +568,136 @@ class TestKernelSets:
             assert not any(isinstance(report, SolverError)
                            for report in scheduling._solve_batch(scenarios, sim_circuit))
             assert built == [kernels]
+
+
+def looped_step_bound(firsts, lengths, residuals, powers, free, step, slope, nxt):
+    """Each segment's (bound, blocking free arrival or -1) of the step, in a
+    plain loop: the least of 1 and the boundary bounds of its shrinking free
+    residuals, unless the step drains a free epoch's power first; then the
+    first smallest such ratio."""
+    segment = [bisect.bisect_right(firsts, i) - 1 for i in range(len(residuals))]
+    reach = 2.0 * (1.0 - math.sqrt(scheduling.BOUNDARY_FRACTION))
+    change = [0.0] * len(powers)
+    for i in free:
+        change[i] -= step[i] / lengths[i]
+    for i in free:
+        change[nxt[i]] += slope[i] * step[i] / lengths[nxt[i]]
+    bounds, blocking = [1.0] * len(firsts), [-1] * len(firsts)
+    for i in free:
+        if step[i] < 0.0:
+            bounds[segment[i]] = min(bounds[segment[i]], reach * residuals[i] / -step[i])
+    drained = {}
+    for i in free:
+        k, c = segment[i], change[i]
+        if c < 0.0 and powers[i] < -bounds[k] * c and (
+                k not in drained or powers[i] / -c < drained[k][0]):
+            drained[k] = (powers[i] / -c, i)
+    for k, (ratio, i) in drained.items():
+        bounds[k], blocking[k] = ratio, i
+    return bounds, blocking
+
+
+def test_step_bound_takes_each_segments_first_smallest_ratio():
+    # powers and steps from a few values, so that ratios tie within a
+    # segment; segments of one arrival and segments with no free arrival
+    rng = np.random.default_rng([11, 0])
+    for _ in range(300):
+        n = int(rng.integers(1, 30))
+        firsts = sorted({0, *rng.integers(1, n + 1, int(rng.integers(0, 5))).tolist()} - {n})
+        lengths = rng.choice([0.5, 1.0, 2.0], n + 1)
+        kernels = scheduling._ArraySteps(0.1, lengths.tolist(), [(0.3, 0.5)] * n, 1.0, firsts)
+        status = np.where(rng.random(n) < 0.3, scheduling.IDLE, scheduling.FREE)
+        free = (status == scheduling.FREE).nonzero()[0]
+        residuals = rng.choice([0.25, 0.5, 1.0], n)
+        powers = rng.choice([0.0, 0.25, 0.5], n + 1)
+        step = np.where(status == scheduling.FREE,
+                        rng.choice([-2.0, -1.0, -0.25, 0.0, 0.5], n), 0.0)
+        slope = rng.choice([0.5, 1.0], n)
+        nxt = np.arange(1, n + 1)
+        for i in range(n - 2, -1, -1):
+            if status[i + 1] == scheduling.IDLE:
+                nxt[i] = nxt[i + 1]
+        bounds, blocking = looped_step_bound(firsts, lengths.tolist(), residuals.tolist(),
+                                             powers.tolist(), free.tolist(), step.tolist(),
+                                             slope.tolist(), nxt.tolist())
+        with np.errstate(all="ignore"):
+            t, blocked, _ = kernels.step_bound(residuals, powers, np.zeros(n), free, step.copy(),
+                                               slope, nxt, 0.0)
+        assert t == (0.0 if min(bounds) == 0.0 else max(bounds))
+        assert blocked == [i for k, i in enumerate(blocking)
+                           if i >= 0 and (t > 0.0 or bounds[k] == 0.0)]
+
+
+def empty_store():
+    """N = 3 from an empty store: the first epoch has nothing to spend."""
+    return EnergyScenario(initial_energy=0.0, packets=((1.0, 2.0), (2.0, 1.0), (3.5, 0.5)),
+                          deadline=5.0)
+
+
+class TestReports:
+    """A lone short horizon builds its report in Python floats
+    (``_ScalarSteps.report``), every other one in numpy
+    (``_ArraySteps.report``); the trace of either is checked the same way."""
+
+    @staticmethod
+    def report_cases(circuit):
+        cases = [(reference_horizon(circuit, n, 0), 1.0) for n in (8, 32)]
+        cases += [(released_trio(), 1e-3), (empty_store(), 1.0)]
+        for gain in (1e-3, 1.0, 2.7e8):
+            rng = np.random.default_rng([3, 0])
+            cases += [(heterogeneous_scenario(rng, circuit, 5), gain) for _ in range(40)]
+        # fuzz draws 34 and 178 end an epoch near a full store, where the
+        # harvest takes its q (e_max - r) cap
+        rng = np.random.default_rng([8, 0])
+        fuzz = [fuzz_scenario(rng, circuit) for _ in range(179)]
+        return cases + [fuzz[34], fuzz[178]]
+
+    def test_float_and_numpy_reports_agree(self, sim_circuit, monkeypatch):
+        # the numpy report of the point the scalar kernels converged to
+        # holds the same floats, field by field
+        cases = self.report_cases(sim_circuit)
+        floats = [solve(scenario, sim_circuit, gain) for scenario, gain in cases]
+        optimal = scheduling._optimal_residuals
+
+        def as_arrays(*args):
+            steps, residuals, powers, iterations, decrement = optimal(*args)
+            assert isinstance(steps, scheduling._ScalarSteps)
+            arrays = scheduling._ArraySteps(steps.initial_energy, steps.lengths, steps.curves,
+                                            steps.gain, [0])
+            return arrays, np.array(residuals), np.array(powers), iterations, decrement
+
+        monkeypatch.setattr(scheduling, "_optimal_residuals", as_arrays)
+        for (scenario, gain), report in zip(cases, floats):
+            assert repr(solve(scenario, sim_circuit, gain)) == repr(report)
+        first = floats[3].schedule.powers      # the empty store's
+        assert first[0] == 0.0 and first[-1] > 0.0
+
+    @pytest.mark.parametrize("n_packets", [8, 256], ids=["floats", "numpy"])
+    @pytest.mark.parametrize("overdraw, violated", [
+        ("terminal", "causality"), ("overfull", "capacity")])
+    def test_optimum_that_fails_the_check(self, sim_circuit, monkeypatch, n_packets, overdraw,
+                                          violated):
+        # the last epoch spends more than the store holds, or arrival 3
+        # holds 1.5 e_max: the solve raises with the first failing epoch
+        scenario = reference_horizon(sim_circuit, n_packets, 0)
+        iterations = solve(scenario, sim_circuit).iterations
+        optimal = scheduling._optimal_residuals
+
+        def overdrawn(*args):
+            steps, residuals, powers, iterations, decrement = optimal(*args)
+            if overdraw == "terminal":
+                powers[-1] *= 1.001
+            else:
+                residuals[3] = 1.5 * sim_circuit.e_max
+            return steps, residuals, powers, iterations, decrement
+
+        monkeypatch.setattr(scheduling, "_optimal_residuals", overdrawn)
+        with pytest.raises(SolverError, match="fails the feasibility check") as excinfo:
+            solve(scenario, sim_circuit)
+        diagnostics = excinfo.value.diagnostics
+        assert diagnostics["violated"] == violated
+        assert diagnostics["epoch"] == (n_packets + 1 if overdraw == "terminal" else 4)
+        assert diagnostics["iterations"] == iterations
 
 
 SIM = ChargeCircuit(resistance=4000.0, capacitance=0.05, v_max=2.5)
