@@ -52,7 +52,16 @@ MAX_CHARGE_TIME_CONSTANTS = 50.0
 
 @dataclass(frozen=True)
 class ChargeCircuit:
-    """Physical parameters of the harvesting RC circuit."""
+    """Physical parameters of the harvesting RC circuit.
+
+    The derived constants are set once, at construction, as plain
+    attributes that are not dataclass fields (so ``asdict``, ``repr``,
+    equality and hashing see the three parameters alone, and
+    ``dataclasses.replace`` recomputes them):
+
+    * ``tau``: the charging time constant R*C in seconds;
+    * ``e_max``: the highest storable energy 0.5*C*v_max^2 in joules.
+    """
 
     resistance: float   # ohms
     capacitance: float  # farads
@@ -63,16 +72,9 @@ class ChargeCircuit:
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
-
-    @property
-    def tau(self) -> float:
-        """Charging time constant R*C in seconds."""
-        return self.resistance * self.capacitance
-
-    @property
-    def e_max(self) -> float:
-        """Highest storable energy 0.5*C*v_max^2 in joules."""
-        return 0.5 * self.capacitance * self.v_max ** 2
+        # read once per harvest, replay and online epoch
+        object.__setattr__(self, "tau", self.resistance * self.capacitance)
+        object.__setattr__(self, "e_max", 0.5 * self.capacitance * self.v_max ** 2)
 
 
 def _charge_map(packet_length: float, tau: float) -> tuple:

@@ -112,6 +112,24 @@ def _take(mapping, name, allowed):
         raise ConfigError(f"unknown keys in '{name}': {sorted(unknown)}")
 
 
+def _integer(value, name) -> int:
+    """The value of the integer key ``name``: a bool or a float that is
+    not integral is refused, where ``int()`` would take or truncate it."""
+    message = f"{name} must be an integer, got {value!r}"
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(message)
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(message) from exc
+
+
+def _coerce(value, default, name):
+    if isinstance(default, int):
+        return _integer(value, name)
+    return type(default)(value)
+
+
 def _section(data, name, defaults) -> dict:
     """``defaults`` updated from the mapping ``data[name]``, each value
     coerced to its default's type, a tuple's element by element.
@@ -121,8 +139,9 @@ def _section(data, name, defaults) -> dict:
     """
     section = {**defaults, **_require_mapping(data.get(name, {}), name)}
     _take(section, name, defaults)
-    return {key: (tuple(map(type(default[0]), section[key])) if isinstance(default, tuple)
-                  else type(default)(section[key]))
+    return {key: (tuple(_coerce(value, default[0], f"{name}.{key}") for value in section[key])
+                  if isinstance(default, tuple)
+                  else _coerce(section[key], default, f"{name}.{key}"))
             for key, default in defaults.items()}
 
 
@@ -142,10 +161,10 @@ def parse_config(data: dict) -> RunConfig:
         if rate_model not in ("normalized", "link-budget"):
             raise ConfigError(f"rate_model must be 'normalized' or 'link-budget', "
                               f"got {rate_model!r}")
-        seed = int(data.get("seed", 42))
+        seed = _integer(data.get("seed", 42), "seed")
         if seed < 0:
             raise ConfigError("seed must be >= 0")
-        runs = int(data.get("runs", 30))
+        runs = _integer(data.get("runs", 30), "runs")
         if runs < 1:
             raise ConfigError("runs must be >= 1")
 

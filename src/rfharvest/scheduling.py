@@ -430,14 +430,16 @@ class _ScalarSteps:
         they have converged, the idle arrivals whose relative multiplier is
         below -RELEASE_TOL."""
         lengths, n = self.lengths, len(residuals)
-
-        def rounding(e):
-            """Relative rounding of epoch e's w: 1 + (store at its start) w / l."""
+        for i in free:
+            # the relative rounding of epoch e's w is 1 + (store at its
+            # start) w / l, taken for epoch i and the epoch after its arrival
+            r, e = residuals[i], nxt[i]
+            rounding = 1.0 + (r + powers[i] * lengths[i]) * w[i] / lengths[i]
             stored = (residuals[e] if e < n else 0.0) + powers[e] * lengths[e]
-            return 1.0 + stored * w[e] / lengths[e]
-        if not all(abs(grad[i]) <= STATIONARITY_TOL * w[i] * (rounding(i) + rounding(nxt[i]))
-                   or residuals[i] + step[i] == residuals[i] for i in free):
-            return False, []
+            rounding_next = 1.0 + stored * w[e] / lengths[e]
+            if not (abs(grad[i]) <= STATIONARITY_TOL * w[i] * (rounding + rounding_next)
+                    or r + step[i] == r):
+                return False, []
         released = [i for i, state in enumerate(status)
                     if state == IDLE and grad[i] / w[i] < -RELEASE_TOL]
         return not released, released

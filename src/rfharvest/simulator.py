@@ -70,7 +70,12 @@ def _clamp_slack(circuit: ChargeCircuit) -> float:
 
 @dataclass(frozen=True)
 class ChannelLink:
-    """AWGN link budget between the transmitter and its receiver."""
+    """AWGN link budget between the transmitter and its receiver.
+
+    Its ``gain``, the linear SNR per watt of transmit power, is set once
+    at construction as a plain attribute that is not a dataclass field,
+    like :class:`~rfharvest.charge.ChargeCircuit`'s derived constants.
+    """
 
     frequency: float       # Hz
     distance: float        # m
@@ -84,11 +89,12 @@ class ChannelLink:
         if self.frequency <= 0 or self.distance <= 0 or self.bandwidth <= 0:
             raise ValueError("frequency, distance and bandwidth must be > 0")
         try:
-            gain = self.gain
+            gain = 10.0 ** ((30.0 - self.path_loss - self.noise_floor) / 10.0)
         except OverflowError:
             gain = math.inf
         if not 0.0 < gain < math.inf:
             raise ValueError(f"the link's SNR per watt must be finite and > 0, got {gain}")
+        object.__setattr__(self, "gain", gain)
 
     @property
     def path_loss(self) -> float:
@@ -99,11 +105,6 @@ class ChannelLink:
     def noise_floor(self) -> float:
         """Noise power over the bandwidth in dBm."""
         return self.noise_density + 10.0 * math.log10(self.bandwidth)
-
-    @property
-    def gain(self) -> float:
-        """Linear SNR per watt of transmit power."""
-        return 10.0 ** ((30.0 - self.path_loss - self.noise_floor) / 10.0)
 
 
 def _snr_gain(rate_model: str, link: Optional[ChannelLink]) -> float:
@@ -454,13 +455,21 @@ def monte_carlo(config: ExperimentConfig,
     Each point draws all its runs' scenarios first, as one batch that
     gives every run what :func:`generate_scenario` draws for it alone
     (from the same generator, bit for bit).  With ``"optimal"`` among the
-    strategies, their optimal schedules are solved as one batch
-    (the reports of solving each alone), and the optimal rows average the
-    reports' own throughput and trace; every other strategy is replayed
-    through :func:`evaluate_strategy`, once per run, the tight string
-    being the schedule the run's draw handed out.  A scenario the
-    solver fails on raises its SolverError, and a sweep point its
-    ExperimentConfig refuses a ConfigError that names the axis and value.
+    strategies, their optimal schedules are solved as one batch (each
+    report the optimum of solving its scenario alone, to rounding: a
+    throughput may differ from the lone solve's in its last bits), and
+    the optimal rows average the reports' own throughput and trace;
+    every other strategy is replayed through :func:`evaluate_strategy`,
+    once per run, the tight string being the schedule the run's draw
+    handed out.  A scenario the solver fails on raises its SolverError,
+    and a sweep point its ExperimentConfig refuses a ConfigError that
+    names the axis and value.
+
+    The statistics are reduced once per point, not once per run: the
+    mean charge duration over tau from one (runs, N) array of the drawn
+    durations, and each strategy's harvest totals from one (runs, N)
+    array of its traces' harvests.  The values are those of reducing
+    each run's scenario and trace alone, bit for bit.
 
     Returns a list of row dicts, one per (sweep value, strategy).
     """
@@ -502,16 +511,12 @@ def monte_carlo(config: ExperimentConfig,
     rows = []
     for value, point in points:
         bits_per_s = {name: [] for name in strategies}
-        harvested = {name: [] for name in strategies}
-        te_over_tau = []
+        harvests = {name: [] for name in strategies}
         drawn = _draw_scenarios(point, point.runs)
         if "optimal" in strategies:
             solved = _solve_batch([scenario for scenario, _ in drawn], point.circuit,
                                   _snr_gain(point.rate_model, point.link))
         for run, (scenario, string) in enumerate(drawn):
-            if scenario.n_packets:
-                te_over_tau.append(float(np.mean(scenario.packet_lengths))
-                                   / point.circuit.tau)
             for name in strategies:
                 if name == "optimal":
                     report = solved[run]
@@ -521,17 +526,26 @@ def monte_carlo(config: ExperimentConfig,
                 else:
                     trace, bits = evaluate_strategy(name, scenario, string, point)
                 bits_per_s[name].append(bits / scenario.deadline)
-                harvested[name].append(trace.total_harvested)
+                harvests[name].append(trace.harvested)
+        # Each row of a C-contiguous (runs, N) array reduces to the bits of
+        # the 1-D reduction of that row alone, so these are the per-run
+        # means and totals, bit for bit.
+        if point.packet_count:
+            durations = np.array([[d for _, d in scenario.packets] for scenario, _ in drawn])
+            mean_te_over_tau = float(np.mean(np.mean(durations, axis=1) / point.circuit.tau))
+        else:
+            mean_te_over_tau = 0.0
         for name in strategies:
+            harvested = np.sum(np.array(harvests[name]), axis=1)
             rows.append({
                 "sweep_axis": sweep_axis or "",
                 "sweep_value": value if value is not None else "",
                 "strategy": name,
-                "mean_te_over_tau": float(np.mean(te_over_tau)) if te_over_tau else 0.0,
+                "mean_te_over_tau": mean_te_over_tau,
                 "mean_throughput": float(np.mean(bits_per_s[name])),
                 "std_throughput": float(np.std(bits_per_s[name])),
-                "mean_harvested": float(np.mean(harvested[name])),
-                "std_harvested": float(np.std(harvested[name])),
+                "mean_harvested": float(np.mean(harvested)),
+                "std_harvested": float(np.std(harvested)),
                 "runs": point.runs,
                 "seed": point.seed,
             })

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from decimal import Decimal, localcontext
 
@@ -42,6 +43,32 @@ class TestChargeCircuit:
     def test_derived_quantities_match_defining_products(self, bench_circuit):
         assert bench_circuit.tau == pytest.approx(750.0 * 0.68, rel=1e-15)
         assert bench_circuit.e_max == pytest.approx(0.5 * 0.68 * 2.5 ** 2, rel=1e-15)
+        # bit for bit, on the bench circuit and on random ones
+        rng = np.random.default_rng(11)
+        for circuit in [bench_circuit, *(random_circuit(rng) for _ in range(20))]:
+            r, c, v = circuit.resistance, circuit.capacitance, circuit.v_max
+            assert repr(circuit.tau) == repr(r * c)
+            assert repr(circuit.e_max) == repr(0.5 * c * v ** 2)
+
+    def test_replace_recomputes_the_derived_constants(self, bench_circuit):
+        wider = dataclasses.replace(bench_circuit, capacitance=0.1, v_max=5.0)
+        assert (wider.tau, wider.e_max) == (750.0 * 0.1, 0.5 * 0.1 * 5.0 ** 2)
+        assert (bench_circuit.tau, bench_circuit.e_max) == (750.0 * 0.68, 0.5 * 0.68 * 2.5 ** 2)
+
+    def test_derived_constants_are_not_fields(self, bench_circuit):
+        twin = ChargeCircuit(750.0, 0.68, 2.5)
+        assert [f.name for f in dataclasses.fields(bench_circuit)] \
+            == ["resistance", "capacitance", "v_max"]
+        assert dataclasses.asdict(bench_circuit) \
+            == {"resistance": 750.0, "capacitance": 0.68, "v_max": 2.5}
+        assert repr(bench_circuit) == repr(twin) \
+            == "ChargeCircuit(resistance=750.0, capacitance=0.68, v_max=2.5)"
+        assert bench_circuit == twin and hash(bench_circuit) == hash(twin)
+
+    @pytest.mark.parametrize("name", ["tau", "e_max", "resistance"])
+    def test_frozen(self, bench_circuit, name):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(bench_circuit, name, 1.0)
 
     @pytest.mark.parametrize("kwargs", [
         dict(resistance=0.0, capacitance=0.68, v_max=2.5),

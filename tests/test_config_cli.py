@@ -71,14 +71,34 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config({"circuit": {"resistance": 1.0, "tau": 5.0}})
 
-    def test_bad_values_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_config({"rate_model": "psychic"})
-        with pytest.raises(ConfigError):
-            parse_config({"runs": 0})
-        with pytest.raises(ConfigError):
-            parse_config({"scenario": {"initial_energy": 0.1,
-                                       "packets": [[1.0]], "deadline": 2.0}})
+    @pytest.mark.parametrize("data, key", [
+        ({"rate_model": "psychic"}, "rate_model"),
+        ({"runs": 0}, "runs"),
+        ({"scenario": {"initial_energy": 0.1, "packets": [[1.0]], "deadline": 2.0}},
+         "scenario.packets"),
+        # an integer key refuses a fraction or a bool, which int() would
+        # truncate or take as 1
+        ({"runs": 2.7}, "runs"),
+        ({"seed": 3.9}, "seed"),
+        ({"generator": {"packet_count": 3.5}}, "generator.packet_count"),
+        ({"sweep": {"scenarios": 1.5}}, "sweep.scenarios"),
+        ({"sweep": {"impact_epochs": [1.9]}}, "sweep.impact_epochs"),
+        ({"runs": True}, "runs"),
+        ({"runs": "2.7"}, "runs"),
+    ], ids=["rate_model", "runs", "scenario", "fractional_runs", "fractional_seed",
+            "fractional_packet_count", "fractional_scenarios",
+            "fractional_impact_epochs", "bool_runs", "quoted_fractional_runs"])
+    def test_bad_values_rejected(self, data, key):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(data)
+
+    def test_integral_floats_accepted(self):
+        config = parse_config({"runs": 30.0, "seed": 3.0,
+                               "generator": {"packet_count": 8.0},
+                               "sweep": {"scenarios": 2.0, "impact_epochs": [1.0, 5.0]}})
+        assert (config.runs, config.seed, config.generator.packet_count,
+                config.sweep.scenarios, config.sweep.impact_epochs) == (30, 3, 8, 2, (1, 5))
+        assert type(config.runs) is int and type(config.sweep.impact_epochs[0]) is int
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

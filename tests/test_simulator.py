@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -71,6 +72,23 @@ class TestLinkBudget:
         fields[field] = value
         with pytest.raises(ValueError):
             ChannelLink(**fields)
+
+    def test_gain_is_set_once_from_its_formula(self, reference_link):
+        def formula(link):
+            return 10.0 ** ((30.0 - link.path_loss - link.noise_floor) / 10.0)
+        assert repr(reference_link.gain) == repr(formula(reference_link))
+        farther = dataclasses.replace(reference_link, distance=30.48)
+        assert repr(farther.gain) == repr(formula(farther))
+        assert farther.gain < reference_link.gain
+
+    def test_gain_is_not_a_field(self, reference_link):
+        values = dict(frequency=2.4e9, distance=3.048, bandwidth=1.0e7, noise_density=-174.0)
+        twin = ChannelLink(**values)
+        assert dataclasses.asdict(reference_link) == values
+        assert repr(reference_link) == repr(twin) and "gain" not in repr(twin)
+        assert reference_link == twin and hash(reference_link) == hash(twin)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            reference_link.gain = 1.0
 
 
 def rate(power_dbm, link):
@@ -504,6 +522,62 @@ class TestMonteCarlo:
              for scenario, report in zip(scenarios, reports)]))
         assert row["mean_harvested"] == float(np.mean(
             [report.trace.total_harvested for report in reports]))
+
+    @pytest.mark.parametrize("packet_count, runs, sweep_axis, sweep_values, rate_model", [
+        (0, 4, None, None, "normalized"),
+        (1, 5, "mean_epoch_length", (0.004, 0.009), "normalized"),
+        (8, 6, "capacitance", (0.04, 0.08), "normalized"),
+        (8, 6, "mean_epoch_length", (0.006,), "link-budget"),
+        (256, 3, None, None, "normalized"),
+    ])
+    def test_rows_reduce_each_runs_own_values(self, sim_circuit, reference_link, packet_count,
+                                              runs, sweep_axis, sweep_values, rate_model):
+        # a point reduces its runs in bulk; every row is the one built from
+        # each run's own scenario and trace, reduced alone, to the bit
+        config = medium_config(sim_circuit, packet_count=packet_count, runs=runs,
+                               rate_model=rate_model, link=reference_link)
+        rows = monte_carlo(config, simulator.STRATEGIES, sweep_axis, sweep_values)
+        expected = []
+        for value in sweep_values or (None,):
+            if sweep_axis == "mean_epoch_length":
+                point = dataclasses.replace(
+                    config, mean_epoch_length=value,
+                    mean_harvest=config.mean_harvest * value / config.mean_epoch_length)
+            elif sweep_axis == "capacitance":
+                point = dataclasses.replace(
+                    config, circuit=dataclasses.replace(sim_circuit, capacitance=value))
+            else:
+                point = config
+            drawn = [generate_scenario(point, np.random.default_rng([point.seed, run]))
+                     for run in range(runs)]
+            te_over_tau = [float(np.mean(scenario.packet_lengths)) / point.circuit.tau
+                           for scenario, _ in drawn if scenario.n_packets]
+            # the batch's reports, which may differ from lone solves' in the
+            # last bit of a throughput
+            solved = simulator._solve_batch([scenario for scenario, _ in drawn], point.circuit,
+                                            simulator._snr_gain(rate_model, reference_link))
+            for name in simulator.STRATEGIES:
+                bits, harvested = [], []
+                for (scenario, string), report in zip(drawn, solved):
+                    if name == "optimal":
+                        trace, run_bits = report.trace, report.throughput
+                    else:
+                        trace, run_bits = evaluate_strategy(name, scenario, string, point)
+                    bits.append(run_bits / scenario.deadline)
+                    harvested.append(trace.total_harvested)
+                expected.append({
+                    "sweep_axis": sweep_axis or "",
+                    "sweep_value": value if value is not None else "",
+                    "strategy": name,
+                    "mean_te_over_tau": float(np.mean(te_over_tau)) if te_over_tau else 0.0,
+                    "mean_throughput": float(np.mean(bits)),
+                    "std_throughput": float(np.std(bits)),
+                    "mean_harvested": float(np.mean(harvested)),
+                    "std_harvested": float(np.std(harvested)),
+                    "runs": runs,
+                    "seed": config.seed,
+                })
+        assert repr(rows) == repr(expected)
 
     def test_tight_string_replays_the_drawn_schedule(self, sim_circuit):
         config = medium_config(sim_circuit)
