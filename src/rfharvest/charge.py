@@ -61,6 +61,9 @@ class ChargeCircuit:
 
     * ``tau``: the charging time constant R*C in seconds;
     * ``e_max``: the highest storable energy 0.5*C*v_max^2 in joules.
+
+    Each parameter and derived constant (a product may overflow or
+    underflow) must be finite and > 0; a ``ValueError`` names any other.
     """
 
     resistance: float   # ohms
@@ -68,13 +71,17 @@ class ChargeCircuit:
     v_max: float        # volts; highest chargeable voltage in the ambient field
 
     def __post_init__(self):
-        for name in ("resistance", "capacitance", "v_max"):
+        # read once per harvest, replay and online epoch
+        object.__setattr__(self, "tau", self.resistance * self.capacitance)
+        try:
+            e_max = 0.5 * self.capacitance * self.v_max ** 2
+        except OverflowError:
+            e_max = math.inf
+        object.__setattr__(self, "e_max", e_max)
+        for name in ("resistance", "capacitance", "v_max", "tau", "e_max"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
-        # read once per harvest, replay and online epoch
-        object.__setattr__(self, "tau", self.resistance * self.capacitance)
-        object.__setattr__(self, "e_max", 0.5 * self.capacitance * self.v_max ** 2)
 
 
 def _charge_map(packet_length: float, tau: float) -> tuple:

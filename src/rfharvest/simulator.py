@@ -130,16 +130,17 @@ def replay(policy, scenario: EnergyScenario, circuit: ChargeCircuit,
     the int i and ``total`` the sum of the first i charge durations,
     added left to right as the packets arrive.  Epoch i starts at the
     i-th arrival (t = 0 for i = 0), so ``now`` is the last arrival seen.
-    Consumption that would drive the store negative is clamped to what
-    is available and the epoch is flagged rather than raising: the
-    conventional baseline plans on energies it will not actually
-    receive, and that shortfall is part of what the comparison
+    A policy may be built for its scenario: the greedy one reads the
+    packet ahead.  Consumption that would drive the store negative is
+    clamped to what is available and the epoch is flagged rather than
+    raising: the conventional baseline plans on energies it will not
+    actually receive, and that shortfall is part of what the comparison
     measures.
 
     The scenario's packets are read once as Python floats, and each
     arrival's charge map and harvest are taken inline, in the operations
     of :func:`~rfharvest.charge.harvested_energy`, so the walk makes no
-    call per epoch besides an online policy's.
+    call per epoch besides a policy's.
 
     Returns:
         (HarvestTrace, throughput in bits under the active rate model,
@@ -502,10 +503,10 @@ def monte_carlo(config: ExperimentConfig,
             raise ValueError(f"unknown sweep axis {sweep_axis!r}")
         points = []
         for value in sweep_values:
-            # the scaled point may refuse a key the config never set
+            # the scaled point may refuse a key the config never set, or its circuit
             try:
                 points.append((value, scaled(value)))
-            except ConfigError as exc:
+            except ValueError as exc:
                 raise ConfigError(f"sweep point {sweep_axis}={value!r}: {exc}") from exc
 
     rows = []

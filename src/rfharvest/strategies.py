@@ -1,23 +1,23 @@
 """Baseline and online transmission policies.
 
-Three policies besides the offline optimum:
+Besides the offline optimum, one parking rule under two predictors, and
+the conventional string:
 
-* the maximal-energy-harvesting policy, which before every arrival tries
-  to park the stored energy exactly at the harvest-maximizing residual
-  for the incoming packet;
+* the parking rule ``_park`` sheds the store, before each arrival, to
+  the harvest-maximizing residual of the incoming packet.  The
+  maximal-energy-harvesting policy (:func:`max_harvest_schedule`) applies
+  it to the true next packet; the online policy applies it to a packet
+  predicted from the running means of past packet lengths and
+  inter-arrival intervals.  Both are queried through
+  ``power(now, stored, count, total, deadline, circuit)``, where
+  :func:`~rfharvest.simulator.replay` passes the number of packets seen
+  and the running sum of their charge durations, so each epoch costs O(1);
 * the conventional fixed-tunnel baseline, the taut string through the
   classic energy tunnel that ignores the feedback of consumption on
   harvesting.  The scenario draw (``simulator._attempt``) builds each
   run's tunnel and pulls the string through it with ``_taut_string``
   to invert the charge curve, and hands that string out as the draw's
-  second value; ``evaluate_strategy("tight_string")`` replays it;
-* an online policy that predicts the next packet from the running means
-  of past packet lengths and inter-arrival intervals and applies the
-  same residual-parking rule to the prediction.  It is queried through
-  ``power(now, stored, count, total, deadline, circuit)``, where
-  :func:`~rfharvest.simulator.replay` passes the number of packets seen
-  and the running sum of their charge durations, so each epoch's
-  prediction costs O(1).
+  second value; ``evaluate_strategy("tight_string")`` replays it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charge import ChargeCircuit, optimal_residual
-from .scheduling import EnergyScenario, TransmissionSchedule
+from .scheduling import EnergyScenario
 
 __all__ = [
     "OnlinePredictivePolicy",
@@ -41,47 +41,43 @@ __all__ = [
 FULL_BATTERY_FRACTION = 0.99
 
 
-def max_harvest_schedule(scenario: EnergyScenario,
-                         circuit: ChargeCircuit) -> TransmissionSchedule:
+def _park(stored: float, length: float, arrival: float, now: float, deadline: float,
+          circuit: ChargeCircuit) -> float:
+    """The power that sheds ``stored`` to the optimal residual of a packet of
+    charge duration ``length`` by its ``arrival`` (nothing when the store is
+    at or below it), or drains the store when the arrival misses the deadline.
+    """
+    if arrival >= deadline:
+        return stored / (deadline - now)
+    target = optimal_residual(length, circuit)
+    if stored <= target:
+        return 0.0
+    return (stored - target) / (arrival - now)
+
+
+@dataclass(frozen=True)
+class _GreedyPolicy:
+    """The parking rule on the true next packet of a scenario."""
+
+    packets: tuple
+
+    def power(self, now, stored, count, total, deadline, circuit) -> float:
+        arrival, length = self.packets[count] if count < len(self.packets) else (deadline, 0.0)
+        return _park(stored, length, arrival, now, deadline, circuit)
+
+
+def max_harvest_schedule(scenario: EnergyScenario, circuit: ChargeCircuit) -> _GreedyPolicy:
     """Greedy policy that maximizes the energy captured from each packet.
 
     In every epoch it sheds exactly enough energy to arrive at the
     incoming packet's optimal residual (transmitting nothing when the
     store is already at or below the target), and drains whatever is
-    left in the final epoch.  Each target is :func:`optimal_residual`
-    of the packet's own charge map, and the walk takes it and the
-    harvest inline, with no call per arrival.
+    left in the final epoch.  The policy reads its scenario's packet
+    ahead of each epoch as :func:`~rfharvest.simulator.replay` walks it.
     """
     if scenario.initial_energy > circuit.e_max:
         raise ValueError("initial_energy exceeds the battery capacity e_max")
-    tau, e_max = circuit.tau, circuit.e_max
-    root_e_max = math.sqrt(e_max)
-    sqrt, expm1, exp = math.sqrt, math.expm1, math.exp
-    stored, start = scenario.initial_energy, 0.0
-    powers, bounds = [], [0.0]
-    for arrival, duration in scenario.packets:
-        length = arrival - start
-        x = -duration / tau
-        q, s = -expm1(x), exp(x)
-        target = e_max * (s / (1.0 + s)) ** 2      # optimal_residual
-        power = (stored - target) / length
-        if not power > 0.0:
-            power = 0.0
-        # a target below one ulp of the store (over ~18 tau) rounds past it
-        residual = stored - power * length
-        if not residual > 0.0:
-            residual = 0.0
-        # the harvest at the residual, as harvested_energy takes it
-        u = sqrt(residual)
-        harvest = q * (root_e_max - u) * (root_e_max * q + (1.0 + s) * u)
-        full = q * (e_max - residual)
-        stored = residual + (full if full < harvest else harvest)
-        powers.append(power)
-        bounds.append(arrival)
-        start = arrival
-    bounds.append(scenario.deadline)
-    powers.append(stored / (scenario.deadline - start))
-    return TransmissionSchedule(powers=powers, epoch_bounds=bounds)
+    return _GreedyPolicy(scenario.packets)
 
 
 def _taut_string(xs, los, his):
@@ -145,7 +141,7 @@ class OnlinePredictivePolicy:
     is the last arrival t_k, and those k intervals telescope exactly to
     it: the mean is ``now / count``, rounded once.
 
-    The policy sheds the excess above the predicted packet's optimal
+    ``_park`` sheds the excess above the predicted packet's optimal
     residual over the predicted horizon, and transmits nothing when the
     store is at or below that target.  When the predicted arrival falls
     at or beyond the transmission deadline, no further packet is
@@ -171,11 +167,6 @@ class OnlinePredictivePolicy:
             length, arrival = total / count, now + now / count
         else:
             length, arrival = self.prior_length, now + self.prior_gap
-        if arrival >= deadline:
-            return stored / (deadline - now)
         if arrival <= now:
             raise ValueError("predicted arrival must lie in the future")
-        target = optimal_residual(length, circuit)
-        if stored <= target:
-            return 0.0
-        return (stored - target) / (arrival - now)
+        return _park(stored, length, arrival, now, deadline, circuit)

@@ -77,10 +77,19 @@ class TestChargeCircuit:
         dict(resistance=math.nan, capacitance=0.68, v_max=2.5),
         dict(resistance=750.0, capacitance=math.inf, v_max=2.5),
         dict(resistance=750.0, capacitance=0.68, v_max=math.nan),
+        # finite parameters whose derived e_max, tau, tau are inf, inf, 0
+        dict(resistance=4000.0, capacitance=1e300, v_max=1e10),
+        dict(resistance=1e300, capacitance=1e10, v_max=2.5),
+        dict(resistance=1e-300, capacitance=1e-30, v_max=1e15),
     ])
     def test_rejects_nonpositive_parameters(self, kwargs):
         with pytest.raises(ValueError):
             ChargeCircuit(**kwargs)
+
+    def test_finite_extremes_build(self):
+        # e_max of 3.1e280 J and a subnormal tau of 1e-320 s are finite and > 0
+        assert ChargeCircuit(resistance=4000.0, capacitance=1e280, v_max=2.5).e_max == 3.125e280
+        assert ChargeCircuit(resistance=1e-300, capacitance=1e-20, v_max=1e10).tau == 1e-320
 
 
 class TestHarvestCoefficients:

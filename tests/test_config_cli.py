@@ -5,6 +5,7 @@ import pytest
 
 from rfharvest import (
     SolveReport,
+    TransmissionSchedule,
     brute_force_optimize,
     cli,
     max_harvest_schedule,
@@ -85,9 +86,15 @@ class TestConfigParsing:
         ({"sweep": {"impact_epochs": [1.9]}}, "sweep.impact_epochs"),
         ({"runs": True}, "runs"),
         ({"runs": "2.7"}, "runs"),
+        # finite parameters whose derived constants are not
+        ({"circuit": {"capacitance": 1.0e+300, "v_max": 1.0e+10}}, "e_max"),
+        ({"circuit": {"resistance": 1.0e+300, "capacitance": 1.0e+10}}, "tau"),
+        ({"circuit": {"resistance": 1.0e-300, "capacitance": 1.0e-30, "v_max": 1.0e+15}},
+         "tau"),
     ], ids=["rate_model", "runs", "scenario", "fractional_runs", "fractional_seed",
             "fractional_packet_count", "fractional_scenarios",
-            "fractional_impact_epochs", "bool_runs", "quoted_fractional_runs"])
+            "fractional_impact_epochs", "bool_runs", "quoted_fractional_runs",
+            "infinite_e_max", "infinite_tau", "zero_tau"])
     def test_bad_values_rejected(self, data, key):
         with pytest.raises(ConfigError, match=key):
             parse_config(data)
@@ -311,9 +318,12 @@ class TestSweepCommand:
          "sweep point mean_epoch_length=1e+308: mean_harvest must be finite and >= 0"),
         ("fig5", "{epoch_lengths: [0.006, 1.0e+300]}",
          "sweep point mean_epoch_length=1e+300: every harvest draw exceeds the usable capacity"),
+        # a finite capacitance whose R*C overflows
+        ("fig5", "{capacitances: [0.04, 1.0e+308]}",
+         "sweep point capacitance=1e+308: tau must be finite and > 0, got inf"),
     ], ids=["negative_capacitance", "nan_capacitance", "infinite_epoch_length",
             "no_epoch_lengths", "no_impact_epochs", "negative_scenarios", "no_scenarios",
-            "overflowing_harvest", "overfull_harvest"])
+            "overflowing_harvest", "overfull_harvest", "overflowing_tau"])
     def test_bad_sweep_axis_exits_2(self, tmp_path, capsys, figure, sweep, message):
         # refused before any point runs, not by a traceback or a CSV
         # without rows from the figure that reads the axis
@@ -372,6 +382,17 @@ class TestSweepCommand:
         assert not (tmp_path / "out").exists()
 
 
+def greedy_solver(scenario, circuit, *args):
+    """A stand-in for optimal_schedule that reports the greedy max-harvest
+    policy's replay, its schedule the powers the replay spent."""
+    trace, bits = replay(max_harvest_schedule(scenario, circuit), scenario, circuit, *args)
+    schedule = TransmissionSchedule(powers=tuple(trace.consumed / scenario.epoch_lengths),
+                                    epoch_bounds=tuple(scenario.epoch_bounds))
+    return SolveReport(schedule=schedule, trace=trace, throughput=bits,
+                       iterations=0, newton_decrement=0.0,
+                       terminal_residual_error=abs(trace.terminal_residual))
+
+
 class TestOracleCheckCommand:
     def test_passes_on_small_instances(self, generated_config):
         assert main(["oracle-check", "--config", str(generated_config)]) == 0
@@ -385,14 +406,7 @@ class TestOracleCheckCommand:
                                                 monkeypatch):
         # a solver that hands back the greedy max-harvest schedule falls
         # measurably below the oracle, which must fail the check
-        def greedy(scenario, circuit, *args):
-            schedule = max_harvest_schedule(scenario, circuit)
-            trace, bits = replay(schedule, scenario, circuit)
-            return SolveReport(schedule=schedule, trace=trace, throughput=bits,
-                               iterations=0, newton_decrement=0.0,
-                               terminal_residual_error=abs(trace.terminal_residual))
-
-        monkeypatch.setattr(cli, "optimal_schedule", greedy)
+        monkeypatch.setattr(cli, "optimal_schedule", greedy_solver)
         rc = main(["oracle-check", "--config", str(generated_config)])
         assert rc == 4
         assert "worst gap" in capsys.readouterr().out
@@ -427,14 +441,7 @@ class TestOracleCheckCommand:
 
     def test_corrupted_solver_fails_under_link_budget(self, generated_config,
                                                       capsys, monkeypatch):
-        def greedy(scenario, circuit, *args):
-            schedule = max_harvest_schedule(scenario, circuit)
-            trace, bits = replay(schedule, scenario, circuit, *args)
-            return SolveReport(schedule=schedule, trace=trace, throughput=bits,
-                               iterations=0, newton_decrement=0.0,
-                               terminal_residual_error=abs(trace.terminal_residual))
-
-        monkeypatch.setattr(cli, "optimal_schedule", greedy)
+        monkeypatch.setattr(cli, "optimal_schedule", greedy_solver)
         rc = main(["oracle-check", "--config", str(generated_config),
                    "--rate-model", "link-budget"])
         assert rc == 4

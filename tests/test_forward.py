@@ -23,6 +23,7 @@ from rfharvest import (
 )
 from rfharvest.exceptions import SolverError
 from rfharvest.simulator import STRATEGIES, evaluate_strategy
+from test_scheduling import fuzz_scenario
 
 
 def forward_config(circuit, packets, seed, **overrides):
@@ -68,8 +69,6 @@ class TestForwardMatchesReference:
         assert repr((scenario, string)) == repr(expected)
         assert scenario.n_packets == packets
 
-        assert (repr(max_harvest_schedule(scenario, sim_circuit))
-                == repr(ref.max_harvest_schedule(scenario, sim_circuit)))
         outcomes = {}
         for name in STRATEGIES:
             got = outcome(evaluate_strategy, name, scenario, string, config)
@@ -110,6 +109,31 @@ class TestForwardMatchesReference:
         got = replay(greedy, scenario, sim_circuit)
         assert all(got[0].clamped)
         assert repr(got) == repr(ref.replay(greedy, scenario, sim_circuit))
+
+
+class TestGreedyMatchesReference:
+    def test_fuzz_draws(self, sim_circuit):
+        # the greedy policy, replayed, against the reference walk's
+        # schedule replayed, on the fuzz draws the reference can take
+        # (its walk refuses a residual that rounds below 0 or a store
+        # that rounds above e_max)
+        rng = np.random.default_rng([8, 0])
+        full = empty = long = compared = 0
+        while compared < 500:
+            scenario, _ = fuzz_scenario(rng, sim_circuit)
+            want = outcome(lambda: ref.replay(ref.max_harvest_schedule(scenario, sim_circuit),
+                                              scenario, sim_circuit))
+            if want[0] != "ok":
+                continue
+            got = outcome(replay, max_harvest_schedule(scenario, sim_circuit), scenario,
+                          sim_circuit)
+            assert got == want
+            compared += 1
+            durations = scenario.packet_lengths
+            full += scenario.initial_energy == sim_circuit.e_max
+            empty += any(d == 0.0 for d in durations)
+            long += any(d >= 800 * sim_circuit.tau for d in durations)
+        assert full and empty and long
 
 
 class RecordingPolicy:
