@@ -25,8 +25,11 @@ G_k is the quadratic (a_k + s_k u)^2, from the better of two starts:
 half the store kept at every arrival, or the store spent evenly over
 the time left (the optimum when the harvest is negligible).  An active
 set keeps p >= 0: an idle epoch ties its residual to the store before
-it, so its power is exactly 0.  Once the free residuals are stationary,
-every idle epoch whose multiplier is negative is released at once.
+it, so its power is exactly 0.  The steps are projected Newton steps
+(Bertsekas 1982): a step is not cut where an epoch's power reaches 0,
+and every free epoch it drains turns idle at once.  Once the free
+residuals are stationary, or after a full step, every idle epoch whose
+multiplier is negative is released at once.
 r >= 0 binds only where G_k is flat (s_k below about 1e-16).  On the
 other epochs the optimum satisfies
 
@@ -37,12 +40,13 @@ with X_m the harvest sensitivity at arrival m.
 A flat charge map ends a segment: the store is emptied into the epoch
 before it, and what follows does not depend on anything before it.  So
 the even-spend start spends over the time left in the segment, and
-each segment bounds its own part of the step and releases its idle
-epochs once it is stationary itself.  A Monte Carlo point solves its
-scenarios, which share N, as one horizon (:func:`_solve_batch`): each
-member's epochs, then a flat map (a, s) = (sqrt(E0), 0) that starts the
-next member from its initial energy E0.  A member after the first thus
-starts from (sqrt(E0))^2, within 2 ulp of E0.
+each segment bounds its own part of the step and, short of a full
+step, releases its idle epochs once it is stationary itself.  A Monte
+Carlo point solves its scenarios, which share N, as one horizon
+(:func:`_solve_batch`): each member's epochs, then a flat map (a, s) =
+(sqrt(E0), 0) that starts the next member from its initial energy E0.
+A member after the first thus starts from (sqrt(E0))^2, within 2 ulp of
+E0.
 
 The horizon picks how a step is computed.  A horizon of one segment and
 fewer than ``ARRAY_MIN_PACKETS`` arrivals steps with kernels that loop
@@ -53,12 +57,12 @@ long horizon is their one-segment case, with no code of its own.  Only
 the idle runs and the O(N) sweep stay loops there.  Both kernel sets
 share one Newton loop (the starts, the active set, the release rule and
 the tolerances) and one Thomas sweep, :func:`_sweep`, and each has one
-kernel per part of a step: the forward pass, which also scores the
-point, the Newton step, the convergence and release test, the step
-bound and the trial point.  The solve returns the point the loop stopped
-at: its powers, and its residuals as the trace.  The set's last kernel
-builds that report in its own containers, so a lone short solve stays
-in Python floats but for the sum of its bits.
+kernel per part of a step: the forward pass, which also projects and
+scores the point, the Newton step, the convergence and release test,
+the step bound and the trial point.  The solve returns the point the
+loop stopped at: its powers, and its residuals as the trace.  The set's
+last kernel builds that report in its own containers, so a lone short
+solve stays in Python floats but for the sum of its bits.
 """
 
 from __future__ import annotations
@@ -375,13 +379,13 @@ class _ScalarSteps:
         of the next non-idle epoch e = nxt[i], through G_i and the idle
         arrivals after it, as T_i(r_i); dF/dr_i = T'_i w_e - w_i, at an idle
         arrival the multiplier of its p >= 0.  Returns (w, grad, step, free,
-        nxt, slope, decrement): ``step`` is 0 off the ``free`` arrivals,
-        slope is T', decrement the step's predicted rise grad . step.
+        nxt, decrement): ``step`` is 0 off the ``free`` arrivals, decrement
+        the step's predicted rise grad . step.
         """
         lengths, curves, gain, sqrt = self.lengths, self.curves, self.gain, math.sqrt
         n = len(status)
         w = [gain / (1.0 + gain * p) for p in powers]
-        slope, nxt, grad = [0.0] * n, [0] * n, [0.0] * n
+        nxt, grad = [0] * n, [0.0] * n
         # One backward pass.  T', T'' and e chain back through each idle run
         # from the arrival after it, and each free arrival adds its row of
         # _sweep.  No arrival is empty, so e is the next free arrival or the
@@ -405,7 +409,7 @@ class _ScalarSteps:
                 g1, g2 = g1 * h1, g2 * h1 * h1 + g1 * h2
             else:
                 g1, g2, e = h1, h2, i + 1
-            slope[i], nxt[i] = g1, e
+            nxt[i] = e
             we, wi = w[e], w[i]
             grad[i] = g = g1 * we - wi
             chained = status[i] == IDLE
@@ -422,14 +426,15 @@ class _ScalarSteps:
         for i, d in zip(free, _sweep(rows)):
             step[i] = d
         decrement = sum(grad[i] * step[i] for i in free)
-        return w, grad, step, free, nxt, slope, decrement
+        return w, grad, step, free, nxt, decrement
 
-    def settle(self, residuals, powers, status, w, grad, step, free, nxt):
+    def settle(self, residuals, powers, status, w, grad, step, free, nxt, full):
         """(done, released): whether the point is optimal, its free residuals
         converged (``STATIONARITY_TOL``) with nothing to release, and, once
-        they have converged, the idle arrivals whose relative multiplier is
-        below -RELEASE_TOL."""
+        they have converged or after a ``full`` step, the idle arrivals whose
+        relative multiplier is below -RELEASE_TOL."""
         lengths, n = self.lengths, len(residuals)
+        converged = True
         for i in free:
             # the relative rounding of epoch e's w is 1 + (store at its
             # start) w / l, taken for epoch i and the epoch after its arrival
@@ -439,28 +444,24 @@ class _ScalarSteps:
             rounding_next = 1.0 + stored * w[e] / lengths[e]
             if not (abs(grad[i]) <= STATIONARITY_TOL * w[i] * (rounding + rounding_next)
                     or r + step[i] == r):
-                return False, []
+                converged = False
+                break
+        if not (converged or full):
+            return False, []
         released = [i for i, state in enumerate(status)
                     if state == IDLE and grad[i] / w[i] < -RELEASE_TOL]
-        return not released, released
+        return converged and not released, released
 
-    def step_bound(self, residuals, powers, grad, free, step, slope, nxt, decrement):
-        """(t, blocking, decrement): the longest step of :func:`_line_search`,
-        the free arrival whose epoch it lands on p = 0 (if one limits it),
-        and the step's predicted rise."""
-        lengths = self.lengths
+    def step_bound(self, residuals, grad, free, step, decrement):
+        """(t, decrement): the longest step of :func:`_line_search`, which
+        keeps every free residual above ``BOUNDARY_FRACTION`` of itself, and
+        the step's predicted rise."""
         reach = 2.0 * (1.0 - math.sqrt(BOUNDARY_FRACTION))    # u to sqrt(fraction) u
-        change = [0.0] * len(powers)    # the step's first-order power changes
-        t, blocking = 1.0, ()
+        t = 1.0
         for i in free:
             if step[i] < 0.0:
                 t = min(t, reach * residuals[i] / -step[i])
-            change[i] -= step[i] / lengths[i]
-            change[nxt[i]] += slope[i] * step[i] / lengths[nxt[i]]
-        for i in free:
-            if change[i] < 0.0 and powers[i] < -t * change[i]:
-                t, blocking = powers[i] / -change[i], (i,)
-        return t, blocking, decrement
+        return t, decrement
 
     def trial(self, residuals, step, free, t):
         """The residuals after a step t in u = sqrt(r)."""
@@ -581,12 +582,12 @@ class _ArraySteps:
                 np.where(tail, slope[free] * slope[free] * w[e] * w[e] / lengths[e], 0.0).tolist(),
                 g.tolist()))
         decrement = float(grad[free] @ step[free])
-        return w, grad, step, free, nxt, slope, decrement
+        return w, grad, step, free, nxt, decrement
 
-    def settle(self, residuals, powers, status, w, grad, step, free, nxt):
+    def settle(self, residuals, powers, status, w, grad, step, free, nxt, full):
         """Segment by segment: each releases once its own free residuals
-        have converged, and the point is optimal once all have with none
-        to release."""
+        have converged, every one after a ``full`` step, and the point is
+        optimal once all have converged with none to release."""
         lengths = self.lengths
         stored = powers * lengths
         stored[:-1] += residuals
@@ -596,51 +597,32 @@ class _ArraySteps:
         converged = (np.abs(grad[free]) <= tolerance) | (r + step[free] == r)
         settled = np.ones(len(self.firsts), bool)
         settled[self.segment[free[~converged]]] = False
-        if not settled.any():
+        if not (settled.any() or full):
             return False, []
         released = ((status == IDLE) & (grad / w[:-1] < -RELEASE_TOL)
-                    & settled[self.segment]).nonzero()[0].tolist()
+                    & (settled[self.segment] | full)).nonzero()[0].tolist()
         return bool(settled.all()) and not released, released
 
-    def step_bound(self, residuals, powers, grad, free, step, slope, nxt, decrement):
-        lengths, d = self.lengths, step[free]
-        reach = 2.0 * (1.0 - math.sqrt(BOUNDARY_FRACTION))
-        shrink = d < 0.0
-        change = np.zeros(len(powers))
-        change[free] -= d / lengths[free]
-        e = nxt[free]                   # distinct, so each += lands once
-        change[e] += slope[free] * d / lengths[e]
-        c, p = change[free], powers[free]
-        # Each segment's own bound and limiting free arrival (or -1).  free
-        # is sorted, so a segment's free arrivals are one run of it.
-        segment = self.segment[free]
+    def step_bound(self, residuals, grad, free, step, decrement):
+        """Each segment's own bound; t is the longest, and each segment's
+        part of the step is scaled in place so that t takes it to its own."""
+        d = step[free]
         bounds = np.ones(len(self.firsts))
-        blocking = np.full(len(bounds), -1)
         if free.size:
+            # free is sorted, so a segment's free arrivals are one run of it
+            segment = self.segment[free]
             opens = np.empty(free.size, bool)
             opens[0] = True
             np.not_equal(segment[1:], segment[:-1], out=opens[1:])
             starts = opens.nonzero()[0]
+            reach = 2.0 * (1.0 - math.sqrt(BOUNDARY_FRACTION))
             bounds[segment[starts]] = np.minimum(np.minimum.reduceat(
-                np.where(shrink, reach * residuals[free] / -d, 1.0), starts), 1.0)
-        limits = ((c < 0.0) & (p < -bounds[segment] * c)).nonzero()[0]
-        if limits.size:
-            ratios, limited = p[limits] / -c[limits], segment[limits]
-            # each segment's first smallest ratio, as np.argmin picks it
-            order = np.lexsort((ratios, limited))
-            first = order[np.diff(limited[order], prepend=-1) != 0]
-            bounds[limited[first]] = ratios[first]
-            blocking[limited[first]] = free[limits[first]]
-        # t is the longest bound, and each segment's part of the step is
-        # scaled in place so that t takes it to its own.  A bound of 0
-        # gives t = 0, blocking only there.
-        t, least = float(bounds.max()), bounds.min()
-        if least == 0.0:
-            return 0.0, blocking[bounds == 0.0].tolist(), decrement
-        if least < t:
+                np.where(d < 0.0, reach * residuals[free] / -d, 1.0), starts), 1.0)
+        t = float(bounds.max())
+        if bounds.min() < t:
             step *= (bounds / t)[self.segment]
             decrement = float(grad[free] @ step[free])
-        return t, blocking[blocking >= 0].tolist(), decrement
+        return t, decrement
 
     def trial(self, residuals, step, free, t):
         out = residuals.copy()
@@ -668,38 +650,26 @@ class _ArraySteps:
                 for k in range(size)]
 
 
-def _line_search(steps, residuals, powers, status, value, grad, free, step, slope, nxt,
-                 decrement):
-    """Damped Newton step: (residuals, powers, status, value), or None.
+def _line_search(steps, residuals, status, value, grad, free, step, decrement):
+    """Damped projected Newton step: (residuals, powers, status, value, t),
+    or None.
 
     A step t moves u = sqrt(r) by t z / (2u), r by t z + (t z)^2 / (4r).
     Starts from the longest step keeping every free residual above
-    ``BOUNDARY_FRACTION`` of itself and, to first order, every free
-    epoch's power non-negative, each segment's within its own bound
-    (``step_bound``); an epoch that limits the step lands on p = 0
-    and turns idle, however short the step.  Where a segment's step is 0
-    (a just released epoch, still at p = 0, that the step would drain),
-    the point stays and only that epoch turns idle again: the other
-    released epochs stay free, and the other segments wait a step.
-    Halves the step until the objective rises by an
-    Armijo fraction of the predicted increase, up to its own rounding;
-    None below ``MIN_STEP``.
+    ``BOUNDARY_FRACTION`` of itself, each segment's within its own bound
+    (``step_bound``).  ``forward`` projects the trial point: every free
+    epoch the step drains, its residual at or above the store before it,
+    turns idle, however many in one step.  Halves the step until the
+    projected point's objective rises by an Armijo fraction of the
+    predicted increase, up to its own rounding; None below ``MIN_STEP``.
     """
-    t, blocking, decrement = steps.step_bound(residuals, powers, grad, free, step, slope, nxt,
-                                              decrement)
-    if t == 0.0:
-        status = status.copy()
-        for i in blocking:
-            status[i] = IDLE
-        return residuals, powers, status, value
-    while t >= MIN_STEP or blocking:
-        trial = steps.trial(residuals, step, free, t)
-        for i in blocking:
-            trial[i] = math.inf           # at or above the store: idle
-        trial, trial_powers, trial_status, trial_value = steps.forward(trial, status)
+    t, decrement = steps.step_bound(residuals, grad, free, step, decrement)
+    while t >= MIN_STEP:
+        trial, powers, trial_status, trial_value = steps.forward(
+            steps.trial(residuals, step, free, t), status)
         if trial_value >= value + ARMIJO * t * decrement - OBJECTIVE_ROUNDING * value:
-            return trial, trial_powers, trial_status, trial_value
-        t, blocking = 0.5 * t, ()
+            return trial, powers, trial_status, trial_value, t
+        t *= 0.5
     return None
 
 
@@ -712,10 +682,11 @@ def _optimal_residuals(initial_energy, lengths, curves, gain, e_max_root):
     iteration asks the kernels' ``settle`` whether the point is optimal
     (every segment stationary with nothing to release) and which idle
     epochs to release: those with a negative multiplier in a stationary
-    segment.  A release takes the step again from the new active set in
-    the same iteration.  Returns (kernels, residuals, powers, iterations,
-    last Newton decrement) of the optimum, the point as the kernels built
-    it, lists or arrays, for their ``report``.
+    segment, or in any segment once the last line search took its full
+    step (t = 1).  A release takes the step again from the new active set
+    in the same iteration.  Returns (kernels, residuals, powers,
+    iterations, last Newton decrement) of the optimum, the point as the
+    kernels built it, lists or arrays, for their ``report``.
     """
     # Where G is flat in floating point, whatever is left at the arrival
     # is lost to the full charge: the residual there is 0, and the
@@ -743,25 +714,25 @@ def _optimal_residuals(initial_energy, lengths, curves, gain, e_max_root):
                 best = point
         residuals, powers, status, value = best
 
-        decrement = math.inf
+        decrement, full = math.inf, False
         for iteration in range(1, MAX_ITERATIONS + 1):
-            w, grad, step, free, nxt, slope, decrement = steps.newton(residuals, powers, status)
-            done, released = steps.settle(residuals, powers, status, w, grad, step, free, nxt)
+            w, grad, step, free, nxt, decrement = steps.newton(residuals, powers, status)
+            done, released = steps.settle(residuals, powers, status, w, grad, step, free, nxt,
+                                          full)
             if done:
                 return steps, residuals, powers, iteration, decrement
             if released:
                 for i in released:
                     status[i] = FREE
-                w, grad, step, free, nxt, slope, decrement = steps.newton(
-                    residuals, powers, status)
+                w, grad, step, free, nxt, decrement = steps.newton(residuals, powers, status)
 
-            moved = _line_search(steps, residuals, powers, status, value, grad, free, step,
-                                 slope, nxt, decrement)
+            moved = _line_search(steps, residuals, status, value, grad, free, step, decrement)
             if moved is None:
                 break
-            residuals, powers, status, value = moved
+            residuals, powers, status, value, t = moved
+            full = t == 1.0
             # Drop this step's vectors before the next one builds its own.
-            del w, grad, step, free, nxt, slope
+            del w, grad, step, free, nxt
     raise SolverError("Newton method did not converge",
                       diagnostics={"iterations": iteration, "newton_decrement": decrement})
 
@@ -774,16 +745,16 @@ def solve(scenario: EnergyScenario, circuit: ChargeCircuit,
     schedule and trace are in watts and joules and the throughput in
     bits either way.
 
-    Damped Newton steps over the arrival residuals (module docstring),
-    run as a batch of one (:func:`_solve_batch`); a step that would take
-    a free epoch's power below 0 stops there and makes the epoch idle.
-    Once the free residuals are stationary, every idle epoch whose
-    multiplier is below ``-RELEASE_TOL`` is released, and with none left
-    the point is optimal.  The schedule holds that point's powers, and the
-    trace its residuals, each packet's harvest at them and p l; the
-    residual at the deadline is the trace's own balance, what the last
-    epoch leaves of the store after the last harvest.  The pair passes
-    :func:`check_feasibility`'s test.
+    Damped projected Newton steps over the arrival residuals (module
+    docstring), run as a batch of one (:func:`_solve_batch`): every free
+    epoch whose power a step would take below 0 turns idle.  Once the
+    free residuals are stationary, or after a full step, every idle epoch
+    whose multiplier is below ``-RELEASE_TOL`` is released; stationary
+    with none left, the point is optimal.  The schedule holds that point's
+    powers, and the trace its residuals, each packet's harvest at them
+    and p l; the residual at the deadline is the trace's own balance,
+    what the last epoch leaves of the store after the last harvest.  The
+    pair passes :func:`check_feasibility`'s test.
 
     Raises:
         ValueError: unless 0 < gain < inf, or if the initial energy

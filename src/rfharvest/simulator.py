@@ -253,6 +253,11 @@ class ExperimentConfig:
                 < math.inf):
             raise ConfigError(f"mean_epoch_length {self.mean_epoch_length} s makes the drawn "
                               f"horizon of {self.packet_count + 1} epochs overflow")
+        # a full store spent over the shortest drawn epoch must be a finite power
+        if not self.circuit.e_max / (1.0 - UNIFORM_HALFWIDTH) / self.mean_epoch_length < math.inf:
+            raise ConfigError(f"mean_epoch_length {self.mean_epoch_length} s draws epochs so "
+                              f"short that spending the full store of {self.circuit.e_max} J "
+                              f"in one is not a finite power")
         if not 0 <= self.initial_energy:
             raise ConfigError("initial_energy must be >= 0")
         # the draw's tunnel refuses an increment above the usable

@@ -262,6 +262,18 @@ class TestSimulateCommand:
                        "--out", str(tmp_path / "out")])
             assert rc == 0, strategy
 
+    @pytest.mark.parametrize("strategy", ["optimal", "max_harvest", "tight_string", "online"])
+    def test_subnormal_epoch_length_exits_2(self, tmp_path, capsys, strategy):
+        # epochs of 5e-324 s: a full store spent in one is an infinite power
+        path = tmp_path / "tiny.yaml"
+        path.write_text("generator: {mean_epoch_length: 5.0e-324}\n")
+        rc = main(["simulate", "--config", str(path), "--strategy", strategy,
+                   "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
+        assert "config error: mean_epoch_length 5e-324 s draws epochs so short" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_strategy(self, generated_config, tmp_path):
         rc = main(["simulate", "--config", str(generated_config),
                    "--strategy", "warp-drive", "--out", str(tmp_path)])

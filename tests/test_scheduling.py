@@ -334,9 +334,9 @@ class TestKKTStructure:
 
 def released_trio():
     """Three idle epochs of 3e-5 to 9e-5 s are released together at gain
-    1e-3, and the joint step would drain one of them at p = 0.  That one
-    turns idle again; the other two stay free.  Turning all three idle
-    again would release the same three at every step."""
+    1e-3, and the joint step drains one of them at p = 0.  The projection
+    turns that one idle again; the other two stay free.  Turning all three
+    idle again would release the same three at every step."""
     return EnergyScenario(initial_energy=1e-300, deadline=53071.36492441976, packets=(
         (437.75832356974956, 0.009104840763641821), (437.75832795009785, 2.325061156920346),
         (53071.36000308556, 0.838558692996918), (53071.36003954115, 3.715382455465e-06),
@@ -393,13 +393,16 @@ class TestHardScenarios:
             with_idle_epochs += 0.0 in report.schedule.powers
         assert with_idle_epochs >= 15
 
-    @pytest.mark.parametrize("n_packets, seed, gain, max_steps",
-                             [(256, 2, 1.0, 40), (1024, 1, 1.0, 40), (32, 9, 2.7e8, 60)])
-    def test_long_heterogeneous_horizons(self, sim_circuit, n_packets, seed, gain, max_steps):
-        # Many idle epochs turn free again once the free residuals are
-        # stationary.  Released one at a time, each release needs the
-        # others to converge again, and these draws ran out of steps.
-        scenario = hetero_horizon(sim_circuit, n_packets, seed)
+    @pytest.mark.parametrize("seed, gain, max_steps", [
+        ([256, 2], 1.0, 14), ([1024, 1], 1.0, 14), ([32, 9], 2.7e8, 40), ([4096, 0, 1], 1.0, 18)],
+        ids=["N256/2", "N1024/1", "N32/9-gain2.7e8", "N4096/0/1"])
+    def test_long_heterogeneous_horizons(self, sim_circuit, seed, gain, max_steps):
+        # A step that drains several epochs idles them all at once, and
+        # idle epochs with a negative multiplier are released after every
+        # full step.  Stopping each step at the first drained epoch took
+        # 18, 21, 44 and 43 steps here; releasing only once the free
+        # residuals are stationary, these draws ran out of steps.
+        scenario = heterogeneous_horizon(np.random.default_rng(seed), sim_circuit, seed[0])
         report = solve(scenario, sim_circuit, gain)
         assert report.iterations <= max_steps
         assert_beats_max_harvest(report, scenario, sim_circuit, gain)
@@ -424,6 +427,23 @@ class TestHardScenarios:
         report = solve(s, sim_circuit, 2.7e8)
         assert report.iterations <= 11
         assert_beats_max_harvest(report, s, sim_circuit, 2.7e8)
+
+    def test_one_step_idles_several_epochs(self, monkeypatch):
+        # the projected step idles every epoch it drains; a step that
+        # stopped at the first drained epoch idled one per step
+        scenarios, circuit = idle_heavy_batch()
+        newton = scheduling._ScalarSteps.newton
+        statuses = []
+
+        def spied(self, residuals, powers, status):
+            statuses.append(list(status))
+            return newton(self, residuals, powers, status)
+
+        monkeypatch.setattr(scheduling._ScalarSteps, "newton", spied)
+        solve(scenarios[1], circuit)
+        # a release turns epochs free, so only a step turns them idle
+        assert max(sum(a == scheduling.FREE and b == scheduling.IDLE for a, b in zip(x, y))
+                   for x, y in zip(statuses, statuses[1:])) >= 2
 
     def test_battery_filling_packet_drains_first(self, sim_circuit):
         # a packet 1e4 time constants long fills the battery whatever is
@@ -510,9 +530,10 @@ def hetero_horizon(circuit, n_packets, seed):
     return heterogeneous_horizon(np.random.default_rng([n_packets, seed]), circuit, n_packets)
 
 
-# hetero: idle runs, blocked steps and releases; empty128: EMPTY arrivals,
-# with G' = 0 and with G' infinite at r = 0 (three segments, so the array
-# kernels under either threshold); trio: a step blocked at length 0
+# hetero: idle runs, steps that drain epochs and releases; empty128: EMPTY
+# arrivals, with G' = 0 and with G' infinite at r = 0 (three segments, so
+# the array kernels under either threshold); trio: a step that drains a
+# just released epoch
 KERNEL_CASES = {
     "N64": lambda circuit: (reference_horizon(circuit, 64, 0), 1.0),
     "N256": lambda circuit: (reference_horizon(circuit, 256, 0), 1.0),
@@ -570,36 +591,22 @@ class TestKernelSets:
             assert built == [kernels]
 
 
-def looped_step_bound(firsts, lengths, residuals, powers, free, step, slope, nxt):
-    """Each segment's (bound, blocking free arrival or -1) of the step, in a
-    plain loop: the least of 1 and the boundary bounds of its shrinking free
-    residuals, unless the step drains a free epoch's power first; then the
-    first smallest such ratio."""
+def looped_step_bound(firsts, residuals, free, step):
+    """Each segment's bound of the step, in a plain loop: the least of 1
+    and the boundary bounds of its shrinking free residuals."""
     segment = [bisect.bisect_right(firsts, i) - 1 for i in range(len(residuals))]
     reach = 2.0 * (1.0 - math.sqrt(scheduling.BOUNDARY_FRACTION))
-    change = [0.0] * len(powers)
-    for i in free:
-        change[i] -= step[i] / lengths[i]
-    for i in free:
-        change[nxt[i]] += slope[i] * step[i] / lengths[nxt[i]]
-    bounds, blocking = [1.0] * len(firsts), [-1] * len(firsts)
+    bounds = [1.0] * len(firsts)
     for i in free:
         if step[i] < 0.0:
             bounds[segment[i]] = min(bounds[segment[i]], reach * residuals[i] / -step[i])
-    drained = {}
-    for i in free:
-        k, c = segment[i], change[i]
-        if c < 0.0 and powers[i] < -bounds[k] * c and (
-                k not in drained or powers[i] / -c < drained[k][0]):
-            drained[k] = (powers[i] / -c, i)
-    for k, (ratio, i) in drained.items():
-        bounds[k], blocking[k] = ratio, i
-    return bounds, blocking
+    return bounds, segment
 
 
-def test_step_bound_takes_each_segments_first_smallest_ratio():
-    # powers and steps from a few values, so that ratios tie within a
-    # segment; segments of one arrival and segments with no free arrival
+def test_step_bound_scales_each_segment_to_its_own_bound():
+    # residuals and steps from a few values, so that bounds tie within
+    # and across segments; segments of one arrival and segments with no
+    # free arrival
     rng = np.random.default_rng([11, 0])
     for _ in range(300):
         n = int(rng.integers(1, 30))
@@ -609,23 +616,17 @@ def test_step_bound_takes_each_segments_first_smallest_ratio():
         status = np.where(rng.random(n) < 0.3, scheduling.IDLE, scheduling.FREE)
         free = (status == scheduling.FREE).nonzero()[0]
         residuals = rng.choice([0.25, 0.5, 1.0], n)
-        powers = rng.choice([0.0, 0.25, 0.5], n + 1)
         step = np.where(status == scheduling.FREE,
                         rng.choice([-2.0, -1.0, -0.25, 0.0, 0.5], n), 0.0)
-        slope = rng.choice([0.5, 1.0], n)
-        nxt = np.arange(1, n + 1)
-        for i in range(n - 2, -1, -1):
-            if status[i + 1] == scheduling.IDLE:
-                nxt[i] = nxt[i + 1]
-        bounds, blocking = looped_step_bound(firsts, lengths.tolist(), residuals.tolist(),
-                                             powers.tolist(), free.tolist(), step.tolist(),
-                                             slope.tolist(), nxt.tolist())
+        grad = rng.choice([-1.0, 0.5, 2.0], n)
+        bounds, segment = looped_step_bound(firsts, residuals.tolist(), free.tolist(),
+                                            step.tolist())
+        scaled = step.copy()
         with np.errstate(all="ignore"):
-            t, blocked, _ = kernels.step_bound(residuals, powers, np.zeros(n), free, step.copy(),
-                                               slope, nxt, 0.0)
-        assert t == (0.0 if min(bounds) == 0.0 else max(bounds))
-        assert blocked == [i for k, i in enumerate(blocking)
-                           if i >= 0 and (t > 0.0 or bounds[k] == 0.0)]
+            t, decrement = kernels.step_bound(residuals, grad, free, scaled, -1.0)
+        assert t == max(bounds)
+        assert scaled.tolist() == [d * (bounds[segment[i]] / t) for i, d in enumerate(step)]
+        assert decrement == (float(grad[free] @ scaled[free]) if min(bounds) < t else -1.0)
 
 
 def empty_store():
@@ -795,10 +796,11 @@ class TestTinyStores:
                   (12281.275868219802, 1.0546848120519882e-09),
                   (12281.275868702254, 295.6068816335864)), 25151.104624305746, 1e-3),
     ], ids=["E0=1e-15,g=1e-3", "E0=1e-15,g=2.7e8", "E0=0,g=1", "E0=5e-324,g=1e-3"])
-    def test_nearly_idle_epoch_is_blocked_however_short_the_step(
+    def test_nearly_idle_epoch_is_projected_idle(
             self, sim_circuit, initial, packets, deadline, gain):
         # a power of 1e-16 to 1e-27 W ahead of a step of 1e-15 to 1e-10 J:
-        # the step that makes its epoch idle is shorter than MIN_STEP
+        # the step drains the epoch and the projection idles it, where a
+        # step that stopped at its p = 0 would be shorter than MIN_STEP
         s = EnergyScenario(initial_energy=initial, packets=packets, deadline=deadline)
         report = solve(s, sim_circuit, gain)
         assert report.schedule.powers[0] == 0.0
@@ -818,10 +820,13 @@ class TestTinyStores:
 
     def test_fuzz_family(self, sim_circuit):
         rng = np.random.default_rng([8, 0])
+        steps = []
         for _ in range(1500):
             scenario, gain = fuzz_scenario(rng, sim_circuit)
-            assert_beats_max_harvest(solve(scenario, sim_circuit, gain), scenario, sim_circuit,
-                                     gain)
+            report = solve(scenario, sim_circuit, gain)
+            assert_beats_max_harvest(report, scenario, sim_circuit, gain)
+            steps.append(report.iterations)
+        assert max(steps) <= 44
 
 
 def sweep_batches(monkeypatch, strategies=("optimal",), axes=("mean_epoch_length", "capacitance")):
@@ -967,27 +972,14 @@ class TestBatchedSolve:
 
     @pytest.mark.parametrize("draw", range(5))
     @pytest.mark.parametrize("trio_first", [True, False])
-    def test_zero_step_bound_in_one_segment(self, monkeypatch, draw, trio_first):
-        # the trio's step bound is 0 (a released epoch the step would
-        # drain) while the other member's is not: only the trio's epoch
-        # blocks, and each member still reaches its lone optimum
+    def test_zero_step_bound_in_one_segment(self, draw, trio_first):
+        # the joined step drains a just released epoch of the trio's (a
+        # step bound of 0, had the step stopped at its p = 0) while the
+        # other member steps on: each member reaches its lone optimum
         rng = np.random.default_rng([7, 0])
         other = [heterogeneous_horizon(rng, SIM, 6) for _ in range(draw + 1)][-1]
         scenarios = [released_trio(), other] if trio_first else [other, released_trio()]
-        trio = range(0, 6) if trio_first else range(7, 13)     # the trio's arrivals
-        zero_bounds = []
-        bound = scheduling._ArraySteps.step_bound
-
-        def spied(self, *args):
-            t, blocking, decrement = bound(self, *args)
-            if t == 0.0:
-                zero_bounds.append(list(blocking))
-            return t, blocking, decrement
-
-        monkeypatch.setattr(scheduling._ArraySteps, "step_bound", spied)
         reports = scheduling._solve_batch(scenarios, SIM, 1e-3)
-        assert zero_bounds and all(len(blocking) == 1 and blocking[0] in trio
-                                   for blocking in zero_bounds)
         for scenario, batched in zip(scenarios, reports):
             self.assert_lone_optimum(scenario, batched, solve(scenario, SIM, 1e-3), SIM, 1e-3)
 
@@ -997,6 +989,7 @@ class TestBatchedSolve:
         scenarios, circuit = idle_heavy_batch()
         reports = scheduling._solve_batch(scenarios, circuit)
         assert sum(len(idle_epochs(report)) for report in reports) >= 4 * len(scenarios)
+        assert max(report.iterations for report in reports) <= 8
         self.assert_batch(scenarios, reports, circuit, 1.0)
 
     @pytest.mark.parametrize("limit", [1, 6])
