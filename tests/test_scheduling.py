@@ -796,11 +796,12 @@ class TestTinyStores:
                   (12281.275868219802, 1.0546848120519882e-09),
                   (12281.275868702254, 295.6068816335864)), 25151.104624305746, 1e-3),
     ], ids=["E0=1e-15,g=1e-3", "E0=1e-15,g=2.7e8", "E0=0,g=1", "E0=5e-324,g=1e-3"])
-    def test_nearly_idle_epoch_is_projected_idle(
+    def test_nearly_idle_epoch_is_blocked_however_short_the_step(
             self, sim_circuit, initial, packets, deadline, gain):
         # a power of 1e-16 to 1e-27 W ahead of a step of 1e-15 to 1e-10 J:
-        # the step drains the epoch and the projection idles it, where a
-        # step that stopped at its p = 0 would be shorter than MIN_STEP
+        # the step drains the epoch and the projection holds it at zero,
+        # where a step that stopped at its p = 0 would be shorter than
+        # MIN_STEP
         s = EnergyScenario(initial_energy=initial, packets=packets, deadline=deadline)
         report = solve(s, sim_circuit, gain)
         assert report.schedule.powers[0] == 0.0
