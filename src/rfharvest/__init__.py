@@ -28,13 +28,10 @@ from .exceptions import (
 from .oracle import GridSpec, OracleResult, brute_force_optimize
 from .scheduling import (
     EnergyScenario,
-    FeasibilityReport,
     HarvestTrace,
     SolveReport,
     TransmissionSchedule,
-    check_feasibility,
     solve,
-    throughput,
 )
 from .simulator import (
     ChannelLink,
@@ -57,10 +54,7 @@ __all__ = [
     "EnergyScenario",
     "TransmissionSchedule",
     "HarvestTrace",
-    "FeasibilityReport",
     "SolveReport",
-    "check_feasibility",
-    "throughput",
     "solve",
     "OnlinePredictivePolicy",
     "max_harvest_schedule",

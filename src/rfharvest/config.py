@@ -99,6 +99,16 @@ class RunConfig:
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
     sweep: SweepConfig = field(default_factory=SweepConfig)
 
+    def __post_init__(self):
+        # here, so that a command-line override made with replace() is checked too
+        if self.rate_model not in ("normalized", "link-budget"):
+            raise ConfigError(f"rate_model must be 'normalized' or 'link-budget', "
+                              f"got {self.rate_model!r}")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if self.runs < 1:
+            raise ConfigError("runs must be >= 1")
+
 
 def _require_mapping(node, name):
     if not isinstance(node, dict):
@@ -158,15 +168,8 @@ def parse_config(data: dict) -> RunConfig:
         link = ChannelLink(**_section(data, "link", DEFAULT_LINK))
 
         rate_model = data.get("rate_model", "normalized")
-        if rate_model not in ("normalized", "link-budget"):
-            raise ConfigError(f"rate_model must be 'normalized' or 'link-budget', "
-                              f"got {rate_model!r}")
         seed = _integer(data.get("seed", 42), "seed")
-        if seed < 0:
-            raise ConfigError("seed must be >= 0")
         runs = _integer(data.get("runs", 30), "runs")
-        if runs < 1:
-            raise ConfigError("runs must be >= 1")
 
         scenario = None
         if "scenario" in data and data["scenario"] is not None:

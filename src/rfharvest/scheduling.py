@@ -70,7 +70,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Optional
 
 import numpy as np
 
@@ -81,10 +80,7 @@ __all__ = [
     "EnergyScenario",
     "TransmissionSchedule",
     "HarvestTrace",
-    "FeasibilityReport",
     "SolveReport",
-    "check_feasibility",
-    "throughput",
     "solve",
 ]
 
@@ -152,17 +148,13 @@ class EnergyScenario:
         return len(self.packets)
 
     @property
-    def arrival_times(self) -> np.ndarray:
-        return np.array([t for t, _ in self.packets], dtype=float)
-
-    @property
     def packet_lengths(self) -> np.ndarray:
         return np.array([d for _, d in self.packets], dtype=float)
 
     @property
     def epoch_bounds(self) -> np.ndarray:
         """Grid [0, t_1, ..., t_N, deadline] of epoch boundaries."""
-        return np.concatenate(([0.0], self.arrival_times, [self.deadline]))
+        return np.concatenate(([0.0], [t for t, _ in self.packets], [self.deadline]))
 
     @property
     def epoch_lengths(self) -> np.ndarray:
@@ -181,10 +173,6 @@ class TransmissionSchedule:
         object.__setattr__(self, "epoch_bounds", tuple(map(float, self.epoch_bounds)))
         if len(self.epoch_bounds) != len(self.powers) + 1:
             raise ValueError("epoch_bounds must have one more entry than powers")
-
-    @property
-    def epoch_lengths(self) -> np.ndarray:
-        return np.diff(np.asarray(self.epoch_bounds))
 
 
 @dataclass(frozen=True)
@@ -217,19 +205,6 @@ class HarvestTrace:
     def terminal_residual(self) -> float:
         return self.residuals[-1]
 
-    @property
-    def total_harvested(self) -> float:
-        return float(np.sum(self.harvested))
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    """Outcome of the constraint check on a schedule/trace pair."""
-
-    ok: bool
-    violated: Optional[str] = None   # "causality" or "capacity"
-    epoch: Optional[int] = None      # 1-based epoch of the first violation
-
 
 @dataclass(frozen=True)
 class SolveReport:
@@ -243,42 +218,18 @@ class SolveReport:
     terminal_residual_error: float   # |residual at deadline|, joules
 
 
-def check_feasibility(schedule: TransmissionSchedule, trace: HarvestTrace,
-                      circuit: ChargeCircuit) -> FeasibilityReport:
-    """Verify energy causality and battery capacity on a schedule's trace.
-
-    Causality: the stored energy (the residual at each arrival and at
-    the deadline) may never be negative.  Capacity: the stored energy
-    right after each harvest may never exceed e_max.  Both checks carry
-    an additive slack of 1e-9 * e_max for roundoff.
-    """
-    for violated, flags in zip(("causality", "capacity"), _violations(
-            np.asarray(trace.residuals), np.asarray(trace.harvested), circuit.e_max)):
-        if flags.any():
-            return FeasibilityReport(ok=False, violated=violated, epoch=int(flags.argmax()) + 1)
-    return FeasibilityReport(ok=True)
-
-
 def _violations(residuals, harvested, e_max):
-    """(causality, capacity) flags of :func:`check_feasibility`, one per
-    epoch along the last axis of a trace's residuals and harvests."""
+    """The solver's self-check: (causality, capacity) flags, one per epoch
+    along the last axis of a trace's residuals and harvests.  A store below
+    0, or above e_max right after a harvest, is flagged past 1e-9 * e_max."""
     slack = 1e-9 * e_max
     return residuals < -slack, residuals[..., :-1] + harvested > e_max + slack
 
 
-def throughput(schedule: TransmissionSchedule, gain: float = 1.0) -> float:
-    """Objective value sum_i (l_i/2) * log2(1 + g * p_i) in bits.
-
-    ``gain`` is the SNR per watt; the default 1 gives normalized bits.
-    Summed as log1p(g p) / ln 2, which keeps its relative precision
-    where g p is far below 1.
-    """
-    return float(_bits(np.asarray(schedule.powers), schedule.epoch_lengths, gain))
-
-
 def _bits(powers, lengths, gain):
-    """:func:`throughput` of each row of powers over its epoch lengths, summed
-    along the last axis (rows of a C-contiguous array sum as a lone row)."""
+    """Bits sum_i (l_i/2) log2(1 + g p_i) of each row of powers over its
+    epoch lengths, summed along the last axis (rows of a C-contiguous array
+    sum as a lone row) as log1p(g p) / ln 2, precise where g p << 1."""
     snr = gain * powers
     if not ((snr >= -POWER_SLACK) & (snr < math.inf)).all():
         raise ValueError("schedule powers must be finite and non-negative")
@@ -470,8 +421,8 @@ class _ScalarSteps:
 
     def report(self, residuals, powers, maps, initial_energies, e_max):
         """The lone member's (powers, residuals, harvested, consumed, bits),
-        as :func:`_solve_batch` reports them, with bits None where the trace
-        fails :func:`check_feasibility`'s test.  The harvests are
+        as :func:`_solve_batch` reports them, with bits None where
+        :func:`_violations` flags the trace.  The harvests are
         :func:`_harvest_value`'s operations in ``math``, and the tests
         :func:`_violations`' in floats; only the bits go through numpy.
         """
@@ -754,7 +705,7 @@ def solve(scenario: EnergyScenario, circuit: ChargeCircuit,
     powers, and the trace its residuals, each packet's harvest at them
     and p l; the residual at the deadline is the trace's own balance,
     what the last epoch leaves of the store after the last harvest.  The
-    pair passes :func:`check_feasibility`'s test.
+    trace passes the solver's self-check, :func:`_violations`.
 
     Raises:
         ValueError: unless 0 < gain < inf, or if the initial energy
@@ -824,8 +775,12 @@ def _solve_batch(scenarios, circuit: ChargeCircuit, gain: float = 1.0) -> list:
         elif size > 1:
             out.append(_solve_batch([scenario], circuit, gain)[0])
         else:
-            verdict = check_feasibility(schedule, trace, circuit)
+            # causality over the whole horizon first, then capacity
+            causality, capacity = _violations(np.array(residuals), np.array(harvested),
+                                              circuit.e_max)
+            violated, flags = (("causality", causality) if causality.any()
+                               else ("capacity", capacity))
             out.append(SolverError("optimum fails the feasibility check", diagnostics={
                 "iterations": iterations, "newton_decrement": decrement,
-                "violated": verdict.violated, "epoch": verdict.epoch}))
+                "violated": violated, "epoch": int(flags.argmax()) + 1}))
     return out

@@ -144,8 +144,7 @@ def replay(policy, scenario: EnergyScenario, circuit: ChargeCircuit,
 
     Returns:
         (HarvestTrace, throughput in bits under the active rate model,
-        summed as log1p(g p) / ln 2 like
-        :func:`~rfharvest.scheduling.throughput`)
+        summed as log1p(g p) / ln 2 like a solve report's)
     """
     if scenario.initial_energy > circuit.e_max:
         raise ValueError("initial_energy exceeds the battery capacity e_max")

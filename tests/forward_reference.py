@@ -180,7 +180,7 @@ def draw(config, rng):
             tunnel = classic_tunnel(config.initial_energy, arrivals, harvests,
                                     deadline, config.circuit)
             schedule = tight_string_schedule(tunnel)
-            epoch_lengths = schedule.epoch_lengths
+            epoch_lengths = np.diff(schedule.epoch_bounds)
             durations = []
             stored = config.initial_energy
             for i in range(n):

@@ -222,7 +222,7 @@ def test_criterion_6_invariant_suites(capsys):
                                                   np.random.default_rng([4002, seed]))
         tunnel = ref.draw(medium_config(6, seed), np.random.default_rng([4002, seed]))[3]
         consumed = np.cumsum(np.asarray(schedule.powers)
-                             * schedule.epoch_lengths)[:-1]
+                             * np.diff(schedule.epoch_bounds))[:-1]
         for k in range(scenario.n_packets):
             assert tunnel.lower[k] - 1e-9 <= consumed[k] <= tunnel.upper[k] + 1e-9
             if abs(schedule.powers[k + 1] - schedule.powers[k]) > 1e-12:

@@ -474,6 +474,21 @@ class TestEntryPoint:
         assert result.returncode == 0
         assert "throughput" in result.stdout
 
+    @pytest.mark.parametrize("command", [
+        ["optimize"], ["simulate", "--strategy", "optimal"], ["sweep", "--figure", "fig6"],
+        ["oracle-check"]], ids=["optimize", "simulate", "sweep", "oracle-check"])
+    def test_negative_seed_override_exits_2(self, explicit_config, generated_config, tmp_path,
+                                            capsys, command):
+        # --seed is checked like the config's own seed, before any work
+        config = explicit_config if command == ["optimize"] else generated_config
+        rc = main([*command, "--config", str(config), "--seed", "-1",
+                   "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: seed must be >= 0" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_import_leaves_scipy_out(self):
         # scipy is a test-only dependency; importing it would slow every
         # start of the package

@@ -12,8 +12,8 @@ from rfharvest import (
     generate_scenario,
     max_harvest_schedule,
     solve,
-    throughput,
 )
+from rfharvest.scheduling import _bits
 
 import oracle_reference as ref
 
@@ -91,8 +91,10 @@ class TestBruteForce:
             result = brute_force_optimize(scenario, sim_circuit, gain=gain)
             assert result.throughput <= report.throughput + 1e-9
             assert report.throughput - result.throughput <= result.error_bound
+            schedule = result.schedule
             assert result.throughput == pytest.approx(
-                throughput(result.schedule, gain), rel=1e-12)
+                _bits(np.array(schedule.powers), np.diff(schedule.epoch_bounds), gain),
+                rel=1e-12)
             unit = brute_force_optimize(scenario, sim_circuit)
             assert result.error_bound == pytest.approx(gain * unit.error_bound,
                                                        rel=1e-12)

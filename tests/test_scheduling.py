@@ -17,7 +17,6 @@ from rfharvest import (
     SolverError,
     TransmissionSchedule,
     brute_force_optimize,
-    check_feasibility,
     generate_scenario,
     harvest_sensitivity,
     harvested_energy,
@@ -26,9 +25,9 @@ from rfharvest import (
     optimal_residual,
     replay,
     solve,
-    throughput,
 )
 from rfharvest.config import experiment_config, load_config
+from rfharvest.scheduling import _bits, _violations
 
 TWO_PACKET = dict(initial_energy=0.5, packets=((10.0, 5.0), (20.0, 5.0)), deadline=30.0)
 
@@ -126,60 +125,61 @@ class TestPropagate:
             assert trace.residuals[i + 1] == pytest.approx(expected, abs=1e-15)
 
 
+def violations(trace, circuit):
+    """The solver's (causality, capacity) flags on a trace, as lists."""
+    return [flags.tolist() for flags in _violations(
+        np.array(trace.residuals), np.array(trace.harvested), circuit.e_max)]
+
+
 class TestCheckFeasibility:
+    """The solver's self-check on a trace, :func:`_violations`."""
+
     def test_zero_schedule_passes(self, bench_circuit):
         s = EnergyScenario(**TWO_PACKET)
         schedule = TransmissionSchedule(powers=(0.0, 0.0, 0.0),
                                         epoch_bounds=tuple(s.epoch_bounds))
         trace, _ = replay(schedule, s, bench_circuit)
-        verdict = check_feasibility(schedule, trace, bench_circuit)
-        assert verdict.ok
+        assert violations(trace, bench_circuit) == [[False] * 3, [False] * 2]
 
     def test_overdraw_fails_causality_at_first_epoch(self, bench_circuit):
-        s = EnergyScenario(initial_energy=1.0, packets=(), deadline=10.0)
-        schedule = TransmissionSchedule(powers=(0.2,), epoch_bounds=(0.0, 10.0))
         from rfharvest import HarvestTrace
         trace = HarvestTrace(residuals=(-1.0,), harvested=(), consumed=(2.0,))
-        verdict = check_feasibility(schedule, trace, bench_circuit)
-        assert not verdict.ok
-        assert verdict.violated == "causality"
-        assert verdict.epoch == 1
+        assert violations(trace, bench_circuit) == [[True], []]
 
     def test_solve_winners_always_pass(self, sim_circuit):
         for seed in range(20):
             rng = np.random.default_rng([101, seed])
             scenario, _ = generate_scenario(medium_config(sim_circuit, 6, seed), rng)
             report = solve(scenario, sim_circuit)
-            verdict = check_feasibility(report.schedule, report.trace, sim_circuit)
-            assert verdict.ok
-
+            assert violations(report.trace, sim_circuit) == [[False] * 7, [False] * 6]
+            trace, _ = replay(report.schedule, scenario, sim_circuit)
+            assert not any(trace.clamped)
 
     def test_reports_the_first_failing_epoch(self, bench_circuit):
         from rfharvest import HarvestTrace
         e_max = bench_circuit.e_max
-        schedule = TransmissionSchedule(powers=(0.0,) * 4, epoch_bounds=(0.0, 1.0, 2.0, 3.0, 4.0))
         # over-full after the harvests of epochs 2 and 3
         trace = HarvestTrace(residuals=(0.5, 1.0, 1.0, 0.0), harvested=(0.5, e_max, e_max),
                              consumed=(0.0,) * 4)
-        verdict = check_feasibility(schedule, trace, bench_circuit)
-        assert (verdict.ok, verdict.violated, verdict.epoch) == (False, "capacity", 2)
-        # causality is checked over the whole horizon first
+        assert violations(trace, bench_circuit) == [[False] * 4, [False, True, True]]
+        # both flagged, each over the whole horizon: a failed solve names
+        # causality, the first of the pair
         trace = HarvestTrace(residuals=(0.5, 1.0, 1.0, -1.0), harvested=(0.5, e_max, e_max),
                              consumed=(0.0,) * 4)
-        verdict = check_feasibility(schedule, trace, bench_circuit)
-        assert (verdict.ok, verdict.violated, verdict.epoch) == (False, "causality", 4)
+        assert violations(trace, bench_circuit) == [[False, False, False, True],
+                                                    [False, True, True]]
 
 
 class TestThroughput:
+    """Bits of rows of powers over their epoch lengths, :func:`_bits`, which
+    every solve report runs."""
+
     def test_silence_is_zero(self):
-        s = TransmissionSchedule(powers=(0.0, 0.0), epoch_bounds=(0.0, 1.0, 2.0))
-        assert throughput(s) == 0.0
+        assert _bits(np.zeros(2), np.array([1.0, 1.0]), 1.0) == 0.0
 
     def test_spot_values(self):
-        s = TransmissionSchedule(powers=(1.0,), epoch_bounds=(0.0, 10.0))
-        assert throughput(s) == pytest.approx(5.0, rel=1e-15)
-        s = TransmissionSchedule(powers=(3.0,), epoch_bounds=(0.0, 4.0))
-        assert throughput(s) == pytest.approx(4.0, rel=1e-15)
+        assert _bits(np.array([1.0]), np.array([10.0]), 1.0) == pytest.approx(5.0, rel=1e-15)
+        assert _bits(np.array([3.0]), np.array([4.0]), 1.0) == pytest.approx(4.0, rel=1e-15)
 
     def test_tiny_snr_keeps_relative_precision(self, sim_circuit):
         # at g p = 1e-12, log2(1 + g p) rounds 1 + g p and is off by 1e-4
@@ -188,13 +188,14 @@ class TestThroughput:
                                         epoch_bounds=tuple(scenario.epoch_bounds))
         want = math.fsum(0.5 * l * math.log1p(1e-12) for l in (1.0, 2.0, 3.0)) / math.log(2.0)
         _, replayed = replay(schedule, scenario, sim_circuit)
-        for bits in (throughput(schedule), replayed):
+        summed = _bits(np.array(schedule.powers), np.diff(schedule.epoch_bounds), 1.0)
+        for bits in (summed, replayed):
             assert abs(bits / want - 1.0) <= 1e-15
 
     def test_rejects_negative_power(self):
-        s = TransmissionSchedule(powers=(-0.5,), epoch_bounds=(0.0, 1.0))
-        with pytest.raises(ValueError):
-            throughput(s)
+        for power in (-0.5, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                _bits(np.array([power]), np.array([1.0]), 1.0)
 
 
 class TestSolve:

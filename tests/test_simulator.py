@@ -171,7 +171,7 @@ class TestReplay:
 
     @pytest.mark.parametrize("power", [math.nan, -1e-3, math.inf])
     def test_nan_or_negative_schedule_power_rejected(self, sim_circuit, power):
-        # throughput() refuses the same schedule; replay names the epoch
+        # _bits refuses the same powers; replay names the epoch
         s = EnergyScenario(initial_energy=0.01, packets=((1.0, 5.0),), deadline=2.0)
         schedule = TransmissionSchedule(powers=(0.0, power),
                                         epoch_bounds=(0.0, 1.0, 2.0))
@@ -467,7 +467,7 @@ class TestMonteCarlo:
         scenario, string = generate_scenario(config, rng)
         trace, bits = evaluate_strategy("max_harvest", scenario, string, config)
         assert rows[0]["mean_throughput"] == bits / scenario.deadline
-        assert rows[0]["mean_harvested"] == trace.total_harvested
+        assert rows[0]["mean_harvested"] == float(np.sum(trace.harvested))
         assert rows[0]["std_throughput"] == 0.0
 
     def test_replays_every_other_strategy_through_evaluate_strategy(self, sim_circuit,
@@ -525,7 +525,8 @@ class TestMonteCarlo:
         def means(reports):
             return (float(np.mean([report.throughput / scenario.deadline
                                    for scenario, report in zip(scenarios, reports)])),
-                    float(np.mean([report.trace.total_harvested for report in reports])))
+                    float(np.mean([float(np.sum(report.trace.harvested))
+                                   for report in reports])))
 
         row_means = (row["mean_throughput"], row["mean_harvested"])
         assert row_means == means(batched)
@@ -572,7 +573,7 @@ class TestMonteCarlo:
                     else:
                         trace, run_bits = evaluate_strategy(name, scenario, string, point)
                     bits.append(run_bits / scenario.deadline)
-                    harvested.append(trace.total_harvested)
+                    harvested.append(float(np.sum(trace.harvested)))
                 expected.append({
                     "sweep_axis": sweep_axis or "",
                     "sweep_value": value if value is not None else "",

@@ -97,7 +97,7 @@ class TestTightString:
             tunnel = classic_tunnel(e0, arrivals, harvests, deadline, sim_circuit)
             schedule = tight_string_schedule(tunnel)
             consumed = np.cumsum(np.asarray(schedule.powers)
-                                 * schedule.epoch_lengths)[:-1]
+                                 * np.diff(schedule.epoch_bounds))[:-1]
             for k in range(n):
                 assert tunnel.lower[k] - 1e-9 <= consumed[k] <= tunnel.upper[k] + 1e-9
             # slopes change only where the string touches a bound
@@ -177,7 +177,7 @@ class TestMaxHarvest:
                        scenario, sim_circuit)[0],
                 replay(string, scenario, sim_circuit)[0],
             ]
-            greedy, optimal, string = (t.total_harvested for t in traces)
+            greedy, optimal, string = (float(np.sum(t.harvested)) for t in traces)
             assert greedy >= optimal - 1e-12
             assert greedy >= string - 1e-12
 
