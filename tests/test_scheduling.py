@@ -162,8 +162,7 @@ class TestCheckFeasibility:
         trace = HarvestTrace(residuals=(0.5, 1.0, 1.0, 0.0), harvested=(0.5, e_max, e_max),
                              consumed=(0.0,) * 4)
         assert violations(trace, bench_circuit) == [[False] * 4, [False, True, True]]
-        # both flagged, each over the whole horizon: a failed solve names
-        # causality, the first of the pair
+        # both flagged, each over the whole horizon
         trace = HarvestTrace(residuals=(0.5, 1.0, 1.0, -1.0), harvested=(0.5, e_max, e_max),
                              consumed=(0.0,) * 4)
         assert violations(trace, bench_circuit) == [[False, False, False, True],
@@ -676,20 +675,22 @@ class TestReports:
 
     @pytest.mark.parametrize("n_packets", [8, 256], ids=["floats", "numpy"])
     @pytest.mark.parametrize("overdraw, violated", [
-        ("terminal", "causality"), ("overfull", "capacity")])
+        ("terminal", "causality"), ("overfull", "capacity"), ("both", "causality")])
     def test_optimum_that_fails_the_check(self, sim_circuit, monkeypatch, n_packets, overdraw,
                                           violated):
-        # the last epoch spends more than the store holds, or arrival 3
-        # holds 1.5 e_max: the solve raises with the first failing epoch
+        # the last epoch spends more than the store holds, arrival 3 holds
+        # 1.5 e_max, or both: the solve raises with the first failing epoch,
+        # and names causality over the whole horizon before an earlier
+        # capacity failure
         scenario = reference_horizon(sim_circuit, n_packets, 0)
         iterations = solve(scenario, sim_circuit).iterations
         optimal = scheduling._optimal_residuals
 
         def overdrawn(*args):
             steps, residuals, powers, iterations, decrement = optimal(*args)
-            if overdraw == "terminal":
+            if overdraw != "overfull":
                 powers[-1] *= 1.001
-            else:
+            if overdraw != "terminal":
                 residuals[3] = 1.5 * sim_circuit.e_max
             return steps, residuals, powers, iterations, decrement
 
@@ -698,7 +699,7 @@ class TestReports:
             solve(scenario, sim_circuit)
         diagnostics = excinfo.value.diagnostics
         assert diagnostics["violated"] == violated
-        assert diagnostics["epoch"] == (n_packets + 1 if overdraw == "terminal" else 4)
+        assert diagnostics["epoch"] == (4 if overdraw == "overfull" else n_packets + 1)
         assert diagnostics["iterations"] == iterations
 
 
