@@ -92,12 +92,6 @@ def _charge_map(packet_length: float, tau: float) -> tuple:
     return -math.expm1(x), math.exp(x)
 
 
-def _charge_maps(packet_lengths, circuit: ChargeCircuit) -> list:
-    """Each packet's charge map (q, s), as a list."""
-    tau = circuit.tau
-    return [_charge_map(d, tau) for d in packet_lengths]
-
-
 def _harvest_value(charge_map, e_max, root_e_max, residual):
     """Harvest of a packet's charge map (q, s) at residual; no domain
     check, array friendly.
@@ -183,12 +177,13 @@ def packet_length_for(residual_before: float, harvested: float, circuit: ChargeC
         raise ValueError(f"residual_before must be >= 0, got {residual_before}")
     if harvested < 0:
         raise ValueError(f"harvested must be >= 0, got {harvested}")
-    duration, = _charge_durations(residual_before, (0.0,), (harvested,), circuit)
+    (duration,), _ = _charge_durations(residual_before, (0.0,), (harvested,), circuit)
     return duration
 
 
-def _charge_durations(initial_energy: float, spends, harvests, circuit: ChargeCircuit) -> list:
-    """Charge durations that make a store walk capture the given harvests.
+def _charge_durations(initial_energy: float, spends, harvests, circuit: ChargeCircuit) -> tuple:
+    """Charge durations that make a store walk capture the given harvests,
+    and their charge maps.
 
     The store starts at ``initial_energy``.  Epoch i spends spends[i],
     floored at a residual r of 0, and packet i must then capture exactly
@@ -201,6 +196,12 @@ def _charge_durations(initial_energy: float, spends, harvests, circuit: ChargeCi
     (its sqrt is correctly rounded too).  The residual never leaves
     [0, e_max): it is floored at 0 and lies below a target under e_max.
 
+    Returns:
+        (durations, maps): the list of charge durations and the list of
+        their charge maps (q, s), each what :func:`_charge_map` gives
+        for its duration, bit for bit, so a drawn scenario's maps need
+        not be computed again.
+
     Raises:
         InfeasibleError: as :func:`packet_length_for`, for the first
             packet whose target reaches e_max or whose duration exceeds
@@ -210,7 +211,7 @@ def _charge_durations(initial_energy: float, spends, harvests, circuit: ChargeCi
     root_e_max = math.sqrt(e_max)
     longest = MAX_CHARGE_TIME_CONSTANTS * tau
     sqrt, log1p, expm1, exp = math.sqrt, math.log1p, math.expm1, math.exp
-    stored, durations = initial_energy, []
+    stored, durations, maps = initial_energy, [], []
     for spend, harvest in zip(spends, harvests):
         residual = stored - spend
         if not residual > 0.0:
@@ -235,4 +236,5 @@ def _charge_durations(initial_energy: float, spends, harvests, circuit: ChargeCi
         full = q * (e_max - residual)
         stored = residual + (full if full < captured else captured)
         durations.append(duration)
-    return durations
+        maps.append((q, s))
+    return durations, maps

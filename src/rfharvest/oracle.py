@@ -18,12 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charge import (
-    ChargeCircuit,
-    _charge_maps,
-    _harvest_value,
-    optimal_residual,
-)
+from .charge import ChargeCircuit, _harvest_value
 from .exceptions import BudgetError
 from .scheduling import EnergyScenario, TransmissionSchedule
 
@@ -56,9 +51,10 @@ class OracleResult:
 
 
 def _auto_power_bound(scenario: EnergyScenario, circuit: ChargeCircuit) -> float:
-    e_max, lengths = circuit.e_max, scenario.packet_lengths
-    harvests = (_harvest_value(m, e_max, math.sqrt(e_max), optimal_residual(d, circuit))
-                for m, d in zip(_charge_maps(lengths, circuit), lengths))
+    e_max = circuit.e_max
+    # each packet's harvest at its optimal residual e_max (s / (1 + s))^2
+    harvests = (_harvest_value((q, s), e_max, math.sqrt(e_max), e_max * (s / (1.0 + s)) ** 2)
+                for q, s in scenario._maps(circuit.tau))
     total = scenario.initial_energy + sum(harvests)
     return float(2.0 * total / float(np.min(scenario.epoch_lengths)))
 
@@ -107,7 +103,7 @@ def brute_force_optimize(scenario: EnergyScenario, circuit: ChargeCircuit,
     p_ub = grid.power_bound or _auto_power_bound(scenario, circuit)
     axis = np.linspace(0.0, p_ub, grid.resolution)
 
-    maps = _charge_maps(scenario.packet_lengths, circuit)
+    maps = scenario._maps(circuit.tau)
     e_max, root_e_max = circuit.e_max, math.sqrt(circuit.e_max)
     # Per causal power prefix, in C order: flat grid index, bits, store.
     index, bits = np.zeros(1, dtype=np.intp), np.zeros(1)

@@ -73,7 +73,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .charge import ChargeCircuit, _charge_maps, _harvest_value
+from .charge import ChargeCircuit, _charge_map, _harvest_value
 from .exceptions import SolverError
 
 __all__ = [
@@ -119,6 +119,14 @@ class EnergyScenario:
     pairs, both in seconds.  Epoch i is the interval between arrivals
     i-1 and i (with t_0 = 0 and t_{N+1} = deadline), so there are
     len(packets) + 1 epochs and every epoch must have positive length.
+
+    The packets' charge maps are kept, per time constant tau, in a memo
+    that is a plain attribute and not a dataclass field (so ``repr``,
+    equality, hashing and ``dataclasses.replace`` see the three fields
+    alone, and a replaced scenario starts an empty memo): the solver,
+    ``replay``, the greedy policy and the oracle read them through
+    :meth:`_maps`, and the scenario draw seeds them with the maps its
+    inversion computed.
     """
 
     initial_energy: float                      # joules in the battery at t = 0
@@ -127,6 +135,7 @@ class EnergyScenario:
 
     def __post_init__(self):
         object.__setattr__(self, "packets", tuple((float(t), float(d)) for t, d in self.packets))
+        object.__setattr__(self, "_charge_memo", {})
         if not 0 <= self.initial_energy < math.inf:
             raise ValueError(f"initial_energy must be finite and >= 0, "
                              f"got {self.initial_energy}")
@@ -142,6 +151,15 @@ class EnergyScenario:
             prev = arrival
         if self.packets and self.packets[-1][0] >= self.deadline:
             raise ValueError("all arrivals must precede the deadline")
+
+    def _maps(self, tau: float) -> list:
+        """Each packet's charge map (q, s) under time constant ``tau``, as
+        :func:`~rfharvest.charge._charge_map` gives it; computed on the
+        first call for ``tau`` (unless the draw seeded it) and kept."""
+        maps = self._charge_memo.get(tau)
+        if maps is None:
+            maps = self._charge_memo[tau] = [_charge_map(d, tau) for _, d in self.packets]
+        return maps
 
     @property
     def n_packets(self) -> int:
@@ -653,13 +671,18 @@ def _optimal_residuals(initial_energy, lengths, curves, gain, e_max_root):
     for lo, hi in zip(firsts, [*firsts[1:], len(lengths)]):
         left += list(accumulate(reversed(lengths[lo:hi])))[::-1]
     with np.errstate(all="ignore"):    # see _ArraySteps
+        # both starts in one walk: half the store kept, or the even spend
+        half, even = [], []
+        kept, spread = initial_energy, initial_energy    # each start's store
+        for (a, s), l, rest in zip(curves, lengths, left):
+            half.append(0.5 * kept)
+            root = a + s * math.sqrt(half[-1])
+            kept = root * root
+            even.append((1.0 - l / rest) * spread)
+            root = a + s * math.sqrt(even[-1])
+            spread = root * root
         best = (-math.inf,)
-        for kept in ([0.5] * len(curves), [1.0 - l / rest for l, rest in zip(lengths, left)]):
-            start, stored = [], initial_energy
-            for (a, s), share in zip(curves, kept):
-                start.append(share * stored)
-                root = a + s * math.sqrt(start[-1])
-                stored = root * root
+        for start in (half, even):
             point = steps.forward(start, status)
             if point[-1] > best[-1]:
                 best = point
@@ -739,7 +762,7 @@ def _solve_batch(scenarios, circuit: ChargeCircuit, gain: float = 1.0) -> list:
         raise ValueError("initial_energy exceeds the battery capacity e_max")
     size = len(scenarios)
     e_max_root = math.sqrt(circuit.e_max)
-    maps = [_charge_maps([d for _, d in scenario.packets], circuit) for scenario in scenarios]
+    maps = [scenario._maps(circuit.tau) for scenario in scenarios]
     bounds = [[0.0, *(t for t, _ in scenario.packets), float(scenario.deadline)]
               for scenario in scenarios]
     lengths = [b - a for row in bounds for a, b in zip(row, row[1:])]   # np.diff's bits

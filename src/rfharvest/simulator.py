@@ -137,10 +137,11 @@ def replay(policy, scenario: EnergyScenario, circuit: ChargeCircuit,
     actually receive, and that shortfall is part of what the comparison
     measures.
 
-    The scenario's packets are read once as Python floats, and each
-    arrival's charge map and harvest are taken inline, in the operations
-    of :func:`~rfharvest.charge.harvested_energy`, so the walk makes no
-    call per epoch besides a policy's.
+    The scenario's packets and its charge maps (``EnergyScenario._maps``,
+    computed once per tau and kept) are read once as Python floats, and
+    each arrival's harvest is taken inline from its map, in the
+    operations of :func:`~rfharvest.charge.harvested_energy`, so the walk
+    makes no call per epoch besides a policy's.
 
     Returns:
         (HarvestTrace, throughput in bits under the active rate model,
@@ -156,11 +157,12 @@ def replay(policy, scenario: EnergyScenario, circuit: ChargeCircuit,
 
     gain = _snr_gain(rate_model, link)
     slack = _clamp_slack(circuit)
-    tau, e_max, deadline = circuit.tau, circuit.e_max, scenario.deadline
+    e_max, deadline = circuit.e_max, scenario.deadline
     root_e_max = math.sqrt(e_max)
-    sqrt, log1p, expm1, exp, inf = math.sqrt, math.log1p, math.expm1, math.exp, math.inf
+    sqrt, log1p, inf = math.sqrt, math.log1p, math.inf
     stored, start, total = scenario.initial_energy, 0.0, 0.0
     residuals, harvested, consumed, clamped, nats = [], [], [], [], 0.0
+    maps = scenario._maps(circuit.tau)
     # the deadline closes the last epoch; its duration is never read
     for i, (end, duration) in enumerate((*packets, (deadline, 0.0))):
         length = end - start
@@ -194,8 +196,7 @@ def replay(policy, scenario: EnergyScenario, circuit: ChargeCircuit,
             # carry is floored so exact bound touches stay exact, and
             # capped so a full store that rounds above e_max stays full.
             carried = 0.0 if residual < 0.0 else residual
-            x = -duration / tau
-            q, s = -expm1(x), exp(x)
+            q, s = maps[i]
             u = sqrt(carried)
             harvest = q * (root_e_max - u) * (root_e_max * q + (1.0 + s) * u)
             full = q * (e_max - carried)
@@ -240,6 +241,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
+        # numpy seeds run k's generator with [seed, k], which must be >= 0
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if not 0 < self.mean_epoch_length < math.inf:
             raise ConfigError("mean_epoch_length must be finite and > 0")
         if not 0 <= self.mean_harvest < math.inf:
@@ -334,7 +338,9 @@ def _attempt(config: ExperimentConfig, rngs) -> list:
     run that passes goes through the funnel scan, whose string from
     (0, 0) to (deadline, total) gives the schedule's powers, then the
     inversion walk ``charge._charge_durations``, whose
-    ``InfeasibleError`` text it keeps.
+    ``InfeasibleError`` text it keeps.  The walk's charge maps seed the
+    drawn scenario's memo (``EnergyScenario._maps``), so what reads them
+    later does not compute them again.
     """
     n = config.packet_count
     circuit = config.circuit
@@ -395,7 +401,7 @@ def _attempt(config: ExperimentConfig, rngs) -> list:
             deadlines.tolist(), powers.tolist(), bound_rows):
         if reason is None:
             try:
-                durations = _charge_durations(initial, spent, classic, circuit)
+                durations, maps = _charge_durations(initial, spent, classic, circuit)
             except InfeasibleError as exc:
                 reason = str(exc)
         if reason is not None:
@@ -404,6 +410,7 @@ def _attempt(config: ExperimentConfig, rngs) -> list:
         scenario = EnergyScenario(initial_energy=initial,
                                   packets=tuple(zip(times, durations)),
                                   deadline=deadline)
+        scenario._charge_memo[circuit.tau] = maps
         outcomes.append((scenario, TransmissionSchedule(powers=string, epoch_bounds=epochs)))
     return outcomes
 

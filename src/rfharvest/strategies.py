@@ -4,11 +4,13 @@ Besides the offline optimum, one parking rule under two predictors, and
 the conventional string:
 
 * the parking rule ``_park`` sheds the store, before each arrival, to
-  the harvest-maximizing residual of the incoming packet.  The
+  a target: the harvest-maximizing residual of the incoming packet.  The
   maximal-energy-harvesting policy (:func:`max_harvest_schedule`) applies
-  it to the true next packet; the online policy applies it to a packet
-  predicted from the running means of past packet lengths and
-  inter-arrival intervals.  Both are queried through
+  it to the true next packet, with every packet's target computed once,
+  when the policy is built, from the scenario's charge maps; the online
+  policy applies it to a packet predicted from the running means of past
+  packet lengths and inter-arrival intervals, whose target it computes
+  in each epoch.  Both are queried through
   ``power(now, stored, count, total, deadline, circuit)``, where
   :func:`~rfharvest.simulator.replay` passes the number of packets seen
   and the running sum of their charge durations, so each epoch costs O(1);
@@ -41,15 +43,14 @@ __all__ = [
 FULL_BATTERY_FRACTION = 0.99
 
 
-def _park(stored: float, length: float, arrival: float, now: float, deadline: float,
-          circuit: ChargeCircuit) -> float:
-    """The power that sheds ``stored`` to the optimal residual of a packet of
-    charge duration ``length`` by its ``arrival`` (nothing when the store is
-    at or below it), or drains the store when the arrival misses the deadline.
+def _park(stored: float, target: float, arrival: float, now: float,
+          deadline: float) -> float:
+    """The power that sheds ``stored`` to ``target``, the optimal residual of
+    the packet expected at ``arrival``, by that arrival (nothing when the store
+    is at or below it), or drains the store when the arrival misses the deadline.
     """
     if arrival >= deadline:
         return stored / (deadline - now)
-    target = optimal_residual(length, circuit)
     if stored <= target:
         return 0.0
     return (stored - target) / (arrival - now)
@@ -57,13 +58,16 @@ def _park(stored: float, length: float, arrival: float, now: float, deadline: fl
 
 @dataclass(frozen=True)
 class _GreedyPolicy:
-    """The parking rule on the true next packet of a scenario."""
+    """The parking rule on the true next packet of a scenario, whose optimal
+    residual is ``targets[count]``."""
 
     packets: tuple
+    targets: tuple
 
     def power(self, now, stored, count, total, deadline, circuit) -> float:
-        arrival, length = self.packets[count] if count < len(self.packets) else (deadline, 0.0)
-        return _park(stored, length, arrival, now, deadline, circuit)
+        if count < len(self.targets):
+            return _park(stored, self.targets[count], self.packets[count][0], now, deadline)
+        return _park(stored, 0.0, deadline, now, deadline)
 
 
 def max_harvest_schedule(scenario: EnergyScenario, circuit: ChargeCircuit) -> _GreedyPolicy:
@@ -73,11 +77,15 @@ def max_harvest_schedule(scenario: EnergyScenario, circuit: ChargeCircuit) -> _G
     incoming packet's optimal residual (transmitting nothing when the
     store is already at or below the target), and drains whatever is
     left in the final epoch.  The policy reads its scenario's packet
-    ahead of each epoch as :func:`~rfharvest.simulator.replay` walks it.
+    ahead of each epoch as :func:`~rfharvest.simulator.replay` walks it;
+    each packet's target, e_max (s / (1 + s))^2 of its charge map, is
+    computed here, once, for ``circuit``.
     """
     if scenario.initial_energy > circuit.e_max:
         raise ValueError("initial_energy exceeds the battery capacity e_max")
-    return _GreedyPolicy(scenario.packets)
+    e_max = circuit.e_max
+    return _GreedyPolicy(scenario.packets, tuple([e_max * (s / (1.0 + s)) ** 2
+                                                  for _, s in scenario._maps(circuit.tau)]))
 
 
 def _taut_string(xs, los, his):
@@ -169,4 +177,4 @@ class OnlinePredictivePolicy:
             length, arrival = self.prior_length, now + self.prior_gap
         if arrival <= now:
             raise ValueError("predicted arrival must lie in the future")
-        return _park(stored, length, arrival, now, deadline, circuit)
+        return _park(stored, optimal_residual(length, circuit), arrival, now, deadline)

@@ -4,10 +4,13 @@ Here ``replay``, ``max_harvest_schedule`` and ``generate_scenario`` index
 the scenario's numpy arrays and call the public ``harvested_energy`` at
 every arrival, and ``replay`` hands online policies a fresh tuple of
 (arrival, duration) pairs each epoch, which the policy below takes apart
-and sums again.  The library reads each scenario once as Python floats,
-takes every packet's charge map and harvest inline and hands an online
-policy the packet count and a running duration sum; the tests require
-identical results.  Both sum the bits as 0.5 l log1p(g p) and divide the
+and sums again; every charge map and parking target is computed where it
+is used, in each epoch.  The library reads each scenario once as Python
+floats, computes its charge maps once per tau and keeps them in the
+scenario (the draw seeds them from its inversion), takes every harvest
+inline from them, computes the greedy policy's parking targets once, when
+the policy is built, and hands an online policy the packet count and a
+running duration sum; the tests require identical results.  Both sum the bits as 0.5 l log1p(g p) and divide the
 total by ln 2 once.
 
 The draw builds its classic tunnel one run at a time, with the tests and

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from rfharvest.charge import _charge_maps, _harvest_value, harvested_energy, optimal_residual
+from rfharvest.charge import _charge_map, _harvest_value, harvested_energy, optimal_residual
 from rfharvest.oracle import GridSpec, OracleResult
 from rfharvest.scheduling import TransmissionSchedule
 
@@ -44,7 +44,7 @@ def brute_force_optimize(scenario, circuit, grid=GridSpec(), gain=1.0):
     mesh = np.meshgrid(*([axis] * n), indexing="ij")
     powers = np.stack([m.reshape(-1) for m in mesh], axis=1)
 
-    maps = _charge_maps(scenario.packet_lengths, circuit)
+    maps = [_charge_map(d, circuit.tau) for d in scenario.packet_lengths]
     e_max, root_e_max = circuit.e_max, math.sqrt(circuit.e_max)
     stored = np.full(count, scenario.initial_energy)
     ok = np.ones(count, dtype=bool)

@@ -1,8 +1,9 @@
 """The forward path against its original per-epoch form, bit for bit.
 
 ``forward_reference`` holds the loops in their per-epoch form, before
-the inline per-arrival harvest, the once-read scenario packets and the
-online policy's running statistics; every trace, bit count,
+the inline per-arrival harvest, the once-read scenario packets, the
+charge maps each scenario keeps and the online policy's running
+statistics; every trace, bit count,
 generated scenario and tight string must come out identical (compared
 through ``repr``, which tells apart every distinct double, -0.0
 included).

@@ -19,6 +19,7 @@ from rfharvest import (
     generate_scenario,
     harvest_sensitivity,
     harvested_energy,
+    max_harvest_schedule,
     monte_carlo,
     optimal_residual,
     optimal_schedule,
@@ -344,6 +345,12 @@ class TestGenerateScenario:
         assert str(exc.value) == ("no feasible scenario in 100 attempts; "
                                   f"last failure: {failure}")
 
+    def test_negative_seed_is_refused(self, sim_circuit):
+        # monte_carlo would end in numpy's "expected non-negative integer"
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            medium_config(sim_circuit, seed=-1)
+        assert monte_carlo(medium_config(sim_circuit, seed=0, runs=2), ("zero",))
+
     @pytest.mark.parametrize("field", ["mean_epoch_length", "mean_harvest"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_draw_means_are_refused(self, sim_circuit, field, value):
@@ -360,6 +367,101 @@ class TestGenerateScenario:
             medium_config(sim_circuit, mean_epoch_length=value)
         medium_config(sim_circuit, mean_epoch_length=value / 7.0 / (1.0 + UNIFORM_HALFWIDTH)
                       / (1.0 + 1e-15))
+
+
+def reference_maps(scenario, tau):
+    """Each packet's charge map as ``charge._charge_map`` gives it, for
+    comparison through ``repr`` (which tells every distinct double apart)."""
+    return [charge._charge_map(d, tau) for _, d in scenario.packets]
+
+
+class TestChargeMapMemo:
+    """A scenario computes its packets' charge maps once per tau, and its
+    draw seeds them; every reader gets them bit for bit as
+    ``charge._charge_map`` gives them."""
+
+    def test_the_draw_seeds_the_maps(self, sim_circuit):
+        for config in (medium_config(sim_circuit), medium_config(sim_circuit, packet_count=64)):
+            for scenario, _ in simulator._draw_scenarios(config, 5):
+                # seeded, before anything reads them
+                assert list(scenario._charge_memo) == [sim_circuit.tau]
+                assert repr(scenario._maps(sim_circuit.tau)) == repr(
+                    reference_maps(scenario, sim_circuit.tau))
+
+    def test_the_inversion_hands_out_its_maps(self, sim_circuit):
+        durations, maps = charge._charge_durations(
+            0.05, [0.01, 0.2, 0.0], [0.02, 0.0, 0.03], sim_circuit)
+        assert repr(maps) == repr([charge._charge_map(d, sim_circuit.tau) for d in durations])
+        assert maps[1] == (0.0, 1.0)    # a zero harvest takes a zero-length packet
+
+    def test_zero_length_draws(self, sim_circuit):
+        scenario, _ = generate_scenario(medium_config(sim_circuit, mean_harvest=0.0),
+                                        np.random.default_rng(1))
+        assert repr(scenario._maps(sim_circuit.tau)) == repr([(0.0, 1.0)] * 6)
+
+    def test_hand_built_scenarios_fill_lazily(self, sim_circuit):
+        tau = sim_circuit.tau
+        # zero-length packets and a flat map, 1e4 tau long
+        scenario = EnergyScenario(initial_energy=0.05,
+                                  packets=((1.0, 0.0), (2.0, 1e4 * tau), (3.0, 0.3 * tau),
+                                           (4.0, 0.0)),
+                                  deadline=5.0)
+        assert scenario._charge_memo == {}
+        maps = scenario._maps(tau)
+        assert repr(maps) == repr(reference_maps(scenario, tau))
+        assert maps[0] == maps[3] == (0.0, 1.0)
+        assert maps[1] == (1.0, 0.0)
+        assert scenario._maps(tau) is maps
+        assert list(scenario._charge_memo) == [tau]
+
+    def test_two_time_constants_get_two_map_sets(self, sim_circuit):
+        other = dataclasses.replace(sim_circuit, capacitance=0.12)
+        config = medium_config(sim_circuit)
+        scenario, string = generate_scenario(config, np.random.default_rng([4, 0]))
+        results = []
+        for circuit in (sim_circuit, other, sim_circuit):
+            results.append(repr((solve(scenario, circuit),
+                                 replay(string, scenario, circuit),
+                                 replay(max_harvest_schedule(scenario, circuit), scenario,
+                                        circuit))))
+        assert results[0] == results[2]
+        assert sorted(scenario._charge_memo) == sorted([sim_circuit.tau, other.tau])
+        for circuit in (sim_circuit, other):
+            assert repr(scenario._maps(circuit.tau)) == repr(
+                reference_maps(scenario, circuit.tau))
+        # each set gives what a scenario without a memo gives
+        fresh = EnergyScenario(scenario.initial_energy, scenario.packets, scenario.deadline)
+        assert results[1] == repr((solve(fresh, other), replay(string, fresh, other),
+                                   replay(max_harvest_schedule(fresh, other), fresh, other)))
+
+    def test_greedy_targets_are_the_optimal_residuals(self, sim_circuit):
+        drawn, _ = generate_scenario(medium_config(sim_circuit), np.random.default_rng(3))
+        built = EnergyScenario(initial_energy=0.0,
+                               packets=((1.0, 0.0), (2.0, 1e4 * sim_circuit.tau)),
+                               deadline=3.0)
+        for scenario in (drawn, built):
+            targets = max_harvest_schedule(scenario, sim_circuit).targets
+            assert repr(targets) == repr(tuple(optimal_residual(d, sim_circuit)
+                                               for d in scenario.packet_lengths.tolist()))
+        assert targets == (sim_circuit.e_max / 4.0, 0.0)
+
+    def test_the_memo_is_not_a_field(self, sim_circuit):
+        scenario, _ = generate_scenario(medium_config(sim_circuit), np.random.default_rng(2))
+        fresh = EnergyScenario(scenario.initial_energy, scenario.packets, scenario.deadline)
+        assert scenario._charge_memo and not fresh._charge_memo
+        assert [f.name for f in dataclasses.fields(scenario)] == [
+            "initial_energy", "packets", "deadline"]
+        assert scenario == fresh and hash(scenario) == hash(fresh)
+        assert repr(scenario) == repr(fresh)
+        assert dataclasses.asdict(scenario) == dataclasses.asdict(fresh)
+        # a replaced scenario starts an empty memo, of its own packets
+        same = dataclasses.replace(scenario)
+        assert same == scenario and same._charge_memo == {}
+        shifted = dataclasses.replace(scenario, packets=[(t, 2.0 * d) for t, d in
+                                                         scenario.packets])
+        assert shifted._charge_memo == {}
+        assert repr(shifted._maps(sim_circuit.tau)) == repr(
+            reference_maps(shifted, sim_circuit.tau))
 
 
 def lone_draws(config, count, generate=generate_scenario):
