@@ -111,6 +111,21 @@ BOUNDARY_FRACTION = 0.01
 ARRAY_MIN_PACKETS = 64
 
 
+def _record(cls, **fields):
+    """A frozen record of ``cls`` holding ``fields`` as given, built
+    without ``__init__`` or ``__post_init__``.
+
+    For the package's own producers alone (the draw, ``replay`` and
+    :func:`_solve_batch`), whose every entry is already an exact Python
+    float (or bool) in a tuple and meets the record's invariants, so the
+    public constructor's conversion and checks would only copy them.
+    """
+    record = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(record, name, value)
+    return record
+
+
 @dataclass(frozen=True)
 class EnergyScenario:
     """Energy arrival process and transmission deadline.
@@ -119,6 +134,11 @@ class EnergyScenario:
     pairs, both in seconds.  Epoch i is the interval between arrivals
     i-1 and i (with t_0 = 0 and t_{N+1} = deadline), so there are
     len(packets) + 1 epochs and every epoch must have positive length.
+
+    The constructor checks its fields and stores every number as a Python
+    float.  The scenario draw builds its scenarios with :func:`_record`
+    instead: its floats are handed over once, and the draw's own tests
+    keep every invariant checked here.
 
     The packets' charge maps are kept, per time constant tau, in a memo
     that is a plain attribute and not a dataclass field (so ``repr``,
@@ -141,6 +161,8 @@ class EnergyScenario:
                              f"got {self.initial_energy}")
         if not 0 < self.deadline < math.inf:
             raise ValueError(f"deadline must be finite and > 0, got {self.deadline}")
+        object.__setattr__(self, "initial_energy", float(self.initial_energy))
+        object.__setattr__(self, "deadline", float(self.deadline))
         prev = 0.0
         for arrival, duration in self.packets:
             if not arrival > prev:
@@ -181,7 +203,13 @@ class EnergyScenario:
 
 @dataclass(frozen=True)
 class TransmissionSchedule:
-    """One transmission power per epoch, constant within the epoch."""
+    """One transmission power per epoch, constant within the epoch.
+
+    The constructor stores both sequences as tuples of Python floats.
+    The scenario draw (each tight string) and :func:`_solve_batch` (each
+    report's schedule) build theirs with :func:`_record` from floats they
+    hand over once.
+    """
 
     powers: tuple        # watts (normalized SNR units), one per epoch
     epoch_bounds: tuple  # seconds, length len(powers) + 1
@@ -207,6 +235,10 @@ class HarvestTrace:
 
     ``clamped`` flags epochs where a replay had to cut power to avoid
     consuming energy it did not have.
+
+    The constructor stores the entries as tuples of Python floats and
+    bools.  ``replay`` and :func:`_solve_batch` build their traces with
+    :func:`_record` from floats and bools they hand over once.
     """
 
     residuals: tuple
@@ -763,7 +795,7 @@ def _solve_batch(scenarios, circuit: ChargeCircuit, gain: float = 1.0) -> list:
     size = len(scenarios)
     e_max_root = math.sqrt(circuit.e_max)
     maps = [scenario._maps(circuit.tau) for scenario in scenarios]
-    bounds = [[0.0, *(t for t, _ in scenario.packets), float(scenario.deadline)]
+    bounds = [(0.0, *(t for t, _ in scenario.packets), scenario.deadline)
               for scenario in scenarios]
     lengths = [b - a for row in bounds for a, b in zip(row, row[1:])]   # np.diff's bits
     curves = []         # (a, s) of G(r) = (a + s sqrt r)^2
@@ -784,8 +816,11 @@ def _solve_batch(scenarios, circuit: ChargeCircuit, gain: float = 1.0) -> list:
     out = []
     for scenario, epoch_bounds, (powers, residuals, harvested, consumed, bits) in zip(
             scenarios, bounds, rows):
-        schedule = TransmissionSchedule(powers=powers, epoch_bounds=epoch_bounds)
-        trace = HarvestTrace(residuals=residuals, harvested=harvested, consumed=consumed)
+        # every entry is already a Python float
+        schedule = _record(TransmissionSchedule, powers=tuple(powers),
+                           epoch_bounds=epoch_bounds)
+        trace = _record(HarvestTrace, residuals=tuple(residuals), harvested=tuple(harvested),
+                        consumed=tuple(consumed), clamped=())
         if bits is not None:
             out.append(SolveReport(
                 schedule=schedule,

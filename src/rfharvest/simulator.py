@@ -33,6 +33,7 @@ from .scheduling import (
     HarvestTrace,
     SolveReport,
     TransmissionSchedule,
+    _record,
     _solve_batch,
     solve,
 )
@@ -141,7 +142,11 @@ def replay(policy, scenario: EnergyScenario, circuit: ChargeCircuit,
     computed once per tau and kept) are read once as Python floats, and
     each arrival's harvest is taken inline from its map, in the
     operations of :func:`~rfharvest.charge.harvested_energy`, so the walk
-    makes no call per epoch besides a policy's.
+    makes no call per epoch besides a policy's.  A policy's power goes
+    through ``float()`` once, whatever number type it returns, so every
+    entry the walk records is a Python float or bool and the trace is
+    built from them as they are (``scheduling._record``), with no second
+    conversion.
 
     Returns:
         (HarvestTrace, throughput in bits under the active rate model,
@@ -169,7 +174,7 @@ def replay(policy, scenario: EnergyScenario, circuit: ChargeCircuit,
         if fixed_powers is not None:
             power = fixed_powers[i]
         else:
-            power = policy.power(start, stored, i, total, deadline, circuit)
+            power = float(policy.power(start, stored, i, total, deadline, circuit))
             total += duration
         if not 0 <= power < inf:
             raise ValueError(f"policy produced a negative or non-finite power "
@@ -207,8 +212,8 @@ def replay(policy, scenario: EnergyScenario, circuit: ChargeCircuit,
             if e_max < stored:
                 stored = e_max
         start = end
-    trace = HarvestTrace(residuals=residuals, harvested=harvested, consumed=consumed,
-                         clamped=clamped)
+    trace = _record(HarvestTrace, residuals=tuple(residuals), harvested=tuple(harvested),
+                    consumed=tuple(consumed), clamped=tuple(clamped))
     return trace, nats / math.log(2.0)
 
 
@@ -341,12 +346,20 @@ def _attempt(config: ExperimentConfig, rngs) -> list:
     ``InfeasibleError`` text it keeps.  The walk's charge maps seed the
     drawn scenario's memo (``EnergyScenario._maps``), so what reads them
     later does not compute them again.
+
+    The scenario and its tight string are built from the batch's Python
+    floats as they are (``scheduling._record``), with no second
+    conversion or check, so every invariant the public ``EnergyScenario``
+    checks must hold here: the first test, every drawn epoch longer than
+    0, is that of strictly increasing arrivals inside (0, deadline); the
+    inversion walk gives durations >= 0; and ``ExperimentConfig`` keeps
+    E0 and the deadline finite.
     """
     n = config.packet_count
     circuit = config.circuit
     # read at call time, so a patched fraction takes effect
     cap = strategies.FULL_BATTERY_FRACTION * circuit.e_max
-    initial = config.initial_energy
+    initial = float(config.initial_energy)
     count = len(rngs)
     lengths = np.array([_uniform_about(rng, config.mean_epoch_length, n + 1)
                         for rng in rngs])
@@ -359,12 +372,13 @@ def _attempt(config: ExperimentConfig, rngs) -> list:
     upper, total = cumulative[:, :-1], cumulative[:, -1:]
     over = cumulative[:, 1:] - cap
     lower = np.where(over > 0.0, over, 0.0)
-    tests = (   # with no packets, no arrival fails
-        (((arrivals[:, -1:] >= deadlines[:, None]) | (arrivals <= 0)).any(axis=1),
-         "arrivals must lie strictly inside (0, deadline)"),
+    zeros = np.zeros((count, 1))
+    bounds = np.concatenate((zeros, arrivals, deadlines[:, None]), axis=1)
+    epoch_lengths = np.diff(bounds, axis=1)
+    tests = (
+        ((~(epoch_lengths > 0.0)).any(axis=1), "arrivals must lie strictly inside (0, deadline)"),
         ((harvests > cap).any(axis=1) | (initial > cap),
          "an energy increment exceeds the usable battery capacity"),
-        (deadlines <= 0, "tunnel deadline must be > 0"),
         ((lower > upper).any(axis=1), "tunnel is empty: lower bound exceeds upper bound"),
         ((np.diff(upper, axis=1) < 0).any(axis=1), "upper bound must be non-decreasing"),
     )
@@ -374,10 +388,7 @@ def _attempt(config: ExperimentConfig, rngs) -> list:
     reasons = [tests[first][1] if fails else None
                for first, fails in zip(flags.argmax(axis=0).tolist(), failed.tolist())]
 
-    # the taut strings, with the powers of every run in one division
-    zeros = np.zeros((count, 1))
-    bounds = np.concatenate((zeros, arrivals, deadlines[:, None]), axis=1)
-    epoch_lengths = np.diff(bounds, axis=1)
+    # the taut strings, with the powers of every run in one division;
     # a failed run spends nothing, whatever its epochs
     epoch_lengths[failed] = 1.0
     bound_rows = bounds.tolist()
@@ -407,11 +418,11 @@ def _attempt(config: ExperimentConfig, rngs) -> list:
         if reason is not None:
             outcomes.append(reason)
             continue
-        scenario = EnergyScenario(initial_energy=initial,
-                                  packets=tuple(zip(times, durations)),
-                                  deadline=deadline)
-        scenario._charge_memo[circuit.tau] = maps
-        outcomes.append((scenario, TransmissionSchedule(powers=string, epoch_bounds=epochs)))
+        scenario = _record(EnergyScenario, initial_energy=initial,
+                           packets=tuple(zip(times, durations)), deadline=deadline,
+                           _charge_memo={circuit.tau: maps})
+        outcomes.append((scenario, _record(TransmissionSchedule, powers=tuple(string),
+                                           epoch_bounds=tuple(epochs))))
     return outcomes
 
 

@@ -1,7 +1,9 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+import yaml
 
 from rfharvest import (
     SolveReport,
@@ -15,6 +17,8 @@ from rfharvest import (
 from rfharvest.cli import main
 from rfharvest.config import load_config, parse_config
 from rfharvest.exceptions import ConfigError, SolverError
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 EXPLICIT = """
 circuit: {resistance: 750.0, capacitance: 0.68, v_max: 2.5}
@@ -116,6 +120,25 @@ class TestConfigParsing:
         path.write_text("foo: [unclosed")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name)
+    def test_pure_python_loader_parses_the_same_config(self, monkeypatch, path):
+        loaded = load_config(path)
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        assert getattr(yaml, "CSafeLoader", None) is None
+        pure = load_config(path)
+        assert pure == loaded and repr(pure) == repr(loaded)
+
+    @pytest.mark.parametrize("pure_python", [False, True], ids=["default", "pure_python"])
+    def test_invalid_yaml_exits_2(self, monkeypatch, tmp_path, capsys, pure_python):
+        if pure_python:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        path = tmp_path / "broken.yaml"
+        path.write_text("foo: [unclosed")
+        rc = main(["sweep", "--config", str(path), "--figure", "fig5",
+                   "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
+        assert "invalid YAML" in capsys.readouterr().err
 
 
 class TestOptimizeCommand:

@@ -91,6 +91,27 @@ class TestRecordEntries:
             assert trace.clamped == (True, False)
             assert trace.residuals == (0.25, 0.0)
 
+    @pytest.mark.parametrize("initial_energy, deadline", [
+        (np.float64(0.05), np.float64(2.0)), (0, 2), (np.int64(0), np.array(2.0))],
+        ids=["numpy_floats", "ints", "numpy_int_and_0d_array"])
+    def test_scenario_numbers_are_floats(self, bench_circuit, initial_energy, deadline):
+        s = EnergyScenario(initial_energy=initial_energy, packets=((0.5, 1.0), (1.0, 2)),
+                           deadline=deadline)
+        assert type(s.initial_energy) is float and type(s.deadline) is float
+        assert {type(x) for packet in s.packets for x in packet} == {float}
+        assert s == EnergyScenario(float(initial_energy), s.packets, float(deadline))
+        _, bits = replay(max_harvest_schedule(s, bench_circuit), s, bench_circuit)
+        assert type(bits) is float
+
+    @pytest.mark.parametrize("field", ["initial_energy", "deadline"])
+    @pytest.mark.parametrize("value", ["0.5", None])
+    def test_scenario_refuses_what_is_not_a_number(self, field, value):
+        # checked before the conversion, so float("0.5") never runs
+        kwargs = dict(initial_energy=0.5, packets=(), deadline=2.0)
+        kwargs[field] = value
+        with pytest.raises(TypeError):
+            EnergyScenario(**kwargs)
+
 
 class TestPropagate:
     """The powers and trace solve returns: the Newton method's own point."""

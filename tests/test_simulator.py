@@ -464,6 +464,111 @@ class TestChargeMapMemo:
             reference_maps(shifted, sim_circuit.tau))
 
 
+def assert_as_public(record):
+    """Every field of ``record`` is an exact float or a tuple of exact
+    floats, bools or float pairs, and the record equals, reprs and hashes
+    as what its public constructor builds from the same fields."""
+    values = [getattr(record, f.name) for f in dataclasses.fields(record)]
+    for value in values:
+        items = value if type(value) is tuple else (value,)
+        for item in items:
+            entries = item if type(item) is tuple else (item,)
+            assert {type(x) for x in entries} <= {float, bool}, repr(item)
+    public = type(record)(*values)
+    assert public == record
+    assert repr(public) == repr(record)
+    assert hash(public) == hash(record)
+
+
+class ConstantPolicy:
+    """Transmits ``value`` in every epoch, and notes the type of each
+    store it is handed."""
+
+    def __init__(self, value):
+        self.value, self.stores = value, []
+
+    def power(self, now, stored, count, total, deadline, circuit):
+        self.stores.append(type(stored))
+        return self.value
+
+
+class TestPackageRecords:
+    """The scenarios, schedules and traces the draw, replay and the batch
+    solve build from their own floats are the records the public
+    constructors build from the same fields."""
+
+    @pytest.mark.parametrize("n", [0, 1, 8, 256])
+    def test_drawn_scenarios_and_tight_strings(self, sim_circuit, n):
+        for scenario, string in simulator._draw_scenarios(medium_config(sim_circuit,
+                                                                        packet_count=n), 3):
+            assert_as_public(scenario)
+            assert_as_public(string)
+            assert list(scenario._charge_memo) == [sim_circuit.tau]
+
+    @pytest.mark.parametrize("n", [0, 1, 8, 256])
+    def test_replays_of_every_strategy(self, sim_circuit, reference_link, n):
+        for rate_model in ("normalized", "link-budget"):
+            config = medium_config(sim_circuit, packet_count=n, rate_model=rate_model,
+                                   link=reference_link)
+            for scenario, string in simulator._draw_scenarios(config, 2):
+                for name in simulator.STRATEGIES:
+                    trace, bits = evaluate_strategy(name, scenario, string, config)
+                    assert type(bits) is float
+                    assert len(trace.clamped) == n + 1
+                    assert_as_public(trace)
+
+    @pytest.mark.parametrize("n", [0, 1, 8, 256])
+    def test_lone_and_joined_solve_reports(self, sim_circuit, n):
+        scenarios = [s for s, _ in simulator._draw_scenarios(medium_config(sim_circuit,
+                                                                           packet_count=n), 3)]
+        joined = simulator._solve_batch(scenarios, sim_circuit)
+        lone = [simulator._solve_batch([s], sim_circuit)[0] for s in scenarios]
+        for report in (*joined, *lone):
+            assert type(report.throughput) is float
+            assert report.trace.clamped == ()
+            assert_as_public(report.schedule)
+            assert_as_public(report.trace)
+
+    @pytest.mark.parametrize("value", [1, np.float64(0.0625), np.array(0.0625)],
+                             ids=["int", "numpy_float", "0d_array"])
+    def test_policy_numbers_become_floats(self, sim_circuit, value):
+        scenario = EnergyScenario(initial_energy=0.1, packets=((1.0, 50.0), (2.0, 0.0)),
+                                  deadline=3.0)
+        policy = ConstantPolicy(value)
+        trace, bits = replay(policy, scenario, sim_circuit)
+        assert type(bits) is float
+        assert policy.stores == [float] * 3
+        assert_as_public(trace)
+        assert repr((trace, bits)) == repr(replay(ConstantPolicy(float(value)), scenario,
+                                                  sim_circuit))
+
+    def test_zero_length_epochs_are_redrawn(self, sim_circuit, monkeypatch):
+        config = medium_config(sim_circuit)
+        draw = simulator._uniform_about
+        attempts = []
+
+        def middle_epoch_empty(rng, mean, size):
+            values = draw(rng, mean, size)
+            if mean == config.mean_epoch_length and len(attempts) < limit:
+                attempts.append(size)
+                values[size // 2] = 0.0
+            return values
+
+        monkeypatch.setattr(simulator, "_uniform_about", middle_epoch_empty)
+        # every attempt draws two equal arrivals
+        limit = math.inf
+        with pytest.raises(GenerationError) as exc:
+            generate_scenario(config, np.random.default_rng([5, 0]))
+        assert str(exc.value) == ("no feasible scenario in 100 attempts; last failure: "
+                                  "arrivals must lie strictly inside (0, deadline)")
+        # the first attempt does; the second draws a scenario
+        attempts, limit = [], 1
+        scenario, string = generate_scenario(config, np.random.default_rng([5, 0]))
+        assert attempts == [7]
+        assert_as_public(scenario)
+        assert_as_public(string)
+
+
 def lone_draws(config, count, generate=generate_scenario):
     """Each run drawn alone, run k from ``default_rng([seed, k])``."""
     return [generate(config, np.random.default_rng([config.seed, run]))
