@@ -35,7 +35,7 @@ def brute_force_optimize(scenario, circuit, grid=GridSpec(), gain=1.0):
     if n == 0:
         power = scenario.initial_energy / lengths[0]
         schedule = TransmissionSchedule(powers=(power,), epoch_bounds=tuple(bounds_grid))
-        bits = 0.5 * lengths[0] * math.log2(1.0 + gain * power)
+        bits = float(0.5 * lengths[0] * math.log2(1.0 + gain * power))
         return OracleResult(schedule=schedule, throughput=bits, error_bound=0.0,
                             evaluated=1, feasible=1)
 

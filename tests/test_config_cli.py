@@ -8,7 +8,6 @@ import yaml
 from rfharvest import (
     SolveReport,
     TransmissionSchedule,
-    brute_force_optimize,
     cli,
     max_harvest_schedule,
     optimal_schedule,
@@ -17,6 +16,7 @@ from rfharvest import (
 from rfharvest.cli import main
 from rfharvest.config import load_config, parse_config
 from rfharvest.exceptions import ConfigError, SolverError
+from rfharvest.oracle import _brute_force_batch
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -437,6 +437,18 @@ class TestOracleCheckCommand:
         path.write_text("seed: 3\nruns: 20\ngenerator: {packet_count: 2}\n")
         assert main(["oracle-check", "--config", str(path)]) == 0
 
+    @pytest.mark.parametrize("model", ["normalized", "link-budget"])
+    def test_no_packets_prints_a_float_gap(self, tmp_path, capsys, model):
+        # the oracle drains an empty horizon in closed form; its bits must
+        # be a Python float, or the gap prints as np.float64(...)
+        path = tmp_path / "cfg.yaml"
+        path.write_text("runs: 20\ngenerator: {packet_count: 0}\n")
+        assert main(["oracle-check", "--config", str(path), "--rate-model", model]) == 0
+        out = capsys.readouterr().out
+        assert "np.float64" not in out
+        gap = out.split(": ", 1)[1].split()[0]
+        assert repr(float(gap)) == gap
+
     def test_corrupted_tolerance_fails_with_gap(self, generated_config, capsys,
                                                 monkeypatch):
         # a solver that hands back the greedy max-harvest schedule falls
@@ -459,15 +471,15 @@ class TestOracleCheckCommand:
         from rfharvest.simulator import _snr_gain
         seen = []
 
-        def spy_oracle(scenario, circuit, grid, gain=1.0):
-            seen.append(gain)
-            return brute_force_optimize(scenario, circuit, grid, gain)
+        def spy_oracle(scenarios, circuit, grid, gain=1.0):
+            seen.extend([gain] * len(scenarios))
+            return _brute_force_batch(scenarios, circuit, grid, gain)
 
         def spy_solver(scenario, circuit, *args):
             seen.append(_snr_gain(*args))
             return optimal_schedule(scenario, circuit, *args)
 
-        monkeypatch.setattr(cli, "brute_force_optimize", spy_oracle)
+        monkeypatch.setattr(cli, "_brute_force_batch", spy_oracle)
         monkeypatch.setattr(cli, "optimal_schedule", spy_solver)
         assert main(["oracle-check", "--config", str(generated_config),
                      "--rate-model", "link-budget"]) == 0

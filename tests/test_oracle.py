@@ -13,6 +13,7 @@ from rfharvest import (
     max_harvest_schedule,
     solve,
 )
+from rfharvest.oracle import GROUP_SIZE, _brute_force_batch, _grid_axes
 from rfharvest.scheduling import _bits
 
 import oracle_reference as ref
@@ -31,6 +32,27 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(power_bound=-1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("power_bound", np.nan),
+        ("power_bound", np.inf),
+        ("resolution", 60.0),
+        ("epoch_limit", 3.5),
+        ("epoch_limit", False),
+        ("eval_budget", np.nan),
+        ("eval_budget", 1e6),
+        ("eval_budget", True),
+    ])
+    def test_refuses_what_is_not_a_grid_value(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            GridSpec(**{field: value})
+
+    def test_stores_numpy_integers_as_ints(self, sim_circuit):
+        grid = GridSpec(resolution=np.int64(7), epoch_limit=np.int32(2))
+        assert (grid.resolution, grid.epoch_limit) == (7, 2)
+        assert type(grid.resolution) is type(grid.epoch_limit) is int
+        s = EnergyScenario(0.01, ((1.0, 1.0),), 2.0)
+        assert type(brute_force_optimize(s, sim_circuit, grid).evaluated) is int
+
 
 class TestBruteForce:
     def test_no_packets_drains_exactly(self, bench_circuit):
@@ -45,6 +67,11 @@ class TestBruteForce:
         result = brute_force_optimize(s, bench_circuit)
         assert result.schedule.powers == (0.0,)
         assert result.throughput == 0.0
+
+    @pytest.mark.parametrize("gain", [1.0, 2.7e8])
+    def test_no_packets_scores_a_float(self, bench_circuit, gain):
+        s = EnergyScenario(initial_energy=0.3, packets=(), deadline=7.0)
+        assert type(brute_force_optimize(s, bench_circuit, gain=gain).throughput) is float
 
     def test_rejects_overfull_battery(self, sim_circuit):
         # as solve does: the replay would start outside the harvest's domain
@@ -226,3 +253,81 @@ class TestWholeGridReference:
         assert result.feasible == 1 + kept
         assert result.schedule.powers[0] == (grid.power_bound if kept else 0.0)
         assert repr(result) == repr(ref.brute_force_optimize(s, sim_circuit, grid))
+
+
+class TestBatch:
+    """One grid walk over scenarios that share a packet count scores each
+    exactly as the whole-grid reference does alone."""
+
+    @staticmethod
+    def draws(circuit, n, count):
+        return [generate_scenario(medium_config(circuit, n), np.random.default_rng([50, n, k]))[0]
+                for k in range(count)]
+
+    @staticmethod
+    def assert_members_alone(scenarios, circuit, grid=GridSpec(), gain=1.0):
+        batch = _brute_force_batch(scenarios, circuit, grid, gain)
+        assert ([repr(result) for result in batch]
+                == [repr(ref.brute_force_optimize(s, circuit, grid, gain)) for s in scenarios])
+        return batch
+
+    @pytest.mark.parametrize("resolution, count", [(2, 12), (7, 12), (60, 2)])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_members_equal_lone_results(self, sim_circuit, reference_link, n,
+                                        resolution, count):
+        scenarios = self.draws(sim_circuit, n, count)
+        # an empty store and zero-length packets: the derived bound is 0 W,
+        # so this member's axis takes linspace's zero-step branch
+        silent = EnergyScenario(0.0, tuple((0.001 * (k + 1), 0.0) for k in range(n)),
+                                0.001 * (n + 1))
+        scenarios.insert(1, silent)
+        derived = ref.auto_power_bound(scenarios[0], sim_circuit)
+        for bound in (0.0, 0.1 * derived):
+            grid = GridSpec(resolution=resolution, power_bound=bound)
+            for gain in (1.0, reference_link.gain, 1e-300):
+                batch = self.assert_members_alone(scenarios, sim_circuit, grid, gain)
+                assert batch[1].schedule.powers == (0.0,) * (n + 1)
+                assert batch == [brute_force_optimize(s, sim_circuit, grid, gain)
+                                 for s in scenarios]
+
+    def test_tied_member(self, sim_circuit):
+        # the tie of TestWholeGridReference between ordinary draws
+        tie = EnergyScenario(0.1, ((1.0, 0.0), (2.0, 0.0)), 3.0)
+        scenarios = self.draws(sim_circuit, 2, 2)
+        scenarios.insert(1, tie)
+        grid = GridSpec(resolution=3, power_bound=0.1)
+        batch = self.assert_members_alone(scenarios, sim_circuit, grid)
+        assert batch[1].schedule.powers == (0.0, 0.05, 0.05)
+
+    def test_more_members_than_a_group(self, sim_circuit):
+        scenarios = self.draws(sim_circuit, 2, 2 * GROUP_SIZE + 3)
+        self.assert_members_alone(scenarios, sim_circuit, GridSpec(resolution=7))
+
+    def test_peak_allocation_does_not_grow_with_the_batch(self, sim_circuit):
+        # the walk takes GROUP_SIZE members at a time
+        scenario, = self.draws(sim_circuit, 3, 1)
+        peaks = []
+        for size in (GROUP_SIZE, 4 * GROUP_SIZE):
+            tracemalloc.start()
+            try:
+                _brute_force_batch([scenario] * size, sim_circuit)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
+
+    @pytest.mark.parametrize("resolution", [2, 7, 60])
+    def test_grid_axes_are_linspace(self, resolution):
+        # 5e-324 and 1e-320 are steps that round to zero, or nearly
+        bounds = np.array([0.0, 5e-324, 1e-320, 1e-300, 0.3, 7.0])
+        axes = _grid_axes(bounds, resolution)
+        for bound, axis in zip(bounds, axes):
+            assert axis.tolist() == np.linspace(0.0, bound, resolution).tolist()
+
+    def test_refuses_mixed_packet_counts(self, sim_circuit):
+        with pytest.raises(ValueError, match="packet count"):
+            _brute_force_batch(self.draws(sim_circuit, 1, 1) + self.draws(sim_circuit, 2, 1),
+                               sim_circuit)
+
+    def test_empty_batch(self, sim_circuit):
+        assert _brute_force_batch([], sim_circuit) == []
