@@ -22,13 +22,13 @@ from . import __version__
 from .config import config_hash, experiment_config, load_config
 from .exceptions import ConfigError, GenerationError, SolverError
 from .oracle import GridSpec, _brute_force_batch
-from .scheduling import TransmissionSchedule
+from .scheduling import TransmissionSchedule, _solve_batch
 from .simulator import (
     STRATEGIES,
     _draw_scenarios,
+    _impact_probes,
     _snr_gain,
     evaluate_strategy,
-    future_impact_probe,
     monte_carlo,
     optimal_schedule,
 )
@@ -187,7 +187,7 @@ def cmd_sweep(args) -> int:
     elif args.figure == "fig8":
         header = ["scenario_index", "d", "length_delta", "packet_delta",
                   "relative_power_change", "seed"]
-        data = []
+        probes, data = [], []
         for index, (scenario, _) in enumerate(_draw_scenarios(point, sweep.scenarios)):
             for d in sweep.impact_epochs:
                 if not 1 <= d <= scenario.n_packets:
@@ -196,13 +196,16 @@ def cmd_sweep(args) -> int:
                 delta_length = sweep.length_delta_fraction * point.mean_epoch_length
                 delta_packet = (sweep.packet_delta_fraction
                                 * scenario.packets[d - 1][1])
-                try:
-                    change = future_impact_probe(scenario, config.circuit, d,
-                                                 delta_length, delta_packet,
-                                                 config.rate_model, config.link)
-                except ValueError as exc:
-                    raise ConfigError(f"scenario {index}, d={d}: {exc}") from exc
-                data.append([index, d, delta_length, delta_packet, change, seed])
+                probes.append((scenario, d, delta_length, delta_packet))
+                data.append([index, d, delta_length, delta_packet])
+        # every base and perturbed scenario solved in one batch
+        for row, change in zip(data, _impact_probes(probes, config.circuit, config.rate_model,
+                                                    config.link)):
+            if isinstance(change, ValueError):
+                raise ConfigError(f"scenario {row[0]}, d={row[1]}: {change}") from change
+            if isinstance(change, SolverError):
+                raise change
+            row += [change, seed]
     else:
         raise ConfigError(f"unknown figure {args.figure!r}")
     manifest = RunManifest(__version__, f"sweep {args.figure}", digest, seed,
@@ -222,15 +225,18 @@ def cmd_oracle_check(args) -> int:
                           f"got {point.packet_count}")
     gain = _snr_gain(config.rate_model, config.link)
     scenarios = [scenario for scenario, _ in _draw_scenarios(point, point.runs)]
-    solved = [optimal_schedule(scenario, config.circuit, config.rate_model,
-                               config.link).throughput for scenario in scenarios]
-    # every instance shares the packet count: one grid walk scores them all
+    # every instance shares the packet count: one batch solves them all,
+    # and one grid walk scores them all
+    solved = _solve_batch(scenarios, config.circuit, gain)
+    for report in solved:
+        if isinstance(report, SolverError):
+            raise report
     scored = _brute_force_batch(scenarios, config.circuit, grid, gain)
     worst_gap = -np.inf
     worst_run = None
     float_slack = 1e-9
-    for run, (result, throughput) in enumerate(zip(scored, solved)):
-        gap = result.throughput - throughput
+    for run, (result, report) in enumerate(zip(scored, solved)):
+        gap = result.throughput - report.throughput
         if gap > worst_gap:
             worst_gap, worst_run = gap, run
     print(f"worst gap (oracle - solver): {worst_gap!r} bits on run {worst_run} "

@@ -72,7 +72,9 @@ GROUP_SIZE = 64   # scenarios walked at once, so peak memory does not grow with 
 def _auto_power_bounds(scenarios, maps, lengths, circuit: ChargeCircuit) -> np.ndarray:
     """Per scenario, twice the most energy that could be spent (E0 plus
     each packet's harvest at its optimal residual e_max (s / (1 + s))^2)
-    over the shortest epoch."""
+    over the shortest epoch.  Raises ValueError where that is not finite
+    (an epoch so short that the quotient overflows), before any grid is
+    built on it."""
     e_max = circuit.e_max
     optimal = np.array([[e_max * (s / (1.0 + s)) ** 2 for _, s in row] for row in maps])
     harvests = _harvest_value((maps[..., 0], maps[..., 1]), e_max, math.sqrt(e_max), optimal)
@@ -80,7 +82,15 @@ def _auto_power_bounds(scenarios, maps, lengths, circuit: ChargeCircuit) -> np.n
     for column in harvests.T[1:]:   # summed in packet order
         total = total + column
     initial = np.array([scenario.initial_energy for scenario in scenarios])
-    return 2.0 * (initial + total) / np.min(lengths, axis=1)
+    shortest = np.min(lengths, axis=1)
+    with np.errstate(over="ignore"):
+        bounds = 2.0 * (initial + total) / shortest
+    for bound, epoch in zip(bounds.tolist(), shortest.tolist()):
+        if not bound < math.inf:
+            raise ValueError(f"the derived power bound {bound!r} W is not finite: the "
+                             f"shortest epoch, {epoch!r} s, is too short; set "
+                             f"GridSpec.power_bound")
+    return bounds
 
 
 def _grid_axes(bounds: np.ndarray, resolution: int) -> np.ndarray:
@@ -112,8 +122,9 @@ def brute_force_optimize(scenario: EnergyScenario, circuit: ChargeCircuit,
 
     Raises:
         ValueError: unless 0 < gain < inf, or if the scenario has more
-            packets than the grid allows, or its initial energy exceeds the
-            battery capacity e_max.
+            packets than the grid allows, its initial energy exceeds the
+            battery capacity e_max, or the derived power bound is not
+            finite.
         BudgetError: if enumeration would exceed the evaluation budget.
     """
     result, = _brute_force_batch([scenario], circuit, grid, gain)

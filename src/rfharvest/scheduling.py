@@ -39,30 +39,32 @@ with X_m the harvest sensitivity at arrival m.
 
 A flat charge map ends a segment: the store is emptied into the epoch
 before it, and what follows does not depend on anything before it.  So
-the even-spend start spends over the time left in the segment, and
-each segment bounds its own part of the step and, short of a full
-step, releases its idle epochs once it is stationary itself.  A Monte
-Carlo point solves its scenarios, which share N, as one horizon
-(:func:`_solve_batch`): each member's epochs, then a flat map (a, s) =
-(sqrt(E0), 0) that starts the next member from its initial energy E0.
-A member after the first thus starts from (sqrt(E0))^2, within 2 ulp of
-E0.
+each segment steps exactly as it would alone: it picks its own start
+(the even spend over the time left in the segment), takes its own step
+length with its own Armijo test, releases its own idle epochs once it
+is stationary or after its own full step, and stops on its own, with
+its own iteration count and last Newton decrement; its sums run left to
+right, in the order a lone solve adds them.  A Monte Carlo point solves
+its scenarios, which share N, as one horizon (:func:`_solve_batch`):
+each member's epochs, then a flat map that empties the store, and the
+next member's epochs from its own initial energy E0.  So each member
+gets its lone solve's report, bit for bit.
 
-The horizon picks how a step is computed.  A horizon of one segment and
-fewer than ``ARRAY_MIN_PACKETS`` arrivals steps with kernels that loop
-over Python floats.  Every other horizon, long or of several segments,
-steps with kernels that work on numpy arrays along the horizon, with
-the same arithmetic elementwise; only these know segments, and a lone
-long horizon is their one-segment case, with no code of its own.  Only
-the idle runs and the O(N) sweep stay loops there.  Both kernel sets
-share one Newton loop (the starts, the active set, the release rule and
-the tolerances) and one Thomas sweep, :func:`_sweep`, and each has one
+The horizon picks how a step is computed.  A horizon of fewer than
+``ARRAY_MIN_PACKETS`` arrivals steps with kernels that loop over Python
+floats, one segment at a time.  A longer one, lone or joined, steps
+with kernels that work on numpy arrays along the horizon, all its
+segments at once, with the same arithmetic elementwise; a lone long
+horizon is their one-segment case, with no code of its own.  Only the
+idle runs and the O(N) sweep stay loops there.  Both kernel sets share
+one Newton loop (the starts, the active set, the release rule and the
+tolerances) and one Thomas sweep, :func:`_sweep`, and each has one
 kernel per part of a step: the forward pass, which also projects and
 scores the point, the Newton step, the convergence and release test,
-the step bound and the trial point.  The solve returns the point the
-loop stopped at: its powers, and its residuals as the trace.  The set's
-last kernel builds that report in its own containers, so a lone short
-solve stays in Python floats but for the sum of its bits.
+the step bound, the trial point and the line search.  The solve returns
+the point the loop stopped at: its powers, and its residuals as the
+trace.  The set's last kernel builds that report in its own containers,
+so a short solve stays in Python floats but for the sum of its bits.
 """
 
 from __future__ import annotations
@@ -103,11 +105,11 @@ OBJECTIVE_ROUNDING = 1e-14
 MIN_STEP = 1e-16
 # A step may shrink a free residual to this fraction of itself at most.
 BOUNDARY_FRACTION = 0.01
-# A horizon of one segment steps with _ScalarSteps below this many
-# arrivals and with _ArraySteps from there on; a horizon of several
-# segments (a flat map, or a batch's joined horizon) always steps with
-# _ArraySteps.  A lone solve takes about as long with either at 64
-# packets; the array kernels win above, the scalar ones below.
+# A horizon steps with _ScalarSteps, one segment at a time, below this
+# many arrivals and with _ArraySteps, all its segments at once, from
+# there on, lone or joined.  A lone solve takes about as long with
+# either at 64 packets; the array kernels win above, the scalar ones
+# below.
 ARRAY_MIN_PACKETS = 64
 
 
@@ -330,11 +332,15 @@ def _sweep(rows):
 class _ScalarSteps:
     """Step kernels that walk a horizon of one segment one arrival at a
     time in Python floats: on a short horizon a loop costs less than
-    numpy's calls.  Every other horizon steps with :class:`_ArraySteps`,
-    so no arrival here is empty.
+    numpy's calls.  A short horizon of several segments steps each with
+    kernels of its own, so no arrival here is empty; a long one steps
+    with :class:`_ArraySteps`.
 
     Every kernel takes and returns the point in the containers it built:
-    lists here, numpy arrays in :class:`_ArraySteps`.
+    lists here, numpy arrays in :class:`_ArraySteps`.  What a kernel gives
+    per segment (a value, a decrement, whether the segment is done or
+    failed) comes in a list or array with one entry per segment, here a
+    list of one.
     """
 
     def __init__(self, initial_energy, lengths, curves, gain):
@@ -371,17 +377,19 @@ class _ScalarSteps:
         l = lengths[n]
         powers[n] = p = stored / l
         value += l * log1p(gain * p)
-        return out, powers, status, value
+        return out, powers, status, [value]
 
-    def newton(self, residuals, powers, status):
-        """Gradient and Newton step of F = sum_e l_e ln(1 + g p_e) in r.
+    def newton(self, residuals, powers, status, live):
+        """Gradient and Newton step of F = sum_e l_e ln(1 + g p_e) in r, of
+        the ``live`` segments (here the one, while the solve runs).
 
         With w_e = 1 / (1/g + p_e): a free or idle arrival i feeds the store
         of the next non-idle epoch e = nxt[i], through G_i and the idle
         arrivals after it, as T_i(r_i); dF/dr_i = T'_i w_e - w_i, at an idle
         arrival the multiplier of its p >= 0.  Returns (w, grad, step, free,
         nxt, decrement): ``step`` is 0 off the ``free`` arrivals, decrement
-        the step's predicted rise grad . step.
+        the step's predicted rise grad . step, summed from the first free
+        arrival on.
         """
         lengths, curves, gain, sqrt = self.lengths, self.curves, self.gain, math.sqrt
         n = len(status)
@@ -423,17 +431,18 @@ class _ScalarSteps:
                 free.append(i)
         rows.reverse()
         free.reverse()
-        step = [0.0] * n
+        step, decrement = [0.0] * n, 0.0
         for i, d in zip(free, _sweep(rows)):
             step[i] = d
-        decrement = sum(grad[i] * step[i] for i in free)
-        return w, grad, step, free, nxt, decrement
+            decrement += grad[i] * d
+        return w, grad, step, free, nxt, [decrement]
 
-    def settle(self, residuals, powers, status, w, grad, step, free, nxt, full):
-        """(done, released): whether the point is optimal, its free residuals
-        converged (``STATIONARITY_TOL``) with nothing to release, and, once
-        they have converged or after a ``full`` step, the idle arrivals whose
-        relative multiplier is below -RELEASE_TOL."""
+    def settle(self, residuals, powers, status, w, grad, step, free, nxt, taken, live):
+        """(done, released): the segments that are optimal, here [0] where the
+        free residuals have converged (``STATIONARITY_TOL``) with nothing to
+        release, and, once they have converged or after a full step (the
+        last step ``taken`` was t = 1), the idle arrivals whose relative
+        multiplier is below -RELEASE_TOL."""
         lengths, n = self.lengths, len(residuals)
         converged = True
         for i in free:
@@ -447,89 +456,163 @@ class _ScalarSteps:
                     or r + step[i] == r):
                 converged = False
                 break
-        if not (converged or full):
-            return False, []
+        if not (converged or taken[0] == 1.0):
+            return [], []
         released = [i for i, state in enumerate(status)
                     if state == IDLE and grad[i] / w[i] < -RELEASE_TOL]
-        return converged and not released, released
+        return [0] if converged and not released else [], released
 
-    def step_bound(self, residuals, grad, free, step, decrement):
-        """(t, decrement): the longest step of :func:`_line_search`, which
-        keeps every free residual above ``BOUNDARY_FRACTION`` of itself, and
-        the step's predicted rise."""
+    def step_bound(self, residuals, free, step):
+        """The longest step t of ``line_search`` that keeps every free
+        residual above ``BOUNDARY_FRACTION`` of itself, at most 1."""
         reach = 2.0 * (1.0 - math.sqrt(BOUNDARY_FRACTION))    # u to sqrt(fraction) u
         t = 1.0
         for i in free:
             if step[i] < 0.0:
                 t = min(t, reach * residuals[i] / -step[i])
-        return t, decrement
+        return t
 
     def trial(self, residuals, step, free, t):
-        """The residuals after a step t in u = sqrt(r)."""
-        return [r + t * d + 0.25 * (t * d) ** 2 / r if d else r
+        """The residuals after a step t in u = sqrt(r).  The square is a
+        product, as numpy's: ``x ** 2`` goes through ``pow``, which may
+        round it differently."""
+        return [r + t * d + 0.25 * ((t * d) * (t * d)) / r if d else r
                 for r, d in zip(residuals, step)]
 
-    def report(self, residuals, powers, maps, initial_energies, e_max):
-        """The lone member's (powers, residuals, harvested, consumed, bits),
-        as :func:`_solve_batch` reports them, with bits None where
-        :func:`_violations` flags the trace.  The harvests are
-        :func:`_harvest_value`'s operations in ``math``, and the tests
-        :func:`_violations`' in floats; only the bits go through numpy.
+    def start(self, half, even, status):
+        """The point of the better start, ``half`` on a tie."""
+        point, other = self.forward(half, status), self.forward(even, status)
+        return other if other[3][0] > point[3][0] else point
+
+    def line_search(self, point, free, step, decrement, live):
+        """Damped projected Newton step: (point, taken, failed).
+
+        A step t moves u = sqrt(r) by t z / (2u), r by t z + (t z)^2 / (4r).
+        From the longest step keeping every free residual above
+        ``BOUNDARY_FRACTION`` of itself (``step_bound``), t is halved until
+        the point ``forward`` projects passes :func:`_armijo`; the
+        projection turns idle every free epoch the step drains, however
+        many in one step.  ``taken`` holds the step t the segment took;
+        below ``MIN_STEP`` it takes none, keeps ``point`` and is ``failed``.
+        """
+        residuals, _, status, (value,) = point
+        t, decrement = self.step_bound(residuals, free, step), decrement[0]
+        while t >= MIN_STEP:
+            trial = self.forward(self.trial(residuals, step, free, t), status)
+            if _armijo(trial[3][0], value, t, decrement):
+                return trial, [t], []
+            t *= 0.5
+        return point, [0.0], [0]
+
+    def report(self, residuals, powers, maps, initial_energies, e_max, converged):
+        """Each member's (powers, residuals, harvested, consumed, bits), as
+        :func:`_solve_batch` reports them, with bits None where
+        :func:`_violations` flags the trace; None where the member did not
+        converge.  The harvests are :func:`_harvest_value`'s operations in
+        ``math``, and the tests :func:`_violations`' in floats; only the
+        bits go through numpy.
         """
         root_e_max, slack = math.sqrt(e_max), 1e-9 * e_max
-        harvested = []
-        for r, (q, s) in zip(residuals, maps[0]):
-            u = math.sqrt(r)
-            captured = q * (root_e_max - u) * (root_e_max * q + (1.0 + s) * u)
-            full = q * (e_max - r)
-            harvested.append(captured if captured < full else full)    # np.minimum's pick
-        consumed = [p * l for p, l in zip(powers, self.lengths)]
-        held = residuals[-1] + harvested[-1] if residuals else initial_energies[0]
-        residuals = [*residuals, held - consumed[-1]]
-        top = e_max + slack
-        feasible = not (any(r < -slack for r in residuals)
-                        or any(r + h > top for r, h in zip(residuals, harvested)))
-        bits = (float(_bits(np.array(powers), np.array(self.lengths), self.gain))
-                if feasible else None)
-        return [(powers, residuals, harvested, consumed, bits)]
+        width = len(maps[0]) + 1
+        rows = []
+        for lo, charges, energy, solved in zip(range(0, len(self.lengths), width), maps,
+                                               initial_energies, converged):
+            if not solved:
+                rows.append(None)
+                continue
+            kept, spent = residuals[lo:lo + width - 1], powers[lo:lo + width]
+            lengths = self.lengths[lo:lo + width]
+            harvested = []
+            for r, (q, s) in zip(kept, charges):
+                u = math.sqrt(r)
+                captured = q * (root_e_max - u) * (root_e_max * q + (1.0 + s) * u)
+                full = q * (e_max - r)
+                harvested.append(captured if captured < full else full)  # np.minimum's pick
+            consumed = [p * l for p, l in zip(spent, lengths)]
+            held = kept[-1] + harvested[-1] if kept else energy
+            kept = [*kept, held - consumed[-1]]
+            top = e_max + slack
+            feasible = not (any(r < -slack for r in kept)
+                            or any(r + h > top for r, h in zip(kept, harvested)))
+            bits = (float(_bits(np.array(spent), np.array(lengths), self.gain))
+                    if feasible else None)
+            rows.append((spent, kept, harvested, consumed, bits))
+        return rows
 
 
 class _ArraySteps:
     """The kernels of :class:`_ScalarSteps` over whole numpy arrays along
-    the horizon, with the same arithmetic elementwise; sums run in numpy's
-    order.  Two parts stay sequential: the idle runs, where the store
-    passes through in root energy as u_{k+1} = a_k + s_k u_k, walked in
-    Python over the idle arrivals only, and the Thomas sweep, the loop of
-    :func:`_sweep` over the coefficients as floats.
+    the horizon, with the same arithmetic elementwise.  Two parts stay
+    sequential: the idle runs, where the store passes through in root
+    energy as u_{k+1} = a_k + s_k u_k, walked in Python over the idle
+    arrivals only, and the Thomas sweep, the loop of :func:`_sweep` over
+    the coefficients as floats.
 
     These kernels alone know segments: ``firsts`` holds each segment's
-    first epoch, and a kernel that tests, bounds or scales a step does so
-    segment by segment, in one pass over the horizon with each arrival's
-    segment an index.  A horizon of one segment runs the same code as a
-    joined batch.
+    first epoch, and a kernel that tests, bounds or sums does so segment
+    by segment, in one pass over the horizon with each epoch's segment an
+    index.  Each segment's sums run left to right, as the scalar kernels
+    add them.  A segment that is no longer ``live`` drops out of the
+    Newton step.  ``opening`` gives the store at the start of some
+    epochs: the first, and in a joined batch each member's first, which
+    starts from its own initial energy.  A horizon of one segment runs the
+    same code as a joined batch.
 
     :func:`_optimal_residuals` runs every kernel under
     ``np.errstate(all="ignore")``: the scalar kernels' floats overflow to
     inf and turn inf - inf into NaN without a warning, and so do these.
     """
 
-    def __init__(self, initial_energy, lengths, curves, gain, firsts):
-        self.initial_energy, self.curves, self.gain = initial_energy, curves, gain
+    def __init__(self, opening, lengths, curves, gain, firsts):
+        self.curves, self.gain, self.firsts = curves, gain, firsts
+        self.opens, self.stores = np.array(list(opening)), np.array(list(opening.values()))
         self.lengths = np.array(lengths)
         self.a, self.s = np.array(curves, dtype=float).reshape(-1, 2).T
         self.c, self.ss = self.a * self.s, self.s * self.s
-        self.firsts = firsts
-        self.segment = np.searchsorted(firsts, np.arange(len(curves)), side="right") - 1
+        self.flat = (self.c == 0.0).nonzero()[0]
+        self.empty = np.array(firsts[1:], dtype=np.intp) - 1     # each ends a segment
+        n = len(curves)
+        # each epoch's segment, which is also the segment of the arrival
+        # that ends the epoch
+        self.segment = np.searchsorted(firsts, np.arange(n + 1), side="right") - 1
+        # the segments by their number of epochs: per count, the segments
+        # and the (segments, count) epochs they hold; None where all the
+        # segments are as long
+        spans = {}
+        for k, (lo, hi) in enumerate(zip(firsts, [*firsts[1:], n + 1])):
+            spans.setdefault(hi - lo, []).append(k)
+        self.blocks = (None if len(spans) == 1 else
+                       [(np.array(ks), np.array(firsts)[ks][:, None] + np.arange(count))
+                        for count, ks in spans.items()])
+
+    def _mask(self, segments):
+        """A mask over the segments, true at the given ones."""
+        if len(segments) == len(self.firsts):
+            return np.ones(len(self.firsts), bool)
+        mask = np.zeros(len(self.firsts), bool)
+        mask[segments] = True
+        return mask
+
+    def _sums(self, terms):
+        """Each segment's sum of ``terms``, one per epoch: added left to
+        right, as the scalar kernels add, since ``np.add.accumulate`` runs
+        along each row in order where ``np.sum`` adds in pairs."""
+        if self.blocks is None:         # a row each
+            return np.add.accumulate(terms.reshape(len(self.firsts), -1), axis=1)[:, -1]
+        sums = np.empty(len(self.firsts))
+        for segments, epochs in self.blocks:
+            sums[segments] = np.add.accumulate(terms[epochs], axis=1)[:, -1]
+        return sums
 
     def forward(self, residuals, status):
         n, curves = len(self.curves), self.curves
         status = np.array(status, dtype=np.int8)
         out = np.array(residuals, dtype=float)
-        out[status == EMPTY] = 0.0
+        out[self.empty] = 0.0
         stored = np.empty(n + 1)     # the store before each epoch
-        stored[0] = self.initial_energy
         root = self.a + self.s * np.sqrt(out)
         stored[1:] = root * root
+        stored[self.opens] = self.stores
         # Where the arrival before is not idle, its store and idle test (as
         # _ScalarSteps.forward's) are right as computed.  Each idle run is
         # walked from its first arrival to the first one after it that is
@@ -549,17 +632,16 @@ class _ArraySteps:
                 i += 1
                 stored[i] = store
             end = i
-        powers = stored / self.lengths          # the last epoch drains the store
-        powers[:n] = (stored[:n] - out) / self.lengths[:n]
-        return out, powers, status, float(self.lengths @ np.log1p(self.gain * powers))
+        stored[:n] -= out                       # the last epoch drains the store
+        powers = stored / self.lengths
+        return out, powers, status, self._sums(self.lengths * np.log1p(self.gain * powers))
 
-    def newton(self, residuals, powers, status):
+    def newton(self, residuals, powers, status, live):
         n, lengths = len(self.curves), self.lengths
         w = self.gain / (1.0 + self.gain * powers)
         slope = self.c / np.sqrt(residuals)     # inf at r = 0, as in the scalar kernel
         bend = -0.5 * slope / residuals
-        flat = self.c == 0.0
-        slope[flat], bend[flat] = 0.0, 0.0
+        slope[self.flat], bend[self.flat] = 0.0, 0.0
         slope += self.ss
         nxt = np.arange(1, n + 1)
         # an idle arrival passes its store on: chain back through each idle run
@@ -569,45 +651,52 @@ class _ArraySteps:
             nxt[i] = nxt[i + 1]
         grad = slope * w[nxt] - w[:n]
 
-        free = (status == FREE).nonzero()[0]
+        free = status == FREE
+        if len(live) < len(self.firsts):
+            free &= self._mask(live)[self.segment[:n]]
+        free = free.nonzero()[0]
         step = np.zeros(n)
+        rise = np.zeros(n + 1)
         if free.size:
             e, r, g = nxt[free], residuals[free], grad[free]
+            own, ahead, pull = w[free], w[e], slope[free]
             t = np.zeros(free.size)
-            linked = nxt[free[:-1]] == free[1:]
-            t[1:][linked] = slope[free[:-1]][linked]
+            linked = e[:-1] == free[1:]
+            t[1:][linked] = pull[:-1][linked]
             tail = np.concatenate((status != FREE, [True]))[e]
-            step[free] = _sweep(zip(
-                (w[free] * w[free] / lengths[free]).tolist(), t.tolist(),
-                (bend[free] * w[e]).tolist(), np.where(g < 0.0, 0.5 * g / r, 0.0).tolist(),
-                np.where(tail, slope[free] * slope[free] * w[e] * w[e] / lengths[e], 0.0).tolist(),
-                g.tolist()))
-        decrement = float(grad[free] @ step[free])
-        return w, grad, step, free, nxt, decrement
+            d = np.array(_sweep(zip(
+                (own * own / lengths[free]).tolist(), t.tolist(),
+                (bend[free] * ahead).tolist(), np.where(g < 0.0, 0.5 * g / r, 0.0).tolist(),
+                np.where(tail, pull * pull * ahead * ahead / lengths[e], 0.0).tolist(),
+                g.tolist())))
+            step[free] = d
+            rise[free] = g * d
+        return w, grad, step, free, nxt, self._sums(rise)
 
-    def settle(self, residuals, powers, status, w, grad, step, free, nxt, full):
-        """Segment by segment: each releases once its own free residuals
-        have converged, every one after a ``full`` step, and the point is
-        optimal once all have converged with none to release."""
-        lengths = self.lengths
+    def settle(self, residuals, powers, status, w, grad, step, free, nxt, taken, live):
+        """Segment by segment: each live one releases once its own free
+        residuals have converged or after its own full step, and is done
+        once they have converged with none to release."""
+        lengths, n = self.lengths, len(self.curves)
         stored = powers * lengths
         stored[:-1] += residuals
         rounding = 1.0 + stored * w / lengths
         r = residuals[free]
         tolerance = STATIONARITY_TOL * w[free] * (rounding[free] + rounding[nxt[free]])
         converged = (np.abs(grad[free]) <= tolerance) | (r + step[free] == r)
-        settled = np.ones(len(self.firsts), bool)
+        live = self._mask(live)
+        settled = live.copy()
         settled[self.segment[free[~converged]]] = False
-        if not (settled.any() or full):
-            return False, []
-        released = ((status == IDLE) & (grad / w[:-1] < -RELEASE_TOL)
-                    & (settled[self.segment] | full)).nonzero()[0].tolist()
-        return bool(settled.all()) and not released, released
+        idle, released = status == IDLE, []
+        if np.count_nonzero(idle):
+            loose = settled | np.equal(taken, 1.0) & live
+            released = (idle & (grad / w[:-1] < -RELEASE_TOL)
+                        & loose[self.segment[:n]]).nonzero()[0].tolist()
+            settled[self.segment[released]] = False
+        return settled.nonzero()[0].tolist(), released
 
-    def step_bound(self, residuals, grad, free, step, decrement):
-        """Each segment's own bound; t is the longest, and each segment's
-        part of the step is scaled in place so that t takes it to its own."""
-        d = step[free]
+    def step_bound(self, residuals, free, step):
+        """Each segment's own bound: 1 where it has no free residual."""
         bounds = np.ones(len(self.firsts))
         if free.size:
             # free is sorted, so a segment's free arrivals are one run of it
@@ -616,78 +705,98 @@ class _ArraySteps:
             opens[0] = True
             np.not_equal(segment[1:], segment[:-1], out=opens[1:])
             starts = opens.nonzero()[0]
+            d = step[free]
             reach = 2.0 * (1.0 - math.sqrt(BOUNDARY_FRACTION))
             bounds[segment[starts]] = np.minimum(np.minimum.reduceat(
                 np.where(d < 0.0, reach * residuals[free] / -d, 1.0), starts), 1.0)
-        t = float(bounds.max())
-        if bounds.min() < t:
-            step *= (bounds / t)[self.segment]
-            decrement = float(grad[free] @ step[free])
-        return t, decrement
+        return bounds
 
     def trial(self, residuals, step, free, t):
         out = residuals.copy()
-        r, d = residuals[free], t * step[free]
+        r, d = residuals[free], t[self.segment[free]] * step[free]
         out[free] = r + d + 0.25 * (d * d) / r
         return out
 
-    def report(self, residuals, powers, maps, initial_energies, e_max):
+    def _merge(self, point, other, taken):
+        """``point`` with the part of each segment ``taken`` (a mask) from
+        ``other``."""
+        count = np.count_nonzero(taken)     # cheaper than all() and any()
+        if count == len(taken):
+            return other
+        if not count:
+            return point
+        epochs = taken[self.segment]
+        arrivals = epochs[:-1]
+        return (np.where(arrivals, other[0], point[0]), np.where(epochs, other[1], point[1]),
+                np.where(arrivals, other[2], point[2]), np.where(taken, other[3], point[3]))
+
+    def start(self, half, even, status):
+        point, other = self.forward(half, status), self.forward(even, status)
+        return self._merge(point, other, other[3] > point[3])
+
+    def line_search(self, point, free, step, decrement, live):
+        """Each live segment's own line search, as the scalar kernels' and
+        in the same floats, all segments in one pass per halving.  A
+        segment that is not live neither steps nor fails, though it may
+        still have free rows: one found optimal in this iteration keeps
+        the rows of the Newton step it settled on."""
+        residuals, _, status, value = point
+        t = self.step_bound(residuals, free, step)
+        live = self._mask(live)
+        trying = live & (t >= MIN_STEP)
+        while np.count_nonzero(trying):
+            trial = self.forward(self.trial(residuals, step, free, t), status)
+            rose = trying & _armijo(trial[3], value, t, decrement)
+            point = self._merge(point, trial, rose)
+            trying ^= rose
+            t[trying] *= 0.5
+            trying &= t >= MIN_STEP
+        return point, t, (live & (t < MIN_STEP)).nonzero()[0].tolist()
+
+    def report(self, residuals, powers, maps, initial_energies, e_max, converged):
         """Each member's row, from B x (N + 1) arrays of the joined horizon:
-        a member's last column holds its residual at the deadline."""
+        a member's last column holds its residual at the deadline.  The row
+        of a member that did not converge is never read; its bits are None
+        and nothing of it warns."""
         size, n = len(maps), len(maps[0])
         residuals = np.concatenate((residuals, (0.0,))).reshape(size, n + 1)
         powers = powers.reshape(size, n + 1)
         lengths = self.lengths.reshape(size, n + 1)
-        harvested = _harvest_value(np.array(maps).reshape(size, n, 2).transpose(2, 0, 1), e_max,
-                                   math.sqrt(e_max), residuals[:, :-1])
-        consumed = powers * lengths
-        held = residuals[:, -2] + harvested[:, -1] if n else np.array(initial_energies)
-        residuals[:, -1] = held - consumed[:, -1]
-        causality, capacity = _violations(residuals, harvested, e_max)
-        feasible = ~(causality.any(axis=1) | capacity.any(axis=1))
+        with np.errstate(all="ignore"):
+            harvested = _harvest_value(np.array(maps).reshape(size, n, 2).transpose(2, 0, 1),
+                                       e_max, math.sqrt(e_max), residuals[:, :-1])
+            consumed = powers * lengths
+            held = residuals[:, -2] + harvested[:, -1] if n else np.array(initial_energies)
+            residuals[:, -1] = held - consumed[:, -1]
+            causality, capacity = _violations(residuals, harvested, e_max)
+        feasible = np.array(converged) & ~(causality.any(axis=1) | capacity.any(axis=1))
         bits = _bits(np.where(feasible[:, None], powers, 0.0), lengths, self.gain)
-        return [(powers[k].tolist(), residuals[k].tolist(), harvested[k].tolist(),
-                 consumed[k].tolist(), float(bits[k]) if feasible[k] else None)
-                for k in range(size)]
+        return [(*row, total if ok else None) for *row, total, ok in zip(
+            powers.tolist(), residuals.tolist(), harvested.tolist(), consumed.tolist(),
+            bits.tolist(), feasible.tolist())]
 
 
-def _line_search(steps, residuals, status, value, grad, free, step, decrement):
-    """Damped projected Newton step: (residuals, powers, status, value, t),
-    or None.
-
-    A step t moves u = sqrt(r) by t z / (2u), r by t z + (t z)^2 / (4r).
-    Starts from the longest step keeping every free residual above
-    ``BOUNDARY_FRACTION`` of itself, each segment's within its own bound
-    (``step_bound``).  ``forward`` projects the trial point: every free
-    epoch the step drains, its residual at or above the store before it,
-    turns idle, however many in one step.  Halves the step until the
-    projected point's objective rises by an Armijo fraction of the
-    predicted increase, up to its own rounding; None below ``MIN_STEP``.
-    """
-    t, decrement = steps.step_bound(residuals, grad, free, step, decrement)
-    while t >= MIN_STEP:
-        trial, powers, trial_status, trial_value = steps.forward(
-            steps.trial(residuals, step, free, t), status)
-        if trial_value >= value + ARMIJO * t * decrement - OBJECTIVE_ROUNDING * value:
-            return trial, powers, trial_status, trial_value, t
-        t *= 0.5
-    return None
+def _armijo(trial_value, value, t, decrement):
+    """Whether a step t rose the objective from ``value`` to ``trial_value``
+    by an Armijo fraction of its predicted rise ``t * decrement``, up to
+    the objective's own rounding; elementwise on arrays."""
+    return trial_value >= value + ARMIJO * t * decrement - OBJECTIVE_ROUNDING * value
 
 
-def _optimal_residuals(initial_energy, lengths, curves, gain, e_max_root):
-    """The Newton method of :func:`solve` on any horizon, lone or joined.
+def _optimal_residuals(opening, lengths, curves, gain, e_max_root):
+    """The Newton method of :func:`solve` on any horizon, lone or joined,
+    each segment of it stepping as it would alone.
 
-    A horizon of one segment and fewer than ``ARRAY_MIN_PACKETS``
-    arrivals steps with :class:`_ScalarSteps`, every other one with
-    :class:`_ArraySteps`, both under ``np.errstate(all="ignore")``.  Each
-    iteration asks the kernels' ``settle`` whether the point is optimal
-    (every segment stationary with nothing to release) and which idle
-    epochs to release: those with a negative multiplier in a stationary
-    segment, or in any segment once the last line search took its full
-    step (t = 1).  A release takes the step again from the new active set
-    in the same iteration.  Returns (kernels, residuals, powers,
-    iterations, last Newton decrement) of the optimum, the point as the
-    kernels built it, lists or arrays, for their ``report``.
+    ``opening`` maps epochs to the store at their start: epoch 0 to the
+    initial energy, and in a joined batch each member's first epoch to its
+    own.  A horizon of ``ARRAY_MIN_PACKETS`` arrivals or more steps with
+    :class:`_ArraySteps`, all its segments in one run; a shorter one steps
+    each segment alone with :class:`_ScalarSteps`, a flat map's segment
+    from the store the map leaves, (a + 0)^2.  Returns (kernels,
+    residuals, powers, ends): kernels over the whole horizon for their
+    ``report``, the point as they built it, lists or arrays, and per
+    segment, by its first epoch, (iterations, last Newton decrement,
+    whether it converged), from :func:`_newton_method`.
     """
     # Where G is flat in floating point, whatever is left at the arrival
     # is lost to the full charge: the residual there is 0, and the
@@ -695,52 +804,98 @@ def _optimal_residuals(initial_energy, lengths, curves, gain, e_max_root):
     status = [EMPTY if a + s * e_max_root == a else FREE for a, s in curves]
     # each segment's first epoch
     firsts = [0, *(i + 1 for i, state in enumerate(status) if state == EMPTY)]
-    steps = (_ArraySteps(initial_energy, lengths, curves, gain, firsts)
-             if len(curves) >= ARRAY_MIN_PACKETS or len(firsts) > 1
-             else _ScalarSteps(initial_energy, lengths, curves, gain))
-    # the time left in its segment at each epoch's start
-    left = []
-    for lo, hi in zip(firsts, [*firsts[1:], len(lengths)]):
-        left += list(accumulate(reversed(lengths[lo:hi])))[::-1]
-    with np.errstate(all="ignore"):    # see _ArraySteps
-        # both starts in one walk: half the store kept, or the even spend
-        half, even = [], []
-        kept, spread = initial_energy, initial_energy    # each start's store
-        for (a, s), l, rest in zip(curves, lengths, left):
-            half.append(0.5 * kept)
-            root = a + s * math.sqrt(half[-1])
-            kept = root * root
-            even.append((1.0 - l / rest) * spread)
-            root = a + s * math.sqrt(even[-1])
-            spread = root * root
-        best = (-math.inf,)
-        for start in (half, even):
-            point = steps.forward(start, status)
-            if point[-1] > best[-1]:
-                best = point
-        residuals, powers, status, value = best
+    if len(curves) >= ARRAY_MIN_PACKETS:
+        steps = _ArraySteps(opening, lengths, curves, gain, firsts)
+    elif len(firsts) == 1:
+        steps = _ScalarSteps(opening[0], lengths, curves, gain)
+    else:
+        # each segment as a horizon of its own
+        residuals, powers, ends = [], [], {}
+        for lo, hi in zip(firsts, [*firsts[1:], len(lengths)]):
+            if lo in opening:
+                store = opening[lo]
+            else:
+                a = curves[lo - 1][0]
+                store = a * a
+            steps = _ScalarSteps(store, lengths[lo:hi], curves[lo:hi - 1], gain)
+            part, spent, alone = _newton_method(steps, {0: store}, steps.lengths, steps.curves,
+                                                status[lo:hi - 1], [0])
+            residuals += part if hi == len(lengths) else [*part, 0.0]
+            powers += spent
+            ends[lo] = alone[0]
+        return _ScalarSteps(opening[0], lengths, curves, gain), residuals, powers, ends
+    return (steps, *_newton_method(steps, opening, lengths, curves, status, firsts))
 
-        decrement, full = math.inf, False
+
+def _newton_method(steps, opening, lengths, curves, status, firsts):
+    """Damped projected Newton steps of every segment of a horizon, each
+    as it would step alone, with the kernels ``steps``, under
+    ``np.errstate(all="ignore")`` (see :class:`_ArraySteps`).
+
+    Each segment starts from the better of its two starts.  Each
+    iteration asks the kernels' ``settle`` which live segments are optimal
+    (stationary with nothing to release) and which idle epochs to
+    release: those with a negative multiplier in a stationary segment, or
+    in one whose last line search took its full step (t = 1).  A release
+    takes the step again from the new active set in the same iteration.
+    A segment stops once it is optimal, its line search finds no step, or
+    after ``MAX_ITERATIONS``; it then drops out of the steps, and the
+    others go on.  Returns (residuals, powers, ends): the point, and per
+    segment, by its first epoch, (iterations, last Newton decrement,
+    whether it converged).
+    """
+    with np.errstate(all="ignore"):
+        # both starts in one walk: half the store kept, or the even spend
+        # over the time left in the segment; a flat map leaves both starts
+        # the same store, and a member starts from its own
+        half, even, sqrt = [], [], math.sqrt
+        for lo, hi in zip(firsts, [*firsts[1:], len(lengths)]):
+            if lo in opening:
+                kept = spread = opening[lo]     # each start's store
+            left = list(accumulate(reversed(lengths[lo:hi])))[::-1]
+            for (a, s), l, rest in zip(curves[lo:hi], lengths[lo:hi], left):
+                r = 0.5 * kept
+                root = a + s * sqrt(r)
+                kept = root * root
+                half.append(r)
+                r = (1.0 - l / rest) * spread
+                root = a + s * sqrt(r)
+                spread = root * root
+                even.append(r)
+        point = steps.start(half, even, status)
+
+        live = list(range(len(firsts)))     # the segments that still step
+        taken = [0.0] * len(firsts)         # the step t each took last
+        ends = dict.fromkeys(firsts)
         for iteration in range(1, MAX_ITERATIONS + 1):
-            w, grad, step, free, nxt, decrement = steps.newton(residuals, powers, status)
+            residuals, powers, status, _ = point
+            w, grad, step, free, nxt, decrement = steps.newton(residuals, powers, status, live)
             done, released = steps.settle(residuals, powers, status, w, grad, step, free, nxt,
-                                          full)
+                                          taken, live)
             if done:
-                return steps, residuals, powers, iteration, decrement
+                for k in done:
+                    ends[firsts[k]] = (iteration, float(decrement[k]), True)
+                live = [k for k in live if ends[firsts[k]] is None]
+                if not live:
+                    break
             if released:
                 for i in released:
                     status[i] = FREE
-                w, grad, step, free, nxt, decrement = steps.newton(residuals, powers, status)
-
-            moved = _line_search(steps, residuals, status, value, grad, free, step, decrement)
-            if moved is None:
-                break
-            residuals, powers, status, value, t = moved
-            full = t == 1.0
+                w, grad, step, free, nxt, decrement = steps.newton(residuals, powers, status,
+                                                                   live)
+            point, taken, failed = steps.line_search(point, free, step, decrement, live)
+            if failed:
+                for k in failed:
+                    ends[firsts[k]] = (iteration, float(decrement[k]), False)
+                live = [k for k in live if ends[firsts[k]] is None]
+                if not live:
+                    break
             # Drop this step's vectors before the next one builds its own.
             del w, grad, step, free, nxt
-    raise SolverError("Newton method did not converge",
-                      diagnostics={"iterations": iteration, "newton_decrement": decrement})
+        else:
+            for k in live:
+                ends[firsts[k]] = (MAX_ITERATIONS, float(decrement[k]), False)
+    return point[0], point[1], ends
 
 
 def solve(scenario: EnergyScenario, circuit: ChargeCircuit,
@@ -752,15 +907,18 @@ def solve(scenario: EnergyScenario, circuit: ChargeCircuit,
     bits either way.
 
     Damped projected Newton steps over the arrival residuals (module
-    docstring), run as a batch of one (:func:`_solve_batch`): every free
-    epoch whose power a step would take below 0 turns idle.  Once the
-    free residuals are stationary, or after a full step, every idle epoch
-    whose multiplier is below ``-RELEASE_TOL`` is released; stationary
-    with none left, the point is optimal.  The schedule holds that point's
-    powers, and the trace its residuals, each packet's harvest at them
-    and p l; the residual at the deadline is the trace's own balance,
-    what the last epoch leaves of the store after the last harvest.  The
-    trace passes the solver's self-check, :func:`_violations`.
+    docstring), run as a batch of one (:func:`_solve_batch`), each segment
+    of the horizon on its own: every free epoch whose power a step would
+    take below 0 turns idle.  Once the free residuals are stationary, or
+    after a full step, every idle epoch whose multiplier is below
+    ``-RELEASE_TOL`` is released; stationary with none left, the point is
+    optimal.  The iterations are the slowest segment's, and the Newton
+    decrement is the segments' last ones summed in order.  The schedule
+    holds that point's powers, and the trace its residuals, each packet's
+    harvest at them and p l; the residual at the deadline is the trace's
+    own balance, what the last epoch leaves of the store after the last
+    harvest.  The trace passes the solver's self-check,
+    :func:`_violations`.
 
     Raises:
         ValueError: unless 0 < gain < inf, or if the initial energy
@@ -779,66 +937,72 @@ def solve(scenario: EnergyScenario, circuit: ChargeCircuit,
 def _solve_batch(scenarios, circuit: ChargeCircuit, gain: float = 1.0) -> list:
     """:func:`solve` on scenarios with the same number of packets, in one
     Newton run over one horizon: each member's N + 1 epochs, then a flat
-    charge map (a, s) = (sqrt(E0), 0) that empties the store and fills it
-    with the next member's initial energy E0 (module docstring).
+    charge map that empties the store, and the next member's epochs from
+    its own initial energy (module docstring).
 
-    Returns, per scenario, a SolveReport, which carries the joined run's
-    iterations and last Newton decrement, or a SolverError.  Where the
-    joined run fails, or a member's trace fails the feasibility check,
-    the member is solved alone and gets what :func:`solve` gives it.
+    Every segment steps as it would alone, so each member gets what
+    :func:`solve` gives it alone: a SolveReport, whose iterations are its
+    slowest segment's and whose Newton decrement is its segments' last
+    ones summed in order, or the SolverError its lone solve raises.
     Raises ValueError as :func:`solve` does.
     """
     if not 0.0 < gain < math.inf:
         raise ValueError(f"gain must be finite and > 0, got {gain}")
     if any(scenario.initial_energy > circuit.e_max for scenario in scenarios):
         raise ValueError("initial_energy exceeds the battery capacity e_max")
-    size = len(scenarios)
+    width = scenarios[0].n_packets + 1
     e_max_root = math.sqrt(circuit.e_max)
     maps = [scenario._maps(circuit.tau) for scenario in scenarios]
     bounds = [(0.0, *(t for t, _ in scenario.packets), scenario.deadline)
               for scenario in scenarios]
     lengths = [b - a for row in bounds for a, b in zip(row, row[1:])]   # np.diff's bits
     curves = []         # (a, s) of G(r) = (a + s sqrt r)^2
-    for k, (scenario, charges) in enumerate(zip(scenarios, maps)):
+    for k, charges in enumerate(maps):
         if k:
-            curves.append((math.sqrt(scenario.initial_energy), 0.0))
+            curves.append((0.0, 0.0))
         curves += [(e_max_root * q, s) for q, s in charges]
-    try:
-        steps, residuals, powers, iterations, decrement = _optimal_residuals(
-            scenarios[0].initial_energy, lengths, curves, gain, e_max_root)
-    except SolverError as error:
-        return [error] if size == 1 else [_solve_batch([scenario], circuit, gain)[0]
-                                           for scenario in scenarios]
+    energies = [scenario.initial_energy for scenario in scenarios]
+    steps, residuals, powers, ends = _optimal_residuals(
+        {k * width: energy for k, energy in enumerate(energies)}, lengths, curves, gain,
+        e_max_root)
+    runs = [[0, 0.0, True] for _ in scenarios]     # iterations, decrement, converged
+    for first, (iterations, decrement, converged) in ends.items():
+        run = runs[first // width]
+        run[0] = max(run[0], iterations)
+        run[1] += decrement
+        run[2] = run[2] and converged
     # The trace holds the residuals, each packet's harvest at them and
     # p l; the residual at the deadline is the trace's own balance.
-    rows = steps.report(residuals, powers, maps,
-                        [scenario.initial_energy for scenario in scenarios], circuit.e_max)
+    rows = steps.report(residuals, powers, maps, energies, circuit.e_max,
+                        [converged for *_, converged in runs])
     out = []
-    for scenario, epoch_bounds, (powers, residuals, harvested, consumed, bits) in zip(
-            scenarios, bounds, rows):
-        # every entry is already a Python float
-        schedule = _record(TransmissionSchedule, powers=tuple(powers),
-                           epoch_bounds=epoch_bounds)
-        trace = _record(HarvestTrace, residuals=tuple(residuals), harvested=tuple(harvested),
-                        consumed=tuple(consumed), clamped=())
-        if bits is not None:
-            out.append(SolveReport(
-                schedule=schedule,
-                trace=trace,
-                throughput=bits,
-                iterations=iterations,
-                newton_decrement=decrement,
-                terminal_residual_error=abs(trace.terminal_residual),
-            ))
-        elif size > 1:
-            out.append(_solve_batch([scenario], circuit, gain)[0])
-        else:
+    for epoch_bounds, (iterations, decrement, converged), row in zip(bounds, runs, rows):
+        if not converged:
+            out.append(SolverError("Newton method did not converge", diagnostics={
+                "iterations": iterations, "newton_decrement": decrement}))
+            continue
+        powers, residuals, harvested, consumed, bits = row
+        if bits is None:
             # causality over the whole horizon first, then capacity
             causality, capacity = _violations(np.array(residuals), np.array(harvested),
                                               circuit.e_max)
             violated, flags = (("causality", causality) if causality.any()
                                else ("capacity", capacity))
             out.append(SolverError("optimum fails the feasibility check", diagnostics={
-                "iterations": iterations, "newton_decrement": decrement,
-                "violated": violated, "epoch": int(flags.argmax()) + 1}))
+                "iterations": iterations, "newton_decrement": decrement, "violated": violated,
+                "epoch": int(flags.argmax()) + 1}))
+            continue
+        # every entry is already a Python float
+        schedule = _record(TransmissionSchedule, powers=tuple(powers),
+                           epoch_bounds=epoch_bounds)
+        trace = _record(HarvestTrace, residuals=tuple(residuals), harvested=tuple(harvested),
+                        consumed=tuple(consumed), clamped=())
+        out.append(SolveReport(
+            schedule=schedule,
+            trace=trace,
+            throughput=bits,
+            iterations=iterations,
+            newton_decrement=decrement,
+            terminal_residual_error=abs(trace.terminal_residual),
+        ))
     return out

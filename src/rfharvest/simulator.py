@@ -479,9 +479,8 @@ def monte_carlo(config: ExperimentConfig,
     gives every run what :func:`generate_scenario` draws for it alone
     (from the same generator, bit for bit).  With ``"optimal"`` among the
     strategies, their optimal schedules are solved as one batch (each
-    report the optimum of solving its scenario alone, to rounding: a
-    throughput may differ from the lone solve's in its last bits), and
-    the optimal rows average the reports' own throughput and trace;
+    report its scenario's lone solve's, field for field), and the
+    optimal rows average the reports' own throughput and trace;
     every other strategy is replayed through :func:`evaluate_strategy`,
     once per run, the tight string being the schedule the run's draw
     handed out.  A scenario the solver fails on raises its SolverError,
@@ -587,6 +586,17 @@ def future_impact_probe(scenario: EnergyScenario, circuit: ChargeCircuit,
     ``delta_length`` seconds (shifting all later arrivals and the
     deadline along).  Returns |p1' - p1| / p1 for the first epoch.
     """
+    change, = _impact_probes([(scenario, d, delta_length, delta_packet)], circuit,
+                             rate_model, link)
+    if isinstance(change, Exception):
+        raise change
+    return change
+
+
+def _perturbed(scenario: EnergyScenario, d: int, delta_length: float,
+               delta_packet: float) -> EnergyScenario:
+    """The scenario :func:`future_impact_probe` perturbs ``d`` packets ahead;
+    raises ValueError for a d out of range or an invalid result."""
     n = scenario.n_packets
     if not 1 <= d <= n:
         raise ValueError(f"d must lie in [1, {n}], got {d}")
@@ -598,16 +608,50 @@ def future_impact_probe(scenario: EnergyScenario, circuit: ChargeCircuit,
             arrival = arrival + delta_length
         packets.append((arrival, duration))
     try:
-        perturbed = EnergyScenario(
+        return EnergyScenario(
             initial_energy=scenario.initial_energy,
             packets=tuple(packets),
             deadline=scenario.deadline + delta_length,
         )
     except ValueError as exc:
         raise ValueError(f"perturbation makes the scenario invalid: {exc}") from exc
-    base = optimal_schedule(scenario, circuit, rate_model, link)
-    shifted = optimal_schedule(perturbed, circuit, rate_model, link)
-    p1 = base.schedule.powers[0]
-    if p1 == 0.0:
-        raise ValueError("current-epoch power is zero; relative change undefined")
-    return abs(shifted.schedule.powers[0] - p1) / p1
+
+
+def _impact_probes(probes, circuit: ChargeCircuit, rate_model: str = "normalized",
+                   link: Optional[ChannelLink] = None) -> list:
+    """:func:`future_impact_probe` on each (scenario, d, delta_length,
+    delta_packet) of ``probes``, whose scenarios share one packet count.
+
+    Each distinct scenario, base or perturbed, is solved once, all in one
+    batch.  Returns per probe its relative change, or the exception its
+    lone probe raises: a ValueError for its d or its perturbation, the
+    SolverError of its base, then of its perturbed scenario, or a
+    ValueError for a first-epoch power of 0.
+    """
+    moved = []
+    for scenario, d, delta_length, delta_packet in probes:
+        try:
+            moved.append(_perturbed(scenario, d, delta_length, delta_packet))
+        except ValueError as exc:
+            moved.append(exc)
+    # each distinct scenario's place in the batch
+    place = {}
+    for scenario in (*(probe[0] for probe in probes), *moved):
+        if isinstance(scenario, EnergyScenario):
+            place.setdefault(scenario, len(place))
+    reports = _solve_batch(list(place), circuit, _snr_gain(rate_model, link)) if place else []
+    changes = []
+    for (scenario, *_), perturbed in zip(probes, moved):
+        if isinstance(perturbed, ValueError):
+            changes.append(perturbed)
+            continue
+        base, shifted = reports[place[scenario]], reports[place[perturbed]]
+        if isinstance(base, SolverError) or isinstance(shifted, SolverError):
+            changes.append(base if isinstance(base, SolverError) else shifted)
+            continue
+        p1 = base.schedule.powers[0]
+        if p1 == 0.0:
+            changes.append(ValueError("current-epoch power is zero; relative change undefined"))
+            continue
+        changes.append(abs(shifted.schedule.powers[0] - p1) / p1)
+    return changes

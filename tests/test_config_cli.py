@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -10,13 +11,16 @@ from rfharvest import (
     TransmissionSchedule,
     cli,
     max_harvest_schedule,
-    optimal_schedule,
+    future_impact_probe,
     replay,
+    simulator,
+    solve,
 )
 from rfharvest.cli import main
-from rfharvest.config import load_config, parse_config
+from rfharvest.config import experiment_config, load_config, parse_config
 from rfharvest.exceptions import ConfigError, SolverError
 from rfharvest.oracle import _brute_force_batch
+from rfharvest.scheduling import _bits, _solve_batch
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -325,6 +329,36 @@ class TestSweepCommand:
         data = [l for l in lines if not l.startswith("#")][1:]
         assert len(data) == 4  # 2 scenarios x 2 depths
 
+    @pytest.mark.parametrize("model", ["normalized", "link-budget"])
+    def test_fig8_solves_every_probe_in_one_batch(self, tmp_path, monkeypatch, model):
+        # each base once and each perturbation, all in one batch; every
+        # row is what future_impact_probe gives its probe alone
+        path = tmp_path / "cfg.yaml"
+        path.write_text("seed: 5\ngenerator: {packet_count: 6}\n"
+                        "sweep: {impact_epochs: [1, 5], scenarios: 3}\n")
+        batches = []
+
+        def spied(scenarios, circuit, gain):
+            batches.append(scenarios)
+            return _solve_batch(scenarios, circuit, gain)
+
+        monkeypatch.setattr(simulator, "_solve_batch", spied)
+        assert main(["sweep", "--config", str(path), "--figure", "fig8", "--rate-model", model,
+                     "--out", str(tmp_path / "out")]) == 0
+        assert [len(scenarios) for scenarios in batches] == [3 + 3 * 2]
+        monkeypatch.undo()
+        run = load_config(path)
+        point = experiment_config(dataclasses.replace(run, rate_model=model))
+        rows = [line.split(",") for line in
+                (tmp_path / "out" / "sweep_fig8.csv").read_text().splitlines()
+                if not line.startswith("#")][1:]
+        drawn = simulator._draw_scenarios(point, run.sweep.scenarios)
+        for (index, d, delta_length, delta_packet, change, _) in rows:
+            scenario = drawn[int(index)][0]
+            assert change == repr(future_impact_probe(
+                scenario, run.circuit, int(d), float(delta_length), float(delta_packet), model,
+                run.link))
+
     @pytest.mark.parametrize("sweep, message", [
         ("{impact_epochs: [0]}", "scenario 0: impact epoch d=0 must lie in [1, 6]"),
         ("{impact_epochs: [1], length_delta_fraction: -10}",
@@ -417,15 +451,21 @@ class TestSweepCommand:
         assert not (tmp_path / "out").exists()
 
 
-def greedy_solver(scenario, circuit, *args):
-    """A stand-in for optimal_schedule that reports the greedy max-harvest
-    policy's replay, its schedule the powers the replay spent."""
-    trace, bits = replay(max_harvest_schedule(scenario, circuit), scenario, circuit, *args)
-    schedule = TransmissionSchedule(powers=tuple(trace.consumed / scenario.epoch_lengths),
-                                    epoch_bounds=tuple(scenario.epoch_bounds))
-    return SolveReport(schedule=schedule, trace=trace, throughput=bits,
-                       iterations=0, newton_decrement=0.0,
-                       terminal_residual_error=abs(trace.terminal_residual))
+def greedy_batch(scenarios, circuit, gain):
+    """A stand-in for _solve_batch that reports each scenario's greedy
+    max-harvest replay, its schedule the powers the replay spent and its
+    bits at the link's gain."""
+    reports = []
+    for scenario in scenarios:
+        trace, _ = replay(max_harvest_schedule(scenario, circuit), scenario, circuit)
+        powers = trace.consumed / scenario.epoch_lengths
+        schedule = TransmissionSchedule(powers=tuple(powers),
+                                        epoch_bounds=tuple(scenario.epoch_bounds))
+        reports.append(SolveReport(
+            schedule=schedule, trace=trace,
+            throughput=float(_bits(powers, scenario.epoch_lengths, gain)), iterations=0,
+            newton_decrement=0.0, terminal_residual_error=abs(trace.terminal_residual)))
+    return reports
 
 
 class TestOracleCheckCommand:
@@ -453,7 +493,7 @@ class TestOracleCheckCommand:
                                                 monkeypatch):
         # a solver that hands back the greedy max-harvest schedule falls
         # measurably below the oracle, which must fail the check
-        monkeypatch.setattr(cli, "optimal_schedule", greedy_solver)
+        monkeypatch.setattr(cli, "_solve_batch", greedy_batch)
         rc = main(["oracle-check", "--config", str(generated_config)])
         assert rc == 4
         assert "worst gap" in capsys.readouterr().out
@@ -468,19 +508,18 @@ class TestOracleCheckCommand:
                                               monkeypatch):
         # both the solver and the oracle see the link's gain, not the
         # normalized problem
-        from rfharvest.simulator import _snr_gain
         seen = []
 
         def spy_oracle(scenarios, circuit, grid, gain=1.0):
             seen.extend([gain] * len(scenarios))
             return _brute_force_batch(scenarios, circuit, grid, gain)
 
-        def spy_solver(scenario, circuit, *args):
-            seen.append(_snr_gain(*args))
-            return optimal_schedule(scenario, circuit, *args)
+        def spy_solver(scenarios, circuit, gain):
+            seen.extend([gain] * len(scenarios))
+            return _solve_batch(scenarios, circuit, gain)
 
         monkeypatch.setattr(cli, "_brute_force_batch", spy_oracle)
-        monkeypatch.setattr(cli, "optimal_schedule", spy_solver)
+        monkeypatch.setattr(cli, "_solve_batch", spy_solver)
         assert main(["oracle-check", "--config", str(generated_config),
                      "--rate-model", "link-budget"]) == 0
         link_gain = load_config(generated_config).link.gain
@@ -488,7 +527,7 @@ class TestOracleCheckCommand:
 
     def test_corrupted_solver_fails_under_link_budget(self, generated_config,
                                                       capsys, monkeypatch):
-        monkeypatch.setattr(cli, "optimal_schedule", greedy_solver)
+        monkeypatch.setattr(cli, "_solve_batch", greedy_batch)
         rc = main(["oracle-check", "--config", str(generated_config),
                    "--rate-model", "link-budget"])
         assert rc == 4
@@ -498,6 +537,40 @@ class TestOracleCheckCommand:
         path = tmp_path / "cfg.yaml"
         path.write_text("generator: {packet_count: 4}\n")
         assert main(["oracle-check", "--config", str(path)]) == 2
+
+    def test_one_batch_solves_every_instance(self, generated_config, monkeypatch):
+        # no instance is solved alone; the batch gives each its lone report
+        batches = []
+
+        def spied(scenarios, circuit, gain):
+            reports = _solve_batch(scenarios, circuit, gain)
+            batches.append((scenarios, reports))
+            return reports
+
+        def alone(*args):
+            raise AssertionError("oracle-check solved an instance alone")
+
+        monkeypatch.setattr(cli, "_solve_batch", spied)
+        monkeypatch.setattr(cli, "optimal_schedule", alone)
+        assert main(["oracle-check", "--config", str(generated_config)]) == 0
+        (scenarios, reports), = batches
+        circuit = load_config(generated_config).circuit
+        assert reports == [solve(scenario, circuit) for scenario in scenarios]
+
+    def test_first_failing_instance_exits_3(self, generated_config, capsys, monkeypatch):
+        # the first failure in instance order is the one reported
+        def failing(scenarios, circuit, gain):
+            reports = _solve_batch(scenarios, circuit, gain)
+            for run in (1, 3):
+                reports[run] = SolverError(f"instance {run} did not converge",
+                                           diagnostics={"iterations": run})
+            return reports
+
+        monkeypatch.setattr(cli, "_solve_batch", failing)
+        assert main(["oracle-check", "--config", str(generated_config)]) == 3
+        err = capsys.readouterr().err
+        assert "solver failure: instance 1 did not converge" in err
+        assert "instance 3" not in err
 
 
 class TestEntryPoint:

@@ -1,10 +1,12 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from rfharvest import (
     BudgetError,
+    ChargeCircuit,
     EnergyScenario,
     ExperimentConfig,
     GridSpec,
@@ -191,6 +193,16 @@ class TestBruteForce:
             finally:
                 tracemalloc.stop()
             assert peak < 60 ** 3 * np.dtype(np.float64).itemsize
+
+
+def test_subnormal_epoch_refuses_the_derived_bound():
+    # an epoch of 5e-324 s makes 2 E / l_min overflow: the grid axis was
+    # [nan, inf, ...], numpy warned, and the walk found no feasible tuple
+    scenario = EnergyScenario(0.05, ((5e-324, 1.0), (1.0, 1.0)), 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"derived power bound inf W is not finite"):
+            brute_force_optimize(scenario, ChargeCircuit(4000.0, 0.05, 2.5))
 
 
 class TestWholeGridReference:

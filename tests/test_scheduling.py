@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import math
 from pathlib import Path
 
@@ -456,9 +457,9 @@ class TestHardScenarios:
         newton = scheduling._ScalarSteps.newton
         statuses = []
 
-        def spied(self, residuals, powers, status):
+        def spied(self, residuals, powers, status, live):
             statuses.append(list(status))
-            return newton(self, residuals, powers, status)
+            return newton(self, residuals, powers, status, live)
 
         monkeypatch.setattr(scheduling._ScalarSteps, "newton", spied)
         solve(scenarios[1], circuit)
@@ -587,8 +588,9 @@ class TestKernelSets:
             assert residuals[90] == pytest.approx(0.0, abs=1e-15)
 
     def test_the_horizon_picks_the_kernel_set(self, sim_circuit, monkeypatch):
-        # the scalar kernels step only a short horizon of one segment; a
-        # flat map or a joined batch makes several, for the array kernels
+        # the scalar kernels step a short horizon, a segment at a time when
+        # a flat map or a joined batch makes several; the array kernels step
+        # a long one, all its segments at once
         built = []
 
         def spy(kernels):
@@ -601,15 +603,20 @@ class TestKernelSets:
 
         for kernels in (scheduling._ScalarSteps, scheduling._ArraySteps):
             monkeypatch.setattr(kernels, "__init__", spy(kernels))
+        # a horizon of several segments also builds the scalar kernels of
+        # the whole horizon, for its report
         for scenarios, kernels in (
-                ([reference_horizon(sim_circuit, 8, 0)], scheduling._ScalarSteps),
-                ([with_flat_map(sim_circuit, 3)], scheduling._ArraySteps),
+                ([reference_horizon(sim_circuit, 8, 0)], [scheduling._ScalarSteps]),
+                ([with_flat_map(sim_circuit, 3)], [scheduling._ScalarSteps] * 3),
                 ([reference_horizon(sim_circuit, 3, seed) for seed in range(2)],
-                 scheduling._ArraySteps)):
+                 [scheduling._ScalarSteps] * 3),
+                ([reference_horizon(sim_circuit, 64, 0)], [scheduling._ArraySteps]),
+                ([reference_horizon(sim_circuit, 8, seed) for seed in range(8)],
+                 [scheduling._ArraySteps])):
             built.clear()
             assert not any(isinstance(report, SolverError)
                            for report in scheduling._solve_batch(scenarios, sim_circuit))
-            assert built == [kernels]
+            assert built == kernels
 
 
 def looped_step_bound(firsts, residuals, free, step):
@@ -621,33 +628,45 @@ def looped_step_bound(firsts, residuals, free, step):
     for i in free:
         if step[i] < 0.0:
             bounds[segment[i]] = min(bounds[segment[i]], reach * residuals[i] / -step[i])
-    return bounds, segment
+    return bounds
 
 
-def test_step_bound_scales_each_segment_to_its_own_bound():
+def test_step_bound_is_each_segments_own():
     # residuals and steps from a few values, so that bounds tie within
     # and across segments; segments of one arrival and segments with no
-    # free arrival
+    # free arrival.  Each segment steps within its own bound alone.
     rng = np.random.default_rng([11, 0])
     for _ in range(300):
         n = int(rng.integers(1, 30))
         firsts = sorted({0, *rng.integers(1, n + 1, int(rng.integers(0, 5))).tolist()} - {n})
         lengths = rng.choice([0.5, 1.0, 2.0], n + 1)
-        kernels = scheduling._ArraySteps(0.1, lengths.tolist(), [(0.3, 0.5)] * n, 1.0, firsts)
+        kernels = scheduling._ArraySteps({0: 0.1}, lengths.tolist(), [(0.3, 0.5)] * n, 1.0,
+                                         firsts)
         status = np.where(rng.random(n) < 0.3, scheduling.IDLE, scheduling.FREE)
         free = (status == scheduling.FREE).nonzero()[0]
         residuals = rng.choice([0.25, 0.5, 1.0], n)
         step = np.where(status == scheduling.FREE,
                         rng.choice([-2.0, -1.0, -0.25, 0.0, 0.5], n), 0.0)
-        grad = rng.choice([-1.0, 0.5, 2.0], n)
-        bounds, segment = looped_step_bound(firsts, residuals.tolist(), free.tolist(),
-                                            step.tolist())
-        scaled = step.copy()
         with np.errstate(all="ignore"):
-            t, decrement = kernels.step_bound(residuals, grad, free, scaled, -1.0)
-        assert t == max(bounds)
-        assert scaled.tolist() == [d * (bounds[segment[i]] / t) for i, d in enumerate(step)]
-        assert decrement == (float(grad[free] @ scaled[free]) if min(bounds) < t else -1.0)
+            bounds = kernels.step_bound(residuals, free, step).tolist()
+        assert bounds == looped_step_bound(firsts, residuals.tolist(), free.tolist(),
+                                           step.tolist())
+
+
+def test_line_search_leaves_a_stopped_segment_alone():
+    # segment 0 was found optimal in this iteration, so the Newton step it
+    # settled on still has its rows; however short their bound, it neither
+    # steps nor fails, and segment 1 steps on
+    curves = [(0.3, 0.5), (0.0, 0.0), (0.3, 0.5)]      # a seam at arrival 1
+    kernels = scheduling._ArraySteps({0: 0.1, 2: 0.2}, [1.0] * 4, curves, 1.0, [0, 2])
+    status = [scheduling.FREE, scheduling.EMPTY, scheduling.FREE]
+    with np.errstate(all="ignore"):
+        point = kernels.forward([0.05, 0.0, 0.1], status)
+        moved, taken, failed = kernels.line_search(
+            point, np.array([0, 2]), np.array([-1e30, 0.0, 0.0]), np.zeros(2), [1])
+    assert failed == []
+    assert taken[1] == 1.0
+    assert moved[0].tolist() == point[0].tolist()
 
 
 def empty_store():
@@ -681,12 +700,12 @@ class TestReports:
         floats = [solve(scenario, sim_circuit, gain) for scenario, gain in cases]
         optimal = scheduling._optimal_residuals
 
-        def as_arrays(*args):
-            steps, residuals, powers, iterations, decrement = optimal(*args)
+        def as_arrays(opening, *args):
+            steps, residuals, powers, ends = optimal(opening, *args)
             assert isinstance(steps, scheduling._ScalarSteps)
-            arrays = scheduling._ArraySteps(steps.initial_energy, steps.lengths, steps.curves,
-                                            steps.gain, [0])
-            return arrays, np.array(residuals), np.array(powers), iterations, decrement
+            arrays = scheduling._ArraySteps(opening, steps.lengths, steps.curves, steps.gain,
+                                            [0])
+            return arrays, np.array(residuals), np.array(powers), ends
 
         monkeypatch.setattr(scheduling, "_optimal_residuals", as_arrays)
         for (scenario, gain), report in zip(cases, floats):
@@ -708,12 +727,12 @@ class TestReports:
         optimal = scheduling._optimal_residuals
 
         def overdrawn(*args):
-            steps, residuals, powers, iterations, decrement = optimal(*args)
+            steps, residuals, powers, ends = optimal(*args)
             if overdraw != "overfull":
                 powers[-1] *= 1.001
             if overdraw != "terminal":
                 residuals[3] = 1.5 * sim_circuit.e_max
-            return steps, residuals, powers, iterations, decrement
+            return steps, residuals, powers, ends
 
         monkeypatch.setattr(scheduling, "_optimal_residuals", overdrawn)
         with pytest.raises(SolverError, match="fails the feasibility check") as excinfo:
@@ -853,10 +872,12 @@ class TestTinyStores:
         assert max(steps) <= 44
 
 
-def sweep_batches(monkeypatch, strategies=("optimal",), axes=("mean_epoch_length", "capacitance")):
+def sweep_batches(monkeypatch, strategies=("optimal",), axes=("mean_epoch_length", "capacitance"),
+                  rate_model="normalized"):
     """(scenarios, circuit, gain, results) of each batched solve that
     monte_carlo runs on the reference sweep axes."""
     run = load_config(Path(__file__).resolve().parent.parent / "configs" / "reference.yaml")
+    run = dataclasses.replace(run, rate_model=rate_model)
     values = {"mean_epoch_length": run.sweep.epoch_lengths, "capacitance": run.sweep.capacitances}
     batches = []
 
@@ -898,20 +919,6 @@ def idle_epochs(report):
     return [i for i, p in enumerate(report.schedule.powers) if p == 0.0]
 
 
-def stationarity_errors(scenario, report, circuit, gain):
-    """Relative errors of 1/g + p_{m+1} = (1/g + p_m)(X_m + 1) on the
-    returned trace, between non-idle neighbours and where r >= 0 is free."""
-    powers, residuals = report.schedule.powers, report.trace.residuals
-    errors = []
-    for m, duration in enumerate(scenario.packet_lengths):
-        if powers[m] == 0.0 or powers[m + 1] == 0.0 or residuals[m] == 0.0:
-            continue
-        x = harvest_sensitivity(residuals[m], duration, circuit)
-        rhs = (1.0 / gain + powers[m]) * (x + 1.0)
-        errors.append(abs(1.0 / gain + powers[m + 1] - rhs) / rhs)
-    return errors
-
-
 def idle_heavy_batch():
     """30 draws at 0.12 F with N = 32, E0 = 0 and a tenth of the reference
     harvest: about five idle epochs per optimum."""
@@ -921,31 +928,56 @@ def idle_heavy_batch():
     return [scenario for scenario, _ in simulator._draw_scenarios(config, 30)], circuit
 
 
+def release_pair():
+    """Two N = 2 draws: joined, the first (5 steps alone) turns an epoch
+    idle and is stationary at step 5 while the second (9 steps alone)
+    still steps."""
+    return [
+        EnergyScenario(initial_energy=0.051000548799102034, deadline=12.028007743650251,
+                       packets=((5.853344236465875, 8.260188778333207),
+                                (6.632550809656879, 0.0207242362251598))),
+        EnergyScenario(initial_energy=0.032773839992761844, deadline=8.22864392558588,
+                       packets=((0.5293284134211169, 400.85610264227336),
+                                (8.057643082842558, 0.18818636957024704)))]
+
+
+def trio_pair(draw, trio_first):
+    """released_trio() with draw ``draw`` of heterogeneous_horizon(
+    default_rng([7, 0]), SIM, 6), in either order."""
+    rng = np.random.default_rng([7, 0])
+    other = [heterogeneous_horizon(rng, SIM, 6) for _ in range(draw + 1)][-1]
+    return [released_trio(), other] if trio_first else [other, released_trio()]
+
+
 class TestBatchedSolve:
-    """monte_carlo solves a sweep point's scenarios as one joined horizon;
-    each member gets the optimum its lone solve finds."""
+    """monte_carlo solves a sweep point's scenarios as one joined horizon.
+    Each segment of it steps as it would alone, so each member gets its
+    lone solve's report, field for field, or its SolverError."""
 
-    def assert_lone_optimum(self, scenario, batched, alone, circuit, gain):
-        assert batched.throughput == pytest.approx(alone.throughput, rel=1e-12)
-        assert max(stationarity_errors(scenario, batched, circuit, gain), default=0.0) <= 1e-12
-        assert idle_epochs(batched) == idle_epochs(alone)
-
-    def assert_batch(self, scenarios, reports, circuit, gain):
-        """Each member at its lone optimum, and the joined run no longer
-        than its slowest member's lone solve."""
-        alone = [solve(scenario, circuit, gain) for scenario in scenarios]
-        for scenario, batched, lone in zip(scenarios, reports, alone):
-            self.assert_lone_optimum(scenario, batched, lone, circuit, gain)
-        assert max(report.iterations for report in reports) \
-            <= max(report.iterations for report in alone)
+    @staticmethod
+    def assert_lone_reports(scenarios, reports, circuit, gain, alone=None):
+        """Each member's report equals its lone solve's (``alone``, or
+        solved here), and a failed member's diagnostics its lone
+        failure's."""
+        if alone is None:
+            alone = [solved_alone(scenario, circuit, gain) for scenario in scenarios]
+        assert len(reports) == len(alone)
+        for joined, lone in zip(reports, alone):
+            assert type(joined) is type(lone)
+            if isinstance(lone, SolverError):
+                assert joined.diagnostics == lone.diagnostics
+            else:
+                assert joined == lone
 
     def test_reference_sweeps_agree(self, monkeypatch):
-        batches = [*sweep_batches(monkeypatch),
-                   *sweep_batches(monkeypatch, ("optimal", "max_harvest", "tight_string"),
-                                  ("mean_epoch_length",))]
-        assert sum(len(scenarios) for scenarios, *_ in batches) == 450
-        for scenarios, circuit, gain, reports in batches:
-            self.assert_batch(scenarios, reports, circuit, gain)
+        # every fig5 and fig6 point, under both rate models
+        for rate_model in ("normalized", "link-budget"):
+            batches = [*sweep_batches(monkeypatch, rate_model=rate_model),
+                       *sweep_batches(monkeypatch, ("optimal", "max_harvest", "tight_string"),
+                                      ("mean_epoch_length",), rate_model)]
+            assert sum(len(scenarios) for scenarios, *_ in batches) == 450
+            for scenarios, circuit, gain, reports in batches:
+                self.assert_lone_reports(scenarios, reports, circuit, gain)
 
     @pytest.mark.parametrize("family", ["heterogeneous", "fuzz"])
     def test_random_draws_agree(self, family):
@@ -958,17 +990,8 @@ class TestBatchedSolve:
         groups = by_size_and_gain(draws)
         assert family == "heterogeneous" or any(n == 0 for n, _ in groups)
         for (_, gain), scenarios in groups.items():
-            for scenario, batched in zip(scenarios, scheduling._solve_batch(scenarios, SIM, gain)):
-                alone = solved_alone(scenario, SIM, gain)
-                if isinstance(alone, SolverError):
-                    assert isinstance(batched, SolverError)
-                    assert batched.diagnostics == alone.diagnostics
-                elif family == "heterogeneous":
-                    self.assert_lone_optimum(scenario, batched, alone, SIM, gain)
-                else:
-                    # a member's powers round differently from its lone solve's,
-                    # so an epoch at p = 0 alone may keep 1e-10 W batched
-                    assert batched.throughput == pytest.approx(alone.throughput, rel=1e-12)
+            self.assert_lone_reports(scenarios, scheduling._solve_batch(scenarios, SIM, gain),
+                                     SIM, gain)
 
     @pytest.mark.parametrize("members", [("hetero256/2", "hetero256/4", "N256"),
                                          ("hetero1024/1", "N1024"), ("empty128", "N128")],
@@ -977,35 +1000,67 @@ class TestBatchedSolve:
         # the array kernels, on same-N groups of KERNEL_CASES horizons
         cases = {**KERNEL_CASES, "N128": lambda circuit: (reference_horizon(circuit, 128, 0), 1.0)}
         scenarios = [cases[name](sim_circuit)[0] for name in members]
-        self.assert_batch(scenarios, scheduling._solve_batch(scenarios, sim_circuit),
-                          sim_circuit, 1.0)
+        self.assert_lone_reports(scenarios, scheduling._solve_batch(scenarios, sim_circuit),
+                                 sim_circuit, 1.0)
+
+    def test_members_split_by_flat_maps_agree(self, sim_circuit):
+        # joined on the array kernels, a member of two segments steps each
+        # as its lone solve does, a segment at a time on the scalar kernels
+        scenarios = [with_flat_map(sim_circuit, k) for k in range(8)]
+        scenarios += [reference_horizon(sim_circuit, 8, seed) for seed in range(4)]
+        self.assert_lone_reports(scenarios, scheduling._solve_batch(scenarios, sim_circuit),
+                                 sim_circuit, 1.0)
 
     def test_member_releases_while_another_steps(self):
-        # joined, the first (5 steps alone) turns an epoch idle and is
-        # stationary at step 5 while the second (9 steps alone) still
-        # steps; holding the release until the whole batch is stationary
-        # took the joined run to 13 steps
-        scenarios = [
-            EnergyScenario(initial_energy=0.051000548799102034, deadline=12.028007743650251,
-                           packets=((5.853344236465875, 8.260188778333207),
-                                    (6.632550809656879, 0.0207242362251598))),
-            EnergyScenario(initial_energy=0.032773839992761844, deadline=8.22864392558588,
-                           packets=((0.5293284134211169, 400.85610264227336),
-                                    (8.057643082842558, 0.18818636957024704)))]
-        self.assert_batch(scenarios, scheduling._solve_batch(scenarios, SIM), SIM, 1.0)
+        # holding the release until the whole batch was stationary took
+        # the joined run to 13 steps
+        self.assert_lone_reports(release_pair(), scheduling._solve_batch(release_pair(), SIM),
+                                 SIM, 1.0)
 
     @pytest.mark.parametrize("draw", range(5))
     @pytest.mark.parametrize("trio_first", [True, False])
     def test_zero_step_bound_in_one_segment(self, draw, trio_first):
         # the joined step drains a just released epoch of the trio's (a
         # step bound of 0, had the step stopped at its p = 0) while the
-        # other member steps on: each member reaches its lone optimum
-        rng = np.random.default_rng([7, 0])
-        other = [heterogeneous_horizon(rng, SIM, 6) for _ in range(draw + 1)][-1]
-        scenarios = [released_trio(), other] if trio_first else [other, released_trio()]
-        reports = scheduling._solve_batch(scenarios, SIM, 1e-3)
-        for scenario, batched in zip(scenarios, reports):
-            self.assert_lone_optimum(scenario, batched, solve(scenario, SIM, 1e-3), SIM, 1e-3)
+        # other member steps on: each member gets its lone report
+        scenarios = trio_pair(draw, trio_first)
+        self.assert_lone_reports(scenarios, scheduling._solve_batch(scenarios, SIM, 1e-3), SIM,
+                                 1e-3)
+
+    @pytest.mark.parametrize("trio_first", [True, False])
+    @pytest.mark.parametrize("threshold", [scheduling.ARRAY_MIN_PACKETS, 1],
+                             ids=["floats", "arrays"])
+    def test_trio_batch_takes_each_members_lone_steps(self, monkeypatch, trio_first,
+                                                      threshold):
+        # the trio and the fifth [7, 0] draw took 17 steps joined, on one
+        # start, one step length and one release trigger for both; alone
+        # they take 6 and 8, on the scalar or the array kernels
+        monkeypatch.setattr(scheduling, "ARRAY_MIN_PACKETS", threshold)
+        reports = scheduling._solve_batch(trio_pair(4, trio_first), SIM, 1e-3)
+        steps = [report.iterations for report in reports]
+        assert steps == ([6, 8] if trio_first else [8, 6])
+
+    @pytest.mark.parametrize("case", ["trio", "release", "heterogeneous"])
+    def test_short_batches_on_the_array_kernels(self, monkeypatch, case):
+        # short joined horizons step a segment at a time in floats; forced
+        # onto the array kernels, each member still gets its lone report
+        if case == "trio":
+            batches = [(trio_pair(draw, first), 1e-3) for draw in range(5)
+                       for first in (True, False)]
+        elif case == "release":
+            batches = [(release_pair(), 1.0)]
+        else:
+            rng = np.random.default_rng([3, 0])
+            draws = [(heterogeneous_scenario(rng, SIM, 5), gain) for gain in (1e-3, 1.0, 2.7e8)
+                     for _ in range(40)]
+            batches = [(scenarios[:8], gain)
+                       for (_, gain), scenarios in by_size_and_gain(draws).items()]
+        for scenarios, gain in batches:
+            alone = [solved_alone(scenario, SIM, gain) for scenario in scenarios]
+            with monkeypatch.context() as patched:
+                patched.setattr(scheduling, "ARRAY_MIN_PACKETS", 1)
+                reports = scheduling._solve_batch(scenarios, SIM, gain)
+            self.assert_lone_reports(scenarios, reports, SIM, gain, alone)
 
     def test_idle_heavy_batch_takes_its_slowest_members_steps(self):
         # each member bounds its own step and releases its own idle epochs:
@@ -1014,25 +1069,31 @@ class TestBatchedSolve:
         reports = scheduling._solve_batch(scenarios, circuit)
         assert sum(len(idle_epochs(report)) for report in reports) >= 4 * len(scenarios)
         assert max(report.iterations for report in reports) <= 8
-        self.assert_batch(scenarios, reports, circuit, 1.0)
+        self.assert_lone_reports(scenarios, reports, circuit, 1.0)
 
     @pytest.mark.parametrize("limit", [1, 6])
     def test_failures_carry_diagnostics(self, sim_circuit, monkeypatch, limit):
         # cut off after `limit` steps, each member fails or converges as
-        # it would alone; at 6 steps the batch holds both kinds
+        # it would alone, from the one joined run; at 6 steps the batch
+        # holds both kinds
         monkeypatch.setattr(scheduling, "MAX_ITERATIONS", limit)
         config = medium_config(sim_circuit, 8, 0)
         scenarios = [generate_scenario(config, np.random.default_rng([0, run]))[0]
                      for run in range(30)]
+        runs = []
+        optimal = scheduling._optimal_residuals
+
+        def counted(*args):
+            runs.append(args)
+            return optimal(*args)
+
+        monkeypatch.setattr(scheduling, "_optimal_residuals", counted)
         results = scheduling._solve_batch(scenarios, sim_circuit)
+        assert len(runs) == 1
         failed = [isinstance(r, SolverError) for r in results]
         assert all(failed) if limit == 1 else 0 < sum(failed) < len(failed)
-        for scenario, batched in zip(scenarios, results):
-            alone = solved_alone(scenario, sim_circuit, 1.0)
-            assert type(batched) is type(alone)
-            if isinstance(alone, SolverError):
-                assert batched.diagnostics == alone.diagnostics
+        self.assert_lone_reports(scenarios, results, sim_circuit, 1.0)
+        for batched in results:
+            if isinstance(batched, SolverError):
                 assert batched.diagnostics["iterations"] == limit
                 assert batched.diagnostics["newton_decrement"] > 0.0
-            else:
-                assert batched.schedule.powers == alone.schedule.powers

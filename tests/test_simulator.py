@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from rfharvest import (
     replay,
     solve,
 )
-from rfharvest.config import SweepConfig, experiment_config, parse_config
+from rfharvest.config import SweepConfig, experiment_config, load_config, parse_config
 from rfharvest.exceptions import ConfigError
 from rfharvest.simulator import UNIFORM_HALFWIDTH, evaluate_strategy
 from rfharvest.strategies import FULL_BATTERY_FRACTION
@@ -709,9 +710,8 @@ class TestMonteCarlo:
     def test_optimal_rows_are_the_solve_reports_own(self, sim_circuit, reference_link,
                                                      monkeypatch, rate_model):
         # no optimal schedule is replayed: its row averages the batch's
-        # own reports' throughput and harvest, bit for bit; a batch member
-        # may differ from its lone solve in the last bit, so the lone
-        # solves agree to rounding
+        # own reports' throughput and harvest, bit for bit, which are the
+        # lone solves' own
         config = medium_config(sim_circuit, rate_model=rate_model, link=reference_link)
         calls = []
 
@@ -737,7 +737,36 @@ class TestMonteCarlo:
 
         row_means = (row["mean_throughput"], row["mean_harvested"])
         assert row_means == means(batched)
-        assert row_means == pytest.approx(means(alone), rel=1e-12)
+        assert row_means == means(alone)
+
+    @pytest.mark.parametrize("rate_model", ["normalized", "link-budget"])
+    def test_reference_optimal_rows_average_lone_solves(self, rate_model):
+        # every optimal row of fig5's two axes is the row built from its
+        # point's lone solves, bit for bit
+        run = load_config(Path(__file__).resolve().parent.parent / "configs" / "reference.yaml")
+        config = experiment_config(dataclasses.replace(run, rate_model=rate_model))
+        for axis, values in (("mean_epoch_length", run.sweep.epoch_lengths),
+                             ("capacitance", run.sweep.capacitances)):
+            rows = monte_carlo(config, ("optimal",), axis, values)
+            assert len(rows) == len(values)
+            for row, value in zip(rows, values):
+                if axis == "mean_epoch_length":
+                    point = dataclasses.replace(
+                        config, mean_epoch_length=value,
+                        mean_harvest=config.mean_harvest * value / config.mean_epoch_length)
+                else:
+                    point = dataclasses.replace(
+                        config, circuit=dataclasses.replace(config.circuit, capacitance=value))
+                drawn = simulator._draw_scenarios(point, point.runs)
+                bits, harvested = [], []
+                for scenario, _ in drawn:
+                    report = optimal_schedule(scenario, point.circuit, rate_model, point.link)
+                    bits.append(report.throughput / scenario.deadline)
+                    harvested.append(float(np.sum(report.trace.harvested)))
+                assert (row["mean_throughput"], row["std_throughput"], row["mean_harvested"],
+                        row["std_harvested"]) == (
+                    float(np.mean(bits)), float(np.std(bits)), float(np.mean(harvested)),
+                    float(np.std(harvested)))
 
     @pytest.mark.parametrize("packet_count, runs, sweep_axis, sweep_values, rate_model", [
         (0, 4, None, None, "normalized"),
@@ -768,8 +797,7 @@ class TestMonteCarlo:
                      for run in range(runs)]
             te_over_tau = [float(np.mean(scenario.packet_lengths)) / point.circuit.tau
                            for scenario, _ in drawn if scenario.n_packets]
-            # the batch's reports, which may differ from lone solves' in the
-            # last bit of a throughput
+            # the batch's reports, each its lone solve's
             solved = simulator._solve_batch([scenario for scenario, _ in drawn], point.circuit,
                                             simulator._snr_gain(rate_model, reference_link))
             for name in simulator.STRATEGIES:
