@@ -50,14 +50,16 @@ each member's epochs, then a flat map that empties the store, and the
 next member's epochs from its own initial energy E0.  So each member
 gets its lone solve's report, bit for bit.
 
-The horizon picks how a step is computed.  A horizon of fewer than
-``ARRAY_MIN_PACKETS`` arrivals steps with kernels that loop over Python
-floats, one segment at a time.  A longer one, lone or joined, steps
-with kernels that work on numpy arrays along the horizon, all its
-segments at once, with the same arithmetic elementwise; a lone long
-horizon is their one-segment case, with no code of its own.  Only the
-idle runs and the O(N) sweep stay loops there.  Both kernel sets share
-one Newton loop (the starts, the active set, the release rule and the
+The horizon picks how a step is computed.  A lone horizon of one
+segment and fewer than ``ARRAY_MIN_PACKETS`` arrivals steps with
+kernels that loop over Python floats.  Every other horizon, lone or
+joined, steps with kernels that work on numpy arrays along the horizon,
+all its segments at once, with the same arithmetic elementwise; a lone
+long horizon is their one-segment case, with no code of its own.  Only
+the idle runs and the O(N) sweep stay loops there.  A batch whose
+joined horizon would be shorter than ``ARRAY_MIN_PACKETS`` arrivals is
+not joined: each member is solved alone.  Both kernel sets share one
+Newton loop (the starts, the active set, the release rule and the
 tolerances) and one Thomas sweep, :func:`_sweep`, and each has one
 kernel per part of a step: the forward pass, which also projects and
 scores the point, the Newton step, the convergence and release test,
@@ -105,11 +107,11 @@ OBJECTIVE_ROUNDING = 1e-14
 MIN_STEP = 1e-16
 # A step may shrink a free residual to this fraction of itself at most.
 BOUNDARY_FRACTION = 0.01
-# A horizon steps with _ScalarSteps, one segment at a time, below this
-# many arrivals and with _ArraySteps, all its segments at once, from
-# there on, lone or joined.  A lone solve takes about as long with
-# either at 64 packets; the array kernels win above, the scalar ones
-# below.
+# A lone horizon of one segment steps with _ScalarSteps below this many
+# arrivals; every other horizon, lone or joined, steps with _ArraySteps,
+# all its segments at once, and a batch joined below it is solved member
+# by member.  A lone solve takes about as long with either at 64
+# packets; the array kernels win above, the scalar ones below.
 ARRAY_MIN_PACKETS = 64
 
 
@@ -305,17 +307,21 @@ def _sweep(rows):
     0, not NaN.  The step is Newton's in u = sqrt(r): the u-curvature adds
     -grad_i / (2 r_i), kept where positive, so y = u / u* goes to 2y - y^2
     from below on F = c sqrt(r) - b r (an r step triples r).  A row with
-    t = 0, as the first after a flat map, starts a new chain: the
-    compliance and force carried into it enter multiplied by 0, which
-    gives the bits of a fresh start wherever they are finite.
+    t = 0, as the first after a flat map, starts a new chain from zero
+    carries, and the back substitution does not multiply through its zero
+    link: a NaN or inf in one chain stays in that chain.
     """
     shift, pull, merged = [], [], []
     compliance = force = 0.0
     for own, t, bend_w, soft, stiff, g in rows:
-        link = own * t * compliance
-        near = 1.0 + link * t
+        if t:
+            link = own * t * compliance
+            near = 1.0 + link * t
+            carried = force * own * t / near
+        else:
+            link, near, carried = 0.0, 1.0, 0.0
         compliance = 1.0 / (own / near - bend_w - soft + stiff)
-        force = (g + force * own * t / near) * compliance
+        force = (g + carried) * compliance
         pull.append(link)
         merged.append(near)
         shift.append(force)
@@ -323,18 +329,18 @@ def _sweep(rows):
     merged.append(1.0)
     following, out = 0.0, []
     for force, link, near in zip(shift[::-1], pull[:0:-1], merged[:0:-1]):
-        following = (force + link * following) / near
+        following = (force + link * following) / near if link else force
         out.append(following)
     out.reverse()
     return out
 
 
 class _ScalarSteps:
-    """Step kernels that walk a horizon of one segment one arrival at a
-    time in Python floats: on a short horizon a loop costs less than
-    numpy's calls.  A short horizon of several segments steps each with
-    kernels of its own, so no arrival here is empty; a long one steps
-    with :class:`_ArraySteps`.
+    """Step kernels that walk a lone horizon of one segment and fewer
+    than ``ARRAY_MIN_PACKETS`` arrivals one arrival at a time in Python
+    floats: on a short horizon a loop costs less than numpy's calls.  No
+    arrival here is empty; every other horizon steps with
+    :class:`_ArraySteps`.
 
     Every kernel takes and returns the point in the containers it built:
     lists here, numpy arrays in :class:`_ArraySteps`.  What a kernel gives
@@ -505,39 +511,31 @@ class _ScalarSteps:
         return point, [0.0], [0]
 
     def report(self, residuals, powers, maps, initial_energies, e_max, converged):
-        """Each member's (powers, residuals, harvested, consumed, bits), as
-        :func:`_solve_batch` reports them, with bits None where
-        :func:`_violations` flags the trace; None where the member did not
-        converge.  The harvests are :func:`_harvest_value`'s operations in
-        ``math``, and the tests :func:`_violations`' in floats; only the
-        bits go through numpy.
+        """The lone member's row (powers, residuals, harvested, consumed,
+        bits), as :func:`_solve_batch` reports it, with bits None where
+        :func:`_violations` flags the trace, in a list of one; [None] where
+        it did not converge.  The harvests are :func:`_harvest_value`'s
+        operations in ``math``, and the tests :func:`_violations`' in
+        floats; only the bits go through numpy.
         """
+        if not converged[0]:
+            return [None]
         root_e_max, slack = math.sqrt(e_max), 1e-9 * e_max
-        width = len(maps[0]) + 1
-        rows = []
-        for lo, charges, energy, solved in zip(range(0, len(self.lengths), width), maps,
-                                               initial_energies, converged):
-            if not solved:
-                rows.append(None)
-                continue
-            kept, spent = residuals[lo:lo + width - 1], powers[lo:lo + width]
-            lengths = self.lengths[lo:lo + width]
-            harvested = []
-            for r, (q, s) in zip(kept, charges):
-                u = math.sqrt(r)
-                captured = q * (root_e_max - u) * (root_e_max * q + (1.0 + s) * u)
-                full = q * (e_max - r)
-                harvested.append(captured if captured < full else full)  # np.minimum's pick
-            consumed = [p * l for p, l in zip(spent, lengths)]
-            held = kept[-1] + harvested[-1] if kept else energy
-            kept = [*kept, held - consumed[-1]]
-            top = e_max + slack
-            feasible = not (any(r < -slack for r in kept)
-                            or any(r + h > top for r, h in zip(kept, harvested)))
-            bits = (float(_bits(np.array(spent), np.array(lengths), self.gain))
-                    if feasible else None)
-            rows.append((spent, kept, harvested, consumed, bits))
-        return rows
+        harvested = []
+        for r, (q, s) in zip(residuals, maps[0]):
+            u = math.sqrt(r)
+            captured = q * (root_e_max - u) * (root_e_max * q + (1.0 + s) * u)
+            full = q * (e_max - r)
+            harvested.append(captured if captured < full else full)  # np.minimum's pick
+        consumed = [p * l for p, l in zip(powers, self.lengths)]
+        held = residuals[-1] + harvested[-1] if residuals else self.initial_energy
+        kept = [*residuals, held - consumed[-1]]
+        top = e_max + slack
+        feasible = not (any(r < -slack for r in kept)
+                        or any(r + h > top for r, h in zip(kept, harvested)))
+        bits = (float(_bits(np.array(powers), np.array(self.lengths), self.gain))
+                if feasible else None)
+        return [(powers, kept, harvested, consumed, bits)]
 
 
 class _ArraySteps:
@@ -575,15 +573,6 @@ class _ArraySteps:
         # each epoch's segment, which is also the segment of the arrival
         # that ends the epoch
         self.segment = np.searchsorted(firsts, np.arange(n + 1), side="right") - 1
-        # the segments by their number of epochs: per count, the segments
-        # and the (segments, count) epochs they hold; None where all the
-        # segments are as long
-        spans = {}
-        for k, (lo, hi) in enumerate(zip(firsts, [*firsts[1:], n + 1])):
-            spans.setdefault(hi - lo, []).append(k)
-        self.blocks = (None if len(spans) == 1 else
-                       [(np.array(ks), np.array(firsts)[ks][:, None] + np.arange(count))
-                        for count, ks in spans.items()])
 
     def _mask(self, segments):
         """A mask over the segments, true at the given ones."""
@@ -595,14 +584,10 @@ class _ArraySteps:
 
     def _sums(self, terms):
         """Each segment's sum of ``terms``, one per epoch: added left to
-        right, as the scalar kernels add, since ``np.add.accumulate`` runs
-        along each row in order where ``np.sum`` adds in pairs."""
-        if self.blocks is None:         # a row each
-            return np.add.accumulate(terms.reshape(len(self.firsts), -1), axis=1)[:, -1]
-        sums = np.empty(len(self.firsts))
-        for segments, epochs in self.blocks:
-            sums[segments] = np.add.accumulate(terms[epochs], axis=1)[:, -1]
-        return sums
+        right from 0.0, as the scalar kernels add, since ``np.bincount``
+        adds each bin's weights in index order where ``np.sum`` adds in
+        pairs."""
+        return np.bincount(self.segment, weights=terms, minlength=len(self.firsts))
 
     def forward(self, residuals, status):
         n, curves = len(self.curves), self.curves
@@ -789,11 +774,11 @@ def _optimal_residuals(opening, lengths, curves, gain, e_max_root):
 
     ``opening`` maps epochs to the store at their start: epoch 0 to the
     initial energy, and in a joined batch each member's first epoch to its
-    own.  A horizon of ``ARRAY_MIN_PACKETS`` arrivals or more steps with
-    :class:`_ArraySteps`, all its segments in one run; a shorter one steps
-    each segment alone with :class:`_ScalarSteps`, a flat map's segment
-    from the store the map leaves, (a + 0)^2.  Returns (kernels,
-    residuals, powers, ends): kernels over the whole horizon for their
+    own.  A lone horizon of one segment and fewer than
+    ``ARRAY_MIN_PACKETS`` arrivals steps with :class:`_ScalarSteps`; every
+    other one steps with :class:`_ArraySteps`, all its segments in one
+    run, a flat map's segment from the store the map leaves, (a + 0)^2.
+    Returns (kernels, residuals, powers, ends): the kernels, for their
     ``report``, the point as they built it, lists or arrays, and per
     segment, by its first epoch, (iterations, last Newton decrement,
     whether it converged), from :func:`_newton_method`.
@@ -804,26 +789,10 @@ def _optimal_residuals(opening, lengths, curves, gain, e_max_root):
     status = [EMPTY if a + s * e_max_root == a else FREE for a, s in curves]
     # each segment's first epoch
     firsts = [0, *(i + 1 for i, state in enumerate(status) if state == EMPTY)]
-    if len(curves) >= ARRAY_MIN_PACKETS:
-        steps = _ArraySteps(opening, lengths, curves, gain, firsts)
-    elif len(firsts) == 1:
+    if len(curves) < ARRAY_MIN_PACKETS and len(firsts) == 1:
         steps = _ScalarSteps(opening[0], lengths, curves, gain)
     else:
-        # each segment as a horizon of its own
-        residuals, powers, ends = [], [], {}
-        for lo, hi in zip(firsts, [*firsts[1:], len(lengths)]):
-            if lo in opening:
-                store = opening[lo]
-            else:
-                a = curves[lo - 1][0]
-                store = a * a
-            steps = _ScalarSteps(store, lengths[lo:hi], curves[lo:hi - 1], gain)
-            part, spent, alone = _newton_method(steps, {0: store}, steps.lengths, steps.curves,
-                                                status[lo:hi - 1], [0])
-            residuals += part if hi == len(lengths) else [*part, 0.0]
-            powers += spent
-            ends[lo] = alone[0]
-        return _ScalarSteps(opening[0], lengths, curves, gain), residuals, powers, ends
+        steps = _ArraySteps(opening, lengths, curves, gain, firsts)
     return (steps, *_newton_method(steps, opening, lengths, curves, status, firsts))
 
 
@@ -938,7 +907,10 @@ def _solve_batch(scenarios, circuit: ChargeCircuit, gain: float = 1.0) -> list:
     """:func:`solve` on scenarios with the same number of packets, in one
     Newton run over one horizon: each member's N + 1 epochs, then a flat
     charge map that empties the store, and the next member's epochs from
-    its own initial energy (module docstring).
+    its own initial energy (module docstring).  A batch whose joined
+    horizon would be shorter than ``ARRAY_MIN_PACKETS`` arrivals solves
+    each member alone instead, on the scalar kernels where it is one
+    segment.
 
     Every segment steps as it would alone, so each member gets what
     :func:`solve` gives it alone: a SolveReport, whose iterations are its
@@ -951,6 +923,9 @@ def _solve_batch(scenarios, circuit: ChargeCircuit, gain: float = 1.0) -> list:
     if any(scenario.initial_energy > circuit.e_max for scenario in scenarios):
         raise ValueError("initial_energy exceeds the battery capacity e_max")
     width = scenarios[0].n_packets + 1
+    if len(scenarios) > 1 and len(scenarios) * width <= ARRAY_MIN_PACKETS:
+        return [report for scenario in scenarios
+                for report in _solve_batch([scenario], circuit, gain)]
     e_max_root = math.sqrt(circuit.e_max)
     maps = [scenario._maps(circuit.tau) for scenario in scenarios]
     bounds = [(0.0, *(t for t, _ in scenario.packets), scenario.deadline)

@@ -21,6 +21,7 @@ one batch.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -244,6 +245,13 @@ class ExperimentConfig:
     link: Optional[ChannelLink] = None
 
     def __post_init__(self):
+        # a bool, or a float however integral, is not a count; a numpy
+        # integer is stored as an int
+        for name in ("runs", "packet_count", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
         # numpy seeds run k's generator with [seed, k], which must be >= 0

@@ -588,9 +588,10 @@ class TestKernelSets:
             assert residuals[90] == pytest.approx(0.0, abs=1e-15)
 
     def test_the_horizon_picks_the_kernel_set(self, sim_circuit, monkeypatch):
-        # the scalar kernels step a short horizon, a segment at a time when
-        # a flat map or a joined batch makes several; the array kernels step
-        # a long one, all its segments at once
+        # the scalar kernels step a lone short horizon of one segment; the
+        # array kernels step every other one, all its segments at once.  A
+        # batch joined below ARRAY_MIN_PACKETS arrivals solves each member
+        # alone
         built = []
 
         def spy(kernels):
@@ -603,13 +604,17 @@ class TestKernelSets:
 
         for kernels in (scheduling._ScalarSteps, scheduling._ArraySteps):
             monkeypatch.setattr(kernels, "__init__", spy(kernels))
-        # a horizon of several segments also builds the scalar kernels of
-        # the whole horizon, for its report
         for scenarios, kernels in (
                 ([reference_horizon(sim_circuit, 8, 0)], [scheduling._ScalarSteps]),
-                ([with_flat_map(sim_circuit, 3)], [scheduling._ScalarSteps] * 3),
+                ([with_flat_map(sim_circuit, 3)], [scheduling._ArraySteps]),
                 ([reference_horizon(sim_circuit, 3, seed) for seed in range(2)],
-                 [scheduling._ScalarSteps] * 3),
+                 [scheduling._ScalarSteps] * 2),
+                # 8 x 8 epochs: 63 arrivals joined
+                ([reference_horizon(sim_circuit, 7, seed) for seed in range(8)],
+                 [scheduling._ScalarSteps] * 8),
+                # 5 x 13 epochs: 64 arrivals joined
+                ([reference_horizon(sim_circuit, 12, seed) for seed in range(5)],
+                 [scheduling._ArraySteps]),
                 ([reference_horizon(sim_circuit, 64, 0)], [scheduling._ArraySteps]),
                 ([reference_horizon(sim_circuit, 8, seed) for seed in range(8)],
                  [scheduling._ArraySteps])):
@@ -617,6 +622,17 @@ class TestKernelSets:
             assert not any(isinstance(report, SolverError)
                            for report in scheduling._solve_batch(scenarios, sim_circuit))
             assert built == kernels
+
+    @pytest.mark.parametrize("k", range(8))
+    def test_flat_map_split_steps_its_head_as_alone(self, sim_circuit, k):
+        # the whole horizon steps on the array kernels and its head, alone,
+        # on the scalar ones: the same powers and residuals, bit for bit
+        scenario = with_flat_map(sim_circuit, k)
+        packets = list(scenario.packets)
+        head = EnergyScenario(scenario.initial_energy, tuple(packets[:k]), packets[k][0])
+        whole, alone = solve(scenario, sim_circuit), solve(head, sim_circuit)
+        assert whole.schedule.powers[:k + 1] == alone.schedule.powers
+        assert whole.trace.residuals[:k] == alone.trace.residuals[:k]
 
 
 def looped_step_bound(firsts, residuals, free, step):
@@ -653,6 +669,39 @@ def test_step_bound_is_each_segments_own():
                                            step.tolist())
 
 
+def test_sums_add_each_segment_left_to_right():
+    # segments of unequal lengths, one epoch each, or the whole horizon;
+    # terms whose sum depends on the order, and NaN, inf and -0.0 terms.
+    # Each segment's sum is a plain loop's, from 0.0 in index order
+    rng = np.random.default_rng([12, 0])
+    values = [1e16, -1e16, 1.0, 0.1, 3.0, -0.0, math.inf, -math.inf, math.nan]
+    for _ in range(300):
+        n = int(rng.integers(1, 30))
+        firsts = sorted({0, *rng.integers(1, n + 1, int(rng.integers(0, 8))).tolist()})
+        kernels = scheduling._ArraySteps({0: 0.1}, [1.0] * (n + 1), [(0.3, 0.5)] * n, 1.0,
+                                         firsts)
+        terms = rng.choice(values, n + 1, p=[0.2, 0.2, 0.2, 0.15, 0.1, 0.05, 0.04, 0.03, 0.03])
+        looped = [0.0] * len(firsts)
+        for i, term in enumerate(terms.tolist()):
+            looped[bisect.bisect_right(firsts, i) - 1] += term
+        with np.errstate(all="ignore"):
+            sums = kernels._sums(terms).tolist()
+        assert list(map(repr, sums)) == list(map(repr, looped))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_sweep_keeps_each_chain_to_itself(bad):
+    # a row with t = 0 starts a new chain, as a joined member's first: a
+    # non-finite gradient in one chain leaves the steps of its neighbours
+    # in either direction as they are alone
+    good = [[2.0, 0.0, -0.5, 0.0, 0.0, 0.3], [1.5, 0.7, -0.2, -0.1, 0.0, -0.4],
+            [3.0, 1.2, -0.3, 0.0, 0.8, 0.1]]
+    bad = [[1.0, 0.0, 0.0, 0.0, 0.0, bad]]
+    alone = scheduling._sweep(good)
+    assert scheduling._sweep(bad + good)[1:] == alone
+    assert scheduling._sweep(good + bad)[:-1] == alone
+
+
 def test_line_search_leaves_a_stopped_segment_alone():
     # segment 0 was found optimal in this iteration, so the Newton step it
     # settled on still has its rows; however short their bound, it neither
@@ -676,8 +725,8 @@ def empty_store():
 
 
 class TestReports:
-    """A lone short horizon builds its report in Python floats
-    (``_ScalarSteps.report``), every other one in numpy
+    """A lone short horizon of one segment builds its report in Python
+    floats (``_ScalarSteps.report``), every other one in numpy
     (``_ArraySteps.report``); the trace of either is checked the same way."""
 
     @staticmethod
@@ -1004,8 +1053,8 @@ class TestBatchedSolve:
                                  sim_circuit, 1.0)
 
     def test_members_split_by_flat_maps_agree(self, sim_circuit):
-        # joined on the array kernels, a member of two segments steps each
-        # as its lone solve does, a segment at a time on the scalar kernels
+        # joined, a member of two segments steps each as its lone solve
+        # does; both step on the array kernels
         scenarios = [with_flat_map(sim_circuit, k) for k in range(8)]
         scenarios += [reference_horizon(sim_circuit, 8, seed) for seed in range(4)]
         self.assert_lone_reports(scenarios, scheduling._solve_batch(scenarios, sim_circuit),
@@ -1042,8 +1091,8 @@ class TestBatchedSolve:
 
     @pytest.mark.parametrize("case", ["trio", "release", "heterogeneous"])
     def test_short_batches_on_the_array_kernels(self, monkeypatch, case):
-        # short joined horizons step a segment at a time in floats; forced
-        # onto the array kernels, each member still gets its lone report
+        # a short batch solves each member alone, in floats; forced onto
+        # the array kernels, joined, each member still gets its lone report
         if case == "trio":
             batches = [(trio_pair(draw, first), 1e-3) for draw in range(5)
                        for first in (True, False)]

@@ -352,6 +352,20 @@ class TestGenerateScenario:
             medium_config(sim_circuit, seed=-1)
         assert monte_carlo(medium_config(sim_circuit, seed=0, runs=2), ("zero",))
 
+    @pytest.mark.parametrize("field", ["runs", "packet_count", "seed"])
+    @pytest.mark.parametrize("value", [True, 2.5, 2.0, "2"])
+    def test_counts_refuse_what_is_not_an_integer(self, sim_circuit, field, value):
+        # runs=True reached the sweep rows as "runs: True", and a fraction
+        # ended in a numpy or range TypeError
+        with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value!r}"):
+            medium_config(sim_circuit, **{field: value})
+
+    def test_numpy_counts_are_stored_as_ints(self, sim_circuit):
+        config = medium_config(sim_circuit, runs=np.int64(2), packet_count=np.int32(3),
+                               seed=np.uint8(4))
+        assert [(type(v), v) for v in (config.runs, config.packet_count, config.seed)] == [
+            (int, 2), (int, 3), (int, 4)]
+
     @pytest.mark.parametrize("field", ["mean_epoch_length", "mean_harvest"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_draw_means_are_refused(self, sim_circuit, field, value):
