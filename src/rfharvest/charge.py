@@ -149,11 +149,14 @@ def harvest_sensitivity(residual, packet_length: float, circuit: ChargeCircuit):
 
     Positive below the optimal residual, zero exactly at it, negative
     above; always > -1.  Singular at residual = 0, which is refused;
-    callers needing behavior near depletion clamp at ~1e-12 * e_max.
+    callers needing behavior near depletion clamp at ~1e-12 * e_max.  A
+    residual above e_max is refused, as :func:`harvested_energy` does.
     """
     residual = np.asarray(residual, dtype=float)
     if np.any(residual <= 0):
         raise ValueError("residual must be > 0 (sensitivity is singular at 0)")
+    if np.any(residual > circuit.e_max):
+        raise ValueError("residual must lie in [0, e_max]")
     q, s = _charge_map(packet_length, circuit.tau)
     value = q * (math.sqrt(circuit.e_max) * s / np.sqrt(residual) - (1.0 + s))
     if value.ndim == 0:
@@ -175,7 +178,7 @@ def packet_length_for(residual_before: float, harvested: float, circuit: ChargeC
     """
     if not residual_before >= 0:
         raise ValueError(f"residual_before must be >= 0, got {residual_before}")
-    if harvested < 0:
+    if not harvested >= 0:
         raise ValueError(f"harvested must be >= 0, got {harvested}")
     (duration,), _ = _charge_durations(residual_before, (0.0,), (harvested,), circuit)
     return duration

@@ -180,11 +180,17 @@ def parse_config(data: dict) -> RunConfig:
                     not isinstance(p, (list, tuple)) or len(p) != 2 for p in packets):
                 raise ConfigError("scenario.packets must be a list of "
                                   "[arrival, charge_duration] pairs")
+            for key in ("initial_energy", "deadline"):
+                if key not in node:
+                    raise ConfigError(f"scenario.{key} is required")
             scenario = EnergyScenario(
                 initial_energy=float(node["initial_energy"]),
                 packets=tuple((float(a), float(d)) for a, d in packets),
                 deadline=float(node["deadline"]),
             )
+            if scenario.initial_energy > circuit.e_max:
+                raise ConfigError(f"scenario.initial_energy {scenario.initial_energy} J "
+                                  f"exceeds the battery capacity e_max = {circuit.e_max} J")
 
         generator = GeneratorConfig(**_section(data, "generator", asdict(GeneratorConfig())))
         sweep = SweepConfig(**_section(data, "sweep", asdict(SweepConfig())))

@@ -59,14 +59,14 @@ long horizon is their one-segment case, with no code of its own.  Only
 the idle runs and the O(N) sweep stay loops there.  A batch whose
 joined horizon would be shorter than ``ARRAY_MIN_PACKETS`` arrivals is
 not joined: each member is solved alone.  Both kernel sets share one
-Newton loop (the starts, the active set, the release rule and the
-tolerances) and one Thomas sweep, :func:`_sweep`, and each has one
-kernel per part of a step: the forward pass, which also projects and
-scores the point, the Newton step, the convergence and release test,
-the step bound, the trial point and the line search.  The solve returns
-the point the loop stopped at: its powers, and its residuals as the
-trace.  The set's last kernel builds that report in its own containers,
-so a short solve stays in Python floats but for the sum of its bits.
+Newton loop, :func:`_newton_method`, and one Thomas sweep, :func:`_sweep`,
+and each has one kernel per part of a step: the better start, the
+forward pass, which also projects and scores the point, the Newton step,
+the convergence and release test, and the line search, which bounds the
+step and tests its trial points.  The solve returns the point the loop
+stopped at: its powers, and its residuals as the trace.  The set's last
+kernel builds that report in its own containers, so a short solve stays
+in Python floats but for the sum of its bits.
 """
 
 from __future__ import annotations
@@ -468,23 +468,6 @@ class _ScalarSteps:
                     if state == IDLE and grad[i] / w[i] < -RELEASE_TOL]
         return [0] if converged and not released else [], released
 
-    def step_bound(self, residuals, free, step):
-        """The longest step t of ``line_search`` that keeps every free
-        residual above ``BOUNDARY_FRACTION`` of itself, at most 1."""
-        reach = 2.0 * (1.0 - math.sqrt(BOUNDARY_FRACTION))    # u to sqrt(fraction) u
-        t = 1.0
-        for i in free:
-            if step[i] < 0.0:
-                t = min(t, reach * residuals[i] / -step[i])
-        return t
-
-    def trial(self, residuals, step, free, t):
-        """The residuals after a step t in u = sqrt(r).  The square is a
-        product, as numpy's: ``x ** 2`` goes through ``pow``, which may
-        round it differently."""
-        return [r + t * d + 0.25 * ((t * d) * (t * d)) / r if d else r
-                for r, d in zip(residuals, step)]
-
     def start(self, half, even, status):
         """The point of the better start, ``half`` on a tie."""
         point, other = self.forward(half, status), self.forward(even, status)
@@ -493,18 +476,26 @@ class _ScalarSteps:
     def line_search(self, point, free, step, decrement, live):
         """Damped projected Newton step: (point, taken, failed).
 
-        A step t moves u = sqrt(r) by t z / (2u), r by t z + (t z)^2 / (4r).
-        From the longest step keeping every free residual above
-        ``BOUNDARY_FRACTION`` of itself (``step_bound``), t is halved until
-        the point ``forward`` projects passes :func:`_armijo`; the
-        projection turns idle every free epoch the step drains, however
-        many in one step.  ``taken`` holds the step t the segment took;
-        below ``MIN_STEP`` it takes none, keeps ``point`` and is ``failed``.
+        A step t moves u = sqrt(r) by t z / (2u), r by t z + (t z)^2 / (4r),
+        the square a product, as numpy's (``x ** 2`` goes through ``pow``,
+        which may round it differently).  From the longest step, at most 1,
+        that keeps every free residual above ``BOUNDARY_FRACTION`` of
+        itself, t is halved until the point ``forward`` projects passes
+        :func:`_armijo`; the projection turns idle every free epoch the
+        step drains, however many in one step.  ``taken`` holds the step t
+        the segment took; below ``MIN_STEP`` it takes none, keeps ``point``
+        and is ``failed``.
         """
         residuals, _, status, (value,) = point
-        t, decrement = self.step_bound(residuals, free, step), decrement[0]
+        decrement = decrement[0]
+        reach = 2.0 * (1.0 - math.sqrt(BOUNDARY_FRACTION))    # u to sqrt(fraction) u
+        t = 1.0
+        for i in free:
+            if step[i] < 0.0:
+                t = min(t, reach * residuals[i] / -step[i])
         while t >= MIN_STEP:
-            trial = self.forward(self.trial(residuals, step, free, t), status)
+            trial = self.forward([r + t * d + 0.25 * ((t * d) * (t * d)) / r if d else r
+                                  for r, d in zip(residuals, step)], status)
             if _armijo(trial[3][0], value, t, decrement):
                 return trial, [t], []
             t *= 0.5
@@ -556,7 +547,7 @@ class _ArraySteps:
     starts from its own initial energy.  A horizon of one segment runs the
     same code as a joined batch.
 
-    :func:`_optimal_residuals` runs every kernel under
+    :func:`_newton_method` runs every kernel under
     ``np.errstate(all="ignore")``: the scalar kernels' floats overflow to
     inf and turn inf - inf into NaN without a warning, and so do these.
     """
@@ -680,28 +671,6 @@ class _ArraySteps:
             settled[self.segment[released]] = False
         return settled.nonzero()[0].tolist(), released
 
-    def step_bound(self, residuals, free, step):
-        """Each segment's own bound: 1 where it has no free residual."""
-        bounds = np.ones(len(self.firsts))
-        if free.size:
-            # free is sorted, so a segment's free arrivals are one run of it
-            segment = self.segment[free]
-            opens = np.empty(free.size, bool)
-            opens[0] = True
-            np.not_equal(segment[1:], segment[:-1], out=opens[1:])
-            starts = opens.nonzero()[0]
-            d = step[free]
-            reach = 2.0 * (1.0 - math.sqrt(BOUNDARY_FRACTION))
-            bounds[segment[starts]] = np.minimum(np.minimum.reduceat(
-                np.where(d < 0.0, reach * residuals[free] / -d, 1.0), starts), 1.0)
-        return bounds
-
-    def trial(self, residuals, step, free, t):
-        out = residuals.copy()
-        r, d = residuals[free], t[self.segment[free]] * step[free]
-        out[free] = r + d + 0.25 * (d * d) / r
-        return out
-
     def _merge(self, point, other, taken):
         """``point`` with the part of each segment ``taken`` (a mask) from
         ``other``."""
@@ -721,16 +690,30 @@ class _ArraySteps:
 
     def line_search(self, point, free, step, decrement, live):
         """Each live segment's own line search, as the scalar kernels' and
-        in the same floats, all segments in one pass per halving.  A
-        segment that is not live neither steps nor fails, though it may
+        in the same floats, all segments in one pass per halving: each
+        segment starts from its own bound, 1 where it has no free residual.
+        A segment that is not live neither steps nor fails, though it may
         still have free rows: one found optimal in this iteration keeps
         the rows of the Newton step it settled on."""
         residuals, _, status, value = point
-        t = self.step_bound(residuals, free, step)
+        t = np.ones(len(self.firsts))
+        segment, r, d = self.segment[free], residuals[free], step[free]
+        if free.size:
+            # free is sorted, so a segment's free arrivals are one run of it
+            opens = np.empty(free.size, bool)
+            opens[0] = True
+            np.not_equal(segment[1:], segment[:-1], out=opens[1:])
+            starts = opens.nonzero()[0]
+            reach = 2.0 * (1.0 - math.sqrt(BOUNDARY_FRACTION))
+            t[segment[starts]] = np.minimum(np.minimum.reduceat(
+                np.where(d < 0.0, reach * r / -d, 1.0), starts), 1.0)
         live = self._mask(live)
         trying = live & (t >= MIN_STEP)
         while np.count_nonzero(trying):
-            trial = self.forward(self.trial(residuals, step, free, t), status)
+            trial = residuals.copy()
+            moved = t[segment] * d
+            trial[free] = r + moved + 0.25 * (moved * moved) / r
+            trial = self.forward(trial, status)
             rose = trying & _armijo(trial[3], value, t, decrement)
             point = self._merge(point, trial, rose)
             trying ^= rose
@@ -768,9 +751,11 @@ def _armijo(trial_value, value, t, decrement):
     return trial_value >= value + ARMIJO * t * decrement - OBJECTIVE_ROUNDING * value
 
 
-def _optimal_residuals(opening, lengths, curves, gain, e_max_root):
-    """The Newton method of :func:`solve` on any horizon, lone or joined,
-    each segment of it stepping as it would alone.
+def _newton_method(opening, lengths, curves, gain, e_max_root):
+    """The Newton method of :func:`solve` on any horizon, lone or joined:
+    damped projected Newton steps of every segment, each as it would
+    step alone, with every kernel run under ``np.errstate(all="ignore")``
+    (see :class:`_ArraySteps`).
 
     ``opening`` maps epochs to the store at their start: epoch 0 to the
     initial energy, and in a joined batch each member's first epoch to its
@@ -778,10 +763,19 @@ def _optimal_residuals(opening, lengths, curves, gain, e_max_root):
     ``ARRAY_MIN_PACKETS`` arrivals steps with :class:`_ScalarSteps`; every
     other one steps with :class:`_ArraySteps`, all its segments in one
     run, a flat map's segment from the store the map leaves, (a + 0)^2.
-    Returns (kernels, residuals, powers, ends): the kernels, for their
-    ``report``, the point as they built it, lists or arrays, and per
-    segment, by its first epoch, (iterations, last Newton decrement,
-    whether it converged), from :func:`_newton_method`.
+
+    Each segment starts from the better of its two starts.  Each
+    iteration asks the kernels' ``settle`` which live segments are optimal
+    (stationary with nothing to release) and which idle epochs to
+    release: those with a negative multiplier in a stationary segment, or
+    in one whose last line search took its full step (t = 1).  A release
+    takes the step again from the new active set in the same iteration.
+    A segment stops once it is optimal, its line search finds no step, or
+    after ``MAX_ITERATIONS``; it then drops out of the steps, and the
+    others go on.  Returns (kernels, residuals, powers, ends): the
+    kernels, for their ``report``, the point as they built it, lists or
+    arrays, and per segment, by its first epoch, (iterations, last Newton
+    decrement, whether it converged).
     """
     # Where G is flat in floating point, whatever is left at the arrival
     # is lost to the full charge: the residual there is 0, and the
@@ -793,26 +787,6 @@ def _optimal_residuals(opening, lengths, curves, gain, e_max_root):
         steps = _ScalarSteps(opening[0], lengths, curves, gain)
     else:
         steps = _ArraySteps(opening, lengths, curves, gain, firsts)
-    return (steps, *_newton_method(steps, opening, lengths, curves, status, firsts))
-
-
-def _newton_method(steps, opening, lengths, curves, status, firsts):
-    """Damped projected Newton steps of every segment of a horizon, each
-    as it would step alone, with the kernels ``steps``, under
-    ``np.errstate(all="ignore")`` (see :class:`_ArraySteps`).
-
-    Each segment starts from the better of its two starts.  Each
-    iteration asks the kernels' ``settle`` which live segments are optimal
-    (stationary with nothing to release) and which idle epochs to
-    release: those with a negative multiplier in a stationary segment, or
-    in one whose last line search took its full step (t = 1).  A release
-    takes the step again from the new active set in the same iteration.
-    A segment stops once it is optimal, its line search finds no step, or
-    after ``MAX_ITERATIONS``; it then drops out of the steps, and the
-    others go on.  Returns (residuals, powers, ends): the point, and per
-    segment, by its first epoch, (iterations, last Newton decrement,
-    whether it converged).
-    """
     with np.errstate(all="ignore"):
         # both starts in one walk: half the store kept, or the even spend
         # over the time left in the segment; a flat map leaves both starts
@@ -864,7 +838,7 @@ def _newton_method(steps, opening, lengths, curves, status, firsts):
         else:
             for k in live:
                 ends[firsts[k]] = (MAX_ITERATIONS, float(decrement[k]), False)
-    return point[0], point[1], ends
+    return steps, point[0], point[1], ends
 
 
 def solve(scenario: EnergyScenario, circuit: ChargeCircuit,
@@ -905,12 +879,12 @@ def solve(scenario: EnergyScenario, circuit: ChargeCircuit,
 
 def _solve_batch(scenarios, circuit: ChargeCircuit, gain: float = 1.0) -> list:
     """:func:`solve` on scenarios with the same number of packets, in one
-    Newton run over one horizon: each member's N + 1 epochs, then a flat
-    charge map that empties the store, and the next member's epochs from
-    its own initial energy (module docstring).  A batch whose joined
-    horizon would be shorter than ``ARRAY_MIN_PACKETS`` arrivals solves
-    each member alone instead, on the scalar kernels where it is one
-    segment.
+    run of :func:`_newton_method` over one horizon: each member's N + 1
+    epochs, then a flat charge map that empties the store, and the next
+    member's epochs from its own initial energy (module docstring).  A
+    batch whose joined horizon would be shorter than ``ARRAY_MIN_PACKETS``
+    arrivals solves each member alone instead, on the scalar kernels where
+    it is one segment.
 
     Every segment steps as it would alone, so each member gets what
     :func:`solve` gives it alone: a SolveReport, whose iterations are its
@@ -937,7 +911,7 @@ def _solve_batch(scenarios, circuit: ChargeCircuit, gain: float = 1.0) -> list:
             curves.append((0.0, 0.0))
         curves += [(e_max_root * q, s) for q, s in charges]
     energies = [scenario.initial_energy for scenario in scenarios]
-    steps, residuals, powers, ends = _optimal_residuals(
+    steps, residuals, powers, ends = _newton_method(
         {k * width: energy for k, energy in enumerate(energies)}, lengths, curves, gain,
         e_max_root)
     runs = [[0, 0.0, True] for _ in scenarios]     # iterations, decrement, converged

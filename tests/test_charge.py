@@ -228,6 +228,10 @@ class TestHarvestSensitivity:
             harvest_sensitivity(0.0, 15.0, bench_circuit)
         with pytest.raises(ValueError):
             harvest_sensitivity(-0.1, 15.0, bench_circuit)
+        # above e_max, as harvested_energy refuses it; NaN still propagates
+        with pytest.raises(ValueError, match=r"\[0, e_max\]"):
+            harvest_sensitivity(1.5 * bench_circuit.e_max, 15.0, bench_circuit)
+        assert math.isnan(harvest_sensitivity(math.nan, 15.0, bench_circuit))
 
 
 class TestPacketLengthFor:
@@ -263,6 +267,8 @@ class TestPacketLengthFor:
             packet_length_for(-1e-9, 0.01, bench_circuit)
         with pytest.raises(ValueError):
             packet_length_for(0.01, -1e-9, bench_circuit)
+        with pytest.raises(ValueError, match="harvested must be >= 0"):
+            packet_length_for(0.01, math.nan, bench_circuit)
 
 
 class TestChargeModelProperties:

@@ -243,6 +243,31 @@ class TestOptimizeCommand:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", [["optimize"],
+                                         ["simulate", "--strategy", "max_harvest"]],
+                             ids=["optimize", "simulate"])
+    def test_over_capacity_scenario_exits_2(self, tmp_path, capsys, command):
+        # 0.2 J in a store of e_max = 0.15625 J, refused where it is parsed
+        path = tmp_path / "full.yaml"
+        path.write_text("scenario: {initial_energy: 0.2, packets: [[1.0, 5.0]], "
+                        "deadline: 2.0}\n")
+        rc = main([*command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: scenario.initial_energy 0.2 J exceeds" in err
+        assert "e_max = 0.15625 J" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["initial_energy", "deadline"])
+    def test_scenario_without_a_key_exits_2(self, tmp_path, capsys, key):
+        node = {"initial_energy": 0.1, "packets": [[1.0, 5.0]], "deadline": 2.0}
+        del node[key]
+        path = tmp_path / "partial.yaml"
+        path.write_text(yaml.safe_dump({"scenario": node}))
+        rc = main(["optimize", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
+        assert f"config error: scenario.{key} is required" in capsys.readouterr().err
+
     def test_unsolvable_scenario_exits_3(self, explicit_config, tmp_path, capsys,
                                          monkeypatch):
         # a solver failure is exit 3, not a config error

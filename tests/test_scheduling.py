@@ -650,7 +650,9 @@ def looped_step_bound(firsts, residuals, free, step):
 def test_step_bound_is_each_segments_own():
     # residuals and steps from a few values, so that bounds tie within
     # and across segments; segments of one arrival and segments with no
-    # free arrival.  Each segment steps within its own bound alone.
+    # free arrival.  Each segment steps within its own bound alone.  With
+    # a decrement of -inf every first trial passes, so the step each
+    # segment takes is its bound.
     rng = np.random.default_rng([11, 0])
     for _ in range(300):
         n = int(rng.integers(1, 30))
@@ -663,10 +665,14 @@ def test_step_bound_is_each_segments_own():
         residuals = rng.choice([0.25, 0.5, 1.0], n)
         step = np.where(status == scheduling.FREE,
                         rng.choice([-2.0, -1.0, -0.25, 0.0, 0.5], n), 0.0)
+        point = (residuals, None, status, np.zeros(len(firsts)))
         with np.errstate(all="ignore"):
-            bounds = kernels.step_bound(residuals, free, step).tolist()
-        assert bounds == looped_step_bound(firsts, residuals.tolist(), free.tolist(),
-                                           step.tolist())
+            _, taken, failed = kernels.line_search(point, free, step,
+                                                   np.full(len(firsts), -math.inf),
+                                                   list(range(len(firsts))))
+        assert failed == []
+        assert taken.tolist() == looped_step_bound(firsts, residuals.tolist(), free.tolist(),
+                                                   step.tolist())
 
 
 def test_sums_add_each_segment_left_to_right():
@@ -747,7 +753,7 @@ class TestReports:
         # holds the same floats, field by field
         cases = self.report_cases(sim_circuit)
         floats = [solve(scenario, sim_circuit, gain) for scenario, gain in cases]
-        optimal = scheduling._optimal_residuals
+        optimal = scheduling._newton_method
 
         def as_arrays(opening, *args):
             steps, residuals, powers, ends = optimal(opening, *args)
@@ -756,7 +762,7 @@ class TestReports:
                                             [0])
             return arrays, np.array(residuals), np.array(powers), ends
 
-        monkeypatch.setattr(scheduling, "_optimal_residuals", as_arrays)
+        monkeypatch.setattr(scheduling, "_newton_method", as_arrays)
         for (scenario, gain), report in zip(cases, floats):
             assert repr(solve(scenario, sim_circuit, gain)) == repr(report)
         first = floats[3].schedule.powers      # the empty store's
@@ -773,7 +779,7 @@ class TestReports:
         # capacity failure
         scenario = reference_horizon(sim_circuit, n_packets, 0)
         iterations = solve(scenario, sim_circuit).iterations
-        optimal = scheduling._optimal_residuals
+        optimal = scheduling._newton_method
 
         def overdrawn(*args):
             steps, residuals, powers, ends = optimal(*args)
@@ -783,7 +789,7 @@ class TestReports:
                 residuals[3] = 1.5 * sim_circuit.e_max
             return steps, residuals, powers, ends
 
-        monkeypatch.setattr(scheduling, "_optimal_residuals", overdrawn)
+        monkeypatch.setattr(scheduling, "_newton_method", overdrawn)
         with pytest.raises(SolverError, match="fails the feasibility check") as excinfo:
             solve(scenario, sim_circuit)
         diagnostics = excinfo.value.diagnostics
@@ -1130,13 +1136,13 @@ class TestBatchedSolve:
         scenarios = [generate_scenario(config, np.random.default_rng([0, run]))[0]
                      for run in range(30)]
         runs = []
-        optimal = scheduling._optimal_residuals
+        optimal = scheduling._newton_method
 
         def counted(*args):
             runs.append(args)
             return optimal(*args)
 
-        monkeypatch.setattr(scheduling, "_optimal_residuals", counted)
+        monkeypatch.setattr(scheduling, "_newton_method", counted)
         results = scheduling._solve_batch(scenarios, sim_circuit)
         assert len(runs) == 1
         failed = [isinstance(r, SolverError) for r in results]
