@@ -110,12 +110,13 @@ def brute_force_optimize(scenario: EnergyScenario, circuit: ChargeCircuit,
     """Best schedule on the power grid under the feedback harvest model.
 
     The objective is sum_i (l_i / 2) * log2(1 + g * p_i) with the link
-    gain g (SNR per watt; 1 in normalized units), as in
-    :func:`~rfharvest.scheduling.solve`.  A power prefix that consumes
-    energy before it is stored is dropped (never clamped) at the epoch
-    where it first overspends; every causal tuple is scored, each epoch
-    once per causal prefix, and ties go to the lexicographically
-    smallest tuple.  The error bound is the largest objective loss that
+    gain g (SNR per watt; 1 in normalized units), each epoch scored as
+    l_i / (2 ln 2) * log1p(g p_i), as :func:`~rfharvest.scheduling.solve`
+    scores it, so a low SNR keeps its relative precision.  A power prefix
+    that consumes energy before it is stored is dropped (never clamped) at
+    the epoch where it first overspends; every causal tuple is scored,
+    each epoch once per causal prefix, and ties go to the
+    lexicographically smallest tuple.  The error bound is the largest objective loss that
     rounding each optimal power down to the grid could cost, from the
     grid pitch and the slope bound l_i * g / (2 ln 2) of each epoch's rate term.
     This is :func:`_brute_force_batch` on a batch of one.
@@ -163,7 +164,7 @@ def _drain(scenario: EnergyScenario, gain: float) -> OracleResult:
     """With no packets, the initial energy is spent evenly up to the deadline."""
     power = scenario.initial_energy / scenario.deadline
     schedule = TransmissionSchedule(powers=(power,), epoch_bounds=(0.0, scenario.deadline))
-    bits = 0.5 * scenario.deadline * math.log2(1.0 + gain * power)
+    bits = 0.5 * scenario.deadline / math.log(2.0) * math.log1p(gain * power)
     return OracleResult(schedule=schedule, throughput=bits, error_bound=0.0,
                         evaluated=1, feasible=1)
 
@@ -186,7 +187,7 @@ def _walk(scenarios, circuit: ChargeCircuit, grid: GridSpec, gain: float) -> lis
     # Per gridded epoch, each member's spend and bits at every grid power,
     # flat; and each member's charge map as a row of q and a row of s.
     spends = (lengths.T[:n, :, None] * axes).reshape(n, -1)
-    rates = (0.5 * lengths.T[:n, :, None] * np.log2(1.0 + gain * axes)).reshape(n, -1)
+    rates = (0.5 * lengths.T[:n, :, None] / math.log(2.0) * np.log1p(gain * axes)).reshape(n, -1)
     charges = maps.transpose(1, 2, 0)
 
     e_max, root_e_max = circuit.e_max, math.sqrt(circuit.e_max)
@@ -217,7 +218,8 @@ def _walk(scenarios, circuit: ChargeCircuit, grid: GridSpec, gain: float) -> lis
         stored = residual + _harvest_value(charges[i].repeat(sizes, axis=1),
                                            e_max, root_e_max, residual)
     final_power = stored / lengths[:, -1].repeat(sizes)
-    bits = bits + (0.5 * lengths[:, -1]).repeat(sizes) * np.log2(1.0 + gain * final_power)
+    bits = bits + (0.5 * lengths[:, -1] / math.log(2.0)).repeat(sizes) * np.log1p(
+        gain * final_power)
     if not sizes.all():  # impossible: the all-zero tuple is always causal
         raise AssertionError("grid search found no feasible tuple")
 

@@ -56,17 +56,21 @@ kernels that loop over Python floats.  Every other horizon, lone or
 joined, steps with kernels that work on numpy arrays along the horizon,
 all its segments at once, with the same arithmetic elementwise; a lone
 long horizon is their one-segment case, with no code of its own.  Only
-the idle runs and the O(N) sweep stay loops there.  A batch whose
-joined horizon would be shorter than ``ARRAY_MIN_PACKETS`` arrivals is
-not joined: each member is solved alone.  Both kernel sets share one
-Newton loop, :func:`_newton_method`, and one Thomas sweep, :func:`_sweep`,
-and each has one kernel per part of a step: the better start, the
-forward pass, which also projects and scores the point, the Newton step,
-the convergence and release test, and the line search, which bounds the
-step and tests its trial points.  The solve returns the point the loop
-stopped at: its powers, and its residuals as the trace.  The set's last
-kernel builds that report in its own containers, so a short solve stays
-in Python floats but for the sum of its bits.
+the idle runs stay loops there, and the O(N) sweep of a segment with
+fewer than ``SCAN_MIN_ROWS`` free rows; a longer segment takes its
+Newton step from log-depth scans of the sweep's own recurrences
+(:func:`_scan_sweep`), laid out so that it steps the same joined or
+alone.  A batch whose joined horizon would be shorter than
+``ARRAY_MIN_PACKETS`` arrivals is not joined: each member is solved
+alone.  Both kernel sets share one Newton loop, :func:`_newton_method`,
+and one Thomas sweep, :func:`_sweep`, and each has one kernel per part
+of a step: the better start, the forward pass, which also projects and
+scores the point, the Newton step, the convergence and release test,
+and the line search, which bounds the step and tests its trial points.
+The solve returns the point the loop stopped at: its powers, and its
+residuals as the trace.  The set's last kernel builds that report in its
+own containers, so a short solve stays in Python floats but for the sum
+of its bits.
 """
 
 from __future__ import annotations
@@ -113,6 +117,9 @@ BOUNDARY_FRACTION = 0.01
 # by member.  A lone solve takes about as long with either at 64
 # packets; the array kernels win above, the scalar ones below.
 ARRAY_MIN_PACKETS = 64
+# A segment with this many free rows or more takes its Newton step from
+# the log-depth scans of _scan_sweep, a shorter one from _sweep's loop.
+SCAN_MIN_ROWS = 1536
 
 
 def _record(cls, **fields):
@@ -309,7 +316,12 @@ def _sweep(rows):
     from below on F = c sqrt(r) - b r (an r step triples r).  A row with
     t = 0, as the first after a flat map, starts a new chain from zero
     carries, and the back substitution does not multiply through its zero
-    link: a NaN or inf in one chain stays in that chain.
+    link: a NaN or inf in one chain stays in that chain.  A zero pivot
+    (every term is >= 0, so it is 0.0) gives a compliance of inf, as
+    numpy's float division does; w^2 / l underflows to 0 on epochs of
+    1e-300 s.  A segment of the array kernels with ``SCAN_MIN_ROWS`` free
+    rows or more takes these recurrences as scans instead, in
+    :func:`_scan_sweep`.
     """
     shift, pull, merged = [], [], []
     compliance = force = 0.0
@@ -320,7 +332,10 @@ def _sweep(rows):
             carried = force * own * t / near
         else:
             link, near, carried = 0.0, 1.0, 0.0
-        compliance = 1.0 / (own / near - bend_w - soft + stiff)
+        try:
+            compliance = 1.0 / (own / near - bend_w - soft + stiff)
+        except ZeroDivisionError:       # a pivot of 0.0, as numpy divides it
+            compliance = math.inf
         force = (g + carried) * compliance
         pull.append(link)
         merged.append(near)
@@ -332,6 +347,165 @@ def _sweep(rows):
         following = (force + link * following) / near if link else force
         out.append(following)
     out.reverse()
+    return out
+
+
+# (own, t, bend_w, soft, stiff, g) of a pad row: its map leaves nothing
+# before it in play, and its step is 0.
+_NEUTRAL_ROW = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+def _scan_sweep(columns, starts, counts):
+    """:func:`_sweep`'s steps of the free rows of whole segments, from
+    log-depth scans over numpy arrays (Blelloch 1990), with no Python
+    float walk.
+
+    ``columns`` holds :func:`_sweep`'s six columns as numpy arrays, one
+    entry per free residual, and segment k's entries are
+    ``starts[k]:starts[k] + counts[k]``; the steps come back in the same
+    order.  Each segment is laid out in its own line of a 2-D array from
+    column 0, padded at its tail with ``_NEUTRAL_ROW``, and reversed from
+    column 0 for the back substitution.  A scan's value at a column
+    depends on that column and the ones before it alone, so a segment's
+    steps are the same bit for bit whatever else is laid out with it.
+
+    With b = own t^2 and K = stiff - bend_w - soft (both >= 0), the
+    compliance c_j = (1 + b c_{j-1}) / ((own + K) + K b c_{j-1}) is the
+    Möbius map of [[b, 1], [K b, own + K]] on (c, 1), composed as
+    renormalised products of non-negative matrices.  The compliance
+    before each row gives its link and merge as in :func:`_sweep`, and
+    with them its own compliance 1 / (own / merge + K); the force and the
+    back substitution are affine scans.  A row whose map leaves nothing
+    before it in play (t = 0; an infinite curvature, whose compliance is
+    0; a zero link back) starts a new chain, as in :func:`_sweep`.
+    """
+    size, width = len(starts), int(counts.max())
+    spans = list(zip(starts.tolist(), counts.tolist()))
+
+    def lines(column, pad):
+        out = np.full((size, width), pad)
+        for k, (start, count) in enumerate(spans):
+            out[k, :count] = column[start:start + count]
+        return out
+
+    own, t, bend_w, soft, stiff, g = map(lines, columns, _NEUTRAL_ROW)
+    valid = np.arange(width) < counts[:, None]
+    coupling = own * t
+    curvature = stiff - bend_w
+    curvature -= soft                           # K
+    maps = np.empty((2, 2, size, width))
+    (b, one), (kb, pivot) = maps
+    np.multiply(coupling, t, out=b)
+    one[...] = 1.0
+    np.multiply(curvature, b, out=kb)
+    np.add(own, curvature, out=pivot)
+    stuck = pivot == math.inf                   # compliance 0 whatever came before
+    maps[:, :, stuck] = np.array([[0.0, 0.0], [0.0, 1.0]])[:, :, None]
+    fresh = t == 0.0
+    states = _scan(_mobius, _mobius_apply, maps, _MOBIUS_START,
+                   _interior(fresh | stuck, valid))
+    # each row's link and merge from the compliance before it; a row with
+    # t = 0, a segment's first or a pad, has link 0 and merge 1
+    link = states[0, :, :-1] / states[1, :, :-1]
+    link *= coupling
+    np.copyto(link, 0.0, where=fresh)
+    near = link * t
+    near += 1.0
+    compliance = own / near
+    compliance += curvature
+    np.divide(1.0, compliance, out=compliance)
+    # force_j = compliance_j (g_j + own_j t_j / near_j force_{j-1}), with
+    # nothing carried into a row with t = 0
+    maps = np.empty((2, size, width))
+    np.divide(coupling, near, out=maps[0])
+    maps[0] *= compliance
+    np.copyto(maps[0], 0.0, where=fresh)
+    np.multiply(g, compliance, out=maps[1])
+    force = _scan(_affine, _affine_apply, maps, 0.0, _interior(fresh, valid))[:, 1:]
+    # following_j = force_j / near_{j+1} + link_{j+1} / near_{j+1}
+    # following_{j+1}, from each segment's last row back, where the pad
+    # after it has link 0 and merge 1
+    ahead = np.empty((2, size, width))
+    np.divide(link[:, 1:], near[:, 1:], out=ahead[0, :, :-1])
+    np.divide(force[:, :-1], near[:, 1:], out=ahead[1, :, :-1])
+    ahead[0, :, -1], ahead[1, :, -1] = 0.0, force[:, -1]
+    maps = np.empty((2, size, width))
+    for k, (_, count) in enumerate(spans):
+        maps[:, k, :count] = ahead[:, k, count - 1::-1]
+        maps[:, k, count:] = 0.0
+    fresh = maps[0] == 0.0
+    following = _scan(_affine, _affine_apply, maps, 0.0, _interior(fresh, valid))[:, 1:]
+    return np.concatenate([following[k, count - 1::-1] for k, (_, count) in enumerate(spans)])
+
+
+# The start of a compliance chain, c = 0, as the vector (c, 1).
+_MOBIUS_START = np.array([0.0, 1.0])[:, None, None]
+
+
+def _interior(fresh, valid):
+    """``fresh`` where a segment's chain restarts past its first row, else
+    None: a scan applies each line's first map to the start anyway."""
+    return fresh if (fresh[:, 1:] & valid[:, 1:]).any() else None
+
+
+def _scan(compose, apply, maps, start, fresh):
+    """The states x_j = maps_j(x_{j-1}) along the last axis, x_{-1} =
+    ``start``, by the odd-even recursion: compose adjacent pairs of maps,
+    scan the pairs, and apply each even map to the state before it.  Work
+    O(n), depth O(log n).  Returns x_{-1}, x_0, ..., x_{n-1}.
+
+    A map where ``fresh`` holds is applied to ``start`` instead of the
+    state before it, so nothing before it carries past it; None means at
+    no map after the first.
+    """
+    n = maps.shape[-1]
+    states = np.empty(maps.shape[1:-1] + (n + 1,))
+    states[..., :1] = start
+    if n > 1:
+        half = n // 2
+        later, earlier = maps[..., 1::2], maps[..., :2 * half:2]
+        pairs = compose(later, earlier)
+        inner = None
+        if fresh is not None:
+            np.copyto(pairs, later, where=fresh[..., 1::2])
+            inner = fresh[..., 1::2] | fresh[..., :2 * half:2]
+        states[..., 2::2] = _scan(compose, apply, pairs, start, inner)[..., 1:]
+    before = states[..., :n:2]
+    if fresh is not None:
+        before = np.where(fresh[..., ::2], start, before)
+    states[..., 1::2] = apply(maps[..., ::2], before)
+    return states
+
+
+def _mobius(later, earlier):
+    """later o earlier of Möbius maps, 2 x 2 matrices on the first two
+    axes, scaled so the product's entries sum to 1."""
+    out = later[:, :1] * earlier[:1]
+    out += later[:, 1:] * earlier[1:]
+    out /= out.sum(axis=(0, 1))
+    return out
+
+
+def _mobius_apply(maps, states):
+    """Möbius maps applied to states (c, 1) stacked on the first axis,
+    scaled so each result's two entries sum to 1."""
+    out = maps[:, 0] * states[0]
+    out += maps[:, 1] * states[1]
+    out /= out[0] + out[1]
+    return out
+
+
+def _affine(later, earlier):
+    """later o earlier of affine maps x -> A x + B stacked as (A, B)."""
+    out = later[0] * earlier
+    out[1] += later[1]
+    return out
+
+
+def _affine_apply(maps, states):
+    """Affine maps (A, B) applied to states x."""
+    out = maps[0] * states
+    out += maps[1]
     return out
 
 
@@ -531,11 +705,13 @@ class _ScalarSteps:
 
 class _ArraySteps:
     """The kernels of :class:`_ScalarSteps` over whole numpy arrays along
-    the horizon, with the same arithmetic elementwise.  Two parts stay
-    sequential: the idle runs, where the store passes through in root
-    energy as u_{k+1} = a_k + s_k u_k, walked in Python over the idle
-    arrivals only, and the Thomas sweep, the loop of :func:`_sweep` over
-    the coefficients as floats.
+    the horizon, with the same arithmetic elementwise.  The idle runs stay
+    sequential: the store passes through them in root energy as u_{k+1} =
+    a_k + s_k u_k, walked in Python over the idle arrivals only.  So does
+    the Thomas sweep of a segment with fewer than ``SCAN_MIN_ROWS`` free
+    rows, the loop of :func:`_sweep` over its coefficients as floats; a
+    longer segment takes the sweep from :func:`_scan_sweep`'s log-depth
+    scans.
 
     These kernels alone know segments: ``firsts`` holds each segment's
     first epoch, and a kernel that tests, bounds or sums does so segment
@@ -640,14 +816,35 @@ class _ArraySteps:
             linked = e[:-1] == free[1:]
             t[1:][linked] = pull[:-1][linked]
             tail = np.concatenate((status != FREE, [True]))[e]
-            d = np.array(_sweep(zip(
-                (own * own / lengths[free]).tolist(), t.tolist(),
-                (bend[free] * ahead).tolist(), np.where(g < 0.0, 0.5 * g / r, 0.0).tolist(),
-                np.where(tail, pull * pull * ahead * ahead / lengths[e], 0.0).tolist(),
-                g.tolist())))
+            columns = (own * own / lengths[free], t, bend[free] * ahead,
+                       np.where(g < 0.0, 0.5 * g / r, 0.0),
+                       np.where(tail, pull * pull * ahead * ahead / lengths[e], 0.0), g)
+            d = self._step(columns, free)
             step[free] = d
             rise[free] = g * d
         return w, grad, step, free, nxt, self._sums(rise)
+
+    def _step(self, columns, free):
+        """The Newton step of the ``free`` residuals from :func:`_sweep`'s
+        ``columns``: each segment with ``SCAN_MIN_ROWS`` free rows or more
+        from :func:`_scan_sweep`, the others from :func:`_sweep`, which
+        takes them in one walk, since each segment's first row has t = 0."""
+        if free.size >= SCAN_MIN_ROWS:
+            # free is sorted, so a segment's free rows are one run of it
+            segment = self.segment[free]
+            starts = np.flatnonzero(np.diff(segment, prepend=-1))
+            counts = np.diff(starts, append=free.size)
+            long = counts >= SCAN_MIN_ROWS
+            if long.all():
+                return _scan_sweep(columns, starts, counts)
+            if long.any():
+                d = np.empty(free.size)
+                scanned = np.repeat(long, counts)
+                looped = ~scanned
+                d[scanned] = _scan_sweep(columns, starts[long], counts[long])
+                d[looped] = _sweep(zip(*(column[looped].tolist() for column in columns)))
+                return d
+        return np.array(_sweep(zip(*(column.tolist() for column in columns))))
 
     def settle(self, residuals, powers, status, w, grad, step, free, nxt, taken, live):
         """Segment by segment: each live one releases once its own free

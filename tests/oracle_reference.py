@@ -7,6 +7,7 @@ the causal power prefixes only, dropping a prefix at the epoch where it
 first overspends, so each epoch is evaluated once per causal prefix; the
 tests require identical results.  The derived power bound is computed
 here too, from the public ``harvested_energy`` and ``optimal_residual``.
+Both score an epoch's bits as l / (2 ln 2) log1p(g p).
 """
 
 import math
@@ -35,7 +36,7 @@ def brute_force_optimize(scenario, circuit, grid=GridSpec(), gain=1.0):
     if n == 0:
         power = scenario.initial_energy / lengths[0]
         schedule = TransmissionSchedule(powers=(power,), epoch_bounds=tuple(bounds_grid))
-        bits = float(0.5 * lengths[0] * math.log2(1.0 + gain * power))
+        bits = float(0.5 * lengths[0] / math.log(2.0) * math.log1p(gain * power))
         return OracleResult(schedule=schedule, throughput=bits, error_bound=0.0,
                             evaluated=1, feasible=1)
 
@@ -53,10 +54,10 @@ def brute_force_optimize(scenario, circuit, grid=GridSpec(), gain=1.0):
         spend = powers[:, i] * lengths[i]
         ok &= spend <= stored + 1e-12 * e_max
         residual = np.clip(stored - spend, 0.0, None)
-        bits += 0.5 * lengths[i] * np.log2(1.0 + gain * powers[:, i])
+        bits += 0.5 * lengths[i] / math.log(2.0) * np.log1p(gain * powers[:, i])
         stored = residual + _harvest_value(maps[i], e_max, root_e_max, residual)
     final_power = stored / lengths[-1]
-    bits += 0.5 * lengths[-1] * np.log2(1.0 + gain * final_power)
+    bits += 0.5 * lengths[-1] / math.log(2.0) * np.log1p(gain * final_power)
     bits[~ok] = -np.inf
 
     best = int(np.argmax(bits))

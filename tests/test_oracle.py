@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from rfharvest import (
     max_harvest_schedule,
     solve,
 )
+from rfharvest.config import experiment_config, load_config
 from rfharvest.oracle import GROUP_SIZE, _brute_force_batch, _grid_axes
-from rfharvest.scheduling import _bits
+from rfharvest.scheduling import _bits, _solve_batch
+from rfharvest.simulator import _draw_scenarios
 
 import oracle_reference as ref
 
@@ -226,9 +229,9 @@ class TestWholeGridReference:
                     expected = ref.brute_force_optimize(scenario, sim_circuit, grid, gain)
                     assert repr(result) == repr(expected)
                     if gain == 1e-300:
-                        # every feasible tuple scores 0 bits: a tie the
-                        # all-zero tuple must win
-                        assert result.schedule.powers[:-1] == (0.0,) * n
+                        # scored as log1p(g p) / ln 2, a tuple that spends
+                        # energy scores above 0 bits, however low the SNR
+                        assert result.throughput > 0.0
         if n == 3 and resolution == 60:
             assert brute_force_optimize(scenario, sim_circuit).feasible < 60 ** 3 / 2
 
@@ -343,3 +346,20 @@ class TestBatch:
 
     def test_empty_batch(self, sim_circuit):
         assert _brute_force_batch([], sim_circuit) == []
+
+
+@pytest.mark.parametrize("gain", [1e-17, 1e-300])
+def test_low_snr_scores_keep_their_precision(gain):
+    # the oracle scores bits as log1p(g p) / ln 2, as the solver does: as
+    # log2(1 + g p), which rounds 1 + g p, it scored up to 2.08e-18 bits
+    # at gain 1e-17 where the solver's optimum is 1.14e-18, beyond the
+    # grid's own error bound of 1.44e-19, and 0 at gain 1e-300
+    config = experiment_config(load_config(
+        Path(__file__).resolve().parent.parent / "configs" / "oracle_check.yaml"))
+    scenarios = [scenario for scenario, _ in _draw_scenarios(config, config.runs)]
+    solved = _solve_batch(scenarios, config.circuit, gain)
+    scored = _brute_force_batch(scenarios, config.circuit, GridSpec(), gain)
+    for result, report in zip(scored, solved):
+        assert result.throughput > 0.0
+        assert result.throughput <= report.throughput * (1.0 + 1e-12)
+        assert result.throughput >= report.throughput - result.error_bound

@@ -27,7 +27,7 @@ from rfharvest import (
     replay,
     solve,
 )
-from rfharvest.config import experiment_config, load_config
+from rfharvest.config import experiment_config, load_config, parse_config
 from rfharvest.scheduling import _bits, _violations
 
 TWO_PACKET = dict(initial_energy=0.5, packets=((10.0, 5.0), (20.0, 5.0)), deadline=30.0)
@@ -326,6 +326,18 @@ class TestKKTStructure:
                 rhs = (1.0 + powers[m]) * (x + 1.0)
                 assert lhs == pytest.approx(rhs, rel=1e-12)
 
+    def test_stationarity_identity_at_65536_packets(self, sim_circuit):
+        # every Newton step from the scans of one long segment
+        scenario = reference_horizon(sim_circuit, 65536, 0)
+        report = solve(scenario, sim_circuit)
+        powers, residuals = report.schedule.powers, report.trace.residuals
+        assert 0.0 not in powers
+        lhs = 1.0 + np.array(powers[1:])
+        rhs = (1.0 + np.array(powers[:-1])) * (1.0 + np.array([
+            harvest_sensitivity(r, d, sim_circuit)
+            for r, d in zip(residuals, scenario.packet_lengths.tolist())]))
+        assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(rhs).min()
+
     def test_product_form_is_constant(self, sim_circuit):
         # (1 + p_m) * prod_{j>=m} (X_j + 1) must not depend on m
         for scenario, report in self.winning_reports(sim_circuit, 10, 6, 203):
@@ -428,6 +440,20 @@ class TestHardScenarios:
         report = solve(scenario, sim_circuit, gain)
         assert report.iterations <= max_steps
         assert_beats_max_harvest(report, scenario, sim_circuit, gain)
+
+    @pytest.mark.parametrize("scan_min_rows", [scheduling.SCAN_MIN_ROWS, 2],
+                             ids=["default", "every-segment"])
+    def test_scans_keep_the_step_counts(self, sim_circuit, monkeypatch, scan_min_rows):
+        # the steps each horizon took at gains 1 and 2.7e8 when every Newton
+        # step came from _sweep's loop
+        monkeypatch.setattr(scheduling, "SCAN_MIN_ROWS", scan_min_rows)
+        loop_steps = {(reference_horizon, 1024): [7, 7], (reference_horizon, 4096): [8, 8],
+                      (hetero_horizon, 1024): [12, 40], (hetero_horizon, 4096): [14, 43],
+                      (hetero_horizon, 16384): [14, 47]}
+        for (horizon, n), steps in loop_steps.items():
+            scenario = horizon(sim_circuit, n, 0)
+            assert [solve(scenario, sim_circuit, gain).iterations
+                    for gain in (1.0, 2.7e8)] == steps
 
     def test_released_epoch_the_step_would_drain_turns_idle_alone(self, sim_circuit):
         s = released_trio()
@@ -708,6 +734,133 @@ def test_sweep_keeps_each_chain_to_itself(bad):
     assert scheduling._sweep(good + bad)[:-1] == alone
 
 
+def sweep_rows(rng, n):
+    """n random rows of _sweep, the first a chain's (t = 0): own > 0, t > 0,
+    bend_w <= 0, soft <= 0, stiff >= 0 and g of either sign, each over
+    many decades, and bend_w, soft and stiff often 0."""
+    def sometimes(p, x):
+        return np.where(rng.random(n) < p, x, 0.0)
+
+    rows = np.array([rng.lognormal(0.0, 3.0, n), rng.lognormal(0.0, 1.0, n),
+                     sometimes(0.7, -rng.lognormal(0.0, 3.0, n)),
+                     sometimes(0.3, -rng.lognormal(0.0, 3.0, n)),
+                     sometimes(0.2, rng.lognormal(0.0, 3.0, n)), rng.normal(0.0, 1.0, n)])
+    rows[1, 0] = 0.0
+    return rows
+
+
+def scanned(rows, counts):
+    """_scan_sweep's steps of rows laid out as segments of ``counts`` rows."""
+    counts = np.array(counts)
+    with np.errstate(all="ignore"):
+        return scheduling._scan_sweep(rows, np.cumsum(counts) - counts, counts)
+
+
+def assert_scan_is_the_loop(rows, counts):
+    # the scans add in another order than the loop: each segment's steps
+    # agree to 1e-9 of its largest; a step far below that is rounding in both
+    loop = np.array(scheduling._sweep(zip(*rows.tolist())))
+    scan = scanned(rows, counts)
+    assert np.isfinite(loop).all()
+    for segment in np.split(np.arange(len(loop)), np.cumsum(counts)[:-1]):
+        assert np.abs(scan[segment] - loop[segment]).max() \
+            <= 1e-9 * np.abs(loop[segment]).max()
+
+
+class TestScanSweep:
+    """_scan_sweep's log-depth scans give _sweep's steps, segment by segment."""
+
+    def test_random_rows(self):
+        rng = np.random.default_rng([13, 0])
+        for _ in range(40):
+            counts = rng.integers(1, 600, int(rng.integers(1, 5))).tolist()
+            rows = np.concatenate([sweep_rows(rng, count) for count in counts], axis=1)
+            assert_scan_is_the_loop(rows, counts)
+
+    def test_restarts_inside_a_segment(self):
+        # t = 0 (a new chain) and an infinite curvature, whose compliance
+        # is 0 and whose chain starts afresh, past each segment's first row
+        rng = np.random.default_rng([13, 1])
+        for _ in range(20):
+            counts = rng.integers(2, 600, 3).tolist()
+            rows = np.concatenate([sweep_rows(rng, count) for count in counts], axis=1)
+            n = rows.shape[1]
+            rows[1, rng.integers(0, n, 5)] = 0.0
+            rows[2, rng.integers(0, n, 3)] = -math.inf
+            rows[4, rng.integers(0, n, 3)] = math.inf
+            assert_scan_is_the_loop(rows, counts)
+
+    @pytest.mark.parametrize("gain", [1.0, 2.7e8])
+    def test_rows_of_long_horizons(self, monkeypatch, gain):
+        # every Newton step of heterogeneous horizons with idle runs, one
+        # of them split by flat maps into segments of uneven free counts
+        captured = []
+        step = scheduling._ArraySteps._step
+
+        def spied(self, columns, free):
+            captured.append((np.array(columns), np.unique(self.segment[free],
+                                                          return_counts=True)[1]))
+            return step(self, columns, free)
+
+        monkeypatch.setattr(scheduling._ArraySteps, "_step", spied)
+        split = hetero_horizon(SIM, 2048, 3)
+        packets = list(split.packets)
+        for i in (350, 1050, 1750):
+            packets[i] = (packets[i][0], 1e4 * SIM.tau)
+        split = EnergyScenario(split.initial_energy, tuple(packets), split.deadline)
+        for scenario in (hetero_horizon(SIM, 1024, 1), split):
+            captured.clear()
+            solve(scenario, SIM, gain)
+            assert any(len(counts) > 1 for _, counts in captured) == (scenario is split)
+            for rows, counts in captured:
+                assert_scan_is_the_loop(rows, counts.tolist())
+
+    @pytest.mark.parametrize("bad", [{5: math.nan}, {0: math.nan}, {2: -math.inf, 4: -math.inf}],
+                             ids=["g", "own", "inf-inf"])
+    def test_nan_stays_in_its_segment(self, bad):
+        # a NaN row spoils its own segment as it spoils _sweep's chain, and
+        # the others' steps are the ones they get alone, bit for bit
+        rng = np.random.default_rng([13, 2])
+        counts = [300, 41, 700]
+        parts = [sweep_rows(rng, count) for count in counts]
+        alone = [scanned(part, [count]) for part, count in zip(parts, counts)]
+        for column, value in bad.items():
+            parts[1][column, 17] = value
+        rows = np.concatenate(parts, axis=1)
+        scan = np.split(scanned(rows, counts), np.cumsum(counts)[:-1])
+        loop = np.split(np.array(scheduling._sweep(zip(*rows.tolist()))), np.cumsum(counts)[:-1])
+        assert scan[0].tolist() == alone[0].tolist()
+        assert scan[2].tolist() == alone[2].tolist()
+        assert np.isnan(scan[1]).tolist() == np.isnan(loop[1]).tolist()
+        assert np.isnan(scan[1]).any()
+
+    def test_each_segment_steps_as_alone(self):
+        # lines of uneven length, with zero pivots, infinite curvatures,
+        # restarts and NaN anywhere, the last row of a line included: each
+        # segment's steps are those it gets alone, bit for bit
+        rng = np.random.default_rng([13, 3])
+        for _ in range(30):
+            counts = rng.integers(1, 200, int(rng.integers(2, 6))).tolist()
+            parts = [sweep_rows(rng, count) for count in counts]
+            for part in parts:
+                for column, value in ((0, 0.0), (2, -math.inf), (1, 0.0), (5, math.nan)):
+                    picked = rng.integers(0, part.shape[1], 2)
+                    part[column, picked[rng.random(2) < 0.3]] = value
+                if rng.random() < 0.5:
+                    part[:5, -1] = 0.0        # a zero pivot in the last row
+            alone = [repr(scanned(part, [count]).tolist()) for part, count in zip(parts, counts)]
+            joined = np.split(scanned(np.concatenate(parts, axis=1), counts),
+                              np.cumsum(counts)[:-1])
+            assert [repr(steps.tolist()) for steps in joined] == alone
+
+    def test_zero_pivot_divides_as_numpy_does(self):
+        # own, bend_w, soft and stiff all 0 (own = w^2 / l underflows at
+        # epochs of 1e-300 s): the compliance is 1 / 0.0 = inf, not an error
+        rows = [[0.0, 0.0, 0.0, 0.0, 0.0, 1.0]]
+        assert scheduling._sweep(rows) == [math.inf]
+        assert scanned(np.array(rows).T, [1]).tolist() == [math.inf]
+
+
 def test_line_search_leaves_a_stopped_segment_alone():
     # segment 0 was found optimal in this iteration, so the Newton step it
     # settled on still has its rows; however short their bound, it neither
@@ -862,6 +1015,21 @@ def assert_beats_max_harvest(report, scenario, circuit, gain):
 
 class TestTinyStores:
     """Stores and residuals near the bottom of the float range."""
+
+    @pytest.mark.parametrize("threshold", [scheduling.ARRAY_MIN_PACKETS, 1],
+                             ids=["floats", "arrays"])
+    def test_epochs_of_1e_300_seconds(self, monkeypatch, threshold):
+        # fig5's point at a mean epoch of 1e-300 s, its harvest scaled
+        # along: w^2 / l underflows to 0, and the sweep's zero pivot raised
+        # ZeroDivisionError on run 1 under both kernel sets
+        monkeypatch.setattr(scheduling, "ARRAY_MIN_PACKETS", threshold)
+        config = experiment_config(parse_config({"runs": 2}))
+        point = dataclasses.replace(config, mean_epoch_length=1e-300, mean_harvest=(
+            config.mean_harvest * 1e-300 / config.mean_epoch_length))
+        reports = [solved_alone(scenario, point.circuit, 1.0)
+                   for scenario, _ in simulator._draw_scenarios(point, 2)]
+        assert all(isinstance(report, (scheduling.SolveReport, SolverError))
+                   for report in reports)
 
     @pytest.mark.parametrize("gain", [1.0, 2.7e8])
     @pytest.mark.parametrize("packets", [((1.0, 10.0),), ((1.0, 10.0), (2.0, 10.0))],
@@ -1116,6 +1284,39 @@ class TestBatchedSolve:
                 patched.setattr(scheduling, "ARRAY_MIN_PACKETS", 1)
                 reports = scheduling._solve_batch(scenarios, SIM, gain)
             self.assert_lone_reports(scenarios, reports, SIM, gain, alone)
+
+    @pytest.mark.parametrize("group", ["N256", "N1024", "N128", "flat", "idle"])
+    def test_scans_take_each_members_lone_steps(self, sim_circuit, monkeypatch, group):
+        # the scans take every segment, joined or alone (a lone short
+        # horizon on the array kernels too): each member's segments are
+        # lines of their own, so each member still gets its lone report
+        monkeypatch.setattr(scheduling, "SCAN_MIN_ROWS", 2)
+        monkeypatch.setattr(scheduling, "ARRAY_MIN_PACKETS", 1)
+        lines = []
+        scan = scheduling._scan_sweep
+
+        def counted(rows, starts, counts):
+            lines.append(len(starts))
+            return scan(rows, starts, counts)
+
+        monkeypatch.setattr(scheduling, "_scan_sweep", counted)
+        circuit = sim_circuit
+        if group == "flat":
+            scenarios = [with_flat_map(sim_circuit, k) for k in range(8)]
+            scenarios += [reference_horizon(sim_circuit, 8, seed) for seed in range(4)]
+        elif group == "idle":
+            scenarios, circuit = idle_heavy_batch()
+        else:
+            cases = {**KERNEL_CASES,
+                     "N128": lambda circuit: (reference_horizon(circuit, 128, 0), 1.0)}
+            members = {"N256": ("hetero256/2", "hetero256/4", "N256"),
+                       "N1024": ("hetero1024/1", "N1024"), "N128": ("empty128", "N128")}
+            scenarios = [cases[name](sim_circuit)[0] for name in members[group]]
+        reports = scheduling._solve_batch(scenarios, circuit)
+        assert max(lines) >= len(scenarios)
+        lines.clear()
+        self.assert_lone_reports(scenarios, reports, circuit, 1.0)
+        assert lines
 
     def test_idle_heavy_batch_takes_its_slowest_members_steps(self):
         # each member bounds its own step and releases its own idle epochs:
