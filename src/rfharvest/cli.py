@@ -12,6 +12,7 @@ Exit codes: 0 ok, 2 config error, 3 solver failure, 4 validation failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -105,22 +106,29 @@ def _schedule_rows(schedule, trace, throughput=None, terminal_error=None):
 
 
 def _load(args):
+    """The config at ``--config`` with the command line's overrides."""
     config = load_config(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     if args.rate_model is not None:
         config = replace(config, rate_model=args.rate_model)
-    manifest_seed = config.seed
-    return config, config_hash(args.config), manifest_seed
+    return config
+
+
+def _manifest(args, config, command) -> RunManifest:
+    """The provenance header of a ``command`` run of ``config``, with the
+    SHA-256 of the raw config file."""
+    return RunManifest(__version__, command, config_hash(args.config), config.seed,
+                       config.rate_model)
 
 
 def cmd_optimize(args) -> int:
-    config, digest, seed = _load(args)
+    config = _load(args)
     if config.scenario is None:
         raise ConfigError("optimize needs a 'scenario' section in the config")
     report = optimal_schedule(config.scenario, config.circuit,
                               config.rate_model, config.link)
-    manifest = RunManifest(__version__, "optimize", digest, seed, config.rate_model)
+    manifest = _manifest(args, config, "optimize")
     header, rows = _schedule_rows(report.schedule, report.trace,
                                   throughput=report.throughput,
                                   terminal_error=report.terminal_residual_error)
@@ -133,7 +141,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config, digest, seed = _load(args)
+    config = _load(args)
     if args.strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {args.strategy!r}; "
                           f"choose from {', '.join(STRATEGIES)}")
@@ -146,8 +154,7 @@ def cmd_simulate(args) -> int:
     else:
         scenario, string = _draw_scenarios(point, 1)[0]
     trace, bits = evaluate_strategy(args.strategy, scenario, string, point)
-    manifest = RunManifest(__version__, f"simulate {args.strategy}", digest, seed,
-                           config.rate_model)
+    manifest = _manifest(args, config, f"simulate {args.strategy}")
     effective = TransmissionSchedule(
         powers=tuple(c / l for c, l in zip(trace.consumed, scenario.epoch_lengths)),
         epoch_bounds=tuple(scenario.epoch_bounds),
@@ -168,7 +175,7 @@ def _sweep_rows_to_csv(rows):
 
 
 def cmd_sweep(args) -> int:
-    config, digest, seed = _load(args)
+    config = _load(args)
     point = experiment_config(config)
     sweep = config.sweep
     if args.figure == "fig6":
@@ -205,11 +212,10 @@ def cmd_sweep(args) -> int:
                 raise ConfigError(f"scenario {row[0]}, d={row[1]}: {change}") from change
             if isinstance(change, SolverError):
                 raise change
-            row += [change, seed]
+            row += [change, config.seed]
     else:
         raise ConfigError(f"unknown figure {args.figure!r}")
-    manifest = RunManifest(__version__, f"sweep {args.figure}", digest, seed,
-                           config.rate_model)
+    manifest = _manifest(args, config, f"sweep {args.figure}")
     out = Path(args.out) / f"sweep_{args.figure}.csv"
     _write_csv(out, manifest, header, data)
     print(f"wrote {out} ({len(data)} rows)")
@@ -217,7 +223,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    config, _, _ = _load(args)
+    config = _load(args)
     point = experiment_config(config)
     grid = GridSpec()
     if point.packet_count > grid.epoch_limit:
@@ -279,9 +285,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every :func:`main` call in the process, built by the
+    first; parsing leaves nothing of one call in it for the next."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {
         "optimize": cmd_optimize,
         "simulate": cmd_simulate,

@@ -64,13 +64,16 @@ alone.  A batch whose joined horizon would be shorter than
 ``ARRAY_MIN_PACKETS`` arrivals is not joined: each member is solved
 alone.  Both kernel sets share one Newton loop, :func:`_newton_method`,
 and one Thomas sweep, :func:`_sweep`, and each has one kernel per part
-of a step: the better start, the forward pass, which also projects and
-scores the point, the Newton step, the convergence and release test,
-and the line search, which bounds the step and tests its trial points.
-The solve returns the point the loop stopped at: its powers, and its
-residuals as the trace.  The set's last kernel builds that report in its
-own containers, so a short solve stays in Python floats but for the sum
-of its bits.
+of a step: the start, which builds both starts and keeps the better,
+the forward pass, which also projects and scores the point, the Newton
+step, the convergence and release test, and the line search, which
+bounds the step and tests its trial points.  The scalar start builds
+and scores both starts in one walk, and the scalar forward pass moves
+to each trial point itself.  The solve returns the point the loop
+stopped at: its powers, and its residuals as the trace.  The set's last
+kernel builds that report in its own containers: a short solve's stays
+in Python floats, its bits summed by the same numpy ufuncs over the
+floats' lists as :func:`_bits` runs over arrays.
 """
 
 from __future__ import annotations
@@ -114,8 +117,9 @@ BOUNDARY_FRACTION = 0.01
 # A lone horizon of one segment steps with _ScalarSteps below this many
 # arrivals; every other horizon, lone or joined, steps with _ArraySteps,
 # all its segments at once, and a batch joined below it is solved member
-# by member.  A lone solve takes about as long with either at 64
-# packets; the array kernels win above, the scalar ones below.
+# by member.  A lone solve is faster on the scalar kernels up to about
+# 128 packets, but short members joined from 64 arrivals on solve faster
+# than alone: oracle-check's 20 runs of N = 3 take 1.2 ms, not 2.0.
 ARRAY_MIN_PACKETS = 64
 # A segment with this many free rows or more takes its Newton step from
 # the log-depth scans of _scan_sweep, a shorter one from _sweep's loop.
@@ -526,38 +530,101 @@ class _ScalarSteps:
     def __init__(self, initial_energy, lengths, curves, gain):
         self.initial_energy, self.lengths, self.curves, self.gain = (
             initial_energy, lengths, curves, gain)
+        # (c, s^2) of each arrival: G'(r) = c / sqrt(r) + s^2
+        self.slopes = [(a * s, s * s) for a, s in curves]
 
-    def forward(self, residuals, status):
-        """(residuals, powers, status, value) of the point the free residuals
-        set, its value sum_i l_i ln(1 + g p_i) (the throughput in bits times
-        2 ln 2) added up from the first epoch on.
+    def start(self, status):
+        """The point of the better start, half on a tie, both built and
+        scored in one walk: half the store kept at every arrival, or the
+        store spent evenly over the time left.  Each start's walk keeps its
+        own store from its own residuals; each start's point projects those
+        residuals as :meth:`forward` does, from the store its point holds,
+        and the two stores part only where a residual is projected.  Every
+        arrival is free in ``status``."""
+        lengths, curves, gain, log1p, sqrt = (self.lengths, self.curves, self.gain, math.log1p,
+                                              math.sqrt)
+        n = len(status)
+        half, even = [0.0] * n, [0.0] * n
+        half_powers, even_powers = [0.0] * (n + 1), [0.0] * (n + 1)
+        half_status, even_status = list(status), list(status)
+        # each start's store as its walk keeps it, and as its point holds it
+        kept = spread = held = stock = self.initial_energy
+        half_value = even_value = 0.0
+        left = [*accumulate(reversed(lengths))][::-1]     # the time left from each epoch on
+        for i in range(n):
+            a, s = curves[i]
+            l = lengths[i]
+            r = 0.5 * kept
+            root = a + s * sqrt(r)
+            kept = root * root
+            if not 0.0 < r < held:
+                half_status[i] = IDLE
+                r = held
+                root = a + s * sqrt(r)
+            half_powers[i] = p = (held - r) / l
+            half_value += l * log1p(gain * p)
+            held = root * root
+            half[i] = r
+            r = (1.0 - l / left[i]) * spread
+            root = a + s * sqrt(r)
+            spread = root * root
+            if not 0.0 < r < stock:
+                even_status[i] = IDLE
+                r = stock
+                root = a + s * sqrt(r)
+            even_powers[i] = p = (stock - r) / l
+            even_value += l * log1p(gain * p)
+            stock = root * root
+            even[i] = r
+        l = lengths[n]
+        half_powers[n] = p = held / l
+        half_value += l * log1p(gain * p)
+        even_powers[n] = p = stock / l
+        even_value += l * log1p(gain * p)
+        if even_value > half_value:
+            return even, even_powers, even_status, [even_value]
+        return half, half_powers, half_status, [half_value]
+
+    def forward(self, residuals, status, step, t):
+        """(residuals, powers, status, value) of the point a step t along
+        ``step`` reaches from ``residuals``, its value sum_i l_i ln(1 + g p_i)
+        (the throughput in bits times 2 ln 2) added up from the first epoch
+        on.  The step moves u = sqrt(r) by t d / (2u): a residual r with a
+        step d goes to r + t d + (t d)^2 / (4r), the square a product, as
+        numpy's (``x ** 2`` goes through ``pow``, which may round it
+        differently); one with no step stays as it is.
 
         An idle arrival takes the store before it.  A free residual at or
         above the store before it would leave its epoch no power, so it
         turns idle (in a new status list); so does one at 0, where the
         Newton step is undefined.
         """
-        lengths, gain, log1p, sqrt = self.lengths, self.gain, math.log1p, math.sqrt
+        lengths, curves, gain, log1p, sqrt = (self.lengths, self.curves, self.gain, math.log1p,
+                                              math.sqrt)
         n = len(status)
-        status = list(status)
-        out, powers = [0.0] * n, [0.0] * (n + 1)
+        out, powers, projected = [0.0] * n, [0.0] * (n + 1), list(status)
         stored, value = self.initial_energy, 0.0
-        for i, (a, s) in enumerate(self.curves):
-            r = residuals[i]
-            if status[i] == FREE and not 0.0 < r < stored:
-                status[i] = IDLE
+        for i in range(n):
+            r, d = residuals[i], step[i]
+            if d:
+                d *= t
+                r = r + d + 0.25 * (d * d) / r
             if status[i] == IDLE:
+                r = stored
+            elif not 0.0 < r < stored:
+                projected[i] = IDLE
                 r = stored
             l = lengths[i]
             powers[i] = p = (stored - r) / l
             value += l * log1p(gain * p)
+            a, s = curves[i]
             root = a + s * sqrt(r)
             stored = root * root
             out[i] = r
         l = lengths[n]
         powers[n] = p = stored / l
         value += l * log1p(gain * p)
-        return out, powers, status, [value]
+        return out, powers, projected, [value]
 
     def newton(self, residuals, powers, status, live):
         """Gradient and Newton step of F = sum_e l_e ln(1 + g p_e) in r, of
@@ -571,10 +638,10 @@ class _ScalarSteps:
         the step's predicted rise grad . step, summed from the first free
         arrival on.
         """
-        lengths, curves, gain, sqrt = self.lengths, self.curves, self.gain, math.sqrt
+        lengths, slopes, gain, sqrt = self.lengths, self.slopes, self.gain, math.sqrt
         n = len(status)
-        w = [gain / (1.0 + gain * p) for p in powers]
-        nxt, grad = [0] * n, [0.0] * n
+        w, nxt, grad = [0.0] * (n + 1), [0] * n, [0.0] * n
+        w[n] = we = gain / (1.0 + gain * powers[n])
         # One backward pass.  T', T'' and e chain back through each idle run
         # from the arrival after it, and each free arrival adds its row of
         # _sweep.  No arrival is empty, so e is the next free arrival or the
@@ -583,30 +650,29 @@ class _ScalarSteps:
         g1 = g2 = 0.0
         e, chained = n, False           # arrival i + 1's e, and whether it is idle
         for i in range(n - 1, -1, -1):
-            r, (a, s) = residuals[i], curves[i]
-            c = a * s                        # G'(r) = c / sqrt(r) + s^2
+            r, (c, ss) = residuals[i], slopes[i]
             if c == 0.0:
-                h1, h2 = s * s, 0.0
+                h1, h2 = ss, 0.0
             elif r == 0.0:
                 # only where no free residual feeds the store (it stays 0)
                 h1, h2 = math.inf, -math.inf
             else:
                 h1 = c / sqrt(r)
                 h2 = -0.5 * h1 / r
-                h1 += s * s
+                h1 += ss
             if chained:
                 g1, g2 = g1 * h1, g2 * h1 * h1 + g1 * h2
             else:
                 g1, g2, e = h1, h2, i + 1
+                we = w[e]
             nxt[i] = e
-            we, wi = w[e], w[i]
+            w[i] = wi = gain / (1.0 + gain * powers[i])
             grad[i] = g = g1 * we - wi
             chained = status[i] == IDLE
             if not chained:
                 if rows:
                     rows[-1][1] = g1
-                rows.append([wi * wi / lengths[i], 0.0, g2 * we,
-                             0.5 * g / r if g < 0.0 else 0.0,
+                rows.append([wi * wi / lengths[i], 0.0, g2 * we, 0.5 * g / r if g < 0.0 else 0.0,
                              g1 * g1 * we * we / lengths[e] if e == n else 0.0, g])
                 free.append(i)
         rows.reverse()
@@ -626,50 +692,48 @@ class _ScalarSteps:
         lengths, n = self.lengths, len(residuals)
         converged = True
         for i in free:
+            r = residuals[i]
+            if r + step[i] == r:
+                continue
             # the relative rounding of epoch e's w is 1 + (store at its
             # start) w / l, taken for epoch i and the epoch after its arrival
-            r, e = residuals[i], nxt[i]
-            rounding = 1.0 + (r + powers[i] * lengths[i]) * w[i] / lengths[i]
-            stored = (residuals[e] if e < n else 0.0) + powers[e] * lengths[e]
-            rounding_next = 1.0 + stored * w[e] / lengths[e]
-            if not (abs(grad[i]) <= STATIONARITY_TOL * w[i] * (rounding + rounding_next)
-                    or r + step[i] == r):
+            e, l, wi = nxt[i], lengths[i], w[i]
+            rounding = 1.0 + (r + powers[i] * l) * wi / l
+            l = lengths[e]
+            stored = (residuals[e] if e < n else 0.0) + powers[e] * l
+            rounding_next = 1.0 + stored * w[e] / l
+            if not abs(grad[i]) <= STATIONARITY_TOL * wi * (rounding + rounding_next):
                 converged = False
                 break
         if not (converged or taken[0] == 1.0):
             return [], []
-        released = [i for i, state in enumerate(status)
-                    if state == IDLE and grad[i] / w[i] < -RELEASE_TOL]
+        released = []
+        if IDLE in status:
+            released = [i for i, state in enumerate(status)
+                        if state == IDLE and grad[i] / w[i] < -RELEASE_TOL]
         return [0] if converged and not released else [], released
-
-    def start(self, half, even, status):
-        """The point of the better start, ``half`` on a tie."""
-        point, other = self.forward(half, status), self.forward(even, status)
-        return other if other[3][0] > point[3][0] else point
 
     def line_search(self, point, free, step, decrement, live):
         """Damped projected Newton step: (point, taken, failed).
 
-        A step t moves u = sqrt(r) by t z / (2u), r by t z + (t z)^2 / (4r),
-        the square a product, as numpy's (``x ** 2`` goes through ``pow``,
-        which may round it differently).  From the longest step, at most 1,
-        that keeps every free residual above ``BOUNDARY_FRACTION`` of
-        itself, t is halved until the point ``forward`` projects passes
-        :func:`_armijo`; the projection turns idle every free epoch the
-        step drains, however many in one step.  ``taken`` holds the step t
-        the segment took; below ``MIN_STEP`` it takes none, keeps ``point``
-        and is ``failed``.
+        From the longest step, at most 1, that keeps every free residual
+        above ``BOUNDARY_FRACTION`` of itself, t is halved until the point
+        that :meth:`forward` moves to and projects passes :func:`_armijo`;
+        the projection turns idle every free epoch the step drains, however
+        many in one step.  ``taken`` holds the step t the segment took;
+        below ``MIN_STEP`` it takes none, keeps ``point`` and is ``failed``.
         """
         residuals, _, status, (value,) = point
         decrement = decrement[0]
         reach = 2.0 * (1.0 - math.sqrt(BOUNDARY_FRACTION))    # u to sqrt(fraction) u
         t = 1.0
-        for i in free:
-            if step[i] < 0.0:
-                t = min(t, reach * residuals[i] / -step[i])
+        for r, d in zip(residuals, step):       # d is 0 off the free arrivals
+            if d < 0.0:
+                bound = reach * r / -d
+                if bound < t:
+                    t = bound
         while t >= MIN_STEP:
-            trial = self.forward([r + t * d + 0.25 * ((t * d) * (t * d)) / r if d else r
-                                  for r, d in zip(residuals, step)], status)
+            trial = self.forward(residuals, status, step, t)
             if _armijo(trial[3][0], value, t, decrement):
                 return trial, [t], []
             t *= 0.5
@@ -679,27 +743,50 @@ class _ScalarSteps:
         """The lone member's row (powers, residuals, harvested, consumed,
         bits), as :func:`_solve_batch` reports it, with bits None where
         :func:`_violations` flags the trace, in a list of one; [None] where
-        it did not converge.  The harvests are :func:`_harvest_value`'s
-        operations in ``math``, and the tests :func:`_violations`' in
-        floats; only the bits go through numpy.
+        it did not converge.  One loop takes the harvests
+        (:func:`_harvest_value`'s operations in ``math``), the spends,
+        :func:`_violations`' tests and :func:`_bits`' range test in floats.
+        The bits are :func:`_bits`' sum, from the same numpy ufuncs over
+        the loop's lists.
         """
         if not converged[0]:
             return [None]
-        root_e_max, slack = math.sqrt(e_max), 1e-9 * e_max
-        harvested = []
-        for r, (q, s) in zip(residuals, maps[0]):
-            u = math.sqrt(r)
+        root_e_max, slack, gain, sqrt = math.sqrt(e_max), 1e-9 * e_max, self.gain, math.sqrt
+        top = e_max + slack
+        harvested, consumed, snrs, halves = [], [], [], []
+        feasible = in_range = True
+        held = self.initial_energy          # the store the last epoch starts from
+        for r, (q, s), p, l in zip(residuals, maps[0], powers, self.lengths):
+            u = sqrt(r)
             captured = q * (root_e_max - u) * (root_e_max * q + (1.0 + s) * u)
             full = q * (e_max - r)
-            harvested.append(captured if captured < full else full)  # np.minimum's pick
-        consumed = [p * l for p, l in zip(powers, self.lengths)]
-        held = residuals[-1] + harvested[-1] if residuals else self.initial_energy
-        kept = [*residuals, held - consumed[-1]]
-        top = e_max + slack
-        feasible = not (any(r < -slack for r in kept)
-                        or any(r + h > top for r, h in zip(kept, harvested)))
-        bits = (float(_bits(np.array(powers), np.array(self.lengths), self.gain))
-                if feasible else None)
+            h = captured if captured < full else full      # np.minimum's pick
+            held = r + h
+            if r < -slack or held > top:
+                feasible = False
+            snr = gain * p
+            if not -POWER_SLACK <= snr < math.inf:
+                in_range = False
+            harvested.append(h)
+            consumed.append(p * l)
+            snrs.append(snr)
+            halves.append(0.5 * l)
+        p, l = powers[-1], self.lengths[-1]
+        spent = p * l
+        kept = [*residuals, held - spent]
+        if kept[-1] < -slack:
+            feasible = False
+        snr = gain * p
+        if not -POWER_SLACK <= snr < math.inf:
+            in_range = False
+        consumed.append(spent)
+        snrs.append(snr)
+        halves.append(0.5 * l)
+        bits = None
+        if feasible:
+            if not in_range:
+                raise ValueError("schedule powers must be finite and non-negative")
+            bits = float(np.add.reduce(np.multiply(halves, np.log1p(snrs)))) / math.log(2.0)
         return [(powers, kept, harvested, consumed, bits)]
 
 
@@ -729,7 +816,7 @@ class _ArraySteps:
     """
 
     def __init__(self, opening, lengths, curves, gain, firsts):
-        self.curves, self.gain, self.firsts = curves, gain, firsts
+        self.opening, self.curves, self.gain, self.firsts = opening, curves, gain, firsts
         self.opens, self.stores = np.array(list(opening)), np.array(list(opening.values()))
         self.lengths = np.array(lengths)
         self.a, self.s = np.array(curves, dtype=float).reshape(-1, 2).T
@@ -881,7 +968,26 @@ class _ArraySteps:
         return (np.where(arrivals, other[0], point[0]), np.where(epochs, other[1], point[1]),
                 np.where(arrivals, other[2], point[2]), np.where(taken, other[3], point[3]))
 
-    def start(self, half, even, status):
+    def start(self, status):
+        """Each segment's better start, half on a tie: both starts from one
+        walk in Python floats, then each start's point from ``forward``.  A
+        flat map leaves both starts' walks the same store, and a member's
+        first segment starts from the member's own."""
+        half, even, sqrt = [], [], math.sqrt
+        lengths, opening = self.lengths.tolist(), self.opening
+        for lo, hi in zip(self.firsts, [*self.firsts[1:], len(lengths)]):
+            if lo in opening:
+                kept = spread = opening[lo]     # each start's store
+            left = list(accumulate(reversed(lengths[lo:hi])))[::-1]
+            for (a, s), l, rest in zip(self.curves[lo:hi], lengths[lo:hi], left):
+                r = 0.5 * kept
+                root = a + s * sqrt(r)
+                kept = root * root
+                half.append(r)
+                r = (1.0 - l / rest) * spread
+                root = a + s * sqrt(r)
+                spread = root * root
+                even.append(r)
         point, other = self.forward(half, status), self.forward(even, status)
         return self._merge(point, other, other[3] > point[3])
 
@@ -961,11 +1067,12 @@ def _newton_method(opening, lengths, curves, gain, e_max_root):
     other one steps with :class:`_ArraySteps`, all its segments in one
     run, a flat map's segment from the store the map leaves, (a + 0)^2.
 
-    Each segment starts from the better of its two starts.  Each
-    iteration asks the kernels' ``settle`` which live segments are optimal
-    (stationary with nothing to release) and which idle epochs to
-    release: those with a negative multiplier in a stationary segment, or
-    in one whose last line search took its full step (t = 1).  A release
+    Each segment starts from the better of its two starts, which the
+    kernels' ``start`` builds and scores.  Each iteration asks the
+    kernels' ``settle`` which live segments are optimal (stationary with
+    nothing to release) and which idle epochs to release: those with a
+    negative multiplier in a stationary segment, or in one whose last
+    line search took its full step (t = 1).  A release
     takes the step again from the new active set in the same iteration.
     A segment stops once it is optimal, its line search finds no step, or
     after ``MAX_ITERATIONS``; it then drops out of the steps, and the
@@ -979,30 +1086,13 @@ def _newton_method(opening, lengths, curves, gain, e_max_root):
     # arrival ends a segment.
     status = [EMPTY if a + s * e_max_root == a else FREE for a, s in curves]
     # each segment's first epoch
-    firsts = [0, *(i + 1 for i, state in enumerate(status) if state == EMPTY)]
+    firsts = [0, *[i + 1 for i, state in enumerate(status) if state == EMPTY]]
     if len(curves) < ARRAY_MIN_PACKETS and len(firsts) == 1:
         steps = _ScalarSteps(opening[0], lengths, curves, gain)
     else:
         steps = _ArraySteps(opening, lengths, curves, gain, firsts)
     with np.errstate(all="ignore"):
-        # both starts in one walk: half the store kept, or the even spend
-        # over the time left in the segment; a flat map leaves both starts
-        # the same store, and a member starts from its own
-        half, even, sqrt = [], [], math.sqrt
-        for lo, hi in zip(firsts, [*firsts[1:], len(lengths)]):
-            if lo in opening:
-                kept = spread = opening[lo]     # each start's store
-            left = list(accumulate(reversed(lengths[lo:hi])))[::-1]
-            for (a, s), l, rest in zip(curves[lo:hi], lengths[lo:hi], left):
-                r = 0.5 * kept
-                root = a + s * sqrt(r)
-                kept = root * root
-                half.append(r)
-                r = (1.0 - l / rest) * spread
-                root = a + s * sqrt(r)
-                spread = root * root
-                even.append(r)
-        point = steps.start(half, even, status)
+        point = steps.start(status)
 
         live = list(range(len(firsts)))     # the segments that still step
         taken = [0.0] * len(firsts)         # the step t each took last

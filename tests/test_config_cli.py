@@ -622,6 +622,39 @@ class TestEntryPoint:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_main_runs_many_times_in_one_process(self, generated_config, tmp_path, capsys):
+        # main parses with one parser per process: a second round of the
+        # same calls prints and exits as the first, and an override, a
+        # refused argv or --version leaves nothing behind for the next call
+        oracle = ["oracle-check", "--config", str(generated_config)]
+        calls = [oracle,
+                 [*oracle, "--seed", "5", "--rate-model", "link-budget"],
+                 oracle,
+                 [*oracle, "--figure", "fig5"],
+                 ["--version"],
+                 ["sweep", "--config", str(CONFIGS / "reference.yaml"), "--figure", "fig8",
+                  "--out", str(tmp_path / "fig8")],
+                 oracle]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        first = [run(argv) for argv in calls]
+        csv = (tmp_path / "fig8" / "sweep_fig8.csv").read_bytes()
+        assert [run(argv) for argv in calls] == first
+        assert (tmp_path / "fig8" / "sweep_fig8.csv").read_bytes() == csv
+        assert [code for code, *_ in first] == [0, 0, 0, 2, 0, 0, 0]
+        assert first[0] == first[2] == first[6] != first[1]
+        assert "unrecognized arguments: --figure fig5" in first[3][2]
+        assert first[4][1] == f"rfharvest {cli.__version__}\n"
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+
     def test_import_leaves_scipy_out(self):
         # scipy is a test-only dependency; importing it would slow every
         # start of the package

@@ -1,5 +1,6 @@
 import bisect
 import dataclasses
+import itertools
 import math
 from pathlib import Path
 
@@ -949,6 +950,166 @@ class TestReports:
         assert diagnostics["violated"] == violated
         assert diagnostics["epoch"] == (4 if overdraw == "overfull" else n_packets + 1)
         assert diagnostics["iterations"] == iterations
+
+
+def scalar_kernels(scenario, circuit, gain):
+    """The scalar kernels of a lone solve of ``scenario``, with its epoch
+    lengths and charge curves as :func:`_solve_batch` builds them."""
+    bounds = (0.0, *(t for t, _ in scenario.packets), scenario.deadline)
+    root = math.sqrt(circuit.e_max)
+    return scheduling._ScalarSteps(scenario.initial_energy,
+                                   [b - a for a, b in zip(bounds, bounds[1:])],
+                                   [(root * q, s) for q, s in scenario._maps(circuit.tau)], gain)
+
+
+def walked_starts(kernels):
+    """Both starts' residuals, each walked from its own store: half the
+    store kept, and the store spent evenly over the time left."""
+    half, even = [], []
+    kept = spread = kernels.initial_energy
+    left = list(itertools.accumulate(reversed(kernels.lengths)))[::-1]
+    for (a, s), l, rest in zip(kernels.curves, kernels.lengths, left):
+        r = 0.5 * kept
+        root = a + s * math.sqrt(r)
+        kept = root * root
+        half.append(r)
+        r = (1.0 - l / rest) * spread
+        root = a + s * math.sqrt(r)
+        spread = root * root
+        even.append(r)
+    return half, even
+
+
+def listed_forward(kernels, residuals, status):
+    """The point of a list of residuals, projected and scored one arrival
+    at a time as the scalar forward pass does."""
+    status = list(status)
+    out, powers = [], []
+    stored, value = kernels.initial_energy, 0.0
+    for i, ((a, s), l) in enumerate(zip(kernels.curves, kernels.lengths)):
+        r = residuals[i]
+        if status[i] == scheduling.FREE and not 0.0 < r < stored:
+            status[i] = scheduling.IDLE
+        if status[i] == scheduling.IDLE:
+            r = stored
+        p = (stored - r) / l
+        value += l * math.log1p(kernels.gain * p)
+        root = a + s * math.sqrt(r)
+        stored = root * root
+        out.append(r)
+        powers.append(p)
+    p = stored / kernels.lengths[-1]
+    value += kernels.lengths[-1] * math.log1p(kernels.gain * p)
+    return out, [*powers, p], status, [value]
+
+
+class TestScalarKernels:
+    """The scalar kernels build both starts in one walk, form each trial
+    point inside the forward pass and sum the report's bits over lists:
+    the same floats as the walk, the trial lists and :func:`_bits`."""
+
+    @staticmethod
+    def start_cases(circuit):
+        reference = reference_horizon(circuit, 8, 0)
+        # packets that charge nothing keep an empty store empty
+        barren = EnergyScenario(0.0, tuple((t, 0.0) for t, _ in reference.packets),
+                                reference.deadline)
+        cases = [scalar_kernels(barren, circuit, 1.0),
+                 scalar_kernels(dataclasses.replace(reference, initial_energy=0.0), circuit, 1.0),
+                 scalar_kernels(dataclasses.replace(reference, initial_energy=circuit.e_max),
+                                circuit, 1.0),
+                 scalar_kernels(reference_horizon(circuit, 1, 0), circuit, 1.0),
+                 scalar_kernels(reference_horizon(circuit, 63, 0), circuit, 1.0)]
+        rng = np.random.default_rng([8, 0])
+        for _ in range(300):
+            scenario, gain = fuzz_scenario(rng, circuit)
+            cases.append(scalar_kernels(scenario, circuit, gain))
+        return cases
+
+    def test_one_walk_start_is_the_better_listed_start(self, sim_circuit):
+        # E0 = 0 idles the first half residual, and every one where the
+        # packets charge nothing; E0 = e_max starts full, and the fuzz
+        # draws hold subnormal stores, where a projected residual parts a
+        # start's point from its walk
+        parted = 0
+        for k, kernels in enumerate(self.start_cases(sim_circuit)):
+            status = [scheduling.FREE] * len(kernels.curves)
+            walked = walked_starts(kernels)
+            half, even = (listed_forward(kernels, start, status) for start in walked)
+            better = even if even[3][0] > half[3][0] else half
+            assert repr(kernels.start(status)) == repr(better)
+            if k == 0:
+                assert half[2] == [scheduling.IDLE] * 8
+            parted += half[0] != walked[0] and half[0][1:] != walked[0][1:]
+        assert parted >= 1
+
+    def test_a_tie_keeps_the_half_start(self):
+        # at a gain of 2^-600 both starts spend the store for the same
+        # value, from different residuals
+        kernels = scheduling._ScalarSteps(1.0, [2.0, 1.0], [(0.0, 1.0)], 2.0 ** -600)
+        half, even = (listed_forward(kernels, start, [scheduling.FREE])
+                      for start in walked_starts(kernels))
+        assert half[3] == even[3] and half[0] != even[0]
+        assert kernels.start([scheduling.FREE]) == half
+
+    def test_forward_forms_the_trial_points(self, sim_circuit, monkeypatch):
+        # every trial point of the fuzz and heterogeneous solves is the
+        # point of the trial list, r + t d + 0.25 (t d)(t d) / r where d is
+        # not 0
+        forward, trials = scheduling._ScalarSteps.forward, []
+
+        def checked(self, residuals, status, step, t):
+            point = forward(self, residuals, status, step, t)
+            listed = [r + t * d + 0.25 * ((t * d) * (t * d)) / r if d else r
+                      for r, d in zip(residuals, step)]
+            assert repr(point) == repr(listed_forward(self, listed, status))
+            trials.append(t)
+            return point
+
+        monkeypatch.setattr(scheduling._ScalarSteps, "forward", checked)
+        rng = np.random.default_rng([8, 0])
+        for _ in range(300):
+            scenario, gain = fuzz_scenario(rng, sim_circuit)
+            solved_alone(scenario, sim_circuit, gain)
+        rng = np.random.default_rng([3, 0])
+        for gain in (1e-3, 1.0, 2.7e8):
+            for _ in range(100):
+                solved_alone(heterogeneous_scenario(rng, sim_circuit, 5), sim_circuit, gain)
+        assert len(trials) > 1000 and min(trials) < 1.0
+
+    def test_bits_are_the_numpy_sum(self, sim_circuit):
+        draws = []
+        rng = np.random.default_rng([8, 0])
+        draws += [fuzz_scenario(rng, sim_circuit) for _ in range(1000)]
+        rng = np.random.default_rng([3, 0])
+        draws += [(heterogeneous_scenario(rng, sim_circuit, 5), gain)
+                  for gain in (1e-3, 1.0, 2.7e8) for _ in range(300)]
+        checked = 0
+        for scenario, gain in draws:
+            report = solved_alone(scenario, sim_circuit, gain)
+            if isinstance(report, SolverError):
+                continue
+            lengths = scalar_kernels(scenario, sim_circuit, gain).lengths
+            bits = float(_bits(np.array(report.schedule.powers), np.array(lengths), gain))
+            assert repr(report.throughput) == repr(bits)
+            checked += 1
+        assert checked >= 1800
+
+    @pytest.mark.parametrize("power", [math.nan, math.inf, -0.5])
+    def test_bad_power_is_refused(self, sim_circuit, monkeypatch, power):
+        # a power the range test refuses in an epoch the feasibility test
+        # passes: the report refuses it as _bits does
+        optimal = scheduling._newton_method
+
+        def corrupted(*args):
+            steps, residuals, powers, ends = optimal(*args)
+            assert isinstance(steps, scheduling._ScalarSteps)
+            powers[2] = power
+            return steps, residuals, powers, ends
+
+        monkeypatch.setattr(scheduling, "_newton_method", corrupted)
+        with pytest.raises(ValueError, match="schedule powers must be finite and non-negative"):
+            solve(reference_horizon(sim_circuit, 8, 0), sim_circuit)
 
 
 SIM = ChargeCircuit(resistance=4000.0, capacitance=0.05, v_max=2.5)
